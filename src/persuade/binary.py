@@ -33,6 +33,12 @@ BOUNDARY_TOLERANCE = 1e-7
 THRESHOLD_TOLERANCE = 1e-8
 # Random midpoint pairs drawn when spot-checking a convexity declaration.
 SPOT_CHECK_PAIRS = 64
+# Scoring many sparse beliefs hands the receiver model dense rows a block at
+# a time; a block holds at most this many entries (8 MB of floats), so the
+# scratch memory stays fixed whatever the state count.
+SCORE_BLOCK_ENTRIES = 1 << 20
+# verify_threshold's slack on the strict drop of blend weights along the order.
+MONOTONE_SLACK = 1e-12
 
 __all__ = [
     "CLASSIFY_TOLERANCE",
@@ -67,20 +73,29 @@ class StateClassification:
     differentials: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class K01Vertex:
     """Hull vertex blending a strict-reject state into an accept state.
 
-    ``posterior = gamma * e_reject + (1 - gamma) * e_accept`` with gamma
-    the largest blend weight keeping acceptance weakly optimal.  gamma = 0
-    marks the degenerate case where the accept state itself already sits
-    on the indifference boundary.
+    ``posterior = gamma * e_reject + (1 - gamma) * e_accept`` over
+    ``n_states`` states, with gamma the largest blend weight keeping
+    acceptance weakly optimal.  gamma = 0 marks the degenerate case where
+    the accept state itself already sits on the indifference boundary.
+    Only the two support states and gamma are stored; ``posterior`` builds
+    the dense vector on demand.
     """
 
     reject_state: int
     accept_state: int
     gamma: float
-    posterior: np.ndarray
+    n_states: int
+
+    @property
+    def posterior(self) -> np.ndarray:
+        posterior = np.zeros(self.n_states)
+        posterior[self.reject_state] += self.gamma
+        posterior[self.accept_state] += 1.0 - self.gamma
+        return posterior
 
     @property
     def degenerate(self) -> bool:
@@ -92,11 +107,34 @@ def _require_binary(instance: PersuasionInstance) -> None:
         raise ValueError("this solver handles exactly two actions")
 
 
+def _score_sparse_rows(
+    diff, n_states: int, states: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """``diff`` at each belief ``sum_k weights[i, k] * e_{states[i, k]}``.
+
+    The beliefs go to the model as dense rows, SCORE_BLOCK_ENTRIES entries
+    per call; each row is built exactly as a dense belief would be, by
+    adding its weights into zeros.
+    """
+    n = states.shape[0]
+    out = np.empty(n)
+    step = max(1, SCORE_BLOCK_ENTRIES // n_states)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        block = np.zeros((hi - lo, n_states))
+        rows = np.arange(hi - lo)
+        for k in range(states.shape[1]):
+            block[rows, states[lo:hi, k]] += weights[lo:hi, k]
+        out[lo:hi] = diff(block)
+    return out
+
+
 def classify_states(instance: PersuasionInstance) -> StateClassification:
     """Split pure states by whether the receiver accepts, rejects, or both."""
     _require_binary(instance)
-    diffs = np.asarray(
-        instance.receiver.differential(np.eye(instance.n_states)), dtype=float
+    d = instance.n_states
+    diffs = _score_sparse_rows(
+        instance.receiver.differential, d, np.arange(d)[:, None], np.ones((d, 1))
     )
     accept = tuple(int(w) for w in np.nonzero(diffs >= -CLASSIFY_TOLERANCE)[0])
     reject = tuple(int(w) for w in np.nonzero(diffs <= CLASSIFY_TOLERANCE)[0])
@@ -117,46 +155,59 @@ def compute_k01(
     Blends come from bisection along the edge between the two pure states,
     unless ``gamma_fn(reject_state, accept_state)`` supplies the weight in
     closed form.  Every returned vertex is checked to lie on the
-    indifference surface within BOUNDARY_TOLERANCE.
+    indifference surface within BOUNDARY_TOLERANCE.  Bisected blends are
+    checked one at a time, so a bad pair stops the work at once; closed-form
+    ones are all computed first and then checked in blocks of dense rows.
     """
     _require_binary(instance)
     if classification is None:
         classification = classify_states(instance)
     d = instance.n_states
     diff = instance.receiver.differential
-    out = []
-    for w0 in classification.strict_reject:
-        for w1 in classification.accept:
-            if gamma_fn is not None:
-                gamma = float(gamma_fn(w0, w1))
-            else:
-                e0 = np.eye(d)[w0]
-                e1 = np.eye(d)[w1]
-                if float(diff(e1)) < 0.0:
-                    # Tolerance-only accept states sit a hair under zero;
-                    # their blends collapse onto the accept vertex.
-                    gamma = 0.0
-                else:
-                    gamma = segment_bisection(diff, e0, e1, tol=tol)
-            gamma = min(max(gamma, 0.0), 1.0)
-            posterior = np.zeros(d)
-            posterior[w0] += gamma
-            posterior[w1] += 1.0 - gamma
-            boundary = float(diff(posterior))
-            if abs(boundary) > BOUNDARY_TOLERANCE:
-                raise ValueError(
-                    f"blend of states {w0},{w1} misses the boundary: "
-                    f"differential {boundary:.3e}"
-                )
-            out.append(
-                K01Vertex(
-                    reject_state=w0,
-                    accept_state=w1,
-                    gamma=gamma,
-                    posterior=posterior,
-                )
+    pairs = [
+        (w0, w1)
+        for w0 in classification.strict_reject
+        for w1 in classification.accept
+    ]
+    if gamma_fn is not None:
+        out = tuple(
+            K01Vertex(w0, w1, min(max(float(gamma_fn(w0, w1)), 0.0), 1.0), d)
+            for w0, w1 in pairs
+        )
+        if out:
+            boundary = _score_sparse_rows(
+                diff,
+                d,
+                np.array(pairs, dtype=np.intp),
+                np.array([(v.gamma, 1.0 - v.gamma) for v in out]),
             )
+            missed = np.nonzero(np.abs(boundary) > BOUNDARY_TOLERANCE)[0]
+            if missed.size:
+                raise _boundary_miss(out[missed[0]], float(boundary[missed[0]]))
+        return out
+    out = []
+    for w0, w1 in pairs:
+        e0, e1 = np.zeros(d), np.zeros(d)
+        e0[w0] = e1[w1] = 1.0
+        if float(diff(e1)) < 0.0:
+            # Tolerance-only accept states sit a hair under zero;
+            # their blends collapse onto the accept vertex.
+            gamma = 0.0
+        else:
+            gamma = segment_bisection(diff, e0, e1, tol=tol)
+        vert = K01Vertex(w0, w1, min(max(gamma, 0.0), 1.0), d)
+        boundary = float(diff(vert.posterior))
+        if abs(boundary) > BOUNDARY_TOLERANCE:
+            raise _boundary_miss(vert, boundary)
+        out.append(vert)
     return tuple(out)
+
+
+def _boundary_miss(vert: K01Vertex, boundary: float) -> ValueError:
+    return ValueError(
+        f"blend of states {vert.reject_state},{vert.accept_state} misses the "
+        f"boundary: differential {boundary:.3e}"
+    )
 
 
 def accept_vertices(
@@ -334,6 +385,7 @@ def verify_threshold(
     instance: PersuasionInstance | None = None,
     k01: tuple[K01Vertex, ...] | None = None,
     tol: float = THRESHOLD_TOLERANCE,
+    classification: StateClassification | None = None,
 ) -> ThresholdReport:
     """Check that a plan's accept mass is a cutoff in the given state order.
 
@@ -341,7 +393,14 @@ def verify_threshold(
     instance is supplied, the order itself is audited: a state may only
     precede another if it is an accept state, or both are strict-reject
     states and every accept state blends with the earlier one at a
-    strictly larger weight than with the later one.
+    strictly larger weight than with the later one.  ``classification``
+    and ``k01`` are computed from the instance when not given.
+
+    The audit costs O(d * |accept|): every state after the first
+    non-accept one must be strict-reject, and in each accept state's
+    column of blend weights every entry must beat the largest later one.
+    Only when that finds a fault, or a NaN weight, does the pairwise
+    O(d^2 * |accept|) audit run, to list every offending pair.
     """
     d = plan.t.shape[1]
     if sorted(order) != list(range(d)):
@@ -359,32 +418,15 @@ def verify_threshold(
     monotone_ok: bool | None = None
     violations: list[str] = []
     if instance is not None:
-        classification = classify_states(instance)
+        if classification is None:
+            classification = classify_states(instance)
         if k01 is None:
             k01 = compute_k01(instance, classification)
         gammas = {
             (vert.reject_state, vert.accept_state): vert.gamma for vert in k01
         }
-        accept = set(classification.accept)
-        strict = set(classification.strict_reject)
-        for i in range(len(order)):
-            if order[i] in accept:
-                continue
-            for j in range(i + 1, len(order)):
-                wi, wj = order[i], order[j]
-                if wj not in strict:
-                    violations.append(
-                        f"state {wj} follows strict-reject state {wi} "
-                        "but is not strict-reject"
-                    )
-                    continue
-                for wa in classification.accept:
-                    gi, gj = gammas[(wi, wa)], gammas[(wj, wa)]
-                    if not gi > gj - 1e-12:
-                        violations.append(
-                            f"blend weight with accept state {wa} fails to "
-                            f"drop from state {wi} ({gi:.6g}) to {wj} ({gj:.6g})"
-                        )
+        if not _order_is_monotone(order, classification, gammas):
+            violations = _pairwise_violations(order, classification, gammas)
         monotone_ok = not violations
     return ThresholdReport(
         holds=bool(holds),
@@ -393,3 +435,55 @@ def verify_threshold(
         monotone_ok=monotone_ok,
         violations=tuple(violations),
     )
+
+
+def _order_is_monotone(
+    order: list[int],
+    classification: StateClassification,
+    gammas: dict[tuple[int, int], float],
+) -> bool:
+    # True only when the pairwise audit would find nothing.  A missing
+    # blend reads as NaN, which fails every comparison, so the pairwise
+    # audit runs and reports it as it always has.
+    accept = set(classification.accept)
+    first = next((p for p, w in enumerate(order) if w not in accept), len(order))
+    tail = order[first:]
+    strict = set(classification.strict_reject)
+    if not all(w in strict for w in tail[1:]):
+        return False
+    if len(tail) < 2:
+        return True
+    g = np.array(
+        [[gammas.get((w, wa), np.nan) for wa in classification.accept] for w in tail]
+    ).reshape(len(tail), len(classification.accept))
+    later_max = np.maximum.accumulate(g[::-1], axis=0)[::-1]
+    return bool(np.all(g[:-1] > later_max[1:] - MONOTONE_SLACK))
+
+
+def _pairwise_violations(
+    order: list[int],
+    classification: StateClassification,
+    gammas: dict[tuple[int, int], float],
+) -> list[str]:
+    accept = set(classification.accept)
+    strict = set(classification.strict_reject)
+    violations = []
+    for i in range(len(order)):
+        if order[i] in accept:
+            continue
+        for j in range(i + 1, len(order)):
+            wi, wj = order[i], order[j]
+            if wj not in strict:
+                violations.append(
+                    f"state {wj} follows strict-reject state {wi} "
+                    "but is not strict-reject"
+                )
+                continue
+            for wa in classification.accept:
+                gi, gj = gammas[(wi, wa)], gammas[(wj, wa)]
+                if not gi > gj - MONOTONE_SLACK:
+                    violations.append(
+                        f"blend weight with accept state {wa} fails to "
+                        f"drop from state {wi} ({gi:.6g}) to {wj} ({gj:.6g})"
+                    )
+    return violations

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 from scipy.optimize import linprog
 
 # A point counts as inside a hull when some convex combination reproduces
@@ -37,6 +38,7 @@ __all__ = [
     "BisectionError",
     "PointOutsideHullError",
     "LinearProgram",
+    "SparseConstraints",
     "LpResult",
     "ConvexCombination",
     "solve_lp",
@@ -62,17 +64,37 @@ class PointOutsideHullError(ValueError):
     """Asked to decompose a point that is not in the hull."""
 
 
+class SparseConstraints(scipy.sparse.csc_array):
+    """CSC constraint matrix that numpy functions read as its dense form.
+
+    HiGHS and the residual check in ``solve_lp`` work on the sparse
+    structure.  ``np.asarray`` and the numpy functions built on it
+    (``np.count_nonzero``, ...) see the dense matrix, so code that reads
+    ``LinearProgram.a_eq`` with numpy works on either kind of program.
+    """
+
+    def __array__(self, dtype=None, copy=None):
+        return self.toarray().astype(dtype, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """maximize c . x  subject to  A_eq x = b_eq, x >= 0."""
+    """maximize c . x  subject to  A_eq x = b_eq, x >= 0.
+
+    ``a_eq`` is a dense array or any ``scipy.sparse`` matrix; a sparse one
+    is kept sparse (as ``SparseConstraints``) all the way to HiGHS.
+    """
 
     c: np.ndarray
-    a_eq: np.ndarray
+    a_eq: np.ndarray | SparseConstraints
     b_eq: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
-        a = np.atleast_2d(np.asarray(self.a_eq, dtype=float))
+        if scipy.sparse.issparse(self.a_eq):
+            a = SparseConstraints(self.a_eq, dtype=float)
+        else:
+            a = np.atleast_2d(np.asarray(self.a_eq, dtype=float))
         b = np.asarray(self.b_eq, dtype=float)
         if a.shape != (b.size, c.size):
             raise ValueError(

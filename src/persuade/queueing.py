@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .binary import (
     K01Vertex,
@@ -58,12 +59,20 @@ SUPPORT_FLOOR = 1e-8
 # Simulation guardrails.
 MIN_HORIZON = 10_000
 BURN_IN_FRACTION = 0.10
+# Largest number of boundary blends (strict-reject x joinable lengths) a
+# queue solve takes on; each is a flow-LP column.  HiGHS time grows faster
+# than the column count: on a 2-core host, 4e4 blends (capacity 10^4, 4
+# joinable lengths) solve in about 5 s, 8e4 in 15 s, 9.75e4 (capacity 2000,
+# 50 joinable) in 50 s, and 2e5 ran past 5 minutes.  Memory stays near
+# 250 MB up to the bound.
+MAX_QUEUE_BLENDS = 100_000
 
 __all__ = [
     "BALANCE_TOLERANCE",
     "NORMALIZATION_TOLERANCE",
     "MIN_HORIZON",
     "BURN_IN_FRACTION",
+    "MAX_QUEUE_BLENDS",
     "QueueInstance",
     "QueueSolution",
     "SandwichReport",
@@ -210,15 +219,81 @@ class QueueSolution:
     threshold: ThresholdReport
 
 
+def _flow_program(
+    d: int,
+    lam: float,
+    classification: StateClassification,
+    k01: tuple[K01Vertex, ...],
+) -> tuple[LinearProgram, np.ndarray, np.ndarray]:
+    """The flow LP, built column by column from each candidate's support.
+
+    Columns are the join candidates (pure accept states, then blends) and
+    then the leave candidates (pure strict-reject states).  Each candidate
+    belief v is held as two (state, weight) slots, the second one of
+    weight 0 for a pure state.  Row w < d - 1 of its column is the balance
+    term v[w + 1] - rate * v[w] and row d - 1 the normalization term
+    1 + rate * v[d - 1], with rate the arrival rate for join columns and 0
+    for leave ones.  Only rows next to the support can be nonzero; they are
+    computed with the same float operations as on dense rows, and exact
+    zeros are left out, so the matrix equals the dense one entry for entry.
+    Returns the program and the (states, weights) slot arrays.
+    """
+    accept = list(classification.accept)
+    strict = list(classification.strict_reject)
+    n1 = len(accept) + len(k01)
+    states = np.array(
+        [(w, w) for w in accept]
+        + [(v.reject_state, v.accept_state) for v in k01]
+        + [(w, w) for w in strict],
+        dtype=np.intp,
+    ).reshape(-1, 2)
+    weights = np.array(
+        [(1.0, 0.0)] * len(accept)
+        + [(v.gamma, 1.0 - v.gamma) for v in k01]
+        + [(1.0, 0.0)] * len(strict)
+    ).reshape(-1, 2)
+    n = states.shape[0]
+    rate = np.where(np.arange(n) < n1, lam, 0.0)[:, None]
+
+    def entry(rows):
+        # v[rows] per column, added up as on a dense row.
+        return np.where(rows == states[:, :1], weights[:, :1], 0.0) + np.where(
+            rows == states[:, 1:], weights[:, 1:], 0.0
+        )
+
+    near = np.sort(np.concatenate([states - 1, states], axis=1), axis=1)
+    keep = (near >= 0) & (near < d - 1)
+    keep[:, 1:] &= near[:, 1:] != near[:, :-1]
+    rows = np.concatenate([near, np.full((n, 1), d - 1)], axis=1)
+    values = np.concatenate(
+        [entry(near + 1) - rate * entry(near), 1.0 + rate * entry(rows[:, -1:])],
+        axis=1,
+    )
+    keep = np.concatenate([keep, np.ones((n, 1), dtype=bool)], axis=1)
+    keep &= values != 0.0
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    a_eq = scipy.sparse.csc_array(
+        (values[keep], rows[keep], indptr), shape=(d, n)
+    )
+    b_eq = np.zeros(d)
+    b_eq[d - 1] = 1.0
+    c = np.concatenate([np.ones(n1), np.zeros(n - n1)])
+    return LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq), states, weights
+
+
 def solve_queue(instance: QueueInstance) -> QueueSolution:
     """Throughput-optimal signaling with the seen-length law endogenous.
 
     Variables are convex weights on the acceptance-hull vertices (the
     join side) and on pure rejected lengths (the leave side).  Balance
     ties each length's inflow to the join mass one step shorter;
-    normalization accounts for arrivals blocked at capacity.  The belief
-    prior is reconstructed from the solution and the scheme compiled with
-    joins sorted by expected wait, then a single coalesced Leave signal.
+    normalization accounts for arrivals blocked at capacity.  The program
+    is sparse: a candidate has at most two lengths of support, so its
+    column has at most five nonzeros (see ``_flow_program``), and HiGHS
+    gets it in CSC form.  Instances with more than MAX_QUEUE_BLENDS
+    boundary blends are refused with a ValueError.  The belief prior is
+    reconstructed from the solution and the scheme compiled with joins
+    sorted by expected wait, then a single coalesced Leave signal.
     """
     d = instance.capacity
     lam = instance.arrival_rate
@@ -233,50 +308,48 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
         receiver=model,
     )
     classification = classify_states(probe)
+    n_strict = len(classification.strict_reject)
+    n_accept = len(classification.accept)
+    if n_strict * n_accept > MAX_QUEUE_BLENDS:
+        raise ValueError(
+            f"capacity {d} needs {n_strict * n_accept} boundary blends "
+            f"({n_strict} strict-reject x {n_accept} joinable lengths), "
+            f"over the limit of {MAX_QUEUE_BLENDS}"
+        )
 
     def gamma_fn(w0: int, w1: int) -> float:
         try:
             return gamma_closed_form(w0, w1, instance.tau, instance.beta)
         except ValueError:
-            return segment_bisection(
-                model.differential, np.eye(d)[w0], np.eye(d)[w1]
-            )
+            e0, e1 = np.zeros(d), np.zeros(d)
+            e0[w0] = e1[w1] = 1.0
+            return segment_bisection(model.differential, e0, e1)
 
     k01 = compute_k01(probe, classification, gamma_fn=gamma_fn)
-
-    eye = np.eye(d)
-    join_rows = [eye[w] for w in classification.accept] + [
-        vert.posterior for vert in k01
-    ]
-    join_tags: list[str | None] = [None] * len(classification.accept) + [
-        f"mix({vert.reject_state},{vert.accept_state},{vert.gamma:.6g})"
-        for vert in k01
-    ]
-    leave_rows = [eye[w] for w in classification.strict_reject]
-    v1 = np.array(join_rows) if join_rows else np.zeros((0, d))
-    v0 = np.array(leave_rows) if leave_rows else np.zeros((0, d))
-    n1, n0 = v1.shape[0], v0.shape[0]
-
-    a_eq = np.zeros((d, n1 + n0))
-    b_eq = np.zeros(d)
-    for w in range(d - 1):
-        if n1:
-            a_eq[w, :n1] = v1[:, w + 1] - lam * v1[:, w]
-        if n0:
-            a_eq[w, n1:] = v0[:, w + 1]
-    if n1:
-        a_eq[d - 1, :n1] = 1.0 + lam * v1[:, d - 1]
-    if n0:
-        a_eq[d - 1, n1:] = 1.0
-    b_eq[d - 1] = 1.0
-    c = np.concatenate([np.ones(n1), np.zeros(n0)])
-    res = solve_lp(LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq))
+    lp, support, mix = _flow_program(d, lam, classification, k01)
+    res = solve_lp(lp)
     if res.status != "optimal":
         raise InfeasibleProgramError(f"queue flow LP is {res.status}")
 
     weights = res.x
-    t1 = v1.T @ weights[:n1] if n1 else np.zeros(d)
-    t0 = v0.T @ weights[n1:] if n0 else np.zeros(d)
+    n1 = n_accept + len(k01)
+
+    def mass_over_lengths(cols: slice) -> np.ndarray:
+        # V^T x over the given candidates, one support slot at a time.
+        return np.bincount(
+            support[cols].ravel(),
+            weights=(mix[cols] * weights[cols, None]).ravel(),
+            minlength=d,
+        )
+
+    def candidate(i: int) -> np.ndarray:
+        row = np.zeros(d)
+        row[support[i, 0]] += mix[i, 0]
+        row[support[i, 1]] += mix[i, 1]
+        return row
+
+    t1 = mass_over_lengths(slice(0, n1))
+    t0 = mass_over_lengths(slice(n1, None))
     balance = np.abs(t0[1:] + t1[1:] - lam * t1[:-1]).max()
     if balance > BALANCE_TOLERANCE:
         raise LpSolverError(f"flow balance residual {balance:.3e}")
@@ -290,18 +363,17 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
     prior = (t0 + t1) / mass
 
     join_atoms = []
-    for i in range(n1):
-        if weights[i] <= 1e-12:
-            continue
+    for i in np.nonzero(weights[:n1] > 1e-12)[0]:
+        row = candidate(i)
         # Blends with gamma = 0 collapse onto pure vertices; fold the mass
         # together up front so the Join numbering stays gap-free.
         for atom in join_atoms:
-            if np.max(np.abs(atom[2] - v1[i])) <= 1e-12:
+            if np.max(np.abs(atom[2] - row)) <= 1e-12:
                 atom[3] += weights[i] / mass
                 break
         else:
-            mean, var = posterior_wait_moments(v1[i])
-            join_atoms.append([mean, var, v1[i], weights[i] / mass])
+            mean, var = posterior_wait_moments(row)
+            join_atoms.append([mean, var, row, weights[i] / mass])
     join_atoms.sort(key=lambda item: item[0])
     atoms = [
         PlanAtom(
@@ -336,7 +408,11 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
     )
     compiled = scheme_from_plan(plan, persuasion)
     threshold = verify_threshold(
-        plan, list(range(d)), instance=persuasion, k01=k01
+        plan,
+        list(range(d)),
+        instance=persuasion,
+        k01=k01,
+        classification=classification,
     )
     occupancy = np.concatenate([t0 + t1, [lam * t1[d - 1]]])
     return QueueSolution(

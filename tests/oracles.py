@@ -132,3 +132,77 @@ def chi_square_stat(observed: np.ndarray, expected: np.ndarray) -> float:
     """Plain chi-square statistic over cells with nonzero expectation."""
     mask = expected > 0
     return float(((observed[mask] - expected[mask]) ** 2 / expected[mask]).sum())
+
+
+def queue_flow_dense(
+    d: int,
+    lam: float,
+    accept,
+    strict_reject,
+    blends,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The queue flow LP built densely, one candidate posterior per row.
+
+    ``blends`` lists (reject_state, accept_state, gamma) in column order.
+    Join rows are the pure accept states, then the blends; leave rows the
+    pure strict-reject states.  Returns (c, A_eq, b_eq, join rows, leave
+    rows): row w < d - 1 of A_eq balances the inflow to length w + 1,
+    row d - 1 normalizes, blocked arrivals included.
+    """
+    eye = np.eye(d)
+    join_rows = [eye[w] for w in accept]
+    for w0, w1, gamma in blends:
+        posterior = np.zeros(d)
+        posterior[w0] += gamma
+        posterior[w1] += 1.0 - gamma
+        join_rows.append(posterior)
+    leave_rows = [eye[w] for w in strict_reject]
+    v1 = np.array(join_rows) if join_rows else np.zeros((0, d))
+    v0 = np.array(leave_rows) if leave_rows else np.zeros((0, d))
+    n1, n0 = v1.shape[0], v0.shape[0]
+
+    a_eq = np.zeros((d, n1 + n0))
+    b_eq = np.zeros(d)
+    for w in range(d - 1):
+        if n1:
+            a_eq[w, :n1] = v1[:, w + 1] - lam * v1[:, w]
+        if n0:
+            a_eq[w, n1:] = v0[:, w + 1]
+    if n1:
+        a_eq[d - 1, :n1] = 1.0 + lam * v1[:, d - 1]
+    if n0:
+        a_eq[d - 1, n1:] = 1.0
+    b_eq[d - 1] = 1.0
+    c = np.concatenate([np.ones(n1), np.zeros(n0)])
+    return c, a_eq, b_eq, v1, v0
+
+
+def threshold_violations(order, accept, strict_reject, gammas) -> list[str]:
+    """Every pairwise fault of a state order against the blend weights.
+
+    A state that is not an accept state may only be followed by
+    strict-reject states, and each accept state's blend weight must drop
+    strictly (up to 1e-12) from every such state to every later one.
+    ``gammas`` maps (reject_state, accept_state) to the blend weight.
+    """
+    accept_set = set(accept)
+    strict_set = set(strict_reject)
+    out = []
+    for i, wi in enumerate(order):
+        if wi in accept_set:
+            continue
+        for wj in order[i + 1 :]:
+            if wj not in strict_set:
+                out.append(
+                    f"state {wj} follows strict-reject state {wi} "
+                    "but is not strict-reject"
+                )
+                continue
+            for wa in accept:
+                gi, gj = gammas[(wi, wa)], gammas[(wj, wa)]
+                if not gi > gj - 1e-12:
+                    out.append(
+                        f"blend weight with accept state {wa} fails to "
+                        f"drop from state {wi} ({gi:.6g}) to {wj} ({gj:.6g})"
+                    )
+    return out

@@ -1,15 +1,21 @@
 """State classification, boundary blends, and the acceptance-hull LP."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from persuade import (
     ActionSpace,
     Belief,
+    K01Vertex,
     OptimalPlan,
     PersuasionInstance,
     SenderUtility,
+    StateClassification,
     StateSpace,
     classify_states,
     compute_k01,
@@ -275,3 +281,95 @@ def test_verify_threshold_audits_order_against_blends():
     misplaced = verify_threshold(plan, [0, 1, 3, 2, 4, 5], instance=inst)
     assert misplaced.monotone_ok is False
     assert any("not strict-reject" in v for v in misplaced.violations)
+
+
+def _audit(order, accept, strict, gammas):
+    """verify_threshold's order audit and the pairwise oracle on one case."""
+    d = len(order)
+    inst = _binary_instance(np.full(d, 1.0 / d), _expected_binary(np.ones(d)))
+    classification = StateClassification(
+        accept=tuple(accept),
+        reject=tuple(strict),
+        strict_reject=tuple(strict),
+        differentials=np.zeros(d),
+    )
+    k01 = tuple(K01Vertex(w0, wa, g, d) for (w0, wa), g in gammas.items())
+    plan = _plan(np.zeros(d), np.full(d, 1.0 / d), np.full(d, 1.0 / d))
+    report = verify_threshold(
+        plan, list(order), instance=inst, k01=k01, classification=classification
+    )
+    expected = oracles.threshold_violations(order, accept, strict, gammas)
+    return report, expected
+
+
+@st.composite
+def _threshold_audits(draw):
+    d = draw(st.integers(1, 7))
+    is_accept = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    accept = [w for w in range(d) if is_accept[w]]
+    strict = [w for w in range(d) if not is_accept[w]]
+    if draw(st.booleans()):
+        order = draw(st.permutations(accept)) + draw(st.permutations(strict))
+    else:
+        order = draw(st.permutations(range(d)))
+    rank = {w: p for p, w in enumerate(order)}
+    gammas = {}
+    for wa in accept:
+        # Steps around the 1e-12 slack make chains that pass pairwise only
+        # between neighbours; the rare NaN and jumps break the rest.
+        step = draw(st.sampled_from([-0.25, -1.1e-12, -0.9e-12, 0.0, 0.9e-12]))
+        for w0 in strict:
+            noise = draw(st.sampled_from([0.0, 0.0, 0.0, 1e-13, -1e-13, 0.3, math.nan]))
+            gammas[(w0, wa)] = 0.5 + step * rank[w0] + noise
+    return order, accept, strict, gammas
+
+
+@settings(max_examples=300, deadline=None)
+@given(_threshold_audits())
+def test_verify_threshold_audit_matches_pairwise_oracle(case):
+    report, expected = _audit(*case)
+    assert report.violations == tuple(expected)
+    assert report.monotone_ok == (not expected)
+
+
+@pytest.mark.parametrize(
+    "order, accept, strict, gammas, want",
+    [
+        # Each step stays inside the slack, the two-step drop does not.
+        (
+            [0, 1, 2, 3],
+            [0],
+            [1, 2, 3],
+            {(1, 0): 0.0, (2, 0): 0.9e-12, (3, 0): 1.8e-12},
+            ["blend weight with accept state 0 fails to drop from state 1 (0) to 3 (1.8e-12)"],
+        ),
+        (
+            [0, 1, 2],
+            [0],
+            [1, 2],
+            {(1, 0): math.nan, (2, 0): 0.1},
+            ["blend weight with accept state 0 fails to drop from state 1 (nan) to 2 (0.1)"],
+        ),
+        # A stray blend keyed on the accept state must not hide it.
+        (
+            [1, 0, 2],
+            [0],
+            [1, 2],
+            {(1, 0): 0.5, (2, 0): 0.25, (0, 0): 0.4},
+            ["state 0 follows strict-reject state 1 but is not strict-reject"],
+        ),
+        (
+            [0, 2, 1],
+            [0],
+            [1, 2],
+            {(1, 0): 0.5, (2, 0): 0.25},
+            ["blend weight with accept state 0 fails to drop from state 2 (0.25) to 1 (0.5)"],
+        ),
+    ],
+    ids=["slack-chain", "nan-gamma", "accept-after-strict", "swapped-strict"],
+)
+def test_verify_threshold_audit_edge_cases(order, accept, strict, gammas, want):
+    report, expected = _audit(order, accept, strict, gammas)
+    assert expected == want
+    assert report.violations == tuple(want)
+    assert report.monotone_ok is False

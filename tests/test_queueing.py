@@ -5,12 +5,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.optimize import linprog
 
 import oracles
+import persuade.binary
+import persuade.queueing
 from persuade import (
+    OptimalPlan,
     QueueInstance,
     Signal,
     SignalingScheme,
+    ThresholdReport,
+    cli,
     gamma_closed_form,
     posterior_wait_moments,
     queue_model,
@@ -19,6 +26,7 @@ from persuade import (
     solve_queue,
     validate_scheme,
     verify_sandwich,
+    verify_threshold,
     waiting_moments,
 )
 from persuade.binary import classify_states
@@ -298,3 +306,105 @@ def test_verify_sandwich_flags_a_tampered_scheme(reference_solution):
     assert not report.utility_ok
     assert not report.passed
     assert not report.ok
+
+
+# Rationing (some arrivals told to leave) and full persuasion (nobody is)
+# at three capacities, then three edge instances: no accept state, no
+# strict-reject state, a single accept state.
+FLOW_CASES = (
+    [(0.95, 2.5, 7.5, cap) for cap in (40, 100, 400)]
+    + [(0.6, 0.0, 5.5, cap) for cap in (40, 100, 400)]
+    + [(0.8, 1.0, 1.5, 10), (0.5, 0.0, 100.0, 10), (2.0, 0.0, 1.0, 5)]
+)
+
+
+@pytest.mark.parametrize("params", FLOW_CASES, ids=str)
+def test_sparse_flow_lp_matches_dense_oracle(params, monkeypatch):
+    programs = []
+    real_solve_lp = persuade.queueing.solve_lp
+
+    def recording_solve_lp(lp):
+        programs.append(lp)
+        return real_solve_lp(lp)
+
+    monkeypatch.setattr(persuade.queueing, "solve_lp", recording_solve_lp)
+    inst = QueueInstance(*params)
+    sol = solve_queue(inst)
+    (lp,) = programs
+
+    d, lam = inst.capacity, inst.arrival_rate
+    cls = sol.classification
+    blends = [(v.reject_state, v.accept_state, v.gamma) for v in sol.k01]
+    c, a_eq, b_eq, v1, v0 = oracles.queue_flow_dense(
+        d, lam, cls.accept, cls.strict_reject, blends
+    )
+    dense = scipy.sparse.csc_array(a_eq)
+    assert scipy.sparse.issparse(lp.a_eq)
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(lp.a_eq, field), getattr(dense, field)), field
+    assert np.array_equal(lp.c, c) and np.array_equal(lp.b_eq, b_eq)
+
+    # HiGHS gets the same program either way, so it returns the same basis.
+    x = linprog(-c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds").x
+    assert np.array_equal(real_solve_lp(lp).x, x)
+
+    n1 = v1.shape[0]
+    t1 = v1.T @ x[:n1]
+    t0 = v0.T @ x[n1:]
+    mass = t0.sum() + t1.sum()
+    assert sol.join_probability == pytest.approx(t1.sum(), abs=1e-12)
+    assert sol.plan.value == pytest.approx(t1.sum() / mass, abs=1e-12)
+    occupancy = np.concatenate([t0 + t1, [lam * t1[d - 1]]])
+    assert np.max(np.abs(sol.occupancy - occupancy)) <= 1e-12
+
+    cutoff = verify_threshold(
+        OptimalPlan(t=np.vstack([t0, t1]) / mass, prior=(t0 + t1) / mass, value=0.0, atoms=()),
+        list(range(d)),
+    )
+    violations = oracles.threshold_violations(
+        list(range(d)),
+        cls.accept,
+        cls.strict_reject,
+        {(w0, w1): g for w0, w1, g in blends},
+    )
+    assert sol.threshold == ThresholdReport(
+        holds=cutoff.holds,
+        threshold_state=cutoff.threshold_state,
+        witness=cutoff.witness,
+        monotone_ok=not violations,
+        violations=tuple(violations),
+    )
+
+
+def test_clean_solve_never_runs_the_pairwise_audit(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("pairwise audit ran on a clean solve")
+
+    monkeypatch.setattr(persuade.binary, "_pairwise_violations", refuse)
+    sol = solve_queue(QueueInstance(0.95, 2.5, 7.5, 400))
+    assert sol.threshold.monotone_ok is True
+
+
+def test_capacity_ten_thousand_rationing_solve_completes():
+    beta = 1.0
+    # Lengths 0..3 are joinable outright, length 4 is not.
+    tau = 0.5 * (4 + beta * 2.0 + 5 + beta * math.sqrt(5))
+    sol = solve_queue(QueueInstance(1.1, beta, tau, 10_000))
+    assert sol.classification.accept == (0, 1, 2, 3)
+    assert len(sol.k01) == 4 * 9_996
+    assert sol.threshold.holds and sol.threshold.monotone_ok
+    assert 0.0 < sol.join_probability < 1.0
+    assert sol.occupancy.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_queue_over_the_blend_bound_exits_cleanly(capsys):
+    # beta = 0 and tau = 500.5 make lengths 0..499 joinable: 500 x 500
+    # blends, over the bound, refused right after classification.
+    argv = ["queue", "--lambda", "0.9", "--beta", "0", "--tau", "500.5", "--capacity", "1000"]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "persuade: capacity 1000 needs 250000 boundary blends (500 strict-reject "
+        f"x 500 joinable lengths), over the limit of {persuade.queueing.MAX_QUEUE_BLENDS}\n"
+    )
