@@ -8,12 +8,15 @@ for signaling queue lengths to arriving customers.
 """
 
 from .binary import (
+    HullCandidates,
     K01Vertex,
     StateClassification,
     ThresholdReport,
+    binary_precondition_error,
     classify_states,
     compute_k01,
     full_persuasion_binary,
+    hull_candidates,
     solve_binary,
     verify_threshold,
 )
@@ -23,11 +26,11 @@ from .general import (
     GridSpec,
     baseline_values,
     benefit_check,
-    concavify_oracle,
     default_grid_k,
     expected_region_vertices,
     full_persuasion_general,
     grid_vertices,
+    plan_from_candidates,
     solve_general,
 )
 from .geometry import (
@@ -37,8 +40,6 @@ from .geometry import (
     LinearProgram,
     LpResult,
     LpSolverError,
-    PointOutsideHullError,
-    caratheodory_decompose,
     hull_membership,
     segment_bisection,
     solve_lp,

@@ -14,15 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    BISECTION_TOLERANCE,
-    InfeasibleProgramError,
-    LinearProgram,
-    hull_membership,
-    segment_bisection,
-    solve_lp,
-)
-from .model import OptimalPlan, PersuasionInstance, PlanAtom
+from .general import plan_from_candidates
+from .geometry import BISECTION_TOLERANCE, hull_membership, segment_bisection
+from .model import OptimalPlan, PersuasionInstance
 
 # States classify as accept/reject when the pure-state differential clears
 # zero by at least minus this.
@@ -39,6 +33,9 @@ SPOT_CHECK_PAIRS = 64
 SCORE_BLOCK_ENTRIES = 1 << 20
 # verify_threshold's slack on the strict drop of blend weights along the order.
 MONOTONE_SLACK = 1e-12
+# solve_binary takes a sender table whose action-1 payoff falls short of the
+# action-0 payoff by at most this in any state (weak preference up to noise).
+SENDER_PREFERENCE_SLACK = 1e-12
 
 __all__ = [
     "CLASSIFY_TOLERANCE",
@@ -46,10 +43,12 @@ __all__ = [
     "THRESHOLD_TOLERANCE",
     "StateClassification",
     "K01Vertex",
+    "HullCandidates",
     "ThresholdReport",
     "classify_states",
     "compute_k01",
-    "accept_vertices",
+    "hull_candidates",
+    "binary_precondition_error",
     "solve_binary",
     "full_persuasion_binary",
     "verify_threshold",
@@ -107,25 +106,29 @@ def _require_binary(instance: PersuasionInstance) -> None:
         raise ValueError("this solver handles exactly two actions")
 
 
+def _dense_rows(n_states: int, states: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row i is ``sum_k weights[i, k] * e_{states[i, k]}``, added into zeros slot by slot."""
+    out = np.zeros((states.shape[0], n_states))
+    rows = np.arange(states.shape[0])
+    for k in range(states.shape[1]):
+        out[rows, states[:, k]] += weights[:, k]
+    return out
+
+
 def _score_sparse_rows(
     diff, n_states: int, states: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """``diff`` at each belief ``sum_k weights[i, k] * e_{states[i, k]}``.
 
     The beliefs go to the model as dense rows, SCORE_BLOCK_ENTRIES entries
-    per call; each row is built exactly as a dense belief would be, by
-    adding its weights into zeros.
+    per call.
     """
     n = states.shape[0]
     out = np.empty(n)
     step = max(1, SCORE_BLOCK_ENTRIES // n_states)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        block = np.zeros((hi - lo, n_states))
-        rows = np.arange(hi - lo)
-        for k in range(states.shape[1]):
-            block[rows, states[lo:hi, k]] += weights[lo:hi, k]
-        out[lo:hi] = diff(block)
+        out[lo:hi] = diff(_dense_rows(n_states, states[lo:hi], weights[lo:hi]))
     return out
 
 
@@ -210,24 +213,96 @@ def _boundary_miss(vert: K01Vertex, boundary: float) -> ValueError:
     )
 
 
-def accept_vertices(
-    classification: StateClassification,
-    k01: tuple[K01Vertex, ...],
-    dim: int,
-) -> tuple[np.ndarray, list[str | None]]:
-    """Stack the acceptance hull's vertex rows: pure accepts, then blends."""
-    rows = []
-    tags: list[str | None] = []
-    eye = np.eye(dim)
-    for w in classification.accept:
-        rows.append(eye[w])
-        tags.append(None)
-    for vert in k01:
-        rows.append(vert.posterior)
-        tags.append(f"{vert.reject_state},{vert.accept_state},{vert.gamma:.6g}")
-    if not rows:
-        return np.zeros((0, dim)), []
-    return np.array(rows), tags
+@dataclass(frozen=True, eq=False)
+class HullCandidates:
+    """The binary acceptance hull's candidate posteriors, in LP column order.
+
+    Pure accept states, then the k01 blends, then the pure strict-reject
+    states; the first ``n_accept`` recommend action 1, the rest action 0.
+    Candidate i is held as two (state, weight) slots, a pure state as (w, w)
+    with weights (1, 0); ``rows`` makes dense posteriors on request.
+    """
+
+    classification: StateClassification
+    k01: tuple[K01Vertex, ...]
+    states: np.ndarray
+    weights: np.ndarray
+    state_labels: tuple[str, ...]
+
+    @property
+    def n_accept(self) -> int:
+        return len(self.classification.accept) + len(self.k01)
+
+    @property
+    def actions(self) -> np.ndarray:
+        return (np.arange(self.states.shape[0]) < self.n_accept).astype(np.intp)
+
+    def rows(self, index=slice(None)) -> np.ndarray:
+        """Dense posteriors of the selected candidates, one per row."""
+        return _dense_rows(
+            len(self.state_labels), self.states[index], self.weights[index]
+        )
+
+    def point_sets(self) -> list[np.ndarray]:
+        """Dense candidate rows per action: [strict-reject states, accept side]."""
+        return [self.rows(slice(self.n_accept, None)), self.rows(slice(self.n_accept))]
+
+    def label(self, i: int) -> str:
+        """A pure state's own label, or ``mix(reject,accept,gamma)`` for a blend."""
+        s0, s1 = self.states[i]
+        names = self.state_labels
+        if s0 == s1:
+            return names[s0]
+        return f"mix({names[s0]},{names[s1]},{self.weights[i, 0]:.6g})"
+
+
+def hull_candidates(
+    instance: PersuasionInstance,
+    classification: StateClassification | None = None,
+    gamma_fn=None,
+) -> HullCandidates:
+    """List the hull candidates: classify the states, then compute the k01 blends.
+
+    ``classification`` is used when given; ``gamma_fn`` goes to ``compute_k01``.
+    """
+    if classification is None:
+        classification = classify_states(instance)
+    k01 = compute_k01(instance, classification, gamma_fn=gamma_fn)
+    accept, strict = classification.accept, classification.strict_reject
+    states = np.array(
+        [(w, w) for w in accept]
+        + [(v.reject_state, v.accept_state) for v in k01]
+        + [(w, w) for w in strict],
+        dtype=np.intp,
+    ).reshape(-1, 2)
+    weights = np.array(
+        [(1.0, 0.0)] * len(accept)
+        + [(v.gamma, 1.0 - v.gamma) for v in k01]
+        + [(1.0, 0.0)] * len(strict)
+    ).reshape(-1, 2)
+    return HullCandidates(
+        classification=classification,
+        k01=k01,
+        states=states,
+        weights=weights,
+        state_labels=instance.states.labels,
+    )
+
+
+def binary_precondition_error(instance: PersuasionInstance) -> str | None:
+    """Why ``solve_binary`` refuses the instance, or None when it takes it.
+
+    The random spot check of the convexity declaration is not part of
+    this; ``solve_binary`` runs it after.
+    """
+    if instance.n_actions != 2:
+        return "this solver handles exactly two actions"
+    if not instance.receiver.convex_reject_region:
+        return "solve_binary needs a receiver declaring convex_reject_region"
+    v = instance.sender.table
+    if np.any(v[:, 1] < v[:, 0] - SENDER_PREFERENCE_SLACK):
+        return "sender must weakly prefer action 1 in every state"
+    return None
 
 
 def _spot_check_convexity(instance: PersuasionInstance) -> None:
@@ -254,108 +329,43 @@ def _spot_check_convexity(instance: PersuasionInstance) -> None:
 
 def solve_binary(
     instance: PersuasionInstance,
-    k01: tuple[K01Vertex, ...] | None = None,
+    candidates: HullCandidates | None = None,
 ) -> OptimalPlan:
     """Optimal disclosure plan via the acceptance-hull LP.
 
-    Requires the receiver to declare ``convex_reject_region`` (the claim
-    is spot-checked on random midpoints) and the sender to weakly prefer
-    action 1 in every state.  The LP splits the prior into per-action
-    joint mass, with the accept mass constrained to the hull spanned by
-    pure accept states and boundary blends, and the reject mass to the
-    strict-reject face.
+    Requires what ``binary_precondition_error`` checks, and spot-checks
+    the receiver's convexity claim on random midpoints.  The LP splits the
+    prior over the hull candidates (built from the instance when not given).
     """
-    _require_binary(instance)
-    if not instance.receiver.convex_reject_region:
-        raise ValueError(
-            "solve_binary needs a receiver declaring convex_reject_region"
-        )
-    v = instance.sender.table
-    if np.any(v[:, 1] < v[:, 0] - 1e-12):
-        raise ValueError("sender must weakly prefer action 1 in every state")
+    reason = binary_precondition_error(instance)
+    if reason is not None:
+        raise ValueError(reason)
     _spot_check_convexity(instance)
-
-    classification = classify_states(instance)
-    if k01 is None:
-        k01 = compute_k01(instance, classification)
-    d = instance.n_states
-    v1, _ = accept_vertices(classification, k01, d)
-    labels = instance.states.labels
-    atom_labels = [labels[w] for w in classification.accept] + [
-        f"mix({labels[vert.reject_state]},{labels[vert.accept_state]},{vert.gamma:.6g})"
-        for vert in k01
-    ]
-    eye = np.eye(d)
-    v0 = (
-        np.array([eye[w] for w in classification.strict_reject])
-        if classification.strict_reject
-        else np.zeros((0, d))
+    if candidates is None:
+        candidates = hull_candidates(instance)
+    return plan_from_candidates(
+        instance, candidates.rows(), candidates.actions, candidates.label
     )
-
-    n1, n0 = v1.shape[0], v0.shape[0]
-    if n1 + n0 == 0:
-        raise InfeasibleProgramError("no hull vertices available for either action")
-    a_eq = np.vstack([v1, v0]).T
-    c = np.concatenate([v1 @ v[:, 1], v0 @ v[:, 0]]) if n0 else v1 @ v[:, 1]
-    lp = LinearProgram(c=c, a_eq=a_eq, b_eq=instance.prior.weights)
-    res = solve_lp(lp)
-    if res.status != "optimal":
-        raise InfeasibleProgramError(f"acceptance-hull LP is {res.status}")
-
-    weights = res.x
-    t = np.zeros((2, d))
-    atoms = []
-    for i in range(n1):
-        if weights[i] <= 1e-12:
-            continue
-        t[1] += weights[i] * v1[i]
-        atoms.append(
-            PlanAtom(
-                action=1, posterior=v1[i], weight=float(weights[i]), label=atom_labels[i]
-            )
-        )
-    for j in range(n0):
-        if weights[n1 + j] <= 1e-12:
-            continue
-        t[0] += weights[n1 + j] * v0[j]
-        atoms.append(
-            PlanAtom(
-                action=0,
-                posterior=v0[j],
-                weight=float(weights[n1 + j]),
-                label=labels[classification.strict_reject[j]],
-            )
-        )
-    plan = OptimalPlan(
-        t=t,
-        prior=np.asarray(instance.prior.weights, dtype=float),
-        value=float(res.value),
-        atoms=tuple(atoms),
-    )
-    plan.check()
-    return plan
 
 
 def full_persuasion_binary(
     instance: PersuasionInstance,
-    k01: tuple[K01Vertex, ...] | None = None,
+    candidates: HullCandidates | None = None,
 ) -> bool:
     """Whether the sender can get acceptance with probability one.
 
     Meaningful when the sender strictly prefers acceptance in every state
     (enforced); the answer is exactly whether the prior lies in the
-    acceptance hull.
+    acceptance hull.  ``candidates`` are built from the instance when not
+    given.
     """
     _require_binary(instance)
     v = instance.sender.table
     if not np.all(v[:, 1] > v[:, 0]):
         raise ValueError("full persuasion asks for strict sender preference")
-    classification = classify_states(instance)
-    if k01 is None:
-        k01 = compute_k01(instance, classification)
-    v1, _ = accept_vertices(classification, k01, instance.n_states)
-    if v1.shape[0] == 0:
-        return False
+    if candidates is None:
+        candidates = hull_candidates(instance)
+    v1 = candidates.rows(slice(candidates.n_accept))
     return hull_membership(instance.prior.weights, v1) is not None
 
 

@@ -26,10 +26,9 @@ import sys
 import numpy as np
 
 from .binary import (
-    accept_vertices,
-    classify_states,
-    compute_k01,
+    binary_precondition_error,
     full_persuasion_binary,
+    hull_candidates,
     solve_binary,
 )
 from .general import (
@@ -44,7 +43,6 @@ from .general import (
 from .geometry import BisectionError, InfeasibleProgramError, LpSolverError
 from .model import (
     FormatError,
-    PersuasionInstance,
     instance_from_json,
     instance_to_json,
 )
@@ -129,43 +127,33 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
-def _binary_applicable(instance: PersuasionInstance) -> bool:
-    v = instance.sender.table
-    return (
-        instance.n_actions == 2
-        and instance.receiver.convex_reject_region
-        and bool(np.all(v[:, 1] >= v[:, 0] - 1e-12))
-    )
+def _solve_instance(instance, method: str, grid_k: int | None):
+    """Dispatch to a solver; returns (plan, point sets, method, k, hull candidates).
 
-
-def _solve_instance(instance: PersuasionInstance, method: str, grid_k: int | None):
-    """Dispatch to a solver; returns (plan, point sets, method, k)."""
+    The binary path builds its hull candidates once (one classification,
+    one k01 pass) and hands them to every consumer; the grid path has none.
+    """
     if method == "auto":
-        method = "binary" if _binary_applicable(instance) else "grid"
+        method = "grid" if binary_precondition_error(instance) else "binary"
     if method == "binary":
-        classification = classify_states(instance)
-        k01 = compute_k01(instance, classification)
-        plan = solve_binary(instance, k01)
-        v1, _ = accept_vertices(classification, k01, instance.n_states)
-        eye = np.eye(instance.n_states)
-        v0 = (
-            np.array([eye[w] for w in classification.strict_reject])
-            if classification.strict_reject
-            else np.zeros((0, instance.n_states))
-        )
-        return plan, [v0, v1], "binary", None
+        candidates = hull_candidates(instance)
+        plan = solve_binary(instance, candidates)
+        return plan, candidates.point_sets(), "binary", None, candidates
+    sets, k = _grid_sets(instance, grid_k)
+    return solve_general(instance, sets), sets, "grid", k, None
+
+
+def _grid_sets(instance, grid_k: int | None):
+    """Each action's grid candidates at denominator grid_k (or the default); (sets, k)."""
     k = grid_k if grid_k is not None else default_grid_k(instance.n_states)
     grid = GridSpec(k=k, dim=instance.n_states)
-    sets = [
-        grid_vertices(instance, a, grid) for a in range(instance.n_actions)
-    ]
-    return solve_general(instance, sets), sets, "grid", k
+    return [grid_vertices(instance, a, grid) for a in range(instance.n_actions)], k
 
 
-def _full_persuasion(instance, point_sets, method) -> bool | None:
+def _full_persuasion(instance, point_sets, candidates=None) -> bool | None:
     try:
-        if method == "binary":
-            return full_persuasion_binary(instance)
+        if candidates is not None:
+            return full_persuasion_binary(instance, candidates)
         return full_persuasion_general(instance, point_sets)
     except ValueError:
         # Ill-posed for this sender table (ties or weak preferences).
@@ -174,7 +162,9 @@ def _full_persuasion(instance, point_sets, method) -> bool | None:
 
 def _cmd_solve(args) -> int:
     instance = instance_from_json(_load_json(args.instance))
-    plan, sets, method, k = _solve_instance(instance, args.method, args.grid_k)
+    plan, sets, method, k, candidates = _solve_instance(
+        instance, args.method, args.grid_k
+    )
     compiled = scheme_from_plan(plan, instance)
     report = validate_scheme(compiled, instance)
     base = baseline_values(instance)
@@ -191,7 +181,7 @@ def _cmd_solve(args) -> int:
             "certificate_point": [float(x) for x in benefit.certificate_point],
             "certificate_gain": benefit.certificate_gain,
         },
-        "full_persuasion": _full_persuasion(instance, sets, method),
+        "full_persuasion": _full_persuasion(instance, sets, candidates),
         "plan": {
             "t": [[float(x) for x in row] for row in plan.t],
             "atoms": [
@@ -322,19 +312,10 @@ def _cmd_queue(args) -> int:
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["label", "action", "marginal", "wait_mean", "wait_stdev"]
-        )
-        for row in _signal_rows(solution):
-            writer.writerow(
-                [
-                    row["label"],
-                    row["action"],
-                    repr(row["marginal"]),
-                    repr(row["wait_mean"]),
-                    repr(row["wait_stdev"]),
-                ]
-            )
+        columns = ("marginal", "wait_mean", "wait_stdev")
+        writer.writerow(["label", "action", *columns])
+        for row in doc["signals"]:
+            writer.writerow([row["label"], row["action"]] + [repr(row[c]) for c in columns])
         sys.stdout.write(buf.getvalue())
     else:
         _emit(doc)
@@ -354,16 +335,13 @@ def _cmd_queue(args) -> int:
 
 def _cmd_check_full(args) -> int:
     instance = instance_from_json(_load_json(args.instance))
-    if _binary_applicable(instance) and bool(
+    if binary_precondition_error(instance) is None and bool(
         np.all(instance.sender.table[:, 1] > instance.sender.table[:, 0])
     ):
         verdict: bool | None = full_persuasion_binary(instance)
         method = "binary"
     else:
-        k = args.grid_k if args.grid_k is not None else default_grid_k(instance.n_states)
-        grid = GridSpec(k=k, dim=instance.n_states)
-        sets = [grid_vertices(instance, a, grid) for a in range(instance.n_actions)]
-        verdict = _full_persuasion(instance, sets, "grid")
+        verdict = _full_persuasion(instance, _grid_sets(instance, args.grid_k)[0])
         method = "grid"
     _emit({"full_persuasion": verdict, "method": method})
     return 0

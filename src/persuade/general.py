@@ -13,11 +13,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
+from typing import Callable
 
 import numpy as np
 
 from .geometry import (
-    HULL_TOLERANCE,
+    ATOM_FLOOR,
     InfeasibleProgramError,
     LinearProgram,
     hull_membership,
@@ -44,11 +45,11 @@ __all__ = [
     "BenefitReport",
     "default_grid_k",
     "grid_vertices",
+    "plan_from_candidates",
     "solve_general",
     "baseline_values",
     "benefit_check",
     "full_persuasion_general",
-    "concavify_oracle",
     "expected_region_vertices",
 ]
 
@@ -130,52 +131,46 @@ def grid_vertices(
     return chosen
 
 
-def solve_general(
-    instance: PersuasionInstance, point_sets: list[np.ndarray]
+def plan_from_candidates(
+    instance: PersuasionInstance,
+    rows: np.ndarray,
+    actions: np.ndarray,
+    label: Callable[[int], str | None] | None = None,
 ) -> OptimalPlan:
-    """Optimal plan when each action's posteriors come from a fixed set.
+    """Optimal plan over candidate posteriors: the LP every fixed-prior solver shares.
 
-    ``point_sets[a]`` holds the candidate posteriors (rows) on which the
-    receiver takes action a.  The LP chooses nonnegative masses on those
-    rows so that the total mass reproduces the prior and the sender value
-    is maximal; a basic solution keeps the atom count at or below the
-    state count.
+    Row i of ``rows`` is a candidate posterior on which the receiver takes
+    ``actions[i]``.  The LP puts nonnegative mass x on the candidates to
+    maximize sum_i x_i * rows[i] . v[:, actions[i]] subject to
+    sum_i x_i * rows[i] = prior, with one column per candidate in the
+    caller's order; a basic solution keeps the atom count at or below the
+    state count.  Masses at or below ATOM_FLOOR are dropped, and
+    ``label(i)`` names the atom of each kept candidate i.
     """
-    if len(point_sets) != instance.n_actions:
-        raise ValueError("need one point set per action")
-    d = instance.n_states
+    if rows.shape[0] == 0:
+        raise InfeasibleProgramError("no candidate posteriors: all point sets are empty")
     v = instance.sender.table
-    cols = []
-    gains = []
-    owners = []
-    for a, pts in enumerate(point_sets):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if pts.size == 0:
-            continue
-        if pts.shape[1] != d:
-            raise ValueError(f"point set for action {a} has the wrong dimension")
-        cols.append(pts)
-        gains.append(pts @ v[:, a])
-        owners.extend((a, i) for i in range(pts.shape[0]))
-    if not cols:
-        raise InfeasibleProgramError("all point sets are empty")
-    stacked = np.vstack(cols)
-    lp = LinearProgram(
-        c=np.concatenate(gains), a_eq=stacked.T, b_eq=instance.prior.weights
-    )
-    res = solve_lp(lp)
+    c = np.empty(rows.shape[0])
+    for a in np.unique(actions):
+        mask = actions == a
+        c[mask] = rows[mask] @ v[:, a]
+    res = solve_lp(LinearProgram(c=c, a_eq=rows.T, b_eq=instance.prior.weights))
     if res.status != "optimal":
         raise InfeasibleProgramError(
-            "prior cannot be split across the provided point sets"
+            f"prior cannot be split across the candidate posteriors (LP is {res.status})"
         )
-    t = np.zeros((instance.n_actions, d))
+    t = np.zeros((instance.n_actions, instance.n_states))
     atoms = []
-    for idx in np.nonzero(res.x > 1e-12)[0]:
-        action, _ = owners[idx]
-        weight = float(res.x[idx])
-        t[action] += weight * stacked[idx]
+    for i in np.nonzero(res.x > ATOM_FLOOR)[0]:
+        action, weight = int(actions[i]), float(res.x[i])
+        t[action] += weight * rows[i]
         atoms.append(
-            PlanAtom(action=action, posterior=stacked[idx].copy(), weight=weight)
+            PlanAtom(
+                action=action,
+                posterior=rows[i].copy(),
+                weight=weight,
+                label=label(i) if label is not None else None,
+            )
         )
     plan = OptimalPlan(
         t=t,
@@ -185,6 +180,28 @@ def solve_general(
     )
     plan.check()
     return plan
+
+
+def solve_general(
+    instance: PersuasionInstance, point_sets: list[np.ndarray]
+) -> OptimalPlan:
+    """Optimal plan when each action's posteriors come from a fixed set.
+
+    ``point_sets[a]`` holds the candidate posteriors (rows) on which the
+    receiver takes action a; they are stacked in action order and handed
+    to ``plan_from_candidates``.
+    """
+    if len(point_sets) != instance.n_actions:
+        raise ValueError("need one point set per action")
+    d = instance.n_states
+    sets = []
+    for a, pts in enumerate(point_sets):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if pts.size and pts.shape[1] != d:
+            raise ValueError(f"point set for action {a} has the wrong dimension")
+        sets.append(pts.reshape(-1, d))
+    actions = np.repeat(np.arange(instance.n_actions), [s.shape[0] for s in sets])
+    return plan_from_candidates(instance, np.vstack(sets), actions)
 
 
 @dataclass(frozen=True)
@@ -312,36 +329,6 @@ def full_persuasion_general(
         if hull_membership(cell / mass, pts) is None:
             return False
     return True
-
-
-def concavify_oracle(
-    instance: PersuasionInstance, grid: GridSpec | np.ndarray
-) -> float:
-    """Best sender value from splitting the prior across grid posteriors.
-
-    Each candidate belief is scored by the sender payoff of the
-    receiver's (sender-preferred) best response there; the LP then finds
-    the best mixture of candidates averaging back to the prior.  This is
-    a second, structurally different route to the solver's optimum and is
-    kept for cross-checking, not speed.
-    """
-    pts = grid.points() if isinstance(grid, GridSpec) else np.atleast_2d(
-        np.asarray(grid, dtype=float)
-    )
-    if pts.shape[1] != instance.n_states:
-        raise ValueError("grid dimension does not match the instance")
-    scores = instance.receiver.score_all(pts)
-    best = scores.max(axis=1, keepdims=True)
-    ties = scores >= best - TIE_TOLERANCE
-    sender_vals = pts @ instance.sender.table
-    hat = np.where(ties, sender_vals, -np.inf).max(axis=1)
-    d = instance.n_states
-    a_eq = np.vstack([pts.T, np.ones(pts.shape[0])])
-    b_eq = np.concatenate([instance.prior.weights, [1.0]])
-    res = solve_lp(LinearProgram(c=hat, a_eq=a_eq, b_eq=b_eq))
-    if res.status != "optimal":
-        raise InfeasibleProgramError("prior is outside the grid's hull")
-    return float(res.value)
 
 
 def expected_region_vertices(

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 from scipy.optimize import linprog
 
@@ -36,14 +35,12 @@ __all__ = [
     "LpSolverError",
     "InfeasibleProgramError",
     "BisectionError",
-    "PointOutsideHullError",
     "LinearProgram",
     "SparseConstraints",
     "LpResult",
     "ConvexCombination",
     "solve_lp",
     "hull_membership",
-    "caratheodory_decompose",
     "segment_bisection",
 ]
 
@@ -58,10 +55,6 @@ class InfeasibleProgramError(RuntimeError):
 
 class BisectionError(RuntimeError):
     """Bisection hit its iteration cap before reaching the width target."""
-
-
-class PointOutsideHullError(ValueError):
-    """Asked to decompose a point that is not in the hull."""
 
 
 class SparseConstraints(scipy.sparse.csc_array):
@@ -221,58 +214,6 @@ def hull_membership(
         indices=keep,
         weights=w,
         points=points[keep],
-        target=target,
-        tolerance=max(tol, HULL_TOLERANCE),
-    )
-
-
-def _null_direction(points: np.ndarray) -> np.ndarray | None:
-    # Nonzero z with points.T @ z = 0 and sum(z) = 0, if one exists.
-    m = np.vstack([points.T, np.ones(points.shape[0])])
-    ns = scipy.linalg.null_space(m, rcond=1e-12)
-    if ns.shape[1] == 0:
-        return None
-    return ns[:, 0]
-
-
-def caratheodory_decompose(
-    target: np.ndarray, points: np.ndarray, tol: float = HULL_TOLERANCE
-) -> ConvexCombination:
-    """Write target as a convex combination of at most dim-many rows.
-
-    Raises ``PointOutsideHullError`` when the target is not in the hull.
-    The witness from the membership LP is already basic; a null-space
-    sweep then strips any residual affine dependence among its atoms, so
-    the atom count never exceeds the rank bound (the state count, when
-    all rows are beliefs).
-    """
-    combo = hull_membership(target, points, tol)
-    if combo is None:
-        raise PointOutsideHullError(
-            f"target is outside the hull (tolerance {tol:g})"
-        )
-    idx = combo.indices.copy()
-    w = combo.weights.copy()
-    pts = combo.points.copy()
-    while True:
-        z = _null_direction(pts)
-        if z is None:
-            break
-        # Push along -z until the first weight hits zero; sum(z) = 0 keeps
-        # the combination convex and the reconstruction exact.
-        if not np.any(z > 1e-14):
-            z = -z
-        pos = z > 1e-14
-        step = np.min(w[pos] / z[pos])
-        w = w - step * z
-        w = np.where(w < ATOM_FLOOR, 0.0, w)
-        keep = w > 0.0
-        idx, w, pts = idx[keep], w[keep], pts[keep]
-        w = w / w.sum()
-    return ConvexCombination(
-        indices=idx,
-        weights=w,
-        points=pts,
         target=target,
         tolerance=max(tol, HULL_TOLERANCE),
     )

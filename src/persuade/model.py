@@ -24,6 +24,7 @@ The supported receiver kinds and their parameters:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -556,12 +557,20 @@ def _require(data: dict, key: str, path: str):
     return data[key]
 
 
-def _float_list(raw, path: str) -> list[float]:
-    if not isinstance(raw, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
+def _number(raw, path: str) -> float:
+    # Comparing with the largest double is exact for ints of any size and
+    # false for NaN, so this admits exactly the numbers float() keeps finite.
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not (
+        abs(raw) <= sys.float_info.max
     ):
+        raise FormatError(path, "expected a finite number")
+    return float(raw)
+
+
+def _float_list(raw, path: str) -> list[float]:
+    if not isinstance(raw, list):
         raise FormatError(path, "expected a list of numbers")
-    return [float(x) for x in raw]
+    return [_number(x, f"{path}[{i}]") for i, x in enumerate(raw)]
 
 
 def _matrix(raw, rows: int, cols: int, path: str) -> np.ndarray:
@@ -586,7 +595,7 @@ def _receiver_from_json(raw: dict, d: int, k: int) -> UtilityModel:
             u=_matrix(_require(raw, "u", "receiver"), d, k, "receiver.u"),
             g_mean=_matrix(_require(raw, "g_mean", "receiver"), d, k, "receiver.g_mean"),
             g_var=_matrix(_require(raw, "g_var", "receiver"), d, k, "receiver.g_var"),
-            beta=float(_require(raw, "beta", "receiver")),
+            beta=_number(_require(raw, "beta", "receiver"), "receiver.beta"),
         )
     if kind == "maximin":
         tables = _require(raw, "tables", "receiver")
@@ -605,10 +614,11 @@ def _receiver_from_json(raw: dict, d: int, k: int) -> UtilityModel:
             for i, row in enumerate(obj):
                 if not isinstance(row, list) or len(row) != k:
                     raise FormatError(f"receiver.{name}[{i}]", f"expected {k} per-action cells")
+                for a, cell in enumerate(row):
+                    _float_list(cell, f"receiver.{name}[{i}][{a}]")
+        tau = _number(_require(raw, "tau", "receiver"), "receiver.tau")
         try:
-            return make_model(
-                "cvar", loss_values=vals, loss_probs=probs, tau=float(_require(raw, "tau", "receiver"))
-            )
+            return make_model("cvar", loss_values=vals, loss_probs=probs, tau=tau)
         except ValueError as exc:
             raise FormatError("receiver", str(exc)) from exc
     if kind == "custom":

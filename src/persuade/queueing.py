@@ -15,6 +15,7 @@ One LP handles both, and the belief prior is read back off its solution.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -22,14 +23,16 @@ import numpy as np
 import scipy.sparse
 
 from .binary import (
+    HullCandidates,
     K01Vertex,
     StateClassification,
     ThresholdReport,
     classify_states,
-    compute_k01,
+    hull_candidates,
     verify_threshold,
 )
 from .geometry import (
+    ATOM_FLOOR,
     InfeasibleProgramError,
     LinearProgram,
     LpSolverError,
@@ -47,7 +50,7 @@ from .model import (
     make_model,
     mixture_moments,
 )
-from .scheme import SignalingScheme, scheme_from_plan
+from .scheme import SignalingScheme, scheme_from_plan, signal_cdf
 
 # Residual caps on the solved flow-balance system.
 BALANCE_TOLERANCE = 1e-8
@@ -183,17 +186,6 @@ def queue_model(instance: QueueInstance):
     )
 
 
-def _queue_spaces(instance: QueueInstance):
-    states = StateSpace(tuple(str(n) for n in range(instance.capacity)))
-    actions = ActionSpace(("leave", "join"))
-    sender = SenderUtility(
-        np.column_stack(
-            [np.zeros(instance.capacity), np.ones(instance.capacity)]
-        )
-    )
-    return states, actions, sender
-
-
 @dataclass(frozen=True, eq=False)
 class QueueSolution:
     """Solved queue disclosure problem.
@@ -219,39 +211,20 @@ class QueueSolution:
     threshold: ThresholdReport
 
 
-def _flow_program(
-    d: int,
-    lam: float,
-    classification: StateClassification,
-    k01: tuple[K01Vertex, ...],
-) -> tuple[LinearProgram, np.ndarray, np.ndarray]:
+def _flow_program(d: int, lam: float, candidates: HullCandidates) -> LinearProgram:
     """The flow LP, built column by column from each candidate's support.
 
-    Columns are the join candidates (pure accept states, then blends) and
-    then the leave candidates (pure strict-reject states).  Each candidate
-    belief v is held as two (state, weight) slots, the second one of
-    weight 0 for a pure state.  Row w < d - 1 of its column is the balance
-    term v[w + 1] - rate * v[w] and row d - 1 the normalization term
-    1 + rate * v[d - 1], with rate the arrival rate for join columns and 0
-    for leave ones.  Only rows next to the support can be nonzero; they are
-    computed with the same float operations as on dense rows, and exact
-    zeros are left out, so the matrix equals the dense one entry for entry.
-    Returns the program and the (states, weights) slot arrays.
+    Columns are the hull candidates in their order: the join candidates
+    (pure accept states, then blends), then the leave candidates (pure
+    strict-reject states), each held as two (state, weight) slots.  Row
+    w < d - 1 of a column is the balance term v[w + 1] - rate * v[w] and
+    row d - 1 the normalization term 1 + rate * v[d - 1], with rate the
+    arrival rate for join columns and 0 for leave ones.  Only rows next to
+    the support can be nonzero; they are computed with the same float
+    operations as on dense rows, and exact zeros are left out, so the
+    matrix equals the dense one entry for entry.
     """
-    accept = list(classification.accept)
-    strict = list(classification.strict_reject)
-    n1 = len(accept) + len(k01)
-    states = np.array(
-        [(w, w) for w in accept]
-        + [(v.reject_state, v.accept_state) for v in k01]
-        + [(w, w) for w in strict],
-        dtype=np.intp,
-    ).reshape(-1, 2)
-    weights = np.array(
-        [(1.0, 0.0)] * len(accept)
-        + [(v.gamma, 1.0 - v.gamma) for v in k01]
-        + [(1.0, 0.0)] * len(strict)
-    ).reshape(-1, 2)
+    states, weights, n1 = candidates.states, candidates.weights, candidates.n_accept
     n = states.shape[0]
     rate = np.where(np.arange(n) < n1, lam, 0.0)[:, None]
 
@@ -278,7 +251,7 @@ def _flow_program(
     b_eq = np.zeros(d)
     b_eq[d - 1] = 1.0
     c = np.concatenate([np.ones(n1), np.zeros(n - n1)])
-    return LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq), states, weights
+    return LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq)
 
 
 def solve_queue(instance: QueueInstance) -> QueueSolution:
@@ -297,14 +270,13 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
     """
     d = instance.capacity
     lam = instance.arrival_rate
-    states, actions, sender = _queue_spaces(instance)
     model = queue_model(instance)
     # Placeholder prior; the real one comes out of the LP below.
     probe = PersuasionInstance(
-        states=states,
-        actions=actions,
+        states=StateSpace(tuple(str(n) for n in range(d))),
+        actions=ActionSpace(("leave", "join")),
         prior=Belief.uniform(d),
-        sender=sender,
+        sender=SenderUtility(np.column_stack([np.zeros(d), np.ones(d)])),
         receiver=model,
     )
     classification = classify_states(probe)
@@ -325,28 +297,21 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
             e0[w0] = e1[w1] = 1.0
             return segment_bisection(model.differential, e0, e1)
 
-    k01 = compute_k01(probe, classification, gamma_fn=gamma_fn)
-    lp, support, mix = _flow_program(d, lam, classification, k01)
-    res = solve_lp(lp)
+    candidates = hull_candidates(probe, classification, gamma_fn=gamma_fn)
+    res = solve_lp(_flow_program(d, lam, candidates))
     if res.status != "optimal":
         raise InfeasibleProgramError(f"queue flow LP is {res.status}")
 
     weights = res.x
-    n1 = n_accept + len(k01)
+    n1 = candidates.n_accept
 
     def mass_over_lengths(cols: slice) -> np.ndarray:
         # V^T x over the given candidates, one support slot at a time.
         return np.bincount(
-            support[cols].ravel(),
-            weights=(mix[cols] * weights[cols, None]).ravel(),
+            candidates.states[cols].ravel(),
+            weights=(candidates.weights[cols] * weights[cols, None]).ravel(),
             minlength=d,
         )
-
-    def candidate(i: int) -> np.ndarray:
-        row = np.zeros(d)
-        row[support[i, 0]] += mix[i, 0]
-        row[support[i, 1]] += mix[i, 1]
-        return row
 
     t1 = mass_over_lengths(slice(0, n1))
     t0 = mass_over_lengths(slice(n1, None))
@@ -358,13 +323,13 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
         raise LpSolverError(f"flow normalization residual {norm:.3e}")
 
     mass = t0.sum() + t1.sum()
-    if mass <= 1e-12:
+    if mass <= ATOM_FLOOR:
         raise InfeasibleProgramError("all arrivals are blocked; no belief prior")
     prior = (t0 + t1) / mass
 
     join_atoms = []
-    for i in np.nonzero(weights[:n1] > 1e-12)[0]:
-        row = candidate(i)
+    kept = np.nonzero(weights[:n1] > ATOM_FLOOR)[0]
+    for i, row in zip(kept, candidates.rows(kept)):
         # Blends with gamma = 0 collapse onto pure vertices; fold the mass
         # together up front so the Join numbering stays gap-free.
         for atom in join_atoms:
@@ -382,7 +347,7 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
         for j, (_, _, post, w) in enumerate(join_atoms)
     ]
     leave_mass = float(t0.sum()) / mass
-    if leave_mass > 1e-12:
+    if leave_mass > ATOM_FLOOR:
         atoms.append(
             PlanAtom(
                 action=0,
@@ -399,19 +364,13 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
     )
     plan.check()
 
-    persuasion = PersuasionInstance(
-        states=states,
-        actions=actions,
-        prior=Belief(prior),
-        sender=sender,
-        receiver=model,
-    )
+    persuasion = dataclasses.replace(probe, prior=Belief(prior))
     compiled = scheme_from_plan(plan, persuasion)
     threshold = verify_threshold(
         plan,
         list(range(d)),
         instance=persuasion,
-        k01=k01,
+        k01=candidates.k01,
         classification=classification,
     )
     occupancy = np.concatenate([t0 + t1, [lam * t1[d - 1]]])
@@ -419,7 +378,7 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
         instance=instance,
         persuasion=persuasion,
         classification=classification,
-        k01=k01,
+        k01=candidates.k01,
         t0=t0,
         t1=t1,
         prior=prior,
@@ -545,10 +504,7 @@ def simulate_queue(
     rng = np.random.default_rng(seed)
     lam = instance.arrival_rate
     n_signals = scheme.n_signals
-    cdf = np.cumsum(scheme.conditional, axis=0).T.copy()  # (state, signal)
-    totals = cdf[:, -1].copy()
-    totals[totals <= 0.0] = 1.0
-    cdf = cdf / totals[:, None]
+    cdf = signal_cdf(scheme)
     join_action = np.array([s.action == 1 for s in scheme.signals])
 
     burn = int(BURN_IN_FRACTION * events)

@@ -20,6 +20,9 @@ from .model import (
     FormatError,
     OptimalPlan,
     PersuasionInstance,
+    _float_list,
+    _matrix,
+    _number,
     receiver_best_response,
 )
 
@@ -43,6 +46,7 @@ __all__ = [
     "scheme_from_plan",
     "validate_scheme",
     "scheme_value",
+    "signal_cdf",
     "sample_scheme",
     "sample_scheme_batch",
     "scheme_to_json",
@@ -188,9 +192,19 @@ class ValidationReport:
 def validate_scheme(
     scheme: SignalingScheme, instance: PersuasionInstance
 ) -> ValidationReport:
-    """Audit normalization, Bayes consistency, and obedience of a scheme."""
+    """Audit normalization, Bayes consistency, and obedience of a scheme.
+
+    A signal recommending an action the instance does not have is a
+    schema error (``FormatError`` naming ``signals[i].action``).
+    """
     if scheme.prior.size != instance.n_states:
         raise ValueError("scheme and instance disagree on the state count")
+    for i, sig in enumerate(scheme.signals):
+        if not 0 <= sig.action < instance.n_actions:
+            raise FormatError(
+                f"signals[{i}].action",
+                f"action {sig.action} out of range for {instance.n_actions} actions",
+            )
     prior = scheme.prior
     cond = scheme.conditional
     live = prior > 0.0
@@ -242,6 +256,19 @@ def scheme_value(scheme: SignalingScheme, instance: PersuasionInstance) -> float
     return float(total)
 
 
+def signal_cdf(scheme: SignalingScheme) -> np.ndarray:
+    """Per-state cumulative law of the signals, (states, signals), C order.
+
+    Row w is normalized to end at one; a state with no signal mass keeps
+    its zero row.  A uniform draw u picks signal
+    ``searchsorted(cdf[w], u, side="left")``.
+    """
+    cdf = np.cumsum(scheme.conditional, axis=0).T.copy()
+    totals = cdf[:, -1].copy()
+    totals[totals <= 0.0] = 1.0
+    return cdf / totals[:, None]
+
+
 def sample_scheme_batch(
     scheme: SignalingScheme, seed: int, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -251,10 +278,7 @@ def sample_scheme_batch(
     rng = np.random.default_rng(seed)
     d = scheme.prior.size
     states = rng.choice(d, size=n, p=scheme.prior / scheme.prior.sum())
-    cum = np.cumsum(scheme.conditional, axis=0).T  # state -> signal cdf
-    totals = cum[:, -1].copy()
-    totals[totals <= 0.0] = 1.0
-    cum = cum / totals[:, None]
+    cum = signal_cdf(scheme)
     u = rng.random(n)
     signals = np.empty(n, dtype=np.int64)
     for w in range(d):
@@ -303,13 +327,10 @@ def scheme_from_json(data: dict) -> SignalingScheme:
     prior_raw = data["prior"]
     if not isinstance(prior_raw, list) or not prior_raw:
         raise FormatError("prior", "expected a nonempty list of numbers")
-    try:
-        prior = np.array([float(x) for x in prior_raw])
-    except (TypeError, ValueError) as exc:
-        raise FormatError("prior", "expected numbers") from exc
+    prior = np.array(_float_list(prior_raw, "prior"))
     d = prior.size
-    if np.any(prior < 0) or not np.all(np.isfinite(prior)):
-        raise FormatError("prior", "weights must be finite and nonnegative")
+    if np.any(prior < 0):
+        raise FormatError("prior", "weights must be nonnegative")
 
     signals = []
     for i, raw in enumerate(raw_signals):
@@ -321,7 +342,7 @@ def scheme_from_json(data: dict) -> SignalingScheme:
         post = raw["posterior"]
         if not isinstance(post, list) or len(post) != d:
             raise FormatError(f"signals[{i}].posterior", f"expected {d} weights")
-        posterior = np.array([float(x) for x in post])
+        posterior = np.array(_float_list(post, f"signals[{i}].posterior"))
         if np.any(posterior < -1e-12) or abs(posterior.sum() - 1.0) > 1e-6:
             raise FormatError(
                 f"signals[{i}].posterior", "entries must form a distribution"
@@ -329,7 +350,7 @@ def scheme_from_json(data: dict) -> SignalingScheme:
         action = raw["action"]
         if not isinstance(action, int) or isinstance(action, bool) or action < 0:
             raise FormatError(f"signals[{i}].action", "expected a nonnegative integer")
-        marginal = float(raw["marginal"])
+        marginal = _number(raw["marginal"], f"signals[{i}].marginal")
         if marginal < -1e-12 or marginal > 1.0 + 1e-9:
             raise FormatError(f"signals[{i}].marginal", f"probability {marginal!r} out of range")
         signals.append(
@@ -341,15 +362,10 @@ def scheme_from_json(data: dict) -> SignalingScheme:
             )
         )
 
-    cond_raw = data["conditional"]
-    if not isinstance(cond_raw, list) or len(cond_raw) != len(signals):
-        raise FormatError("conditional", f"expected {len(signals)} rows")
-    cond = np.zeros((len(signals), d))
-    for i, row in enumerate(cond_raw):
-        if not isinstance(row, list) or len(row) != d:
-            raise FormatError(f"conditional[{i}]", f"expected {d} entries")
-        vals = np.array([float(x) for x in row])
-        if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-9):
-            raise FormatError(f"conditional[{i}]", "entries must be probabilities")
-        cond[i] = np.clip(vals, 0.0, None)
-    return SignalingScheme(signals=tuple(signals), conditional=cond, prior=prior)
+    cond = _matrix(data["conditional"], len(signals), d, "conditional")
+    bad = np.nonzero(np.any((cond < -1e-12) | (cond > 1.0 + 1e-9), axis=1))[0]
+    if bad.size:
+        raise FormatError(f"conditional[{bad[0]}]", "entries must be probabilities")
+    return SignalingScheme(
+        signals=tuple(signals), conditional=np.clip(cond, 0.0, None), prior=prior
+    )

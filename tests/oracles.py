@@ -3,7 +3,8 @@
 Everything here is deliberately written from scratch against the problem
 definitions (enumeration, direct LP formulations, closed-form chains),
 not by calling into the package, so agreement is evidence rather than
-tautology.
+tautology.  The one exception is ``caratheodory_decompose``, a reducer
+built on the package's ``hull_membership`` witness.
 """
 
 from __future__ import annotations
@@ -11,7 +12,16 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import linprog
+
+from persuade.geometry import (
+    ATOM_FLOOR,
+    HULL_TOLERANCE,
+    ConvexCombination,
+    InfeasibleProgramError,
+    hull_membership,
+)
 
 
 def simplex_grid(dim: int, k: int) -> np.ndarray:
@@ -206,3 +216,91 @@ def threshold_violations(order, accept, strict_reject, gammas) -> list[str]:
                         f"drop from state {wi} ({gi:.6g}) to {wj} ({gj:.6g})"
                     )
     return out
+
+
+def concavify_oracle(instance, grid) -> float:
+    """Best sender value from splitting the prior across grid posteriors.
+
+    ``grid`` is anything with a ``points()`` method (a ``GridSpec``) or a
+    raw array of beliefs, one per row.  Each candidate belief is scored by
+    the sender payoff of the receiver's best response there, ties
+    (within 1e-9) broken for the sender; ``linprog`` then finds the best
+    mixture of candidates averaging back to the prior.  This LP carries an
+    explicit sum-to-one row and goes straight to scipy, so it shares no
+    code with the package's LP core.
+    """
+    pts = grid.points() if hasattr(grid, "points") else np.atleast_2d(
+        np.asarray(grid, dtype=float)
+    )
+    if pts.shape[1] != instance.n_states:
+        raise ValueError("grid dimension does not match the instance")
+    scores = instance.receiver.score_all(pts)
+    ties = scores >= scores.max(axis=1, keepdims=True) - 1e-9
+    hat = np.where(ties, pts @ instance.sender.table, -np.inf).max(axis=1)
+    res = linprog(
+        -hat,
+        A_eq=np.vstack([pts.T, np.ones(pts.shape[0])]),
+        b_eq=np.concatenate([instance.prior.weights, [1.0]]),
+        bounds=(0, None),
+        method="highs",
+    )
+    if res.status == 2:
+        raise InfeasibleProgramError("prior is outside the grid's hull")
+    assert res.status == 0, f"concavification LP failed with status {res.status}"
+    return float(-res.fun)
+
+
+class PointOutsideHullError(ValueError):
+    """Asked to decompose a point that is not in the hull."""
+
+
+def _null_direction(points: np.ndarray) -> np.ndarray | None:
+    # Nonzero z with points.T @ z = 0 and sum(z) = 0, if one exists.
+    m = np.vstack([points.T, np.ones(points.shape[0])])
+    ns = scipy.linalg.null_space(m, rcond=1e-12)
+    if ns.shape[1] == 0:
+        return None
+    return ns[:, 0]
+
+
+def caratheodory_decompose(
+    target: np.ndarray, points: np.ndarray, tol: float = HULL_TOLERANCE
+) -> ConvexCombination:
+    """Write target as a convex combination of at most dim-many rows.
+
+    Raises ``PointOutsideHullError`` when the target is not in the hull.
+    The witness from the membership LP is already basic; a null-space
+    sweep then strips any residual affine dependence among its atoms, so
+    the atom count never exceeds the rank bound (the state count, when
+    all rows are beliefs).
+    """
+    combo = hull_membership(target, points, tol)
+    if combo is None:
+        raise PointOutsideHullError(
+            f"target is outside the hull (tolerance {tol:g})"
+        )
+    idx = combo.indices.copy()
+    w = combo.weights.copy()
+    pts = combo.points.copy()
+    while True:
+        z = _null_direction(pts)
+        if z is None:
+            break
+        # Push along -z until the first weight hits zero; sum(z) = 0 keeps
+        # the combination convex and the reconstruction exact.
+        if not np.any(z > 1e-14):
+            z = -z
+        pos = z > 1e-14
+        step = np.min(w[pos] / z[pos])
+        w = w - step * z
+        w = np.where(w < ATOM_FLOOR, 0.0, w)
+        keep = w > 0.0
+        idx, w, pts = idx[keep], w[keep], pts[keep]
+        w = w / w.sum()
+    return ConvexCombination(
+        indices=idx,
+        weights=w,
+        points=pts,
+        target=target,
+        tolerance=max(tol, HULL_TOLERANCE),
+    )

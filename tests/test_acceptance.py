@@ -23,13 +23,11 @@ from persuade import (
     SenderUtility,
     StateSpace,
     baseline_values,
-    classify_states,
-    compute_k01,
-    concavify_oracle,
     expected_region_vertices,
     full_persuasion_binary,
     gamma_closed_form,
     grid_vertices,
+    hull_candidates,
     hull_membership,
     make_model,
     queue_model,
@@ -43,7 +41,6 @@ from persuade import (
     validate_scheme,
     verify_sandwich,
 )
-from persuade.binary import accept_vertices
 from conftest import (
     reference_queue,
     random_eum_instance,
@@ -207,7 +204,7 @@ def test_criterion_5_oracle_equivalence():
         ]
         plan = solve_general(inst, sets)
         candidates = np.vstack([grid.points()] + extras)
-        cav = concavify_oracle(inst, candidates)
+        cav = oracles.concavify_oracle(inst, candidates)
         u = np.asarray(inst.receiver.params["u"], dtype=float)
         exact = oracles.revelation_lp(inst.prior.weights, u, inst.sender.table)
         pair_dev = max(pair_dev, abs(plan.value - cav))
@@ -219,7 +216,7 @@ def test_criterion_5_oracle_equivalence():
         grid = GridSpec(k=12, dim=inst.n_states)
         sets = [grid_vertices(inst, a, grid) for a in range(inst.n_actions)]
         plan = solve_general(inst, sets)
-        pair_dev = max(pair_dev, abs(plan.value - concavify_oracle(inst, grid)))
+        pair_dev = max(pair_dev, abs(plan.value - oracles.concavify_oracle(inst, grid)))
     runtime = time.perf_counter() - start
     ok = pair_dev <= 1e-7 and revelation_dev <= 1e-7 and runtime < 60.0
     line = _report(
@@ -346,9 +343,9 @@ def _hull_identity_checks(rng) -> bool:
             if trial % 2
             else random_mean_stdev_instance(rng)
         )
-        classification = classify_states(inst)
-        k01 = compute_k01(inst, classification)
-        v1, _ = accept_vertices(classification, k01, inst.n_states)
+        candidates = hull_candidates(inst)
+        classification, k01 = candidates.classification, candidates.k01
+        v1 = candidates.rows(slice(candidates.n_accept))
         eye = np.eye(inst.n_states)
         reject_rows = [eye[w] for w in classification.strict_reject] + [
             vert.posterior for vert in k01

@@ -20,11 +20,11 @@ from persuade import (
     classify_states,
     compute_k01,
     full_persuasion_binary,
+    hull_candidates,
     make_model,
     solve_binary,
     verify_threshold,
 )
-from persuade.binary import accept_vertices
 from conftest import threshold_instance
 
 
@@ -119,13 +119,16 @@ def test_compute_k01_empty_without_strict_rejects():
 
 def test_accept_vertices_orders_pures_then_blends():
     inst = threshold_instance()
-    cls = classify_states(inst)
-    k01 = compute_k01(inst, cls)
-    v1, tags = accept_vertices(cls, k01, inst.n_states)
+    candidates = hull_candidates(inst)
+    assert candidates.n_accept == 6
+    v1 = candidates.rows(slice(candidates.n_accept))
     assert v1.shape == (6, 4)
     assert np.allclose(v1[:3], np.eye(4)[:3])
-    assert tags[:3] == [None, None, None]
-    assert all(t is not None for t in tags[3:])
+    assert [candidates.label(i) for i in range(3)] == ["0", "1", "2"]
+    assert all(candidates.label(i).startswith("mix(3,") for i in range(3, 6))
+    # Strict-reject pure states close the list, recommending action 0.
+    assert np.array_equal(candidates.rows(slice(6, None)), np.eye(4)[3:])
+    assert candidates.actions.tolist() == [1] * 6 + [0]
 
 
 def test_solve_binary_two_state_frozen():

@@ -1,9 +1,12 @@
 """CLI verbs, exit codes, and artifact determinism."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
+import persuade
 from persuade import (
     FormatError,
     PersuasionInstance,
@@ -295,3 +298,235 @@ def test_roundtrip_fixpoint(tmp_path):
     broken_path = _write(tmp_path, "broken.json", broken)
     with pytest.raises(FormatError):
         cli.roundtrip(broken_path)
+
+
+# ---------------------------------------------------------------------------
+# Golden bytes: sha256 of stdout and of the --out file on fixed cases.  A
+# refactor of the solvers must leave every byte of these artifacts, and every
+# exit code, as it is.
+
+
+def _accept_signs(rng, d):
+    signs = -np.ones(d)
+    signs[rng.choice(d, d // 2, replace=False)] = 1.0
+    return signs * rng.uniform(0.05, 1.0, d)
+
+
+def _mean_stdev_receiver(rng, d):
+    # Action 0's payoff moments do not move with the state: convex reject region.
+    g_mean = np.zeros((d, 2))
+    g_var = np.zeros((d, 2))
+    g_mean[:, 0], g_var[:, 0] = 0.5, 0.25
+    g_mean[:, 1] = rng.uniform(0.0, 1.0, d)
+    g_var[:, 1] = rng.uniform(0.05, 1.0, d)
+    beta = float(rng.uniform(0.2, 1.0))
+    u = np.zeros((d, 2))
+    u[:, 1] = beta * (np.sqrt(g_var[:, 1]) - 0.5) + _accept_signs(rng, d)
+    return {"kind": "mean_stdev", "u": u.tolist(), "g_mean": g_mean.tolist(),
+            "g_var": g_var.tolist(), "beta": beta}
+
+
+def _maximin_receiver(rng, d):
+    # Identical action-1 columns across scenarios: convex reject region.
+    tables = np.zeros((int(rng.integers(2, 5)), d, 2))
+    tables[:, :, 0] = rng.uniform(-1.0, 1.0, tables.shape[:2])
+    tables[:, :, 1] = tables[:, :, 0].min(axis=0) + _accept_signs(rng, d)
+    return {"kind": "maximin", "tables": tables.tolist()}
+
+
+def _cvar_receiver(rng, d):
+    # One action-0 loss law for every state: convex reject region.
+    def law():
+        return sorted(rng.uniform(0.0, 2.0, 4).tolist()), rng.dirichlet(np.ones(4)).tolist()
+
+    reject_values, reject_probs = law()
+    values, probs = [], []
+    for _ in range(d):
+        v, p = law()
+        values.append([reject_values, v])
+        probs.append([reject_probs, p])
+    return {"kind": "cvar", "loss_values": values, "loss_probs": probs,
+            "tau": float(rng.uniform(0.2, 1.0))}
+
+
+def _seeded_binary(receiver, seed, d):
+    rng = np.random.default_rng(seed)
+    return {
+        "states": [f"s{i}" for i in range(d)],
+        "actions": ["no", "yes"],
+        "prior": rng.dirichlet(np.ones(d)).tolist(),
+        "sender_v": [[0.0, 1.0]] * d,
+        "receiver": receiver(rng, d),
+    }
+
+
+def _sha(data) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+GOLDEN_QUEUE = ["queue", "--lambda", "0.95", "--beta", "2.5", "--tau", "7.5",
+                "--capacity", "100"]
+# case: (instance document or None, argv, stdout sha256, --out sha256 or None)
+GOLDEN_CASES = {
+    "readme-solve": (
+        _expected_dict(), ["solve"],
+        "85badbf9b037fca1a6029664057ad36f26ba65e9a6b620645d89f2168093e6af",
+        "278d1f2255954e0d5b7ce91c582e76c75c6cf04dc113f4cb145dd5333f426bd7",
+    ),
+    "readme-check-full": (
+        _expected_dict(), ["check-full"],
+        "6da31fd0dede9debf1e0fea9f1e1a566e3f9db3f905ababc133ff62a890f0eda",
+        None,
+    ),
+    "queue-json": (
+        None, GOLDEN_QUEUE,
+        "06dcfc7eacadd3903bb10aa96d4aab3dd874affb4c0978296cf3736dd1ca04a6",
+        "b0e714c67c43188f736270dc17e20449f9f1575847e2bb4782c607d3cd61ed20",
+    ),
+    "queue-csv": (
+        None, GOLDEN_QUEUE + ["--format", "csv"],
+        "501a304278e0024b901871596e841426121fbbdea1b2cd9fa003f075015dde36",
+        "b0e714c67c43188f736270dc17e20449f9f1575847e2bb4782c607d3cd61ed20",
+    ),
+    "mean-stdev-binary": (
+        _seeded_binary(_mean_stdev_receiver, 11, 16), ["solve"],
+        "5ca9cd021d4b476aecf388b04f8112bdb146fc8899e6f45628c843a4cee8d75e",
+        "dc05bb1031b68ac13a5ce06f7dae5592b4f2173a65c9a88e2991e465498bd9da",
+    ),
+    "maximin-binary": (
+        _seeded_binary(_maximin_receiver, 12, 14), ["solve"],
+        "c89c1e876c3e57841522e945d8d758fcee28dc6042620e9cfc3d45416654ddca",
+        "00b0cdeb0e799b90dffa2fafb4c56166613548901b382ef717e9d6c7878fe0f7",
+    ),
+    "grid": (
+        _expected_dict(), ["solve", "--method", "grid", "--grid-k", "12"],
+        "213f0c4cefd56254131ccb674b617c91cdee5f2393d3152e8cd1c4f668483fed",
+        "2892c8b704b71db911b71657c67d628f06460bd4fbbfd89a650ceccbf092365f",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_bytes(case, tmp_path, capsys):
+    doc, argv, stdout_sha, out_sha = GOLDEN_CASES[case]
+    argv = list(argv)
+    if doc is not None:
+        argv += ["--instance", _write(tmp_path, "inst.json", doc)]
+    out = tmp_path / "scheme.json"
+    if out_sha is not None:
+        argv += ["--out", str(out)]
+    assert cli.run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert _sha(captured.out) == stdout_sha
+    if out_sha is not None:
+        assert _sha(out.read_bytes()) == out_sha
+
+
+def test_golden_cvar_boundary_miss_exits_2(tmp_path, capsys):
+    path = _write(tmp_path, "inst.json", _seeded_binary(_cvar_receiver, 17, 6))
+    out = tmp_path / "scheme.json"
+    assert cli.run(["solve", "--instance", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == (
+        "persuade: blend of states 0,5 misses the boundary: differential 9.601e-01"
+    )
+    assert not out.exists()
+
+
+def _count_calls(monkeypatch, name):
+    # Wrap the binary-layer function at every binding the package holds.
+    original = getattr(persuade.binary, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module in (persuade, persuade.binary, persuade.general, persuade.queueing, cli):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_binary_solve_classifies_and_blends_once(tmp_path, capsys, monkeypatch):
+    classify = _count_calls(monkeypatch, "classify_states")
+    k01 = _count_calls(monkeypatch, "compute_k01")
+    doc = _seeded_binary(_mean_stdev_receiver, 11, 16)
+    path = _write(tmp_path, "inst.json", doc)
+    assert cli.run(["solve", "--instance", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["method"] == "binary"
+    assert out["full_persuasion"] is not None
+    assert len(classify) == 1
+    assert len(k01) == 1
+
+
+# ---------------------------------------------------------------------------
+# Schema checks on scheme and instance documents: exit 1, no traceback.
+
+
+def _solved_scheme(tmp_path, capsys) -> tuple[str, dict]:
+    inst_path = _write(tmp_path, "inst.json", _expected_dict())
+    scheme_path = tmp_path / "scheme.json"
+    assert cli.run(["solve", "--instance", inst_path, "--out", str(scheme_path)]) == 0
+    capsys.readouterr()
+    return inst_path, json.loads(scheme_path.read_text())
+
+
+def _validate_exit(tmp_path, capsys, inst_path, scheme) -> tuple[int, str, str]:
+    scheme_path = _write(tmp_path, "bad.json", scheme)
+    code = cli.run(["validate", "--instance", inst_path, "--scheme", scheme_path])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_validate_rejects_out_of_range_action(tmp_path, capsys):
+    inst_path, scheme = _solved_scheme(tmp_path, capsys)
+    scheme["signals"][0]["action"] = 7
+    code, out, err = _validate_exit(tmp_path, capsys, inst_path, scheme)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("persuade: signals[0].action: action 7 out of range")
+    assert "Traceback" not in err
+
+
+def test_validate_rejects_nan_posterior(tmp_path, capsys):
+    inst_path, scheme = _solved_scheme(tmp_path, capsys)
+    d = len(scheme["prior"])
+    scheme["signals"][0]["posterior"] = [float("nan")] * d
+    code, out, err = _validate_exit(tmp_path, capsys, inst_path, scheme)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("persuade: signals[0].posterior[0]: expected a finite number")
+
+
+@pytest.mark.parametrize("marginal", ["0.3", "high", float("inf")])
+def test_validate_rejects_non_numeric_marginal(marginal, tmp_path, capsys):
+    inst_path, scheme = _solved_scheme(tmp_path, capsys)
+    scheme["signals"][0]["marginal"] = marginal
+    code, out, err = _validate_exit(tmp_path, capsys, inst_path, scheme)
+    assert code == 1
+    assert err.startswith("persuade: signals[0].marginal:")
+
+
+@pytest.mark.parametrize("beta", ["0.5", "high", float("nan"), 10**400])
+def test_solve_rejects_non_numeric_beta(beta, tmp_path, capsys):
+    doc = _seeded_binary(_mean_stdev_receiver, 11, 4)
+    doc["receiver"]["beta"] = beta
+    path = _write(tmp_path, "inst.json", doc)
+    assert cli.run(["solve", "--instance", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("persuade: receiver.beta:")
+
+
+def test_solve_rejects_nan_receiver_table(tmp_path, capsys):
+    doc = _expected_dict()
+    doc["receiver"]["u"][1][1] = float("nan")
+    path = _write(tmp_path, "inst.json", doc)
+    assert cli.run(["solve", "--instance", path]) == 1
+    assert capsys.readouterr().err.startswith("persuade: receiver.u[1][1]: expected a finite")

@@ -16,7 +16,6 @@ from persuade import (
     StateSpace,
     baseline_values,
     benefit_check,
-    concavify_oracle,
     default_grid_k,
     expected_region_vertices,
     full_persuasion_general,
@@ -83,7 +82,7 @@ def test_solve_general_matches_concavify(rng):
         sets = [grid_vertices(inst, a, grid) for a in range(inst.n_actions)]
         plan = solve_general(inst, sets)
         assert plan.value == pytest.approx(
-            concavify_oracle(inst, grid), abs=1e-7
+            oracles.concavify_oracle(inst, grid), abs=1e-7
         )
     for _ in range(6):
         inst = random_mean_stdev_instance(rng)
@@ -91,7 +90,7 @@ def test_solve_general_matches_concavify(rng):
         sets = [grid_vertices(inst, a, grid) for a in range(inst.n_actions)]
         plan = solve_general(inst, sets)
         assert plan.value == pytest.approx(
-            concavify_oracle(inst, grid), abs=1e-7
+            oracles.concavify_oracle(inst, grid), abs=1e-7
         )
 
 
@@ -221,12 +220,12 @@ def test_full_persuasion_single_action_degenerates_gracefully():
 
 def test_concavify_oracle_accepts_raw_points_and_guards():
     inst = threshold_instance()
-    value = concavify_oracle(inst, GridSpec(k=12, dim=4))
+    value = oracles.concavify_oracle(inst, GridSpec(k=12, dim=4))
     assert 0.75 <= value <= 1.0 + 1e-9
     with pytest.raises(ValueError, match="dimension"):
-        concavify_oracle(inst, np.eye(3))
+        oracles.concavify_oracle(inst, np.eye(3))
     with pytest.raises(InfeasibleProgramError):
-        concavify_oracle(inst, np.eye(4)[:2])
+        oracles.concavify_oracle(inst, np.eye(4)[:2])
 
 
 def test_expected_region_vertices_known_polytopes():

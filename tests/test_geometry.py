@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
+from oracles import PointOutsideHullError, caratheodory_decompose
 from persuade import (
     BisectionError,
     ConvexCombination,
     LinearProgram,
-    PointOutsideHullError,
-    caratheodory_decompose,
     hull_membership,
     segment_bisection,
     solve_lp,
