@@ -47,7 +47,6 @@ from .geometry import (
 from .model import (
     ActionSpace,
     Belief,
-    BestResponse,
     FormatError,
     OptimalPlan,
     PersuasionInstance,
@@ -55,13 +54,11 @@ from .model import (
     SenderUtility,
     StateSpace,
     UtilityModel,
-    differential_utility,
+    best_response,
     instance_from_json,
     instance_to_json,
     make_model,
     mixture_moments,
-    receiver_best_response,
-    rho,
 )
 from .queueing import (
     QueueInstance,
@@ -74,7 +71,6 @@ from .queueing import (
     simulate_queue,
     solve_queue,
     verify_sandwich,
-    waiting_moments,
 )
 from .scheme import (
     Signal,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .general import plan_from_candidates
-from .geometry import BISECTION_TOLERANCE, hull_membership, segment_bisection
+from .geometry import hull_membership, segment_bisection
 from .model import OptimalPlan, PersuasionInstance
 
 # States classify as accept/reject when the pure-state differential clears
@@ -78,8 +78,8 @@ class K01Vertex:
 
     ``posterior = gamma * e_reject + (1 - gamma) * e_accept`` over
     ``n_states`` states, with gamma the largest blend weight keeping
-    acceptance weakly optimal.  gamma = 0 marks the degenerate case where
-    the accept state itself already sits on the indifference boundary.
+    acceptance weakly optimal.  gamma = 0 marks an accept state that itself
+    already sits on the indifference boundary.
     Only the two support states and gamma are stored; ``posterior`` builds
     the dense vector on demand.
     """
@@ -95,10 +95,6 @@ class K01Vertex:
         posterior[self.reject_state] += self.gamma
         posterior[self.accept_state] += 1.0 - self.gamma
         return posterior
-
-    @property
-    def degenerate(self) -> bool:
-        return self.gamma == 0.0
 
 
 def _require_binary(instance: PersuasionInstance) -> None:
@@ -151,7 +147,6 @@ def compute_k01(
     instance: PersuasionInstance,
     classification: StateClassification | None = None,
     gamma_fn=None,
-    tol: float = BISECTION_TOLERANCE,
 ) -> tuple[K01Vertex, ...]:
     """Boundary blend vertices for every (strict-reject, accept) state pair.
 
@@ -197,7 +192,7 @@ def compute_k01(
             # their blends collapse onto the accept vertex.
             gamma = 0.0
         else:
-            gamma = segment_bisection(diff, e0, e1, tol=tol)
+            gamma = segment_bisection(diff, e0, e1)
         vert = K01Vertex(w0, w1, min(max(gamma, 0.0), 1.0), d)
         boundary = float(diff(vert.posterior))
         if abs(boundary) > BOUNDARY_TOLERANCE:
@@ -394,7 +389,6 @@ def verify_threshold(
     order: list[int],
     instance: PersuasionInstance | None = None,
     k01: tuple[K01Vertex, ...] | None = None,
-    tol: float = THRESHOLD_TOLERANCE,
     classification: StateClassification | None = None,
 ) -> ThresholdReport:
     """Check that a plan's accept mass is a cutoff in the given state order.
@@ -417,8 +411,8 @@ def verify_threshold(
         raise ValueError("order must be a permutation of the state indices")
     t1 = plan.t[1]
     prior = plan.prior
-    nonzero = [p for p, w in enumerate(order) if t1[w] > tol]
-    nonfull = [p for p, w in enumerate(order) if t1[w] < prior[w] - tol]
+    nonzero = [p for p, w in enumerate(order) if t1[w] > THRESHOLD_TOLERANCE]
+    nonfull = [p for p, w in enumerate(order) if t1[w] < prior[w] - THRESHOLD_TOLERANCE]
     holds = (not nonzero) or (not nonfull) or max(nonzero) <= min(nonfull)
     threshold_state = order[min(nonfull)] if nonfull else None
     witness = None

@@ -11,7 +11,7 @@ Verbs:
 - ``simulate``: run a scheme file through the queue dynamics.
 
 Exit codes: 0 success, 1 for I/O or schema problems (including bad
-flags), 2 for infeasible or degenerate models and failed validations.
+flags), 2 for infeasible or ill-posed models and failed validations.
 All artifacts are deterministic: same inputs and seed, same bytes.
 """
 
@@ -33,7 +33,6 @@ from .binary import (
 )
 from .general import (
     GridSpec,
-    baseline_values,
     benefit_check,
     default_grid_k,
     full_persuasion_general,
@@ -127,6 +126,12 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def _solve_instance(instance, method: str, grid_k: int | None):
     """Dispatch to a solver; returns (plan, point sets, method, k, hull candidates).
 
@@ -167,13 +172,12 @@ def _cmd_solve(args) -> int:
     )
     compiled = scheme_from_plan(plan, instance)
     report = validate_scheme(compiled, instance)
-    base = baseline_values(instance)
     benefit = benefit_check(instance, plan, sets)
     doc = {
         "value": plan.value,
         "method": method,
         "k": k,
-        "baselines": {"no_info": base.no_info, "full_info": base.full_info},
+        "baselines": {"no_info": benefit.no_info, "full_info": benefit.full_info},
         "benefit": {
             "strictly_beneficial": benefit.strictly_beneficial,
             "margin": benefit.margin,
@@ -203,9 +207,7 @@ def _cmd_solve(args) -> int:
     }
     _emit(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(scheme_to_json(compiled), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(args.out, doc["scheme"])
     return 0
 
 
@@ -320,16 +322,13 @@ def _cmd_queue(args) -> int:
     else:
         _emit(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(scheme_to_json(solution.scheme), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(args.out, doc["scheme"])
     if args.emit_plot_data:
-        with open(args.emit_plot_data, "w", encoding="utf-8") as fh:
-            if args.format == "csv":
+        if args.format == "csv":
+            with open(args.emit_plot_data, "w", encoding="utf-8") as fh:
                 fh.write(_plot_data_csv(solution))
-            else:
-                json.dump(_plot_data(solution), fh, sort_keys=True, indent=2)
-                fh.write("\n")
+        else:
+            _write_json(args.emit_plot_data, _plot_data(solution))
     return 0
 
 

@@ -25,11 +25,11 @@ from .geometry import (
     solve_lp,
 )
 from .model import (
-    TIE_TOLERANCE,
     OptimalPlan,
     PersuasionInstance,
     PlanAtom,
-    receiver_best_response,
+    _tied,
+    best_response,
 )
 
 # Hard cap on grid size; beyond this the enumeration is refused.
@@ -120,9 +120,7 @@ def grid_vertices(
     if grid.dim != instance.n_states:
         raise ValueError("grid dimension does not match the instance")
     pts = grid.points()
-    scores = instance.receiver.score_all(pts)
-    mask = scores[:, action] >= scores.max(axis=1) - TIE_TOLERANCE
-    chosen = pts[mask]
+    chosen = pts[_tied(instance.receiver.score_all(pts))[:, action]]
     if extra is not None and len(extra):
         extra = np.atleast_2d(np.asarray(extra, dtype=float))
         if extra.shape[1] != instance.n_states:
@@ -214,21 +212,17 @@ class BaselineValues:
 
 
 def baseline_values(instance: PersuasionInstance) -> BaselineValues:
-    """Sender payoffs of the two trivial schemes, ties sender-preferred."""
-    prior = instance.prior
-    br = receiver_best_response(instance.receiver, prior, instance.sender)
-    no_info = instance.sender.value(prior.weights, br.action)
-    d = instance.n_states
-    scores = instance.receiver.score_all(np.eye(d))
-    best = scores.max(axis=1)
+    """Sender payoffs when the receiver best-responds to the prior (no
+    information) or to each pure state (full information)."""
+    prior = instance.prior.weights
+    action = best_response(instance, prior)
     full_info = 0.0
-    for w in range(d):
-        ties = np.nonzero(scores[w] >= best[w] - TIE_TOLERANCE)[0]
-        full_info += prior.weights[w] * max(
-            instance.sender.table[w, a] for a in ties
-        )
+    for w, point in enumerate(np.eye(instance.n_states)):
+        full_info += prior[w] * instance.sender.table[w, best_response(instance, point)]
     return BaselineValues(
-        no_info=float(no_info), full_info=float(full_info), no_info_action=br.action
+        no_info=instance.sender.value(prior, action),
+        full_info=float(full_info),
+        no_info_action=action,
     )
 
 
@@ -238,12 +232,14 @@ class BenefitReport:
 
     The certificate is the belief (from the candidate sets) and action
     with the largest sender gain over the no-information action; its sign
-    certifies the verdict independently of the solved value.
+    certifies the verdict independently of the solved value.  ``no_info``
+    and ``full_info`` are the two baselines of ``baseline_values``.
     """
 
     strictly_beneficial: bool
     value: float
     no_info: float
+    full_info: float
     margin: float
     certificate_action: int
     certificate_point: np.ndarray
@@ -253,12 +249,11 @@ class BenefitReport:
 def benefit_check(
     instance: PersuasionInstance,
     plan: OptimalPlan,
-    point_sets: list[np.ndarray] | None = None,
+    point_sets: list[np.ndarray],
 ) -> BenefitReport:
     """Compare a solved plan against no disclosure.
 
-    Falls back to the plan's own atoms as the candidate certificate
-    points when no point sets are supplied.
+    ``point_sets[a]`` are the candidate certificate points of action a.
     """
     base = baseline_values(instance)
     margin = plan.value - base.no_info
@@ -267,14 +262,6 @@ def benefit_check(
     best_gain = -np.inf
     best_action = a_star
     best_point = np.asarray(instance.prior.weights, dtype=float)
-    if point_sets is None:
-        collected: dict[int, list[np.ndarray]] = {}
-        for atom in plan.atoms:
-            collected.setdefault(atom.action, []).append(atom.posterior)
-        point_sets = [
-            np.array(collected[a]) if a in collected else np.zeros((0, instance.n_states))
-            for a in range(instance.n_actions)
-        ]
     for a, pts in enumerate(point_sets):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.size == 0:
@@ -289,6 +276,7 @@ def benefit_check(
         strictly_beneficial=bool(margin > BENEFIT_MARGIN),
         value=float(plan.value),
         no_info=base.no_info,
+        full_info=base.full_info,
         margin=float(margin),
         certificate_action=best_action,
         certificate_point=best_point,

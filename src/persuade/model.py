@@ -1,21 +1,22 @@
 """Problem data for sender-receiver disclosure games.
 
 A sender commits to a signaling scheme about a hidden state; a receiver
-updates a prior, then picks the action whose belief-based score ``rho`` is
-largest.  ``rho`` may be nonlinear in the belief, which is what separates
-the risk-sensitive receiver families here from plain expected utility.
+updates a prior, then picks the action whose belief-based score is
+largest (``best_response``).  The score may be nonlinear in the belief,
+which is what separates the risk-sensitive receiver families here from
+plain expected utility.
 
-The supported receiver kinds and their parameters:
+The supported receiver kinds and their scores score(mu, a):
 
 ``expected``
-    rho(mu, a) = sum_w mu[w] * u[w, a].
+    sum_w mu[w] * u[w, a].
 ``mean_stdev``
-    rho(mu, a) = E_mu[u(., a)] - beta * sqrt(Var_mu[g(., a)]) where g is a
+    E_mu[u(., a)] - beta * sqrt(Var_mu[g(., a)]) where g is a
     per-state random payoff summarized by its mean and variance.
 ``maximin``
-    rho(mu, a) = min over scenario tables of the expected utility.
+    min over scenario tables of the expected utility.
 ``cvar``
-    rho(mu, a) = -E[loss | loss > tau] under the mixture of the per-state
+    -E[loss | loss > tau] under the mixture of the per-state
     loss distributions.  A conditioning event of probability zero scores 0;
     the map is therefore discontinuous at the boundary of that event.
 ``custom``
@@ -40,26 +41,30 @@ SUM_SLACK = 1e-6
 # dividing by them is not bit-stable, which would break the serialization
 # fixpoint (parse/serialize must be idempotent for artifact determinism).
 SUM_NOISE = 1e-13
+# OptimalPlan.check: joint mass against the prior, at the LP residual cap ...
+PLAN_MASS_TOLERANCE = 1e-9
+# ... and atoms against the joint mass, looser since a queue plan's t keeps
+# the LP weights at or below ATOM_FLOOR that its atoms leave out.
+PLAN_ATOM_TOLERANCE = 1e-8
 
 __all__ = [
     "TIE_TOLERANCE",
     "WEIGHT_FLOOR",
     "SUM_SLACK",
     "SUM_NOISE",
+    "PLAN_MASS_TOLERANCE",
+    "PLAN_ATOM_TOLERANCE",
     "FormatError",
     "StateSpace",
     "ActionSpace",
     "Belief",
     "SenderUtility",
     "UtilityModel",
-    "BestResponse",
     "PersuasionInstance",
     "PlanAtom",
     "OptimalPlan",
     "make_model",
-    "rho",
-    "differential_utility",
-    "receiver_best_response",
+    "best_response",
     "mixture_moments",
     "instance_to_json",
     "instance_from_json",
@@ -151,13 +156,6 @@ class Belief:
         return self.weights.size
 
     @staticmethod
-    def point(dim: int, state: int) -> "Belief":
-        """Degenerate belief putting all mass on one state."""
-        w = np.zeros(dim)
-        w[state] = 1.0
-        return Belief(w)
-
-    @staticmethod
     def uniform(dim: int) -> "Belief":
         return Belief(np.full(dim, 1.0 / dim))
 
@@ -183,7 +181,7 @@ class SenderUtility:
 
 @dataclass(frozen=True, eq=False)
 class UtilityModel:
-    """Receiver scoring rule rho(mu, a), vectorized over belief batches.
+    """Receiver scoring rule score(mu, a), vectorized over belief batches.
 
     ``convex_reject_region`` declares that the set of beliefs at which
     action 0 is strictly preferred to action 1 is convex.  Built-in kinds
@@ -199,29 +197,21 @@ class UtilityModel:
     params: dict | None = None
 
     def score(self, mu: np.ndarray, action: int) -> np.ndarray | float:
-        """rho at one belief vector (1-d) or a batch of them (2-d rows)."""
+        """The score at one belief vector (1-d) or a batch of them (2-d rows)."""
         if action < 0 or action >= self.n_actions:
             raise ValueError(f"action index {action} out of range")
         return self.evaluate(mu, action)
 
     def score_all(self, mu: np.ndarray) -> np.ndarray:
-        """rho at every action; batch input gives a (points, actions) array."""
+        """The score of every action; batch input gives a (points, actions) array."""
         cols = [self.evaluate(mu, a) for a in range(self.n_actions)]
         return np.stack([np.asarray(c, dtype=float) for c in cols], axis=-1)
 
     def differential(self, mu: np.ndarray) -> np.ndarray | float:
-        """rho(mu, 1) - rho(mu, 0); binary models only."""
+        """score(mu, 1) - score(mu, 0), binary models only; below zero rejects."""
         if self.n_actions != 2:
             raise ValueError("differential utility needs exactly two actions")
         return self.evaluate(mu, 1) - self.evaluate(mu, 0)
-
-
-@dataclass(frozen=True)
-class BestResponse:
-    """All actions within TIE_TOLERANCE of the best score, plus the pick."""
-
-    ties: tuple[int, ...]
-    action: int
 
 
 def mixture_moments(
@@ -277,7 +267,7 @@ def _mean_stdev_model(
         _, var = mixture_moments(gm[:, action], gv[:, action], mu)
         return mu @ u[:, action] - beta * np.sqrt(var)
 
-    # rho(., 1) - rho(., 0) is convex when the action-0 stdev term does not
+    # score(., 1) - score(., 0) is convex when the action-0 stdev term does not
     # move with the belief, i.e. g(., 0) has state-independent moments.
     convex = u.shape[1] == 2 and (
         beta == 0.0
@@ -307,7 +297,7 @@ def _maximin_model(tables: np.ndarray) -> UtilityModel:
         scores = mu @ ts[:, :, action].T
         return np.min(scores, axis=-1)
 
-    # With identical action-1 columns, rho(., 1) is affine while rho(., 0) is
+    # With identical action-1 columns, score(., 1) is affine while score(., 0) is
     # concave as a minimum of affine maps, so the differential is convex.
     convex = ts.shape[2] == 2 and bool(
         np.all(ts[:, :, 1] == ts[0, :, 1])
@@ -359,7 +349,7 @@ def _cvar_model(
         out[hit] = -total[hit] / mass[hit]
         return out
 
-    # Identical action-0 loss laws across states make rho(., 0) constant and
+    # Identical action-0 loss laws across states make score(., 0) constant and
     # leave a ratio of affine maps, whose strict sublevel sets are convex.
     convex = n_actions == 2 and all(
         list(loss_values[w][0]) == list(loss_values[0][0])
@@ -433,47 +423,6 @@ def make_model(kind: str, **params) -> UtilityModel:
     return builders[kind](**params)
 
 
-def rho(model: UtilityModel, belief: Belief, action: int) -> float:
-    """Receiver score of one action at one belief."""
-    if belief.dim != model.n_states:
-        raise ValueError("belief dimension does not match the model")
-    return float(model.score(belief.weights, action))
-
-
-def differential_utility(model: UtilityModel, belief: Belief) -> float:
-    """rho(mu, 1) - rho(mu, 0) for binary models.
-
-    Positive means the receiver accepts at mu, negative means rejection;
-    zero is the indifference boundary.
-    """
-    if belief.dim != model.n_states:
-        raise ValueError("belief dimension does not match the model")
-    return float(model.differential(belief.weights))
-
-
-def receiver_best_response(
-    model: UtilityModel, belief: Belief, sender: SenderUtility | None = None
-) -> BestResponse:
-    """Best responses at a belief, ties broken in the sender's favor.
-
-    All actions within TIE_TOLERANCE of the maximal score are reported as
-    ties.  The picked action maximizes the sender's expected payoff among
-    the ties when a sender table is given, falling back to the lowest
-    action index so repeated calls stay deterministic.
-    """
-    if belief.dim != model.n_states:
-        raise ValueError("belief dimension does not match the model")
-    scores = np.array(
-        [float(model.score(belief.weights, a)) for a in range(model.n_actions)]
-    )
-    best = scores.max()
-    ties = tuple(int(a) for a in np.nonzero(scores >= best - TIE_TOLERANCE)[0])
-    if sender is None or len(ties) == 1:
-        return BestResponse(ties=ties, action=ties[0])
-    gains = [sender.value(belief.weights, a) for a in ties]
-    return BestResponse(ties=ties, action=ties[int(np.argmax(gains))])
-
-
 @dataclass(frozen=True)
 class PersuasionInstance:
     """A full disclosure game: spaces, prior, both parties' preferences."""
@@ -502,6 +451,23 @@ class PersuasionInstance:
         return self.actions.n
 
 
+def _tied(scores: np.ndarray) -> np.ndarray:
+    """Mask of the scores within TIE_TOLERANCE of the best along the last axis."""
+    return scores >= scores.max(axis=-1, keepdims=True) - TIE_TOLERANCE
+
+
+def best_response(instance: PersuasionInstance, mu: np.ndarray) -> int:
+    """The receiver's action at belief mu, ties broken in the sender's favor.
+
+    Every action whose score is within TIE_TOLERANCE of the best is a tie;
+    the pick is the tie with the largest sender payoff at mu, and the lowest
+    index among equal payoffs, so repeated calls stay deterministic.
+    """
+    ties = np.nonzero(_tied(instance.receiver.score_all(mu)))[0]
+    gains = [instance.sender.value(mu, a) for a in ties]
+    return int(ties[int(np.argmax(gains))])
+
+
 @dataclass(frozen=True, eq=False)
 class PlanAtom:
     """One posterior in an optimal plan with its unconditional weight."""
@@ -527,23 +493,14 @@ class OptimalPlan:
     value: float
     atoms: tuple[PlanAtom, ...]
 
-    def action_probability(self, action: int) -> float:
-        return float(self.t[action].sum())
-
-    def mean_posterior(self, action: int) -> np.ndarray:
-        b = self.action_probability(action)
-        if b <= 0.0:
-            raise ValueError(f"action {action} has zero probability in this plan")
-        return self.t[action] / b
-
-    def check(self, tol: float = 1e-9) -> None:
+    def check(self) -> None:
         """Raise unless the atoms and totals are mutually consistent."""
-        if np.max(np.abs(self.t.sum(axis=0) - self.prior)) > tol:
+        if np.max(np.abs(self.t.sum(axis=0) - self.prior)) > PLAN_MASS_TOLERANCE:
             raise ValueError("plan mass does not add up to the prior")
         rebuilt = np.zeros_like(self.t)
         for atom in self.atoms:
             rebuilt[atom.action] += atom.weight * atom.posterior
-        if np.max(np.abs(rebuilt - self.t)) > 1e-8:
+        if np.max(np.abs(rebuilt - self.t)) > PLAN_ATOM_TOLERANCE:
             raise ValueError("plan atoms do not reproduce the joint mass")
 
 

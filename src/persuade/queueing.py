@@ -80,7 +80,6 @@ __all__ = [
     "QueueSolution",
     "SandwichReport",
     "SimulationResult",
-    "waiting_moments",
     "posterior_wait_moments",
     "gamma_closed_form",
     "queue_model",
@@ -115,19 +114,13 @@ class QueueInstance:
             raise ValueError("capacity must be at least 2")
 
 
-def waiting_moments(n: int) -> tuple[float, float]:
-    """Mean and variance of the wait behind n customers: n + 1 of each.
-
-    The wait is the sum of n + 1 independent unit exponentials (the
-    residual service in progress restarts by memorylessness).
-    """
-    if n < 0:
-        raise ValueError("queue length must be nonnegative")
-    return float(n + 1), float(n + 1)
-
-
 def posterior_wait_moments(posterior: np.ndarray) -> tuple[float, float]:
-    """Mean and variance of the wait under a belief over queue lengths."""
+    """Mean and variance of the wait under a belief over queue lengths.
+
+    Behind n customers the wait is the sum of n + 1 independent unit
+    exponentials (the service in progress restarts by memorylessness), so
+    its mean and variance are both n + 1; a belief mixes those.
+    """
     d = np.asarray(posterior, dtype=float).size
     lengths = np.arange(1, d + 1, dtype=float)
     mean, var = mixture_moments(lengths, lengths, np.asarray(posterior, dtype=float))
@@ -219,35 +212,26 @@ def _flow_program(d: int, lam: float, candidates: HullCandidates) -> LinearProgr
     strict-reject states), each held as two (state, weight) slots.  Row
     w < d - 1 of a column is the balance term v[w + 1] - rate * v[w] and
     row d - 1 the normalization term 1 + rate * v[d - 1], with rate the
-    arrival rate for join columns and 0 for leave ones.  Only rows next to
-    the support can be nonzero; they are computed with the same float
-    operations as on dense rows, and exact zeros are left out, so the
-    matrix equals the dense one entry for entry.
+    arrival rate for join columns and 0 for leave ones.  So a slot (s, x)
+    adds x at row s - 1, and -rate * x at row s (rate * x when s = d - 1);
+    every column starts with 1 at row d - 1.  These terms are summed as a
+    COO matrix (at most two meet in a balance row, so the sums are the
+    dense ones bit for bit) and exact zeros are left out.
     """
     states, weights, n1 = candidates.states, candidates.weights, candidates.n_accept
     n = states.shape[0]
-    rate = np.where(np.arange(n) < n1, lam, 0.0)[:, None]
-
-    def entry(rows):
-        # v[rows] per column, added up as on a dense row.
-        return np.where(rows == states[:, :1], weights[:, :1], 0.0) + np.where(
-            rows == states[:, 1:], weights[:, 1:], 0.0
-        )
-
-    near = np.sort(np.concatenate([states - 1, states], axis=1), axis=1)
-    keep = (near >= 0) & (near < d - 1)
-    keep[:, 1:] &= near[:, 1:] != near[:, :-1]
-    rows = np.concatenate([near, np.full((n, 1), d - 1)], axis=1)
+    cols = np.repeat(np.arange(n), states.shape[1])
+    s, x = states.ravel(), weights.ravel()
+    rate = np.where(cols < n1, lam, 0.0)
+    up = s >= 1
+    rows = np.concatenate([np.full(n, d - 1), s[up] - 1, s])
     values = np.concatenate(
-        [entry(near + 1) - rate * entry(near), 1.0 + rate * entry(rows[:, -1:])],
-        axis=1,
+        [np.ones(n), x[up], np.where(s < d - 1, -rate * x, rate * x)]
     )
-    keep = np.concatenate([keep, np.ones((n, 1), dtype=bool)], axis=1)
-    keep &= values != 0.0
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    a_eq = scipy.sparse.csc_array(
-        (values[keep], rows[keep], indptr), shape=(d, n)
-    )
+    columns = np.concatenate([np.arange(n), cols[up], cols])
+    a_eq = scipy.sparse.coo_array((values, (rows, columns)), shape=(d, n)).tocsc()
+    a_eq.sum_duplicates()
+    a_eq.eliminate_zeros()
     b_eq = np.zeros(d)
     b_eq[d - 1] = 1.0
     c = np.concatenate([np.ones(n1), np.zeros(n - n1)])
@@ -302,7 +286,9 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
     if res.status != "optimal":
         raise InfeasibleProgramError(f"queue flow LP is {res.status}")
 
-    weights = res.x
+    # HiGHS may return weights a few ulps below zero; they would turn into
+    # negative prior entries.
+    weights = np.maximum(res.x, 0.0)
     n1 = candidates.n_accept
 
     def mass_over_lengths(cols: slice) -> np.ndarray:
@@ -477,7 +463,6 @@ class SimulationResult:
     leaves: int
     join_rate: float
     signal_counts: dict[str, int]
-    seen_signal_counts: np.ndarray
     arrival_seen: np.ndarray
     occupancy_time: np.ndarray
     total_time: float
@@ -514,7 +499,6 @@ def simulate_queue(
     next_departure = math.inf
     arrivals = blocked = joins = leaves = 0
     signal_counts = np.zeros(n_signals, dtype=np.int64)
-    seen_signal = np.zeros((d, n_signals), dtype=np.int64)
     arrival_seen = np.zeros(d + 1, dtype=np.int64)
     occupancy_time = np.zeros(d + 1)
     stats_start = 0.0
@@ -540,7 +524,6 @@ def simulate_queue(
             sig = min(sig, n_signals - 1)
             if counting:
                 signal_counts[sig] += 1
-                seen_signal[n, sig] += 1
             if join_action[sig]:
                 if counting:
                     joins += 1
@@ -572,7 +555,6 @@ def simulate_queue(
         signal_counts={
             scheme.signals[i].label: int(signal_counts[i]) for i in range(n_signals)
         },
-        seen_signal_counts=seen_signal,
         arrival_seen=arrival_seen,
         occupancy_time=occupancy_time,
         total_time=total_time,

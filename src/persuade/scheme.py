@@ -23,7 +23,7 @@ from .model import (
     _float_list,
     _matrix,
     _number,
-    receiver_best_response,
+    best_response,
 )
 
 # Column sums of the conditional law may stray this far from one.
@@ -222,13 +222,9 @@ def validate_scheme(
             posterior_residual = max(
                 posterior_residual, float(np.max(np.abs(update - sig.posterior)))
             )
-        scores = [
-            float(instance.receiver.score(sig.posterior, a))
-            for a in range(instance.n_actions)
-        ]
-        own = scores[sig.action]
-        rest = [s for a, s in enumerate(scores) if a != sig.action]
-        margins[i] = own - max(rest) if rest else math.inf
+        scores = instance.receiver.score_all(sig.posterior)
+        rest = np.delete(scores, sig.action)
+        margins[i] = scores[sig.action] - rest.max() if rest.size else math.inf
     flagged = tuple(int(i) for i in np.nonzero(margins < OBEDIENCE_FLOOR)[0])
     return ValidationReport(
         bayes_residual=bayes_residual,
@@ -249,10 +245,8 @@ def scheme_value(scheme: SignalingScheme, instance: PersuasionInstance) -> float
     for sig in scheme.signals:
         if sig.marginal <= 0.0:
             continue
-        br = receiver_best_response(
-            instance.receiver, Belief(sig.posterior), instance.sender
-        )
-        total += sig.marginal * instance.sender.value(sig.posterior, br.action)
+        action = best_response(instance, Belief(sig.posterior).weights)
+        total += sig.marginal * instance.sender.value(sig.posterior, action)
     return float(total)
 
 

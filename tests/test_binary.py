@@ -89,7 +89,6 @@ def test_compute_k01_threshold_game():
         target = np.zeros(4)
         target[3], target[w1] = vert.gamma, 1 - vert.gamma
         assert np.allclose(vert.posterior, target)
-        assert not vert.degenerate
 
 
 def test_compute_k01_accepts_closed_form_and_checks_boundary():
@@ -108,7 +107,6 @@ def test_compute_k01_degenerate_boundary_accept_state():
     assert by_pair[(2, 0)].gamma == pytest.approx(0.5, abs=1e-9)
     vert = by_pair[(2, 1)]
     assert vert.gamma == 0.0
-    assert vert.degenerate
     assert np.allclose(vert.posterior, [0.0, 1.0, 0.0])
 
 

@@ -437,9 +437,9 @@ def test_golden_cvar_boundary_miss_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def _count_calls(monkeypatch, name):
-    # Wrap the binary-layer function at every binding the package holds.
-    original = getattr(persuade.binary, name)
+def _count_calls(monkeypatch, name, home=persuade.binary):
+    # Wrap the function of module ``home`` at every binding the package holds.
+    original = getattr(home, name)
     calls = []
 
     def counted(*args, **kwargs):
@@ -463,6 +463,16 @@ def test_binary_solve_classifies_and_blends_once(tmp_path, capsys, monkeypatch):
     assert out["full_persuasion"] is not None
     assert len(classify) == 1
     assert len(k01) == 1
+
+
+@pytest.mark.parametrize("method", ["binary", "grid"])
+def test_solve_scores_the_baselines_once(tmp_path, capsys, monkeypatch, method):
+    baselines = _count_calls(monkeypatch, "baseline_values", home=persuade.general)
+    path = _write(tmp_path, "inst.json", _seeded_binary(_mean_stdev_receiver, 11, 6))
+    assert cli.run(["solve", "--instance", path, "--method", method]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["method"] == method
+    assert len(baselines) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -149,10 +149,9 @@ def test_benefit_check_threshold_game():
     assert report.margin == pytest.approx(1.0, abs=1e-8)
     assert report.certificate_action == 1
     assert report.certificate_gain == pytest.approx(1.0, abs=1e-12)
-    # Without point sets the certificate falls back to the plan's atoms.
-    fallback = benefit_check(inst, plan)
-    assert fallback.strictly_beneficial
-    assert fallback.certificate_gain > 0.0
+    # The report carries both baselines of baseline_values.
+    assert report.no_info == 0.0
+    assert report.full_info == pytest.approx(0.75, abs=1e-12)
 
 
 def test_benefit_check_when_silence_is_optimal():

@@ -16,13 +16,11 @@ from persuade import (
     PlanAtom,
     SenderUtility,
     StateSpace,
-    differential_utility,
+    best_response,
     instance_from_json,
     instance_to_json,
     make_model,
     mixture_moments,
-    receiver_best_response,
-    rho,
 )
 from conftest import threshold_instance, threshold_instance_dict
 
@@ -61,7 +59,7 @@ def test_belief_rejects_nonfinite_and_shape():
 
 
 def test_belief_point_and_uniform():
-    p = Belief.point(4, 2)
+    p = Belief(np.eye(4)[2])
     assert p.weights.tolist() == [0.0, 0.0, 1.0, 0.0]
     u = Belief.uniform(5)
     assert np.allclose(u.weights, 0.2)
@@ -271,14 +269,12 @@ def test_custom_model_wraps_scalars_and_batches():
 
 def test_rho_and_differential_on_threshold_game():
     inst = threshold_instance()
-    assert differential_utility(inst.receiver, inst.prior) == pytest.approx(
+    assert inst.receiver.differential(inst.prior.weights) == pytest.approx(
         -5.0 / 12.0, abs=1e-12
     )
-    corner = Belief(np.array([0.75, 0.0, 0.0, 0.25]))
-    assert differential_utility(inst.receiver, corner) == pytest.approx(
-        1.0 / 12.0, abs=1e-12
-    )
-    assert rho(inst.receiver, corner, 0) == 0.0
+    corner = np.array([0.75, 0.0, 0.0, 0.25])
+    assert inst.receiver.differential(corner) == pytest.approx(1.0 / 12.0, abs=1e-12)
+    assert inst.receiver.score(corner, 0) == 0.0
 
 
 def test_differential_requires_two_actions():
@@ -292,18 +288,30 @@ def test_score_rejects_bad_action_and_dim():
     with pytest.raises(ValueError):
         inst.receiver.score(inst.prior.weights, 5)
     with pytest.raises(ValueError):
-        rho(inst.receiver, Belief(np.array([0.5, 0.5])), 0)
+        best_response(inst, np.array([0.5, 0.5]))
+
+
+def _tie_instance(sender_table, take_payoff=1.0):
+    # The receiver scores action a as mu[0] * u[0, a]; take_payoff 1.0 makes
+    # it indifferent at every belief.
+    return PersuasionInstance(
+        states=StateSpace(("x", "y")),
+        actions=ActionSpace(("a", "b")),
+        prior=Belief.uniform(2),
+        sender=SenderUtility(np.array(sender_table)),
+        receiver=make_model("expected", u=np.array([[1.0, take_payoff], [0.0, 0.0]])),
+    )
 
 
 def test_best_response_breaks_ties_for_sender():
-    u = np.array([[1.0, 1.0], [0.0, 0.0]])  # receiver indifferent everywhere
-    model = make_model("expected", u=u)
-    sender = SenderUtility(np.array([[0.0, 3.0], [0.0, 3.0]]))
-    br = receiver_best_response(model, Belief(np.array([0.5, 0.5])), sender)
-    assert br.ties == (0, 1)
-    assert br.action == 1
-    bare = receiver_best_response(model, Belief(np.array([0.5, 0.5])))
-    assert bare.action == 0  # lowest index without a sender table
+    mu = np.array([0.5, 0.5])
+    assert best_response(_tie_instance([[0.0, 3.0], [0.0, 3.0]]), mu) == 1
+    assert best_response(_tie_instance([[3.0, 0.0], [3.0, 0.0]]), mu) == 0
+    # Equal sender payoffs: the lowest index.
+    assert best_response(_tie_instance([[1.0, 1.0], [1.0, 1.0]]), mu) == 0
+    # A score gap within TIE_TOLERANCE is a tie; a wider one decides.
+    assert best_response(_tie_instance([[0.0, 3.0], [0.0, 3.0]], 1.0 - 1e-9), mu) == 1
+    assert best_response(_tie_instance([[0.0, 3.0], [0.0, 3.0]], 1.0 - 1e-8), mu) == 0
 
 
 def test_optimal_plan_consistency_checks():
@@ -314,8 +322,6 @@ def test_optimal_plan_consistency_checks():
     )
     plan = OptimalPlan(t=t, prior=np.array([0.5, 0.5]), value=1.0, atoms=atom_good)
     plan.check()
-    assert plan.action_probability(1) == 0.5
-    assert np.allclose(plan.mean_posterior(1), [1.0, 0.0])
     bad = OptimalPlan(
         t=t, prior=np.array([0.5, 0.5]), value=1.0, atoms=atom_good[:1]
     )
@@ -325,9 +331,6 @@ def test_optimal_plan_consistency_checks():
         OptimalPlan(
             t=t, prior=np.array([0.9, 0.1]), value=1.0, atoms=atom_good
         ).check()
-    empty = OptimalPlan(t=np.zeros((2, 2)), prior=np.zeros(2), value=0.0, atoms=())
-    with pytest.raises(ValueError):
-        empty.mean_posterior(1)
 
 
 def test_instance_dimension_guards():

@@ -21,13 +21,13 @@ from persuade import (
     gamma_closed_form,
     posterior_wait_moments,
     queue_model,
+    sample_scheme_batch,
     segment_bisection,
     simulate_queue,
     solve_queue,
     validate_scheme,
     verify_sandwich,
     verify_threshold,
-    waiting_moments,
 )
 from persuade.binary import classify_states
 from persuade.model import (
@@ -70,10 +70,9 @@ def test_queue_instance_guards():
 
 
 def test_waiting_moments():
+    # Behind n customers the wait has mean and variance n + 1.
     for n in (0, 1, 7):
-        assert waiting_moments(n) == (n + 1.0, n + 1.0)
-    with pytest.raises(ValueError):
-        waiting_moments(-1)
+        assert posterior_wait_moments(np.eye(8)[n]) == (n + 1.0, n + 1.0)
 
 
 def test_posterior_wait_moments_frozen():
@@ -253,6 +252,17 @@ def test_solve_queue_nobody_joins():
     assert sol.threshold.holds and sol.threshold.threshold_state == 0
 
 
+@pytest.mark.parametrize("lam, capacity", [(0.6, 20), (1.3, 12)])
+def test_solved_scheme_prior_is_nonnegative_and_samples(lam, capacity):
+    # HiGHS returns weights a few ulps below zero on these instances; kept,
+    # they made the scheme prior negative and the sampler refuse it.
+    sol = solve_queue(QueueInstance(lam, BETA, TAU, capacity))
+    assert sol.t0.min() >= 0.0 and sol.t1.min() >= 0.0
+    assert sol.prior.min() >= 0.0 and sol.scheme.prior.min() >= 0.0
+    states, signals = sample_scheme_batch(sol.scheme, 0, 1000)
+    assert states.shape == signals.shape == (1000,)
+
+
 def test_simulation_is_deterministic():
     sol = solve_queue(QueueInstance(0.5, 0.0, 20.0, 4))
     a = simulate_queue(sol.instance, sol.scheme, events=20_000, seed=7)
@@ -262,7 +272,6 @@ def test_simulation_is_deterministic():
     assert a.join_rate == b.join_rate
     assert a.signal_counts == b.signal_counts
     assert np.array_equal(a.arrival_seen, b.arrival_seen)
-    assert np.array_equal(a.seen_signal_counts, b.seen_signal_counts)
     assert np.allclose(a.occupancy_time, b.occupancy_time, atol=0.0)
     assert a.burn_in_events == 2_000
 
