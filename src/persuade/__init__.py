@@ -34,14 +34,12 @@ from .general import (
     solve_general,
 )
 from .geometry import (
-    BisectionError,
     ConvexCombination,
     InfeasibleProgramError,
     LinearProgram,
     LpResult,
     LpSolverError,
     hull_membership,
-    segment_bisection,
     solve_lp,
 )
 from .model import (

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .general import plan_from_candidates
-from .geometry import hull_membership, segment_bisection
+from .geometry import hull_membership
 from .model import OptimalPlan, PersuasionInstance
 
 # States classify as accept/reject when the pure-state differential clears
@@ -23,6 +23,9 @@ from .model import OptimalPlan, PersuasionInstance
 CLASSIFY_TOLERANCE = 1e-9
 # Boundary blends must sit on the indifference surface this tightly.
 BOUNDARY_TOLERANCE = 1e-7
+# Edge bisection halves a bracket of width one until it is at most this
+# wide: 34 steps, since 2**-34 <= 1e-10 < 2**-33.
+BISECTION_TOLERANCE = 1e-10
 # Joint-mass threshold below which verify_threshold treats entries as zero.
 THRESHOLD_TOLERANCE = 1e-8
 # Random midpoint pairs drawn when spot-checking a convexity declaration.
@@ -40,6 +43,7 @@ SENDER_PREFERENCE_SLACK = 1e-12
 __all__ = [
     "CLASSIFY_TOLERANCE",
     "BOUNDARY_TOLERANCE",
+    "BISECTION_TOLERANCE",
     "THRESHOLD_TOLERANCE",
     "StateClassification",
     "K01Vertex",
@@ -150,55 +154,46 @@ def compute_k01(
 ) -> tuple[K01Vertex, ...]:
     """Boundary blend vertices for every (strict-reject, accept) state pair.
 
-    Blends come from bisection along the edge between the two pure states,
-    unless ``gamma_fn(reject_state, accept_state)`` supplies the weight in
-    closed form.  Every returned vertex is checked to lie on the
-    indifference surface within BOUNDARY_TOLERANCE.  Bisected blends are
-    checked one at a time, so a bad pair stops the work at once; closed-form
-    ones are all computed first and then checked in blocks of dense rows.
+    ``gamma_fn(reject_state, accept_state)`` may supply a pair's weight in
+    closed form, or NaN when it has none.  The other pairs are bisected
+    along their edges, all edges together.  Every vertex is then checked,
+    in blocks of dense rows, to lie on the indifference surface within
+    BOUNDARY_TOLERANCE; the first miss in pair order raises ValueError.
     """
     _require_binary(instance)
     if classification is None:
         classification = classify_states(instance)
     d = instance.n_states
     diff = instance.receiver.differential
-    pairs = [
-        (w0, w1)
-        for w0 in classification.strict_reject
-        for w1 in classification.accept
-    ]
+    pairs = np.array(
+        [(w0, w1) for w0 in classification.strict_reject for w1 in classification.accept],
+        dtype=np.intp,
+    ).reshape(-1, 2)
+    gamma = np.full(len(pairs), np.nan)
     if gamma_fn is not None:
-        out = tuple(
-            K01Vertex(w0, w1, min(max(float(gamma_fn(w0, w1)), 0.0), 1.0), d)
-            for w0, w1 in pairs
-        )
-        if out:
-            boundary = _score_sparse_rows(
-                diff,
-                d,
-                np.array(pairs, dtype=np.intp),
-                np.array([(v.gamma, 1.0 - v.gamma) for v in out]),
-            )
-            missed = np.nonzero(np.abs(boundary) > BOUNDARY_TOLERANCE)[0]
-            if missed.size:
-                raise _boundary_miss(out[missed[0]], float(boundary[missed[0]]))
-        return out
-    out = []
-    for w0, w1 in pairs:
-        e0, e1 = np.zeros(d), np.zeros(d)
-        e0[w0] = e1[w1] = 1.0
-        if float(diff(e1)) < 0.0:
-            # Tolerance-only accept states sit a hair under zero;
-            # their blends collapse onto the accept vertex.
-            gamma = 0.0
-        else:
-            gamma = segment_bisection(diff, e0, e1)
-        vert = K01Vertex(w0, w1, min(max(gamma, 0.0), 1.0), d)
-        boundary = float(diff(vert.posterior))
-        if abs(boundary) > BOUNDARY_TOLERANCE:
-            raise _boundary_miss(vert, boundary)
-        out.append(vert)
-    return tuple(out)
+        gamma[:] = [gamma_fn(w0, w1) for w0, w1 in pairs.tolist()]
+    # Tolerance-only accept states sit a hair under zero; their blends
+    # collapse onto the accept vertex.
+    gamma[np.isnan(gamma) & (classification.differentials[pairs[:, 1]] < 0.0)] = 0.0
+    todo = np.nonzero(np.isnan(gamma))[0]
+    lo, hi, width = np.zeros(todo.size), np.ones(todo.size), 1.0
+    while width > BISECTION_TOLERANCE:
+        mid = 0.5 * (lo + hi)
+        mid_rows = np.column_stack([mid, 1.0 - mid])
+        accepts = _score_sparse_rows(diff, d, pairs[todo], mid_rows) >= 0.0
+        lo, hi = np.where(accepts, mid, lo), np.where(accepts, hi, mid)
+        width *= 0.5
+    gamma[todo] = lo
+    out = tuple(
+        K01Vertex(w0, w1, min(max(float(g), 0.0), 1.0), d)
+        for (w0, w1), g in zip(pairs.tolist(), gamma)
+    )
+    weights = np.array([(v.gamma, 1.0 - v.gamma) for v in out]).reshape(-1, 2)
+    boundary = _score_sparse_rows(diff, d, pairs, weights)
+    missed = np.nonzero(np.abs(boundary) > BOUNDARY_TOLERANCE)[0]
+    if missed.size:
+        raise _boundary_miss(out[missed[0]], float(boundary[missed[0]]))
+    return out
 
 
 def _boundary_miss(vert: K01Vertex, boundary: float) -> ValueError:

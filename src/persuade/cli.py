@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -39,7 +40,7 @@ from .general import (
     grid_vertices,
     solve_general,
 )
-from .geometry import BisectionError, InfeasibleProgramError, LpSolverError
+from .geometry import InfeasibleProgramError, LpSolverError
 from .model import (
     FormatError,
     instance_from_json,
@@ -122,14 +123,16 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+# allow_nan=False: a non-finite number raises (exit 2) instead of writing
+# bare NaN or Infinity, which is not JSON; nothing is written then.
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    print(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
 
 
 def _write_json(path: str, doc: dict) -> None:
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _solve_instance(instance, method: str, grid_k: int | None):
@@ -228,38 +231,27 @@ def _signal_rows(solution) -> list[dict]:
     return rows
 
 
-def _plot_data(solution) -> dict:
+def _plot_data(solution, rows: list[dict]) -> dict:
+    """Plot tables: the conditional law, then ``_signal_rows``' per-signal values."""
     return {
         "states": list(solution.persuasion.states.labels),
-        "signals": list(solution.scheme.labels),
+        "signals": [row["label"] for row in rows],
         "conditional": [[float(x) for x in row] for row in solution.scheme.conditional],
-        "posteriors": [
-            [float(x) for x in sig.posterior] for sig in solution.scheme.signals
-        ],
-        "marginals": [sig.marginal for sig in solution.scheme.signals],
-        "wait_means": [
-            posterior_wait_moments(sig.posterior)[0] for sig in solution.scheme.signals
-        ],
+        "posteriors": [row["posterior"] for row in rows],
+        "marginals": [row["marginal"] for row in rows],
+        "wait_means": [row["wait_mean"] for row in rows],
     }
 
 
-def _plot_data_csv(solution) -> str:
+def _plot_data_csv(plot: dict) -> str:
+    """The plot tables as long-form CSV: one (table, signal, state, value) per row."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["table", "signal", "state", "value"])
-    labels = solution.scheme.labels
-    states = solution.persuasion.states.labels
-    for i, label in enumerate(labels):
-        for w, state in enumerate(states):
-            writer.writerow(
-                ["conditional", label, state, repr(float(solution.scheme.conditional[i, w]))]
-            )
-    for i, label in enumerate(labels):
-        post = solution.scheme.signals[i].posterior
-        for w, state in enumerate(states):
-            writer.writerow(["posterior", label, state, repr(float(post[w]))])
-    for i, label in enumerate(labels):
-        mean, _ = posterior_wait_moments(solution.scheme.signals[i].posterior)
+    for table, key in (("conditional", "conditional"), ("posterior", "posteriors")):
+        for label, values in zip(plot["signals"], plot[key]):
+            writer.writerows([table, label, w, repr(x)] for w, x in zip(plot["states"], values))
+    for label, mean in zip(plot["signals"], plot["wait_means"]):
         writer.writerow(["wait_mean", label, "", repr(mean)])
     return buf.getvalue()
 
@@ -324,11 +316,12 @@ def _cmd_queue(args) -> int:
     if args.out:
         _write_json(args.out, doc["scheme"])
     if args.emit_plot_data:
+        plot = _plot_data(solution, doc["signals"])
         if args.format == "csv":
             with open(args.emit_plot_data, "w", encoding="utf-8") as fh:
-                fh.write(_plot_data_csv(solution))
+                fh.write(_plot_data_csv(plot))
         else:
-            _write_json(args.emit_plot_data, _plot_data(solution))
+            _write_json(args.emit_plot_data, plot)
     return 0
 
 
@@ -356,7 +349,8 @@ def _cmd_validate(args) -> int:
             "bayes_residual": report.bayes_residual,
             "marginal_residual": report.marginal_residual,
             "posterior_residual": report.posterior_residual,
-            "margins": [float(m) for m in report.margins],
+            # A signal whose action has no alternative has margin inf.
+            "margins": [None if m == math.inf else float(m) for m in report.margins],
             "flagged": list(report.flagged),
         }
     )
@@ -435,7 +429,7 @@ def run(argv: list[str] | None = None) -> int:
     except (FormatError, OSError, json.JSONDecodeError) as exc:
         print(f"persuade: {exc}", file=sys.stderr)
         return 1
-    except (InfeasibleProgramError, LpSolverError, BisectionError, ValueError) as exc:
+    except (InfeasibleProgramError, LpSolverError, ValueError) as exc:
         print(f"persuade: {exc}", file=sys.stderr)
         return 2
 

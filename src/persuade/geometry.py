@@ -22,26 +22,19 @@ HULL_TOLERANCE = 1e-8
 LP_RESIDUAL = 1e-9
 # Weights smaller than this are dropped from decompositions.
 ATOM_FLOOR = 1e-12
-# Bisection interval width target and iteration cap.
-BISECTION_TOLERANCE = 1e-10
-BISECTION_MAX_ITER = 200
 
 __all__ = [
     "HULL_TOLERANCE",
     "LP_RESIDUAL",
     "ATOM_FLOOR",
-    "BISECTION_TOLERANCE",
-    "BISECTION_MAX_ITER",
     "LpSolverError",
     "InfeasibleProgramError",
-    "BisectionError",
     "LinearProgram",
     "SparseConstraints",
     "LpResult",
     "ConvexCombination",
     "solve_lp",
     "hull_membership",
-    "segment_bisection",
 ]
 
 
@@ -51,10 +44,6 @@ class LpSolverError(RuntimeError):
 
 class InfeasibleProgramError(RuntimeError):
     """A solver-level program admitted no feasible point."""
-
-
-class BisectionError(RuntimeError):
-    """Bisection hit its iteration cap before reaching the width target."""
 
 
 class SparseConstraints(scipy.sparse.csc_array):
@@ -216,43 +205,4 @@ def hull_membership(
         points=points[keep],
         target=target,
         tolerance=max(tol, HULL_TOLERANCE),
-    )
-
-
-def segment_bisection(
-    diff,
-    outside: np.ndarray,
-    inside: np.ndarray,
-    tol: float = BISECTION_TOLERANCE,
-    max_iter: int = BISECTION_MAX_ITER,
-) -> float:
-    """Largest mixing weight on ``outside`` keeping the differential >= 0.
-
-    ``diff`` maps a belief vector to the accept-minus-reject score.  The
-    segment runs from ``inside`` (diff >= 0) at gamma = 0 to ``outside``
-    (diff < 0) at gamma = 1; when the rejection region is convex the sign
-    flips exactly once, and the returned gamma sits within ``tol`` below
-    the flip with diff(gamma * outside + (1 - gamma) * inside) >= 0.
-
-    Raises ``ValueError`` on wrong endpoint signs and ``BisectionError``
-    if the cap is hit before the bracket narrows to ``tol``.
-    """
-    outside = np.asarray(outside, dtype=float)
-    inside = np.asarray(inside, dtype=float)
-    if float(diff(inside)) < 0.0:
-        raise ValueError("inside endpoint must have nonnegative differential")
-    if float(diff(outside)) >= 0.0:
-        raise ValueError("outside endpoint must have negative differential")
-    lo, hi = 0.0, 1.0
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            return lo
-        mid = 0.5 * (lo + hi)
-        point = mid * outside + (1.0 - mid) * inside
-        if float(diff(point)) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise BisectionError(
-        f"no convergence to width {tol:g} within {max_iter} iterations"
     )

@@ -196,14 +196,24 @@ class UtilityModel:
     convex_reject_region: bool = False
     params: dict | None = None
 
+    def _check_belief(self, mu) -> None:
+        # The belief (or each row of a batch) must have one entry per state.
+        length = np.shape(mu)[-1] if np.ndim(mu) else 0
+        if length != self.n_states:
+            raise ValueError(
+                f"belief has {length} entries, the model has {self.n_states} states"
+            )
+
     def score(self, mu: np.ndarray, action: int) -> np.ndarray | float:
         """The score at one belief vector (1-d) or a batch of them (2-d rows)."""
         if action < 0 or action >= self.n_actions:
             raise ValueError(f"action index {action} out of range")
+        self._check_belief(mu)
         return self.evaluate(mu, action)
 
     def score_all(self, mu: np.ndarray) -> np.ndarray:
         """The score of every action; batch input gives a (points, actions) array."""
+        self._check_belief(mu)
         cols = [self.evaluate(mu, a) for a in range(self.n_actions)]
         return np.stack([np.asarray(c, dtype=float) for c in cols], axis=-1)
 
@@ -211,6 +221,7 @@ class UtilityModel:
         """score(mu, 1) - score(mu, 0), binary models only; below zero rejects."""
         if self.n_actions != 2:
             raise ValueError("differential utility needs exactly two actions")
+        self._check_belief(mu)
         return self.evaluate(mu, 1) - self.evaluate(mu, 0)
 
 

@@ -36,7 +36,6 @@ from .geometry import (
     InfeasibleProgramError,
     LinearProgram,
     LpSolverError,
-    segment_bisection,
     solve_lp,
 )
 from .model import (
@@ -254,14 +253,13 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
     """
     d = instance.capacity
     lam = instance.arrival_rate
-    model = queue_model(instance)
     # Placeholder prior; the real one comes out of the LP below.
     probe = PersuasionInstance(
         states=StateSpace(tuple(str(n) for n in range(d))),
         actions=ActionSpace(("leave", "join")),
         prior=Belief.uniform(d),
         sender=SenderUtility(np.column_stack([np.zeros(d), np.ones(d)])),
-        receiver=model,
+        receiver=queue_model(instance),
     )
     classification = classify_states(probe)
     n_strict = len(classification.strict_reject)
@@ -277,9 +275,7 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
         try:
             return gamma_closed_form(w0, w1, instance.tau, instance.beta)
         except ValueError:
-            e0, e1 = np.zeros(d), np.zeros(d)
-            e0[w0] = e1[w1] = 1.0
-            return segment_bisection(model.differential, e0, e1)
+            return math.nan  # compute_k01 bisects this pair
 
     candidates = hull_candidates(probe, classification, gamma_fn=gamma_fn)
     res = solve_lp(_flow_program(d, lam, candidates))

@@ -4,7 +4,9 @@ Everything here is deliberately written from scratch against the problem
 definitions (enumeration, direct LP formulations, closed-form chains),
 not by calling into the package, so agreement is evidence rather than
 tautology.  The one exception is ``caratheodory_decompose``, a reducer
-built on the package's ``hull_membership`` witness.
+built on the package's ``hull_membership`` witness.  ``segment_bisection``
+bisects one edge at a time, the per-pair reference for the batched edge
+bisection in ``compute_k01``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linprog
 
+from persuade.binary import BISECTION_TOLERANCE
 from persuade.geometry import (
     ATOM_FLOOR,
     HULL_TOLERANCE,
@@ -303,4 +306,51 @@ def caratheodory_decompose(
         points=pts,
         target=target,
         tolerance=max(tol, HULL_TOLERANCE),
+    )
+
+
+# Iteration cap of segment_bisection; 34 steps reach BISECTION_TOLERANCE.
+BISECTION_MAX_ITER = 200
+
+
+class BisectionError(RuntimeError):
+    """Bisection hit its iteration cap before reaching the width target."""
+
+
+def segment_bisection(
+    diff,
+    outside: np.ndarray,
+    inside: np.ndarray,
+    tol: float = BISECTION_TOLERANCE,
+    max_iter: int = BISECTION_MAX_ITER,
+) -> float:
+    """Largest mixing weight on ``outside`` keeping the differential >= 0.
+
+    ``diff`` maps a belief vector to the accept-minus-reject score.  The
+    segment runs from ``inside`` (diff >= 0) at gamma = 0 to ``outside``
+    (diff < 0) at gamma = 1; when the rejection region is convex the sign
+    flips exactly once, and the returned gamma sits within ``tol`` below
+    the flip with diff(gamma * outside + (1 - gamma) * inside) >= 0.
+
+    Raises ``ValueError`` on wrong endpoint signs and ``BisectionError``
+    if the cap is hit before the bracket narrows to ``tol``.
+    """
+    outside = np.asarray(outside, dtype=float)
+    inside = np.asarray(inside, dtype=float)
+    if float(diff(inside)) < 0.0:
+        raise ValueError("inside endpoint must have nonnegative differential")
+    if float(diff(outside)) >= 0.0:
+        raise ValueError("outside endpoint must have negative differential")
+    lo, hi = 0.0, 1.0
+    for _ in range(max_iter):
+        if hi - lo <= tol:
+            return lo
+        mid = 0.5 * (lo + hi)
+        point = mid * outside + (1.0 - mid) * inside
+        if float(diff(point)) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    raise BisectionError(
+        f"no convergence to width {tol:g} within {max_iter} iterations"
     )

@@ -33,7 +33,6 @@ from persuade import (
     queue_model,
     scheme_from_plan,
     scheme_value,
-    segment_bisection,
     simulate_queue,
     solve_binary,
     solve_general,
@@ -171,7 +170,7 @@ def test_criterion_4_gamma_closed_form_vs_bisection():
                     if not lo <= tau < hi:
                         continue
                     closed = gamma_closed_form(n, m, tau, beta)
-                    bisected = segment_bisection(
+                    bisected = oracles.segment_bisection(
                         model.differential, eye[n], eye[m]
                     )
                     worst = max(worst, abs(closed - bisected))

@@ -17,6 +17,7 @@ from persuade import (
     SenderUtility,
     StateClassification,
     StateSpace,
+    UtilityModel,
     classify_states,
     compute_k01,
     full_persuasion_binary,
@@ -25,6 +26,7 @@ from persuade import (
     solve_binary,
     verify_threshold,
 )
+from persuade.binary import BISECTION_TOLERANCE, BOUNDARY_TOLERANCE
 from conftest import threshold_instance
 
 
@@ -113,6 +115,143 @@ def test_compute_k01_degenerate_boundary_accept_state():
 def test_compute_k01_empty_without_strict_rejects():
     inst = _binary_instance([0.5, 0.5], _expected_binary([1.0, 2.0]))
     assert compute_k01(inst) == ()
+
+
+def _per_pair_k01(instance, gamma_fn=None):
+    """compute_k01 one pair at a time on 1-d beliefs, bisecting with the oracle.
+
+    Returns the (reject, accept, gamma.hex()) triples, or the first
+    boundary miss's message.
+    """
+    cls = classify_states(instance)
+    diff = instance.receiver.differential
+    eye = np.eye(instance.n_states)
+    out = []
+    for w0 in cls.strict_reject:
+        for w1 in cls.accept:
+            g = math.nan if gamma_fn is None else float(gamma_fn(w0, w1))
+            if math.isnan(g):
+                if float(diff(eye[w1])) < 0.0:
+                    g = 0.0
+                else:
+                    g = oracles.segment_bisection(diff, eye[w0], eye[w1])
+            g = min(max(g, 0.0), 1.0)
+            boundary = float(diff(g * eye[w0] + (1.0 - g) * eye[w1]))
+            if abs(boundary) > BOUNDARY_TOLERANCE:
+                return (
+                    f"blend of states {w0},{w1} misses the boundary: "
+                    f"differential {boundary:.3e}"
+                )
+            out.append((w0, w1, g.hex()))
+    return out
+
+
+def _batched_k01(instance, gamma_fn=None):
+    try:
+        k01 = compute_k01(instance, gamma_fn=gamma_fn)
+    except ValueError as exc:
+        return str(exc)
+    return [(v.reject_state, v.accept_state, v.gamma.hex()) for v in k01]
+
+
+def _k01_receiver(family, rng, d, flat):
+    if family == "mean_stdev":
+        # Action 0's moments do not move with the state: convex reject region.
+        g_mean = np.column_stack([np.full(d, 0.5), rng.uniform(0.0, 1.0, d)])
+        g_var = np.column_stack([np.full(d, 0.25), rng.uniform(0.05, 1.0, d)])
+        u = np.column_stack([np.zeros(d), rng.uniform(-1.0, 1.0, d)])
+        beta = float(rng.uniform(0.0, 2.0))
+        return make_model("mean_stdev", u=u, g_mean=g_mean, g_var=g_var, beta=beta)
+    if family == "maximin":
+        tables = np.zeros((int(rng.integers(2, 5)), d, 2))
+        tables[:, :, 0] = rng.uniform(-1.0, 1.0, tables.shape[:2])
+        tables[:, :, 1] = tables[:, :, 0].min(axis=0) + rng.uniform(-1.0, 1.0, d)
+        return make_model("maximin", tables=tables)
+    if family == "custom":
+        a, b = rng.uniform(-1.0, 1.0, d), rng.uniform(0.05, 1.0, d)
+        s = float(rng.uniform(0.0, 1.0))
+
+        def evaluator(mu, action):
+            return float(mu @ a - s * np.sqrt(mu @ b)) if action else 0.0
+
+        return make_model(
+            "custom", evaluator=evaluator, n_states=d, n_actions=2,
+            convex_reject_region=True,
+        )
+    du = rng.uniform(-1.0, 1.0, d)
+    if flat:
+        # An accept state only within CLASSIFY_TOLERANCE: its blends are gamma 0.
+        du[0] = -5e-10
+    return _expected_binary(du)
+
+
+@st.composite
+def _k01_cases(draw):
+    family = draw(st.sampled_from(["mean_stdev", "maximin", "custom", "expected"]))
+    d = draw(st.integers(2, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    receiver = _k01_receiver(family, rng, d, flat=draw(st.booleans()))
+    open_pairs = draw(st.integers(0, 2**20))
+    return _binary_instance(np.full(d, 1.0 / d), receiver), open_pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_k01_cases())
+def test_batched_k01_matches_per_pair_bisection(case):
+    inst, open_pairs = case
+    assert _batched_k01(inst) == _per_pair_k01(inst)
+
+    # A closed form for some pairs, NaN (no closed form) for the others.
+    eye = np.eye(inst.n_states)
+    diff = inst.receiver.differential
+
+    def gamma_fn(w0, w1):
+        if open_pairs >> ((w0 * inst.n_states + w1) % 20) & 1:
+            return math.nan
+        if float(diff(eye[w1])) < 0.0:
+            return 0.25
+        return oracles.segment_bisection(diff, eye[w0], eye[w1])
+
+    assert _batched_k01(inst, gamma_fn) == _per_pair_k01(inst, gamma_fn)
+
+
+def test_tolerance_only_accept_state_blends_at_zero():
+    # State 0 accepts only within CLASSIFY_TOLERANCE.  Along its edge to the
+    # strict-reject state 2 the differential turns positive, so bisecting
+    # that edge would land near 0.75; its blend is gamma 0 instead.
+    def evaluator(mu, action):
+        return float(mu @ [-5e-10, 1.0, -1.0] + 4.0 * mu[0] * mu[2]) if action else 0.0
+
+    receiver = make_model(
+        "custom", evaluator=evaluator, n_states=3, n_actions=2, convex_reject_region=True
+    )
+    inst = _binary_instance(np.full(3, 1.0 / 3.0), receiver)
+    cls = classify_states(inst)
+    assert cls.accept == (0, 1) and cls.strict_reject == (2,)
+    k01 = compute_k01(inst, cls)
+    assert [(v.reject_state, v.accept_state) for v in k01] == [(2, 0), (2, 1)]
+    assert k01[0].gamma == 0.0
+    assert k01[1].gamma == pytest.approx(0.5, abs=BISECTION_TOLERANCE)
+    assert _batched_k01(inst) == _per_pair_k01(inst)
+
+
+def test_compute_k01_model_calls_do_not_grow_with_pairs(monkeypatch):
+    # 20 strict-reject x 20 accept states: 400 edges, one block of rows.
+    d = 40
+    inst = _binary_instance(
+        np.full(d, 1.0 / d), _k01_receiver("mean_stdev", np.random.default_rng(3), d, False)
+    )
+    calls = []
+    original = UtilityModel.differential
+
+    def counted(self, mu):
+        calls.append(np.shape(mu))
+        return original(self, mu)
+
+    monkeypatch.setattr(UtilityModel, "differential", counted)
+    k01 = compute_k01(inst)
+    assert len(k01) > 100
+    assert len(calls) <= 36
 
 
 def test_accept_vertices_orders_pures_then_blends():

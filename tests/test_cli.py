@@ -254,6 +254,42 @@ def test_validate_ok_then_tampered(tmp_path, capsys):
     assert doc["flagged"] == [joins[0]]
 
 
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_validate_one_action_prints_valid_json(tmp_path, capsys):
+    # With no alternative action a margin is unbounded; it is written as null.
+    doc = {
+        "states": ["a", "b"],
+        "actions": ["only"],
+        "prior": [0.4, 0.6],
+        "sender_v": [[1.0], [0.5]],
+        "receiver": {"kind": "expected", "u": [[1.0], [0.0]]},
+    }
+    inst_path = _write(tmp_path, "inst.json", doc)
+    scheme_path = tmp_path / "scheme.json"
+    assert cli.run(["solve", "--instance", inst_path, "--out", str(scheme_path)]) == 0
+    _strict_json(capsys.readouterr().out)
+    assert cli.run(["validate", "--instance", inst_path, "--scheme", str(scheme_path)]) == 0
+    report = _strict_json(capsys.readouterr().out)
+    assert report["ok"] is True
+    assert report["margins"] == [None, None]
+
+
+def test_emitters_refuse_non_finite_numbers(tmp_path, capsys):
+    with pytest.raises(ValueError):
+        cli._emit({"x": float("nan")})
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError):
+        cli._write_json(str(path), {"x": [1.0, float("inf")]})
+    assert capsys.readouterr().out == ""
+    assert not path.exists()
+
+
 def test_simulate_verb(tmp_path, capsys):
     scheme_path = tmp_path / "scheme.json"
     queue_args = [
@@ -423,6 +459,27 @@ def test_golden_bytes(case, tmp_path, capsys):
     assert _sha(captured.out) == stdout_sha
     if out_sha is not None:
         assert _sha(out.read_bytes()) == out_sha
+
+
+# format: (extra argv, --emit-plot-data sha256); stdout is the queue case's.
+GOLDEN_PLOT_DATA = {
+    "json": ([], "d1444f687e5c4ae527fe2b6756cb5bb56946f52457d9a3089e8b9dd33b5595b8"),
+    "csv": (
+        ["--format", "csv"],
+        "89811e672e4ef1e0b7daefc94a744cbd36a7fce37d2422a3d15fb01bfbc11fd0",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_PLOT_DATA))
+def test_golden_plot_data_bytes(fmt, tmp_path, capsys):
+    extra, plot_sha = GOLDEN_PLOT_DATA[fmt]
+    plot = tmp_path / "plot"
+    assert cli.run(GOLDEN_QUEUE + extra + ["--emit-plot-data", str(plot)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert _sha(captured.out) == GOLDEN_CASES[f"queue-{fmt}"][2]
+    assert _sha(plot.read_bytes()) == plot_sha
 
 
 def test_golden_cvar_boundary_miss_exits_2(tmp_path, capsys):

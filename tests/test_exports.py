@@ -15,6 +15,9 @@ REMOVED_FUNCTIONS = (
     "rho",
     "differential_utility",
     "waiting_moments",
+    "segment_bisection",
+    "BisectionError",
+    "BISECTION_MAX_ITER",
 )
 REMOVED_MEMBERS = (
     ("Belief", "point"),

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from oracles import PointOutsideHullError, caratheodory_decompose
-from persuade import (
+from oracles import (
     BisectionError,
+    PointOutsideHullError,
+    caratheodory_decompose,
+    segment_bisection,
+)
+from persuade import (
     ConvexCombination,
     LinearProgram,
     hull_membership,
-    segment_bisection,
     solve_lp,
 )
 

@@ -287,8 +287,14 @@ def test_score_rejects_bad_action_and_dim():
     inst = threshold_instance()
     with pytest.raises(ValueError):
         inst.receiver.score(inst.prior.weights, 5)
-    with pytest.raises(ValueError):
-        best_response(inst, np.array([0.5, 0.5]))
+    short = np.array([0.5, 0.5])
+    for call in (
+        lambda: inst.receiver.score(short, 1),
+        lambda: inst.receiver.score_all(short),
+        lambda: inst.receiver.differential(np.stack([short, short])),
+    ):
+        with pytest.raises(ValueError, match="belief has 2 entries, the model has 4 states"):
+            call()
 
 
 def _tie_instance(sender_table, take_payoff=1.0):

@@ -22,7 +22,6 @@ from persuade import (
     posterior_wait_moments,
     queue_model,
     sample_scheme_batch,
-    segment_bisection,
     simulate_queue,
     solve_queue,
     validate_scheme,
@@ -153,7 +152,7 @@ def test_gamma_matches_bisection():
                     if not bound_m <= tau < bound_n:
                         continue
                     closed = gamma_closed_form(n, m, tau, beta)
-                    bisected = segment_bisection(
+                    bisected = oracles.segment_bisection(
                         model.differential, eye[n], eye[m]
                     )
                     assert abs(closed - bisected) <= 1e-8, (n, m, tau, beta)
