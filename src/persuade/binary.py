@@ -16,7 +16,7 @@ import numpy as np
 
 from .general import plan_from_candidates
 from .geometry import hull_membership
-from .model import OptimalPlan, PersuasionInstance
+from .model import OptimalPlan, PersuasionInstance, _dense_rows
 
 # States classify as accept/reject when the pure-state differential clears
 # zero by at least minus this.
@@ -30,10 +30,6 @@ BISECTION_TOLERANCE = 1e-10
 THRESHOLD_TOLERANCE = 1e-8
 # Random midpoint pairs drawn when spot-checking a convexity declaration.
 SPOT_CHECK_PAIRS = 64
-# Scoring many sparse beliefs hands the receiver model dense rows a block at
-# a time; a block holds at most this many entries (8 MB of floats), so the
-# scratch memory stays fixed whatever the state count.
-SCORE_BLOCK_ENTRIES = 1 << 20
 # verify_threshold's slack on the strict drop of blend weights along the order.
 MONOTONE_SLACK = 1e-12
 # solve_binary takes a sender table whose action-1 payoff falls short of the
@@ -106,39 +102,11 @@ def _require_binary(instance: PersuasionInstance) -> None:
         raise ValueError("this solver handles exactly two actions")
 
 
-def _dense_rows(n_states: int, states: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Row i is ``sum_k weights[i, k] * e_{states[i, k]}``, added into zeros slot by slot."""
-    out = np.zeros((states.shape[0], n_states))
-    rows = np.arange(states.shape[0])
-    for k in range(states.shape[1]):
-        out[rows, states[:, k]] += weights[:, k]
-    return out
-
-
-def _score_sparse_rows(
-    diff, n_states: int, states: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """``diff`` at each belief ``sum_k weights[i, k] * e_{states[i, k]}``.
-
-    The beliefs go to the model as dense rows, SCORE_BLOCK_ENTRIES entries
-    per call.
-    """
-    n = states.shape[0]
-    out = np.empty(n)
-    step = max(1, SCORE_BLOCK_ENTRIES // n_states)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        out[lo:hi] = diff(_dense_rows(n_states, states[lo:hi], weights[lo:hi]))
-    return out
-
-
 def classify_states(instance: PersuasionInstance) -> StateClassification:
     """Split pure states by whether the receiver accepts, rejects, or both."""
     _require_binary(instance)
     d = instance.n_states
-    diffs = _score_sparse_rows(
-        instance.receiver.differential, d, np.arange(d)[:, None], np.ones((d, 1))
-    )
+    diffs = instance.receiver.differential_slots(np.arange(d)[:, None], np.ones((d, 1)))
     accept = tuple(int(w) for w in np.nonzero(diffs >= -CLASSIFY_TOLERANCE)[0])
     reject = tuple(int(w) for w in np.nonzero(diffs <= CLASSIFY_TOLERANCE)[0])
     strict = tuple(int(w) for w in np.nonzero(diffs < -CLASSIFY_TOLERANCE)[0])
@@ -156,15 +124,16 @@ def compute_k01(
 
     ``gamma_fn(reject_state, accept_state)`` may supply a pair's weight in
     closed form, or NaN when it has none.  The other pairs are bisected
-    along their edges, all edges together.  Every vertex is then checked,
-    in blocks of dense rows, to lie on the indifference surface within
-    BOUNDARY_TOLERANCE; the first miss in pair order raises ValueError.
+    along their edges, all edges together.  Every vertex with gamma > 0 is
+    then checked to lie on the indifference surface within
+    BOUNDARY_TOLERANCE, the first miss in pair order raising ValueError; at
+    gamma 0 a vertex is its accept state, where the differential may jump.
     """
     _require_binary(instance)
     if classification is None:
         classification = classify_states(instance)
     d = instance.n_states
-    diff = instance.receiver.differential
+    diff = instance.receiver.differential_slots
     pairs = np.array(
         [(w0, w1) for w0 in classification.strict_reject for w1 in classification.accept],
         dtype=np.intp,
@@ -180,7 +149,7 @@ def compute_k01(
     while width > BISECTION_TOLERANCE:
         mid = 0.5 * (lo + hi)
         mid_rows = np.column_stack([mid, 1.0 - mid])
-        accepts = _score_sparse_rows(diff, d, pairs[todo], mid_rows) >= 0.0
+        accepts = diff(pairs[todo], mid_rows) >= 0.0
         lo, hi = np.where(accepts, mid, lo), np.where(accepts, hi, mid)
         width *= 0.5
     gamma[todo] = lo
@@ -189,10 +158,11 @@ def compute_k01(
         for (w0, w1), g in zip(pairs.tolist(), gamma)
     )
     weights = np.array([(v.gamma, 1.0 - v.gamma) for v in out]).reshape(-1, 2)
-    boundary = _score_sparse_rows(diff, d, pairs, weights)
+    blends = np.nonzero(weights[:, 0] > 0.0)[0]
+    boundary = diff(pairs[blends], weights[blends])
     missed = np.nonzero(np.abs(boundary) > BOUNDARY_TOLERANCE)[0]
     if missed.size:
-        raise _boundary_miss(out[missed[0]], float(boundary[missed[0]]))
+        raise _boundary_miss(out[blends[missed[0]]], float(boundary[missed[0]]))
     return out
 
 

@@ -6,21 +6,22 @@ largest (``best_response``).  The score may be nonlinear in the belief,
 which is what separates the risk-sensitive receiver families here from
 plain expected utility.
 
-The supported receiver kinds and their scores score(mu, a):
+Every receiver kind scores score(mu, a) = combine(mu @ F, a) for a fixed
+feature matrix F, one row per state.  The kinds, their F and combine:
 
 ``expected``
-    sum_w mu[w] * u[w, a].
+    F = u; combine takes column a, sum_w mu[w] * u[w, a].
 ``mean_stdev``
-    E_mu[u(., a)] - beta * sqrt(Var_mu[g(., a)]) where g is a
-    per-state random payoff summarized by its mean and variance.
+    F = [u, g_mean, g_var + g_mean^2]; E_mu[u(., a)] - beta * sqrt(Var_mu[g(., a)])
+    for a per-state random payoff g, with Var[g] = E[g^2] - E[g]^2.
 ``maximin``
-    min over scenario tables of the expected utility.
+    F = the scenario tables side by side; the minimum over the scenarios.
 ``cvar``
-    -E[loss | loss > tau] under the mixture of the per-state
-    loss distributions.  A conditioning event of probability zero scores 0;
-    the map is therefore discontinuous at the boundary of that event.
+    F = [tail mass, tail loss-sum] of the loss laws above tau;
+    -E[loss | loss > tau] = -sum / mass, and 0 when the event has
+    probability zero, so the map is discontinuous at that event's boundary.
 ``custom``
-    any callable (mu, a) -> float supplied by the caller.
+    F = the identity, never built; combine is the caller's (mu, a) -> float.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ PLAN_MASS_TOLERANCE = 1e-9
 # ... and atoms against the joint mass, looser since a queue plan's t keeps
 # the LP weights at or below ATOM_FLOOR that its atoms leave out.
 PLAN_ATOM_TOLERANCE = 1e-8
+# Slot scoring builds features a block of beliefs at a time, at most this many
+# entries (8 MB of floats) a block, however many states and beliefs there are.
+SCORE_BLOCK_ENTRIES = 1 << 20
 
 __all__ = [
     "TIE_TOLERANCE",
@@ -181,7 +185,11 @@ class SenderUtility:
 
 @dataclass(frozen=True, eq=False)
 class UtilityModel:
-    """Receiver scoring rule score(mu, a), vectorized over belief batches.
+    """Receiver scoring rule score(mu, a) = combine(mu @ features, a).
+
+    ``features`` is a (states, m) matrix, or None for the identity (never
+    built); ``combine(f, a)`` maps a feature vector, or a batch of them
+    along the leading axes, to the score of action a.
 
     ``convex_reject_region`` declares that the set of beliefs at which
     action 0 is strictly preferred to action 1 is convex.  Built-in kinds
@@ -192,37 +200,67 @@ class UtilityModel:
     kind: str
     n_states: int
     n_actions: int
-    evaluate: Callable[[np.ndarray, int], np.ndarray | float]
+    combine: Callable[[np.ndarray, int], np.ndarray | float]
+    features: np.ndarray | None = None
     convex_reject_region: bool = False
     params: dict | None = None
 
-    def _check_belief(self, mu) -> None:
+    def _feature_map(self, mu) -> np.ndarray:
         # The belief (or each row of a batch) must have one entry per state.
         length = np.shape(mu)[-1] if np.ndim(mu) else 0
         if length != self.n_states:
-            raise ValueError(
-                f"belief has {length} entries, the model has {self.n_states} states"
-            )
+            raise ValueError(f"belief has {length} entries, the model has {self.n_states} states")
+        mu = np.asarray(mu, dtype=float)
+        return mu if self.features is None else mu @ self.features
 
     def score(self, mu: np.ndarray, action: int) -> np.ndarray | float:
         """The score at one belief vector (1-d) or a batch of them (2-d rows)."""
         if action < 0 or action >= self.n_actions:
             raise ValueError(f"action index {action} out of range")
-        self._check_belief(mu)
-        return self.evaluate(mu, action)
+        return self.combine(self._feature_map(mu), action)
 
     def score_all(self, mu: np.ndarray) -> np.ndarray:
         """The score of every action; batch input gives a (points, actions) array."""
-        self._check_belief(mu)
-        cols = [self.evaluate(mu, a) for a in range(self.n_actions)]
+        f = self._feature_map(mu)
+        cols = [self.combine(f, a) for a in range(self.n_actions)]
         return np.stack([np.asarray(c, dtype=float) for c in cols], axis=-1)
 
     def differential(self, mu: np.ndarray) -> np.ndarray | float:
         """score(mu, 1) - score(mu, 0), binary models only; below zero rejects."""
+        return self._difference(self._feature_map(mu))
+
+    def differential_slots(self, states: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """``differential`` at each belief ``sum_k weights[i, k] * e_{states[i, k]}``.
+
+        The features are ``sum_k weights[i, k] * features[states[i, k]]``, so
+        the cost follows the slots, not the states (the identity's rows make
+        dense beliefs), SCORE_BLOCK_ENTRIES feature entries a block at most.
+        """
+        width = self.n_states if self.features is None else self.features.shape[1]
+        step = max(1, SCORE_BLOCK_ENTRIES // width)
+        out = np.empty(states.shape[0])
+        for lo in range(0, states.shape[0], step):
+            s, w = states[lo : lo + step], weights[lo : lo + step]
+            if self.features is None:
+                f = _dense_rows(self.n_states, s, w)
+            else:
+                f = sum(w[:, k, None] * self.features[s[:, k]] for k in range(s.shape[1]))
+            out[lo : lo + step] = self._difference(f)
+        return out
+
+    def _difference(self, f: np.ndarray) -> np.ndarray | float:
         if self.n_actions != 2:
             raise ValueError("differential utility needs exactly two actions")
-        self._check_belief(mu)
-        return self.evaluate(mu, 1) - self.evaluate(mu, 0)
+        return self.combine(f, 1) - self.combine(f, 0)
+
+
+def _dense_rows(n_states: int, states: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row i is ``sum_k weights[i, k] * e_{states[i, k]}``, added into zeros slot by slot."""
+    out = np.zeros((states.shape[0], n_states))
+    rows = np.arange(states.shape[0])
+    for k in range(states.shape[1]):
+        out[rows, states[:, k]] += weights[:, k]
+    return out
 
 
 def mixture_moments(
@@ -247,15 +285,12 @@ def _expected_model(u: np.ndarray) -> UtilityModel:
     u = np.asarray(u, dtype=float)
     if u.ndim != 2:
         raise ValueError("expected-utility table must be states-by-actions")
-
-    def evaluate(mu, action):
-        return mu @ u[:, action]
-
     return UtilityModel(
         kind="expected",
         n_states=u.shape[0],
         n_actions=u.shape[1],
-        evaluate=evaluate,
+        features=u,
+        combine=lambda f, action: f[..., action],
         convex_reject_region=u.shape[1] == 2,
         params={"u": u.tolist()},
     )
@@ -273,22 +308,25 @@ def _mean_stdev_model(
         raise ValueError(f"beta must be nonnegative, got {beta!r}")
     if np.any(gv < 0):
         raise ValueError("g_var entries must be nonnegative")
+    k = u.shape[1]
 
-    def evaluate(mu, action):
-        _, var = mixture_moments(gm[:, action], gv[:, action], mu)
-        return mu @ u[:, action] - beta * np.sqrt(var)
+    def combine(f, action):
+        mean = f[..., k + action]
+        var = np.maximum(f[..., 2 * k + action] - mean * mean, 0.0)
+        return f[..., action] - beta * np.sqrt(var)
 
     # score(., 1) - score(., 0) is convex when the action-0 stdev term does not
     # move with the belief, i.e. g(., 0) has state-independent moments.
-    convex = u.shape[1] == 2 and (
+    convex = k == 2 and (
         beta == 0.0
         or (np.ptp(gm[:, 0]) == 0.0 and np.ptp(gv[:, 0]) == 0.0)
     )
     return UtilityModel(
         kind="mean_stdev",
         n_states=u.shape[0],
-        n_actions=u.shape[1],
-        evaluate=evaluate,
+        n_actions=k,
+        features=np.hstack([u, gm, gv + gm * gm]),
+        combine=combine,
         convex_reject_region=convex,
         params={
             "u": u.tolist(),
@@ -303,21 +341,17 @@ def _maximin_model(tables: np.ndarray) -> UtilityModel:
     ts = np.asarray(tables, dtype=float)
     if ts.ndim != 3 or ts.shape[0] == 0:
         raise ValueError("maximin needs a nonempty stack of states-by-actions tables")
-
-    def evaluate(mu, action):
-        scores = mu @ ts[:, :, action].T
-        return np.min(scores, axis=-1)
-
+    n_scenarios, d, k = ts.shape
     # With identical action-1 columns, score(., 1) is affine while score(., 0) is
     # concave as a minimum of affine maps, so the differential is convex.
-    convex = ts.shape[2] == 2 and bool(
-        np.all(ts[:, :, 1] == ts[0, :, 1])
-    )
+    convex = k == 2 and bool(np.all(ts[:, :, 1] == ts[0, :, 1]))
     return UtilityModel(
         kind="maximin",
-        n_states=ts.shape[1],
-        n_actions=ts.shape[2],
-        evaluate=evaluate,
+        n_states=d,
+        n_actions=k,
+        # Column a * n_scenarios + j is table j's action-a column.
+        features=ts.transpose(1, 2, 0).reshape(d, k * n_scenarios),
+        combine=lambda f, a: np.min(f[..., a * n_scenarios : (a + 1) * n_scenarios], axis=-1),
         convex_reject_region=convex,
         params={"tables": ts.tolist()},
     )
@@ -350,15 +384,10 @@ def _cvar_model(
             tail_mass[w, a] = probs[over].sum()
             tail_sum[w, a] = (probs[over] * vals[over]).sum()
 
-    def evaluate(mu, action):
-        mass = mu @ tail_mass[:, action]
-        total = mu @ tail_sum[:, action]
-        if np.ndim(mass) == 0:
-            return 0.0 if mass == 0.0 else -total / mass
-        out = np.zeros_like(mass)
+    def combine(f, action):
+        mass, total = f[..., action], f[..., n_actions + action]
         hit = mass > 0.0
-        out[hit] = -total[hit] / mass[hit]
-        return out
+        return np.where(hit, -total / np.where(hit, mass, 1.0), 0.0)[()]
 
     # Identical action-0 loss laws across states make score(., 0) constant and
     # leave a ratio of affine maps, whose strict sublevel sets are convex.
@@ -371,7 +400,8 @@ def _cvar_model(
         kind="cvar",
         n_states=n_states,
         n_actions=n_actions,
-        evaluate=evaluate,
+        features=np.hstack([tail_mass, tail_sum]),
+        combine=combine,
         convex_reject_region=convex,
         params={
             "loss_values": [[list(map(float, c)) for c in row] for row in loss_values],
@@ -387,8 +417,7 @@ def _custom_model(
     n_actions: int,
     convex_reject_region: bool,
 ) -> UtilityModel:
-    def evaluate(mu, action):
-        mu = np.asarray(mu, dtype=float)
+    def combine(mu, action):
         if mu.ndim == 1:
             return float(evaluator(mu, action))
         return np.array([evaluator(row, action) for row in mu], dtype=float)
@@ -397,7 +426,7 @@ def _custom_model(
         kind="custom",
         n_states=n_states,
         n_actions=n_actions,
-        evaluate=evaluate,
+        combine=combine,
         convex_reject_region=convex_reject_region,
         params=None,
     )

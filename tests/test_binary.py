@@ -121,7 +121,8 @@ def _per_pair_k01(instance, gamma_fn=None):
     """compute_k01 one pair at a time on 1-d beliefs, bisecting with the oracle.
 
     Returns the (reject, accept, gamma.hex()) triples, or the first
-    boundary miss's message.
+    boundary miss's message.  A blend at gamma 0 is its accept state and
+    goes unchecked.
     """
     cls = classify_states(instance)
     diff = instance.receiver.differential
@@ -137,7 +138,7 @@ def _per_pair_k01(instance, gamma_fn=None):
                     g = oracles.segment_bisection(diff, eye[w0], eye[w1])
             g = min(max(g, 0.0), 1.0)
             boundary = float(diff(g * eye[w0] + (1.0 - g) * eye[w1]))
-            if abs(boundary) > BOUNDARY_TOLERANCE:
+            if g > 0.0 and abs(boundary) > BOUNDARY_TOLERANCE:
                 return (
                     f"blend of states {w0},{w1} misses the boundary: "
                     f"differential {boundary:.3e}"
@@ -178,6 +179,16 @@ def _k01_receiver(family, rng, d, flat):
             "custom", evaluator=evaluator, n_states=d, n_actions=2,
             convex_reject_region=True,
         )
+    if family == "cvar":
+        # One action-0 loss law for every state: convex reject region.  Some
+        # action-1 laws lie wholly at or below tau: accept states with no
+        # tail mass, where the differential jumps at gamma 0.
+        values, probs = [], []
+        for _ in range(d):
+            top = 1.0 if rng.uniform() < 0.3 else 2.0
+            values.append([[0.5, 1.5], sorted(rng.uniform(0.0, top, 3).tolist())])
+            probs.append([[0.5, 0.5], rng.dirichlet(np.ones(3)).tolist()])
+        return make_model("cvar", loss_values=values, loss_probs=probs, tau=1.0)
     du = rng.uniform(-1.0, 1.0, d)
     if flat:
         # An accept state only within CLASSIFY_TOLERANCE: its blends are gamma 0.
@@ -187,7 +198,7 @@ def _k01_receiver(family, rng, d, flat):
 
 @st.composite
 def _k01_cases(draw):
-    family = draw(st.sampled_from(["mean_stdev", "maximin", "custom", "expected"]))
+    family = draw(st.sampled_from(["mean_stdev", "maximin", "custom", "expected", "cvar"]))
     d = draw(st.integers(2, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     receiver = _k01_receiver(family, rng, d, flat=draw(st.booleans()))
@@ -236,19 +247,19 @@ def test_tolerance_only_accept_state_blends_at_zero():
 
 
 def test_compute_k01_model_calls_do_not_grow_with_pairs(monkeypatch):
-    # 20 strict-reject x 20 accept states: 400 edges, one block of rows.
+    # 20 strict-reject x 20 accept states: 400 edges, one block of slots.
     d = 40
     inst = _binary_instance(
         np.full(d, 1.0 / d), _k01_receiver("mean_stdev", np.random.default_rng(3), d, False)
     )
     calls = []
-    original = UtilityModel.differential
+    original = UtilityModel.differential_slots
 
-    def counted(self, mu):
-        calls.append(np.shape(mu))
-        return original(self, mu)
+    def counted(self, states, weights):
+        calls.append(states.shape)
+        return original(self, states, weights)
 
-    monkeypatch.setattr(UtilityModel, "differential", counted)
+    monkeypatch.setattr(UtilityModel, "differential_slots", counted)
     k01 = compute_k01(inst)
     assert len(k01) > 100
     assert len(calls) <= 36

@@ -1,19 +1,33 @@
 """CLI verbs, exit codes, and artifact determinism."""
 
+import contextlib
+import copy
+import functools
 import hashlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 import persuade
 from persuade import (
     FormatError,
+    GridSpec,
     PersuasionInstance,
     SignalingScheme,
     cli,
+    grid_vertices,
+    hull_candidates,
     instance_from_json,
     scheme_from_json,
+    solve_general,
     validate_scheme,
 )
 from conftest import threshold_instance_dict
@@ -482,16 +496,30 @@ def test_golden_plot_data_bytes(fmt, tmp_path, capsys):
     assert _sha(plot.read_bytes()) == plot_sha
 
 
-def test_golden_cvar_boundary_miss_exits_2(tmp_path, capsys):
-    path = _write(tmp_path, "inst.json", _seeded_binary(_cvar_receiver, 17, 6))
+def test_golden_cvar_zero_tail_accept_state_solves(tmp_path, capsys):
+    # Accept state 5's action-1 loss law lies wholly at or below tau, so it
+    # has no tail mass and scores 0; every blend toward it is gamma 0, the
+    # accept vertex itself, and the instance solves.
+    doc = _seeded_binary(_cvar_receiver, 17, 6)
+    path = _write(tmp_path, "inst.json", doc)
     out = tmp_path / "scheme.json"
-    assert cli.run(["solve", "--instance", path, "--out", str(out)]) == 2
+    assert cli.run(["solve", "--instance", path, "--out", str(out)]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines()[0] == (
-        "persuade: blend of states 0,5 misses the boundary: differential 9.601e-01"
+    assert captured.err == ""
+    value = json.loads(captured.out)["value"]
+    instance = instance_from_json(doc)
+    candidates = hull_candidates(instance)
+    assert [(v.reject_state, v.accept_state, v.gamma) for v in candidates.k01] == [
+        (w, 5, 0.0) for w in range(5)
+    ]
+    assert validate_scheme(scheme_from_json(json.loads(out.read_text())), instance).ok
+    for k in (16, 40):
+        grid = GridSpec(k=k, dim=instance.n_states)
+        sets = [grid_vertices(instance, a, grid) for a in range(instance.n_actions)]
+        assert value >= solve_general(instance, sets).value - 1e-12
+    assert value == pytest.approx(
+        oracles.concavify_oracle(instance, candidates.rows()), abs=1e-12
     )
-    assert not out.exists()
 
 
 def _count_calls(monkeypatch, name, home=persuade.binary):
@@ -597,3 +625,101 @@ def test_solve_rejects_nan_receiver_table(tmp_path, capsys):
     path = _write(tmp_path, "inst.json", doc)
     assert cli.run(["solve", "--instance", path]) == 1
     assert capsys.readouterr().err.startswith("persuade: receiver.u[1][1]: expected a finite")
+
+
+# ---------------------------------------------------------------------------
+# Schema fuzz: mutated instance and scheme documents through every verb end in
+# exit 0, 1 or 2, never an exception.
+
+
+@functools.lru_cache(maxsize=1)
+def _fuzz_bases() -> tuple[tuple[dict, dict], ...]:
+    """(instance, scheme) pairs: binary kinds, a three-action grid, a queue."""
+    instances = [
+        _expected_dict(),
+        threshold_instance_dict(),
+        _seeded_binary(_mean_stdev_receiver, 5, 4),
+        _seeded_binary(_cvar_receiver, 6, 3),
+        {**_expected_dict(), "actions": ["a", "b", "c"], "sender_v": [[0.0, 0.5, 1.0]] * 3,
+         "receiver": {"kind": "expected", "u": [[1.0, 0.0, -1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}},
+    ]
+    bases = []
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "scheme.json"
+        for doc in instances:
+            inst = Path(tmp) / "inst.json"
+            inst.write_text(json.dumps(doc))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.run(["solve", "--instance", str(inst), "--out", str(out)]) == 0
+            bases.append((doc, json.loads(out.read_text())))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(_queue_args(4) + ["--out", str(out)]) == 0
+        solution = persuade.solve_queue(persuade.QueueInstance(0.95, 2.5, 7.5, 4))
+        bases.append((persuade.instance_to_json(solution.persuasion), json.loads(out.read_text())))
+    return tuple(bases)
+
+
+def _nodes(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _mutate(doc, path, how, rng):
+    """A copy of doc with the node at path dropped, retyped, made NaN or resized."""
+    doc = copy.deepcopy(doc)
+    if not path:
+        return [doc] if how == "resize" else "not a document"
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key, node = path[-1], parent[path[-1]]
+    if how == "drop":
+        del parent[key]
+    elif how == "retype":
+        parent[key] = [None, True, "text", [], {}, 3, [1.0, "x"], {"a": 1}][rng.integers(8)]
+    elif how == "nan":
+        parent[key] = [math.nan, math.inf, -math.inf, "nan", "0.5", "abc"][rng.integers(6)]
+    elif isinstance(node, list) and node and rng.integers(2):
+        del node[-1]
+    elif isinstance(node, list):
+        node.append(copy.deepcopy(node[-1]) if node else 0.0)
+    else:
+        parent[key] = [node, node]
+    return doc
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(0, 5),
+    st.sampled_from(["instance", "scheme"]),
+    st.lists(
+        st.tuples(st.integers(0, 10**6), st.sampled_from(["drop", "retype", "nan", "resize"])),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_mutated_documents_exit_cleanly(base, role, mutations, seed):
+    docs = dict(zip(("instance", "scheme"), _fuzz_bases()[base]))
+    rng = np.random.default_rng(seed)
+    for pick, how in mutations:
+        paths = list(_nodes(docs[role]))
+        docs[role] = _mutate(docs[role], paths[pick % len(paths)], how, rng)
+    with tempfile.TemporaryDirectory() as tmp:
+        inst, scheme = Path(tmp) / "inst.json", Path(tmp) / "scheme.json"
+        inst.write_text(json.dumps(docs["instance"]))
+        scheme.write_text(json.dumps(docs["scheme"]))
+        runs = [
+            ["solve", "--instance", str(inst)],
+            ["check-full", "--instance", str(inst)],
+            ["validate", "--instance", str(inst), "--scheme", str(scheme)],
+            ["simulate", "--scheme", str(scheme), "--lambda", "0.95", "--capacity", "4",
+             "--events", "10000", "--seed", "1"],
+        ]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.run(argv)
+            assert code in (0, 1, 2), (argv[0], code)

@@ -24,6 +24,7 @@ REMOVED_MEMBERS = (
     ("OptimalPlan", "action_probability"),
     ("OptimalPlan", "mean_posterior"),
     ("K01Vertex", "degenerate"),
+    ("UtilityModel", "evaluate"),
     ("SimulationResult", "seen_signal_counts"),
 )
 

@@ -1,6 +1,7 @@
 """Beliefs, receiver models, best responses, and the instance schema."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +263,78 @@ def test_custom_model_wraps_scalars_and_batches():
     batch = model.score(np.array([[0.25, 0.75], [1.0, 0.0]]), 1)
     assert np.allclose(batch, [0.25, 1.0])
     assert not model.convex_reject_region
+
+
+def _binary_model(kind, rng, d):
+    if kind == "expected":
+        return make_model("expected", u=rng.normal(size=(d, 2)))
+    if kind == "mean_stdev":
+        return make_model(
+            "mean_stdev",
+            u=rng.normal(size=(d, 2)),
+            g_mean=rng.uniform(0.0, 2.0, (d, 2)),
+            g_var=rng.uniform(0.05, 1.0, (d, 2)),
+            beta=float(rng.uniform(0.0, 2.0)),
+        )
+    if kind == "maximin":
+        return make_model("maximin", tables=rng.normal(size=(int(rng.integers(1, 4)), d, 2)))
+    if kind == "cvar":
+        # Loss laws over [0, 2] with tau 1: some states have no tail mass.
+        values = [[sorted(rng.uniform(0.0, 2.0, 3).tolist()) for _ in range(2)] for _ in range(d)]
+        probs = [[rng.dirichlet(np.ones(3)).tolist() for _ in range(2)] for _ in range(d)]
+        return make_model("cvar", loss_values=values, loss_probs=probs, tau=1.0)
+    a, b = rng.normal(size=d), rng.uniform(0.1, 1.0, d)
+    return make_model(
+        "custom",
+        evaluator=lambda mu, act: float(mu @ a - np.sqrt(mu @ b)) if act else 0.0,
+        n_states=d,
+        n_actions=2,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["expected", "mean_stdev", "maximin", "cvar", "custom"]),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_slot_scoring_matches_dense_differential(kind, d, seed):
+    rng = np.random.default_rng(seed)
+    model = _binary_model(kind, rng, d)
+    pure = model.differential_slots(np.arange(d)[:, None], np.ones((d, 1)))
+    assert np.array_equal(pure, model.differential(np.eye(d)))
+
+    states = rng.integers(0, d, (12, 2))
+    gamma = rng.uniform(0.0, 1.0, 12)
+    gamma[:3] = (0.0, 1.0, 2.0**-34)
+    weights = np.column_stack([gamma, 1.0 - gamma])
+    dense = np.zeros((12, d))
+    for i, (s, w) in enumerate(zip(states, weights)):
+        dense[i, s[0]] += w[0]
+        dense[i, s[1]] += w[1]
+    blends = model.differential_slots(states, weights)
+    assert np.allclose(blends, model.differential(dense), rtol=0.0, atol=1e-12)
+
+
+def test_custom_slot_scoring_never_builds_the_identity():
+    # The identity over 20,000 states would take 3.2 GB.
+    d = 20_000
+    states = np.column_stack([np.arange(10), np.full(10, d - 1)])
+    weights = np.column_stack([np.full(10, 0.25), np.full(10, 0.75)])
+    tracemalloc.start()
+    try:
+        model = make_model(
+            "custom",
+            evaluator=lambda mu, a: float(mu[0] - mu[-1]) if a else 0.0,
+            n_states=d,
+            n_actions=2,
+        )
+        diffs = model.differential_slots(states, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+    assert diffs.tolist() == [-0.5] + [-0.75] * 9
 
 
 # --- responses and helpers --------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -416,3 +417,13 @@ def test_queue_over_the_blend_bound_exits_cleanly(capsys):
         "persuade: capacity 1000 needs 250000 boundary blends (500 strict-reject "
         f"x 500 joinable lengths), over the limit of {persuade.queueing.MAX_QUEUE_BLENDS}\n"
     )
+
+
+def test_capacity_hundred_thousand_is_refused_within_seconds():
+    # Lengths 0..3 are joinable: 99,996 x 4 blends, over the bound.  The
+    # refusal comes right after classification, which scores each length
+    # from its own feature row, so it takes well under the 10 s cap.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="399984 boundary blends .* over the limit of 100000"):
+        solve_queue(QueueInstance(0.95, 2.5, 10.0, 100_000))
+    assert time.perf_counter() - start < 10.0
