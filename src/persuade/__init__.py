@@ -9,7 +9,6 @@ for signaling queue lengths to arriving customers.
 
 from .binary import (
     HullCandidates,
-    K01Vertex,
     StateClassification,
     ThresholdReport,
     binary_precondition_error,

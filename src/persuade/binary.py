@@ -42,7 +42,6 @@ __all__ = [
     "BISECTION_TOLERANCE",
     "THRESHOLD_TOLERANCE",
     "StateClassification",
-    "K01Vertex",
     "HullCandidates",
     "ThresholdReport",
     "classify_states",
@@ -72,31 +71,6 @@ class StateClassification:
     differentials: np.ndarray
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class K01Vertex:
-    """Hull vertex blending a strict-reject state into an accept state.
-
-    ``posterior = gamma * e_reject + (1 - gamma) * e_accept`` over
-    ``n_states`` states, with gamma the largest blend weight keeping
-    acceptance weakly optimal.  gamma = 0 marks an accept state that itself
-    already sits on the indifference boundary.
-    Only the two support states and gamma are stored; ``posterior`` builds
-    the dense vector on demand.
-    """
-
-    reject_state: int
-    accept_state: int
-    gamma: float
-    n_states: int
-
-    @property
-    def posterior(self) -> np.ndarray:
-        posterior = np.zeros(self.n_states)
-        posterior[self.reject_state] += self.gamma
-        posterior[self.accept_state] += 1.0 - self.gamma
-        return posterior
-
-
 def _require_binary(instance: PersuasionInstance) -> None:
     if instance.n_actions != 2:
         raise ValueError("this solver handles exactly two actions")
@@ -115,32 +89,38 @@ def classify_states(instance: PersuasionInstance) -> StateClassification:
     )
 
 
+def _blend_pairs(classification: StateClassification) -> np.ndarray:
+    """(strict-reject, accept) state pairs, one per row, reject states outer."""
+    strict = np.asarray(classification.strict_reject, dtype=np.intp)
+    accept = np.asarray(classification.accept, dtype=np.intp)
+    return np.column_stack([np.repeat(strict, accept.size), np.tile(accept, strict.size)])
+
+
 def compute_k01(
     instance: PersuasionInstance,
     classification: StateClassification | None = None,
     gamma_fn=None,
-) -> tuple[K01Vertex, ...]:
-    """Boundary blend vertices for every (strict-reject, accept) state pair.
+) -> np.ndarray:
+    """Boundary blend weights for every (strict-reject, accept) state pair.
 
-    ``gamma_fn(reject_state, accept_state)`` may supply a pair's weight in
-    closed form, or NaN when it has none.  The other pairs are bisected
-    along their edges, all edges together.  Every vertex with gamma > 0 is
-    then checked to lie on the indifference surface within
+    Entry i * |accept| + j blends the i-th strict-reject state r into the
+    j-th accept state a: the largest gamma keeping acceptance weakly optimal
+    at gamma * e_r + (1 - gamma) * e_a, and 0 when a sits on the boundary.
+    ``gamma_fn(reject_states, accept_states)``, called once with every pair,
+    may return closed-form weights, NaN where a pair has none; those pairs
+    are bisected along their edges, all together.  Every blend with gamma > 0
+    is then checked to lie on the indifference surface within
     BOUNDARY_TOLERANCE, the first miss in pair order raising ValueError; at
-    gamma 0 a vertex is its accept state, where the differential may jump.
+    gamma 0 a blend is its accept state, where the differential may jump.
     """
     _require_binary(instance)
     if classification is None:
         classification = classify_states(instance)
-    d = instance.n_states
     diff = instance.receiver.differential_slots
-    pairs = np.array(
-        [(w0, w1) for w0 in classification.strict_reject for w1 in classification.accept],
-        dtype=np.intp,
-    ).reshape(-1, 2)
+    pairs = _blend_pairs(classification)
     gamma = np.full(len(pairs), np.nan)
     if gamma_fn is not None:
-        gamma[:] = [gamma_fn(w0, w1) for w0, w1 in pairs.tolist()]
+        gamma[:] = gamma_fn(pairs[:, 0], pairs[:, 1])
     # Tolerance-only accept states sit a hair under zero; their blends
     # collapse onto the accept vertex.
     gamma[np.isnan(gamma) & (classification.differentials[pairs[:, 1]] < 0.0)] = 0.0
@@ -153,45 +133,47 @@ def compute_k01(
         lo, hi = np.where(accepts, mid, lo), np.where(accepts, hi, mid)
         width *= 0.5
     gamma[todo] = lo
-    out = tuple(
-        K01Vertex(w0, w1, min(max(float(g), 0.0), 1.0), d)
-        for (w0, w1), g in zip(pairs.tolist(), gamma)
-    )
-    weights = np.array([(v.gamma, 1.0 - v.gamma) for v in out]).reshape(-1, 2)
-    blends = np.nonzero(weights[:, 0] > 0.0)[0]
-    boundary = diff(pairs[blends], weights[blends])
+    gamma = np.clip(gamma, 0.0, 1.0)
+    blends = np.nonzero(gamma > 0.0)[0]
+    weights = np.column_stack([gamma[blends], 1.0 - gamma[blends]])
+    boundary = diff(pairs[blends], weights)
     missed = np.nonzero(np.abs(boundary) > BOUNDARY_TOLERANCE)[0]
     if missed.size:
-        raise _boundary_miss(out[blends[missed[0]]], float(boundary[missed[0]]))
-    return out
-
-
-def _boundary_miss(vert: K01Vertex, boundary: float) -> ValueError:
-    return ValueError(
-        f"blend of states {vert.reject_state},{vert.accept_state} misses the "
-        f"boundary: differential {boundary:.3e}"
-    )
+        w0, w1 = pairs[blends[missed[0]]]
+        raise ValueError(
+            f"blend of states {w0},{w1} misses the boundary: "
+            f"differential {boundary[missed[0]]:.3e}"
+        )
+    return gamma
 
 
 @dataclass(frozen=True, eq=False)
 class HullCandidates:
     """The binary acceptance hull's candidate posteriors, in LP column order.
 
-    Pure accept states, then the k01 blends, then the pure strict-reject
-    states; the first ``n_accept`` recommend action 1, the rest action 0.
-    Candidate i is held as two (state, weight) slots, a pure state as (w, w)
-    with weights (1, 0); ``rows`` makes dense posteriors on request.
+    Pure accept states, then the k01 blends in ``compute_k01``'s pair
+    order, then the pure strict-reject states; the first ``n_accept``
+    recommend action 1, the rest action 0.  Candidate i is held as two
+    (state, weight) slots, a pure state as (w, w) with weights (1, 0);
+    ``rows`` makes dense posteriors on request.
     """
 
     classification: StateClassification
-    k01: tuple[K01Vertex, ...]
     states: np.ndarray
     weights: np.ndarray
     state_labels: tuple[str, ...]
 
     @property
     def n_accept(self) -> int:
-        return len(self.classification.accept) + len(self.k01)
+        cls = self.classification
+        return len(cls.accept) * (1 + len(cls.strict_reject))
+
+    @property
+    def gamma(self) -> np.ndarray:
+        """Blend weights as a (strict-reject, accept) view of ``weights``."""
+        cls = self.classification
+        blends = self.weights[len(cls.accept) : self.n_accept, 0]
+        return blends.reshape(len(cls.strict_reject), len(cls.accept))
 
     @property
     def actions(self) -> np.ndarray:
@@ -227,22 +209,17 @@ def hull_candidates(
     """
     if classification is None:
         classification = classify_states(instance)
-    k01 = compute_k01(instance, classification, gamma_fn=gamma_fn)
-    accept, strict = classification.accept, classification.strict_reject
-    states = np.array(
-        [(w, w) for w in accept]
-        + [(v.reject_state, v.accept_state) for v in k01]
-        + [(w, w) for w in strict],
-        dtype=np.intp,
-    ).reshape(-1, 2)
-    weights = np.array(
-        [(1.0, 0.0)] * len(accept)
-        + [(v.gamma, 1.0 - v.gamma) for v in k01]
-        + [(1.0, 0.0)] * len(strict)
-    ).reshape(-1, 2)
+    gamma = compute_k01(instance, classification, gamma_fn=gamma_fn)
+    accept = np.asarray(classification.accept, dtype=np.intp)
+    strict = np.asarray(classification.strict_reject, dtype=np.intp)
+    states = np.concatenate(
+        [np.c_[accept, accept], _blend_pairs(classification), np.c_[strict, strict]]
+    )
+    weights = np.zeros(states.shape)
+    weights[:, 0] = 1.0
+    weights[accept.size : accept.size + gamma.size] = np.column_stack([gamma, 1.0 - gamma])
     return HullCandidates(
         classification=classification,
-        k01=k01,
         states=states,
         weights=weights,
         state_labels=instance.states.labels,
@@ -353,8 +330,7 @@ def verify_threshold(
     plan: OptimalPlan,
     order: list[int],
     instance: PersuasionInstance | None = None,
-    k01: tuple[K01Vertex, ...] | None = None,
-    classification: StateClassification | None = None,
+    candidates: HullCandidates | None = None,
 ) -> ThresholdReport:
     """Check that a plan's accept mass is a cutoff in the given state order.
 
@@ -362,8 +338,9 @@ def verify_threshold(
     instance is supplied, the order itself is audited: a state may only
     precede another if it is an accept state, or both are strict-reject
     states and every accept state blends with the earlier one at a
-    strictly larger weight than with the later one.  ``classification``
-    and ``k01`` are computed from the instance when not given.
+    strictly larger weight than with the later one.  The blend weights are
+    ``candidates.gamma``, the candidates built from the instance when not
+    given.
 
     The audit costs O(d * |accept|): every state after the first
     non-accept one must be strict-reject, and in each accept state's
@@ -387,15 +364,10 @@ def verify_threshold(
     monotone_ok: bool | None = None
     violations: list[str] = []
     if instance is not None:
-        if classification is None:
-            classification = classify_states(instance)
-        if k01 is None:
-            k01 = compute_k01(instance, classification)
-        gammas = {
-            (vert.reject_state, vert.accept_state): vert.gamma for vert in k01
-        }
-        if not _order_is_monotone(order, classification, gammas):
-            violations = _pairwise_violations(order, classification, gammas)
+        if candidates is None:
+            candidates = hull_candidates(instance)
+        if not _order_is_monotone(order, candidates):
+            violations = _pairwise_violations(order, candidates)
         monotone_ok = not violations
     return ThresholdReport(
         holds=bool(holds),
@@ -406,36 +378,31 @@ def verify_threshold(
     )
 
 
-def _order_is_monotone(
-    order: list[int],
-    classification: StateClassification,
-    gammas: dict[tuple[int, int], float],
-) -> bool:
-    # True only when the pairwise audit would find nothing.  A missing
-    # blend reads as NaN, which fails every comparison, so the pairwise
-    # audit runs and reports it as it always has.
-    accept = set(classification.accept)
+def _order_is_monotone(order: list[int], candidates: HullCandidates) -> bool:
+    # True only when the pairwise audit would find nothing.  A NaN blend
+    # weight fails every comparison, so the pairwise audit runs and reports
+    # it as it always has.
+    cls = candidates.classification
+    accept = set(cls.accept)
     first = next((p for p, w in enumerate(order) if w not in accept), len(order))
     tail = order[first:]
-    strict = set(classification.strict_reject)
+    strict = set(cls.strict_reject)
     if not all(w in strict for w in tail[1:]):
         return False
     if len(tail) < 2:
         return True
-    g = np.array(
-        [[gammas.get((w, wa), np.nan) for wa in classification.accept] for w in tail]
-    ).reshape(len(tail), len(classification.accept))
+    row = {w: i for i, w in enumerate(cls.strict_reject)}
+    g = candidates.gamma[[row[w] for w in tail]]
     later_max = np.maximum.accumulate(g[::-1], axis=0)[::-1]
     return bool(np.all(g[:-1] > later_max[1:] - MONOTONE_SLACK))
 
 
-def _pairwise_violations(
-    order: list[int],
-    classification: StateClassification,
-    gammas: dict[tuple[int, int], float],
-) -> list[str]:
-    accept = set(classification.accept)
-    strict = set(classification.strict_reject)
+def _pairwise_violations(order: list[int], candidates: HullCandidates) -> list[str]:
+    cls = candidates.classification
+    accept = set(cls.accept)
+    strict = set(cls.strict_reject)
+    row = {w: i for i, w in enumerate(cls.strict_reject)}
+    gamma = candidates.gamma.tolist()
     violations = []
     for i in range(len(order)):
         if order[i] in accept:
@@ -448,8 +415,8 @@ def _pairwise_violations(
                     "but is not strict-reject"
                 )
                 continue
-            for wa in classification.accept:
-                gi, gj = gammas[(wi, wa)], gammas[(wj, wa)]
+            for k, wa in enumerate(cls.accept):
+                gi, gj = gamma[row[wi]][k], gamma[row[wj]][k]
                 if not gi > gj - MONOTONE_SLACK:
                     violations.append(
                         f"blend weight with accept state {wa} fails to "

@@ -36,6 +36,9 @@ from .model import (
 CANDIDATE_CAP = 2_000_000
 # Strict-benefit verdicts require at least this much value over no info.
 BENEFIT_MARGIN = 1e-7
+# Round-off in expected_region_vertices: a solved corner may break a
+# constraint by this much, and corners this close in max norm are one.
+VERTEX_TOLERANCE = 1e-9
 
 __all__ = [
     "CANDIDATE_CAP",
@@ -348,11 +351,11 @@ def expected_region_vertices(
             sol = np.linalg.solve(m, rhs)
         except np.linalg.LinAlgError:
             continue
-        if np.any(sol < -1e-9) or np.any(normals @ sol < -1e-9):
+        if np.any(sol < -VERTEX_TOLERANCE) or np.any(normals @ sol < -VERTEX_TOLERANCE):
             continue
         sol = np.clip(sol, 0.0, None)
         sol = sol / sol.sum()
-        if not any(np.max(np.abs(sol - w)) < 1e-9 for w in verts):
+        if not any(np.max(np.abs(sol - w)) < VERTEX_TOLERANCE for w in verts):
             verts.append(sol)
     if not verts:
         return np.zeros((0, d))

@@ -18,7 +18,8 @@ from scipy.optimize import linprog
 # A point counts as inside a hull when some convex combination reproduces
 # it with total absolute residual at most this.
 HULL_TOLERANCE = 1e-8
-# Equality residual allowed on any accepted LP solution.
+# Equality residual allowed on any accepted LP solution; a ConvexCombination's
+# weights, which an LP row makes sum to one, must do so within it too.
 LP_RESIDUAL = 1e-9
 # Weights smaller than this are dropped from decompositions.
 ATOM_FLOOR = 1e-12
@@ -148,7 +149,7 @@ class ConvexCombination:
         w = np.asarray(self.weights, dtype=float)
         if w.size == 0:
             raise ValueError("a convex combination needs at least one atom")
-        if w.min() < -ATOM_FLOOR or abs(w.sum() - 1.0) > 1e-9:
+        if w.min() < -ATOM_FLOOR or abs(w.sum() - 1.0) > LP_RESIDUAL:
             raise ValueError("weights must be nonnegative and sum to one")
         err = np.max(np.abs(w @ self.points - self.target))
         if err > self.tolerance:

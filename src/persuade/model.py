@@ -195,6 +195,7 @@ class UtilityModel:
     action 0 is strictly preferred to action 1 is convex.  Built-in kinds
     set it from structural checks; custom models self-declare and the
     binary solver spot-checks the claim rather than trusting it blindly.
+    ``params`` are the builder's inputs, arrays copied, for ``instance_to_json``.
     """
 
     kind: str
@@ -282,7 +283,7 @@ def mixture_moments(
 
 
 def _expected_model(u: np.ndarray) -> UtilityModel:
-    u = np.asarray(u, dtype=float)
+    u = np.array(u, dtype=float)
     if u.ndim != 2:
         raise ValueError("expected-utility table must be states-by-actions")
     return UtilityModel(
@@ -292,16 +293,16 @@ def _expected_model(u: np.ndarray) -> UtilityModel:
         features=u,
         combine=lambda f, action: f[..., action],
         convex_reject_region=u.shape[1] == 2,
-        params={"u": u.tolist()},
+        params={"u": u},
     )
 
 
 def _mean_stdev_model(
     u: np.ndarray, g_mean: np.ndarray, g_var: np.ndarray, beta: float
 ) -> UtilityModel:
-    u = np.asarray(u, dtype=float)
-    gm = np.asarray(g_mean, dtype=float)
-    gv = np.asarray(g_var, dtype=float)
+    u = np.array(u, dtype=float)
+    gm = np.array(g_mean, dtype=float)
+    gv = np.array(g_var, dtype=float)
     if u.shape != gm.shape or u.shape != gv.shape or u.ndim != 2:
         raise ValueError("u, g_mean, g_var must share a states-by-actions shape")
     if beta < 0:
@@ -328,17 +329,12 @@ def _mean_stdev_model(
         features=np.hstack([u, gm, gv + gm * gm]),
         combine=combine,
         convex_reject_region=convex,
-        params={
-            "u": u.tolist(),
-            "g_mean": gm.tolist(),
-            "g_var": gv.tolist(),
-            "beta": float(beta),
-        },
+        params={"u": u, "g_mean": gm, "g_var": gv, "beta": float(beta)},
     )
 
 
 def _maximin_model(tables: np.ndarray) -> UtilityModel:
-    ts = np.asarray(tables, dtype=float)
+    ts = np.array(tables, dtype=float)
     if ts.ndim != 3 or ts.shape[0] == 0:
         raise ValueError("maximin needs a nonempty stack of states-by-actions tables")
     n_scenarios, d, k = ts.shape
@@ -353,7 +349,7 @@ def _maximin_model(tables: np.ndarray) -> UtilityModel:
         features=ts.transpose(1, 2, 0).reshape(d, k * n_scenarios),
         combine=lambda f, a: np.min(f[..., a * n_scenarios : (a + 1) * n_scenarios], axis=-1),
         convex_reject_region=convex,
-        params={"tables": ts.tolist()},
+        params={"tables": ts},
     )
 
 
@@ -683,7 +679,8 @@ def instance_to_json(instance: PersuasionInstance) -> dict:
     if instance.receiver.params is None:
         raise FormatError("receiver.kind", "custom models cannot be written to JSON")
     receiver = {"kind": instance.receiver.kind}
-    receiver.update(instance.receiver.params)
+    for key, value in instance.receiver.params.items():
+        receiver[key] = value.tolist() if isinstance(value, np.ndarray) else value
     return {
         "states": list(instance.states.labels),
         "actions": list(instance.actions.labels),

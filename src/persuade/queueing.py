@@ -24,8 +24,6 @@ import scipy.sparse
 
 from .binary import (
     HullCandidates,
-    K01Vertex,
-    StateClassification,
     ThresholdReport,
     classify_states,
     hull_candidates,
@@ -58,6 +56,15 @@ NORMALIZATION_TOLERANCE = 1e-9
 SANDWICH_UTILITY_TOLERANCE = 1e-6
 # Posterior entries above this count as support in the sandwich audit.
 SUPPORT_FLOOR = 1e-8
+# The sandwich audit applies when the Leave mass exceeds this.
+LEAVE_MASS_FLOOR = 1e-10
+# Slack on the sandwich audit's ordering of Join wait means and variances.
+MOMENT_ORDER_SLACK = 1e-9
+# Join posteriors this close in max norm are one vertex; their atoms merge.
+JOIN_MERGE_TOLERANCE = 1e-12
+# gamma_closed_form's round-off: how far tau may fall short of the short
+# length's bound, and the radicand short of zero (then read as zero).
+CLOSED_FORM_SLACK = 1e-9
 # Simulation guardrails.
 MIN_HORIZON = 10_000
 BURN_IN_FRACTION = 0.10
@@ -126,7 +133,7 @@ def posterior_wait_moments(posterior: np.ndarray) -> tuple[float, float]:
     return float(mean), float(var)
 
 
-def gamma_closed_form(n: int, m: int, tau: float, beta: float) -> float:
+def gamma_closed_form(n, m, tau: float, beta: float):
     """Boundary blend weight between queue lengths n (long) and m (short).
 
     Solves E + beta * sqrt(Var) = tau in closed form along the segment
@@ -134,33 +141,36 @@ def gamma_closed_form(n: int, m: int, tau: float, beta: float) -> float:
     E = 1 + m + (n - m) gamma and Var = E + (n - m)^2 gamma (1 - gamma).
     Requires m to be joinable outright and n not:
     m + 1 + beta sqrt(m + 1) <= tau < n + 1 + beta sqrt(n + 1).
+    Given arrays of lengths, returns an array of weights, NaN for each pair
+    where a scalar call raises ValueError.
     """
-    if n <= m:
-        raise ValueError("need n > m")
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
-    bound_m = m + 1 + beta * math.sqrt(m + 1)
-    bound_n = n + 1 + beta * math.sqrt(n + 1)
-    if tau < bound_m - 1e-9 or tau >= bound_n:
-        raise ValueError(
-            f"tau {tau!r} outside [{bound_m!r}, {bound_n!r}) for n={n}, m={m}"
+    n, m = np.asarray(n), np.asarray(m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound_m = m + 1 + beta * np.sqrt(m + 1)
+        bound_n = n + 1 + beta * np.sqrt(n + 1)
+        span, slack, beta2 = n - m, tau - 1 - m, beta * beta
+        h = (
+            beta2 * (span + 1) ** 2
+            + 4 * slack * (span + 1)
+            + 4 * (1 + beta2) * (1 + m)
+            - 4 * slack * slack
         )
-    span = n - m
-    slack = tau - 1 - m
-    h = (
-        beta * beta * (span + 1) ** 2
-        + 4 * slack * (span + 1)
-        + 4 * (1 + beta * beta) * (1 + m)
-        - 4 * slack * slack
+        root = np.sqrt(np.where(h < 0.0, 0.0, h))
+        gamma = (2 * slack + beta2 * (span + 1) - beta * root) / (2 * span * (1 + beta2))
+    faults = (
+        (n <= m, "need n > m"),
+        (beta < 0.0, "beta must be nonnegative"),
+        (tau < bound_m - CLOSED_FORM_SLACK, "tau {0!r} outside [{1!r}, {2!r}) for n={3}, m={4}"),
+        (tau >= bound_n, "tau {0!r} outside [{1!r}, {2!r}) for n={3}, m={4}"),
+        (h < -CLOSED_FORM_SLACK, "negative radicand {5!r}; fall back to bisection"),
     )
-    if h < 0.0:
-        if h < -1e-9:
-            raise ValueError(f"negative radicand {h!r}; fall back to bisection")
-        h = 0.0
-    gamma = (2 * slack + beta * beta * (span + 1) - beta * math.sqrt(h)) / (
-        2 * span * (1 + beta * beta)
-    )
-    return min(max(gamma, 0.0), 1.0)
+    if gamma.ndim:
+        undefined = np.any(np.broadcast_arrays(*(bad for bad, _ in faults)), axis=0)
+        return np.where(undefined, np.nan, np.clip(gamma, 0.0, 1.0))
+    for bad, message in faults:
+        if bad:
+            raise ValueError(message.format(tau, float(bound_m), float(bound_n), n, m, float(h)))
+    return float(np.clip(gamma, 0.0, 1.0))
 
 
 def queue_model(instance: QueueInstance):
@@ -186,12 +196,12 @@ class QueueSolution:
     include the mass lost to hard blocking at capacity, which is why they
     sum short of one).  ``plan`` and ``scheme`` are rescaled onto the
     belief prior, the seen-length law conditioned on not being blocked.
+    ``candidates`` are the flow LP's columns; ``candidates.gamma`` the blends.
     """
 
     instance: QueueInstance
     persuasion: PersuasionInstance
-    classification: StateClassification
-    k01: tuple[K01Vertex, ...]
+    candidates: HullCandidates
     t0: np.ndarray
     t1: np.ndarray
     prior: np.ndarray
@@ -270,14 +280,11 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
             f"({n_strict} strict-reject x {n_accept} joinable lengths), "
             f"over the limit of {MAX_QUEUE_BLENDS}"
         )
-
-    def gamma_fn(w0: int, w1: int) -> float:
-        try:
-            return gamma_closed_form(w0, w1, instance.tau, instance.beta)
-        except ValueError:
-            return math.nan  # compute_k01 bisects this pair
-
-    candidates = hull_candidates(probe, classification, gamma_fn=gamma_fn)
+    candidates = hull_candidates(
+        probe,
+        classification,
+        gamma_fn=lambda n, m: gamma_closed_form(n, m, instance.tau, instance.beta),
+    )
     res = solve_lp(_flow_program(d, lam, candidates))
     if res.status != "optimal":
         raise InfeasibleProgramError(f"queue flow LP is {res.status}")
@@ -315,7 +322,7 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
         # Blends with gamma = 0 collapse onto pure vertices; fold the mass
         # together up front so the Join numbering stays gap-free.
         for atom in join_atoms:
-            if np.max(np.abs(atom[2] - row)) <= 1e-12:
+            if np.max(np.abs(atom[2] - row)) <= JOIN_MERGE_TOLERANCE:
                 atom[3] += weights[i] / mass
                 break
         else:
@@ -349,18 +356,13 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
     persuasion = dataclasses.replace(probe, prior=Belief(prior))
     compiled = scheme_from_plan(plan, persuasion)
     threshold = verify_threshold(
-        plan,
-        list(range(d)),
-        instance=persuasion,
-        k01=candidates.k01,
-        classification=classification,
+        plan, list(range(d)), instance=persuasion, candidates=candidates
     )
     occupancy = np.concatenate([t0 + t1, [lam * t1[d - 1]]])
     return QueueSolution(
         instance=instance,
         persuasion=persuasion,
-        classification=classification,
-        k01=candidates.k01,
+        candidates=candidates,
         t0=t0,
         t1=t1,
         prior=prior,
@@ -407,7 +409,7 @@ def verify_sandwich(solution: QueueSolution) -> SandwichReport:
     """Run the nesting checks on the solved Join signals."""
     model = solution.persuasion.receiver
     joins = [s for s in solution.scheme.signals if s.action == 1]
-    applicable = solution.t0.sum() > 1e-10 and bool(joins)
+    applicable = solution.t0.sum() > LEAVE_MASS_FLOOR and bool(joins)
     diffs = tuple(float(model.differential(s.posterior)) for s in joins)
     supports = tuple(
         tuple(int(w) for w in np.nonzero(s.posterior > SUPPORT_FLOOR)[0])
@@ -426,7 +428,8 @@ def verify_sandwich(solution: QueueSolution) -> SandwichReport:
         chain = lows + highs[::-1]
         ordering_ok = all(a <= b for a, b in zip(chain, chain[1:]))
     moments_ok = all(
-        means[j + 1] >= means[j] - 1e-9 and variances[j + 1] <= variances[j] + 1e-9
+        means[j + 1] >= means[j] - MOMENT_ORDER_SLACK
+        and variances[j + 1] <= variances[j] + MOMENT_ORDER_SLACK
         for j in range(len(joins) - 1)
     )
     return SandwichReport(

@@ -16,6 +16,8 @@ from typing import Iterator
 import numpy as np
 
 from .model import (
+    SUM_SLACK,
+    WEIGHT_FLOOR,
     Belief,
     FormatError,
     OptimalPlan,
@@ -34,6 +36,10 @@ POSTERIOR_TOLERANCE = 1e-8
 OBEDIENCE_FLOOR = -1e-6
 # Atoms whose posteriors agree within this merge into one signal.
 COALESCE_TOLERANCE = 1e-10
+# Posterior entries above this count as support when a signal is named.
+LABEL_SUPPORT_FLOOR = 1e-9
+# Parsed marginals and conditional entries may exceed one by this much.
+PROBABILITY_SLACK = 1e-9
 
 __all__ = [
     "ROW_SUM_TOLERANCE",
@@ -88,7 +94,7 @@ class SignalingScheme:
 
 
 def _default_label(posterior: np.ndarray, labels: tuple[str, ...], serial: int) -> str:
-    support = np.nonzero(posterior > 1e-9)[0]
+    support = np.nonzero(posterior > LABEL_SUPPORT_FLOOR)[0]
     if support.size == 1:
         return labels[int(support[0])]
     if support.size == 2:
@@ -337,7 +343,7 @@ def scheme_from_json(data: dict) -> SignalingScheme:
         if not isinstance(post, list) or len(post) != d:
             raise FormatError(f"signals[{i}].posterior", f"expected {d} weights")
         posterior = np.array(_float_list(post, f"signals[{i}].posterior"))
-        if np.any(posterior < -1e-12) or abs(posterior.sum() - 1.0) > 1e-6:
+        if np.any(posterior < WEIGHT_FLOOR) or abs(posterior.sum() - 1.0) > SUM_SLACK:
             raise FormatError(
                 f"signals[{i}].posterior", "entries must form a distribution"
             )
@@ -345,7 +351,7 @@ def scheme_from_json(data: dict) -> SignalingScheme:
         if not isinstance(action, int) or isinstance(action, bool) or action < 0:
             raise FormatError(f"signals[{i}].action", "expected a nonnegative integer")
         marginal = _number(raw["marginal"], f"signals[{i}].marginal")
-        if marginal < -1e-12 or marginal > 1.0 + 1e-9:
+        if marginal < WEIGHT_FLOOR or marginal > 1.0 + PROBABILITY_SLACK:
             raise FormatError(f"signals[{i}].marginal", f"probability {marginal!r} out of range")
         signals.append(
             Signal(
@@ -357,7 +363,7 @@ def scheme_from_json(data: dict) -> SignalingScheme:
         )
 
     cond = _matrix(data["conditional"], len(signals), d, "conditional")
-    bad = np.nonzero(np.any((cond < -1e-12) | (cond > 1.0 + 1e-9), axis=1))[0]
+    bad = np.nonzero(np.any((cond < WEIGHT_FLOOR) | (cond > 1.0 + PROBABILITY_SLACK), axis=1))[0]
     if bad.size:
         raise FormatError(f"conditional[{bad[0]}]", "entries must be probabilities")
     return SignalingScheme(

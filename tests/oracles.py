@@ -6,12 +6,15 @@ not by calling into the package, so agreement is evidence rather than
 tautology.  The one exception is ``caratheodory_decompose``, a reducer
 built on the package's ``hull_membership`` witness.  ``segment_bisection``
 bisects one edge at a time, the per-pair reference for the batched edge
-bisection in ``compute_k01``.
+bisection in ``compute_k01``; ``gamma_closed_form_scalar`` is the queue's
+closed-form blend weight one pair at a time in ``math``, the reference for
+the array ``gamma_closed_form``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import scipy.linalg
@@ -188,6 +191,38 @@ def queue_flow_dense(
     b_eq[d - 1] = 1.0
     c = np.concatenate([np.ones(n1), np.zeros(n0)])
     return c, a_eq, b_eq, v1, v0
+
+
+def gamma_closed_form_scalar(n: int, m: int, tau: float, beta: float) -> float | None:
+    """Queue blend weight between lengths n > m, or None where undefined.
+
+    Solves E + beta * sqrt(Var) = tau along gamma * e_n + (1 - gamma) * e_m,
+    with E = 1 + m + (n - m) gamma and Var = E + (n - m)^2 gamma (1 - gamma),
+    term for term as the library does.  None when n <= m, beta < 0, tau lies
+    outside [m + 1 + beta sqrt(m + 1) - 1e-9, n + 1 + beta sqrt(n + 1)), or
+    the radicand is below -1e-9.
+    """
+    if n <= m or beta < 0.0:
+        return None
+    bound_m = m + 1 + beta * math.sqrt(m + 1)
+    bound_n = n + 1 + beta * math.sqrt(n + 1)
+    if tau < bound_m - 1e-9 or tau >= bound_n:
+        return None
+    span = n - m
+    slack = tau - 1 - m
+    h = (
+        beta * beta * (span + 1) ** 2
+        + 4 * slack * (span + 1)
+        + 4 * (1 + beta * beta) * (1 + m)
+        - 4 * slack * slack
+    )
+    if h < -1e-9:
+        return None
+    h = 0.0 if h < 0.0 else h
+    gamma = (2 * slack + beta * beta * (span + 1) - beta * math.sqrt(h)) / (
+        2 * span * (1 + beta * beta)
+    )
+    return min(max(gamma, 0.0), 1.0)
 
 
 def threshold_violations(order, accept, strict_reject, gammas) -> list[str]:

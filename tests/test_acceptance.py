@@ -343,16 +343,12 @@ def _hull_identity_checks(rng) -> bool:
             else random_mean_stdev_instance(rng)
         )
         candidates = hull_candidates(inst)
-        classification, k01 = candidates.classification, candidates.k01
+        classification = candidates.classification
         v1 = candidates.rows(slice(candidates.n_accept))
         eye = np.eye(inst.n_states)
-        reject_rows = [eye[w] for w in classification.strict_reject] + [
-            vert.posterior for vert in k01
-        ]
-        v0 = (
-            np.array(reject_rows)
-            if reject_rows
-            else np.zeros((0, inst.n_states))
+        blends = slice(len(classification.accept), candidates.n_accept)
+        v0 = np.vstack(
+            [eye[list(classification.strict_reject)], candidates.rows(blends)]
         )
         diff = inst.receiver.differential
         for row in v1:

@@ -11,7 +11,7 @@ import oracles
 from persuade import (
     ActionSpace,
     Belief,
-    K01Vertex,
+    HullCandidates,
     OptimalPlan,
     PersuasionInstance,
     SenderUtility,
@@ -83,38 +83,39 @@ def test_classify_boundary_state_joins_both_sides():
 
 def test_compute_k01_threshold_game():
     inst = threshold_instance()
-    k01 = compute_k01(inst)
-    assert len(k01) == 3
-    for vert, w1 in zip(k01, (0, 1, 2)):
-        assert (vert.reject_state, vert.accept_state) == (3, w1)
-        assert vert.gamma == pytest.approx(1.0 / 3.0, abs=1e-9)
+    gamma = compute_k01(inst)
+    assert gamma.shape == (3,)
+    candidates = hull_candidates(inst)
+    assert candidates.states[3:6].tolist() == [[3, 0], [3, 1], [3, 2]]
+    assert np.array_equal(candidates.gamma, gamma.reshape(1, 3))
+    for g, w1, row in zip(gamma, (0, 1, 2), candidates.rows(slice(3, 6))):
+        assert g == pytest.approx(1.0 / 3.0, abs=1e-9)
         target = np.zeros(4)
-        target[3], target[w1] = vert.gamma, 1 - vert.gamma
-        assert np.allclose(vert.posterior, target)
+        target[3], target[w1] = g, 1 - g
+        assert np.allclose(row, target)
 
 
 def test_compute_k01_accepts_closed_form_and_checks_boundary():
     inst = threshold_instance()
-    k01 = compute_k01(inst, gamma_fn=lambda w0, w1: 1.0 / 3.0)
-    assert all(v.gamma == pytest.approx(1.0 / 3.0, abs=1e-15) for v in k01)
+    gamma = compute_k01(inst, gamma_fn=lambda w0, w1: np.full(w0.shape, 1.0 / 3.0))
+    assert all(g == pytest.approx(1.0 / 3.0, abs=1e-15) for g in gamma)
     with pytest.raises(ValueError, match="boundary"):
-        compute_k01(inst, gamma_fn=lambda w0, w1: 0.9)
+        compute_k01(inst, gamma_fn=lambda w0, w1: np.full(w0.shape, 0.9))
 
 
 def test_compute_k01_degenerate_boundary_accept_state():
     inst = _binary_instance([0.4, 0.3, 0.3], _expected_binary([1.0, 0.0, -1.0]))
-    k01 = compute_k01(inst)
-    by_pair = {(v.reject_state, v.accept_state): v for v in k01}
-    assert set(by_pair) == {(2, 0), (2, 1)}
-    assert by_pair[(2, 0)].gamma == pytest.approx(0.5, abs=1e-9)
-    vert = by_pair[(2, 1)]
-    assert vert.gamma == 0.0
-    assert np.allclose(vert.posterior, [0.0, 1.0, 0.0])
+    candidates = hull_candidates(inst)
+    assert candidates.states[2:4].tolist() == [[2, 0], [2, 1]]
+    assert np.array_equal(candidates.gamma.ravel(), compute_k01(inst))
+    assert candidates.gamma[0, 0] == pytest.approx(0.5, abs=1e-9)
+    assert candidates.gamma[0, 1] == 0.0
+    assert np.allclose(candidates.rows(slice(3, 4)), [[0.0, 1.0, 0.0]])
 
 
 def test_compute_k01_empty_without_strict_rejects():
     inst = _binary_instance([0.5, 0.5], _expected_binary([1.0, 2.0]))
-    assert compute_k01(inst) == ()
+    assert compute_k01(inst).shape == (0,)
 
 
 def _per_pair_k01(instance, gamma_fn=None):
@@ -149,10 +150,12 @@ def _per_pair_k01(instance, gamma_fn=None):
 
 def _batched_k01(instance, gamma_fn=None):
     try:
-        k01 = compute_k01(instance, gamma_fn=gamma_fn)
+        gamma = compute_k01(instance, gamma_fn=gamma_fn)
     except ValueError as exc:
         return str(exc)
-    return [(v.reject_state, v.accept_state, v.gamma.hex()) for v in k01]
+    cls = classify_states(instance)
+    pairs = [(w0, w1) for w0 in cls.strict_reject for w1 in cls.accept]
+    return [(w0, w1, g.hex()) for (w0, w1), g in zip(pairs, gamma.tolist())]
 
 
 def _k01_receiver(family, rng, d, flat):
@@ -216,13 +219,15 @@ def test_batched_k01_matches_per_pair_bisection(case):
     eye = np.eye(inst.n_states)
     diff = inst.receiver.differential
 
-    def gamma_fn(w0, w1):
+    def pair_gamma(w0, w1):
         if open_pairs >> ((w0 * inst.n_states + w1) % 20) & 1:
             return math.nan
         if float(diff(eye[w1])) < 0.0:
             return 0.25
         return oracles.segment_bisection(diff, eye[w0], eye[w1])
 
+    # compute_k01 passes every pair at once; the reference asks one at a time.
+    gamma_fn = np.vectorize(pair_gamma, otypes=[float])
     assert _batched_k01(inst, gamma_fn) == _per_pair_k01(inst, gamma_fn)
 
 
@@ -239,10 +244,10 @@ def test_tolerance_only_accept_state_blends_at_zero():
     inst = _binary_instance(np.full(3, 1.0 / 3.0), receiver)
     cls = classify_states(inst)
     assert cls.accept == (0, 1) and cls.strict_reject == (2,)
-    k01 = compute_k01(inst, cls)
-    assert [(v.reject_state, v.accept_state) for v in k01] == [(2, 0), (2, 1)]
-    assert k01[0].gamma == 0.0
-    assert k01[1].gamma == pytest.approx(0.5, abs=BISECTION_TOLERANCE)
+    gamma = compute_k01(inst, cls)
+    assert gamma.shape == (2,)
+    assert gamma[0] == 0.0
+    assert gamma[1] == pytest.approx(0.5, abs=BISECTION_TOLERANCE)
     assert _batched_k01(inst) == _per_pair_k01(inst)
 
 
@@ -263,6 +268,30 @@ def test_compute_k01_model_calls_do_not_grow_with_pairs(monkeypatch):
     k01 = compute_k01(inst)
     assert len(k01) > 100
     assert len(calls) <= 36
+
+
+def test_compute_k01_calls_gamma_fn_once_with_every_pair():
+    d = 40
+    inst = _binary_instance(
+        np.full(d, 1.0 / d), _k01_receiver("mean_stdev", np.random.default_rng(3), d, False)
+    )
+    cls = classify_states(inst)
+    calls = []
+
+    def gamma_fn(reject_states, accept_states):
+        calls.append((reject_states.tolist(), accept_states.tolist()))
+        return np.full(reject_states.shape, np.nan)
+
+    gamma = compute_k01(inst, cls, gamma_fn=gamma_fn)
+    assert len(cls.strict_reject) > 1 and len(cls.accept) > 1
+    assert calls == [
+        (
+            [w0 for w0 in cls.strict_reject for _ in cls.accept],
+            [w1 for _ in cls.strict_reject for w1 in cls.accept],
+        )
+    ]
+    # NaN everywhere leaves every pair to the bisection.
+    assert np.array_equal(gamma, compute_k01(inst, cls))
 
 
 def test_accept_vertices_orders_pures_then_blends():
@@ -444,11 +473,21 @@ def _audit(order, accept, strict, gammas):
         strict_reject=tuple(strict),
         differentials=np.zeros(d),
     )
-    k01 = tuple(K01Vertex(w0, wa, g, d) for (w0, wa), g in gammas.items())
-    plan = _plan(np.zeros(d), np.full(d, 1.0 / d), np.full(d, 1.0 / d))
-    report = verify_threshold(
-        plan, list(order), instance=inst, k01=k01, classification=classification
+    # hull_candidates' layout: pure accept states, blends, pure strict-reject.
+    pairs = [(w0, wa) for w0 in strict for wa in accept]
+    states = [(w, w) for w in accept] + pairs + [(w, w) for w in strict]
+    weights = np.zeros((len(states), 2))
+    weights[:, 0] = 1.0
+    g = np.array([gammas[pair] for pair in pairs])
+    weights[len(accept) : len(accept) + len(pairs)] = np.column_stack([g, 1.0 - g])
+    candidates = HullCandidates(
+        classification=classification,
+        states=np.array(states, dtype=np.intp).reshape(-1, 2),
+        weights=weights,
+        state_labels=tuple(str(w) for w in range(d)),
     )
+    plan = _plan(np.zeros(d), np.full(d, 1.0 / d), np.full(d, 1.0 / d))
+    report = verify_threshold(plan, list(order), instance=inst, candidates=candidates)
     expected = oracles.threshold_violations(order, accept, strict, gammas)
     return report, expected
 

@@ -509,9 +509,9 @@ def test_golden_cvar_zero_tail_accept_state_solves(tmp_path, capsys):
     value = json.loads(captured.out)["value"]
     instance = instance_from_json(doc)
     candidates = hull_candidates(instance)
-    assert [(v.reject_state, v.accept_state, v.gamma) for v in candidates.k01] == [
-        (w, 5, 0.0) for w in range(5)
-    ]
+    blends = slice(len(candidates.classification.accept), candidates.n_accept)
+    assert candidates.states[blends].tolist() == [[w, 5] for w in range(5)]
+    assert candidates.gamma.tolist() == [[0.0]] * 5
     assert validate_scheme(scheme_from_json(json.loads(out.read_text())), instance).ok
     for k in (16, 40):
         grid = GridSpec(k=k, dim=instance.n_states)

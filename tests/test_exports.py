@@ -18,12 +18,12 @@ REMOVED_FUNCTIONS = (
     "segment_bisection",
     "BisectionError",
     "BISECTION_MAX_ITER",
+    "K01Vertex",
 )
 REMOVED_MEMBERS = (
     ("Belief", "point"),
     ("OptimalPlan", "action_probability"),
     ("OptimalPlan", "mean_posterior"),
-    ("K01Vertex", "degenerate"),
     ("UtilityModel", "evaluate"),
     ("SimulationResult", "seen_signal_counts"),
 )

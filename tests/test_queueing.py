@@ -139,6 +139,30 @@ def test_gamma_guards():
         gamma_closed_form(3, 1, 6.0, 0.0)  # at the long leg's bound
 
 
+def test_gamma_closed_form_arrays_match_scalar_calls():
+    # Every (n, m) with n, m < 12, so n <= m, lengths on the wrong side of
+    # tau and a negative beta all occur.  A scalar call raises on exactly
+    # the pairs the array call marks NaN, and both are bit for bit the
+    # one-pair-at-a-time reference.
+    n, m = (a.ravel() for a in np.meshgrid(np.arange(12), np.arange(12), indexing="ij"))
+    raised = 0
+    for tau in (0.5, 2.0, 3.0 - 5e-10, 5.0, TAU, 10.0, 20.0):
+        for beta in (-1.0, 0.0, 1.0, BETA):
+            batch = gamma_closed_form(n, m, tau, beta)
+            assert batch.shape == n.shape
+            for i, (ni, mi) in enumerate(zip(n.tolist(), m.tolist())):
+                want = oracles.gamma_closed_form_scalar(ni, mi, tau, beta)
+                try:
+                    scalar = gamma_closed_form(ni, mi, tau, beta)
+                except ValueError:
+                    raised += 1
+                    assert want is None and math.isnan(batch[i]), (ni, mi, tau, beta)
+                    continue
+                assert type(scalar) is float
+                assert float(batch[i]).hex() == scalar.hex() == want.hex(), (ni, mi, tau, beta)
+    assert 0 < raised < 7 * 4 * n.size
+
+
 def test_gamma_matches_bisection():
     for tau in (5.0, TAU, 10.0):
         for beta in (0.0, 1.0, BETA):
@@ -178,8 +202,8 @@ def test_queue_model_scores_and_classification():
 
 def test_solve_queue_reference_instance(reference_solution):
     sol = reference_solution
-    assert sol.classification.accept == (0, 1, 2)
-    assert len(sol.k01) == 97 * 3
+    assert sol.candidates.classification.accept == (0, 1, 2)
+    assert sol.candidates.gamma.shape == (97, 3)
 
     assert sol.scheme.labels == ("Join_1", "Join_2", "Join_3", "Join_4", "Leave")
     sandwich = verify_sandwich(sol)
@@ -243,7 +267,7 @@ def test_solve_queue_full_join_reduces_to_blocking_queue():
 
 def test_solve_queue_nobody_joins():
     sol = solve_queue(QueueInstance(0.95, 2.5, 0.5, 10))
-    assert sol.classification.accept == ()
+    assert sol.candidates.classification.accept == ()
     assert sol.join_probability == pytest.approx(0.0, abs=1e-12)
     assert sol.throughput == pytest.approx(0.0, abs=1e-12)
     assert sol.scheme.labels == ("Leave",)
@@ -342,8 +366,14 @@ def test_sparse_flow_lp_matches_dense_oracle(params, monkeypatch):
     (lp,) = programs
 
     d, lam = inst.capacity, inst.arrival_rate
-    cls = sol.classification
-    blends = [(v.reject_state, v.accept_state, v.gamma) for v in sol.k01]
+    cls = sol.candidates.classification
+    pairs = slice(len(cls.accept), sol.candidates.n_accept)
+    blends = [
+        (w0, w1, g)
+        for (w0, w1), g in zip(
+            sol.candidates.states[pairs].tolist(), sol.candidates.weights[pairs, 0].tolist()
+        )
+    ]
     c, a_eq, b_eq, v1, v0 = oracles.queue_flow_dense(
         d, lam, cls.accept, cls.strict_reject, blends
     )
@@ -399,8 +429,8 @@ def test_capacity_ten_thousand_rationing_solve_completes():
     # Lengths 0..3 are joinable outright, length 4 is not.
     tau = 0.5 * (4 + beta * 2.0 + 5 + beta * math.sqrt(5))
     sol = solve_queue(QueueInstance(1.1, beta, tau, 10_000))
-    assert sol.classification.accept == (0, 1, 2, 3)
-    assert len(sol.k01) == 4 * 9_996
+    assert sol.candidates.classification.accept == (0, 1, 2, 3)
+    assert sol.candidates.gamma.shape == (9_996, 4)
     assert sol.threshold.holds and sol.threshold.monotone_ok
     assert 0.0 < sol.join_probability < 1.0
     assert sol.occupancy.sum() == pytest.approx(1.0, abs=1e-9)
