@@ -14,7 +14,6 @@ from .binary import (
     binary_precondition_error,
     classify_states,
     compute_k01,
-    full_persuasion_binary,
     hull_candidates,
     solve_binary,
     verify_threshold,
@@ -27,18 +26,16 @@ from .general import (
     benefit_check,
     default_grid_k,
     expected_region_vertices,
-    full_persuasion_general,
+    full_persuasion,
     grid_vertices,
     plan_from_candidates,
     solve_general,
 )
 from .geometry import (
-    ConvexCombination,
     InfeasibleProgramError,
     LinearProgram,
     LpResult,
     LpSolverError,
-    hull_membership,
     solve_lp,
 )
 from .model import (

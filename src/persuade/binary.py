@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .general import plan_from_candidates
-from .geometry import hull_membership
 from .model import OptimalPlan, PersuasionInstance, _dense_rows
 
 # States classify as accept/reject when the pure-state differential clears
@@ -49,7 +48,6 @@ __all__ = [
     "hull_candidates",
     "binary_precondition_error",
     "solve_binary",
-    "full_persuasion_binary",
     "verify_threshold",
 ]
 
@@ -283,27 +281,6 @@ def solve_binary(
     return plan_from_candidates(
         instance, candidates.rows(), candidates.actions, candidates.label
     )
-
-
-def full_persuasion_binary(
-    instance: PersuasionInstance,
-    candidates: HullCandidates | None = None,
-) -> bool:
-    """Whether the sender can get acceptance with probability one.
-
-    Meaningful when the sender strictly prefers acceptance in every state
-    (enforced); the answer is exactly whether the prior lies in the
-    acceptance hull.  ``candidates`` are built from the instance when not
-    given.
-    """
-    _require_binary(instance)
-    v = instance.sender.table
-    if not np.all(v[:, 1] > v[:, 0]):
-        raise ValueError("full persuasion asks for strict sender preference")
-    if candidates is None:
-        candidates = hull_candidates(instance)
-    v1 = candidates.rows(slice(candidates.n_accept))
-    return hull_membership(instance.prior.weights, v1) is not None
 
 
 @dataclass(frozen=True)

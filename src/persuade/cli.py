@@ -26,17 +26,12 @@ import sys
 
 import numpy as np
 
-from .binary import (
-    binary_precondition_error,
-    full_persuasion_binary,
-    hull_candidates,
-    solve_binary,
-)
+from .binary import binary_precondition_error, hull_candidates, solve_binary
 from .general import (
     GridSpec,
     benefit_check,
     default_grid_k,
-    full_persuasion_general,
+    full_persuasion,
     grid_vertices,
     solve_general,
 )
@@ -136,19 +131,18 @@ def _write_json(path: str, doc: dict) -> None:
 
 
 def _solve_instance(instance, method: str, grid_k: int | None):
-    """Dispatch to a solver; returns (plan, point sets, method, k, hull candidates).
+    """Dispatch to a solver; returns (plan, point sets, method, k).
 
     The binary path builds its hull candidates once (one classification,
-    one k01 pass) and hands them to every consumer; the grid path has none.
+    one k01 pass) and hands them to the LP and to the benefit check.
     """
     if method == "auto":
         method = "grid" if binary_precondition_error(instance) else "binary"
     if method == "binary":
         candidates = hull_candidates(instance)
-        plan = solve_binary(instance, candidates)
-        return plan, candidates.point_sets(), "binary", None, candidates
+        return solve_binary(instance, candidates), candidates.point_sets(), "binary", None
     sets, k = _grid_sets(instance, grid_k)
-    return solve_general(instance, sets), sets, "grid", k, None
+    return solve_general(instance, sets), sets, "grid", k
 
 
 def _grid_sets(instance, grid_k: int | None):
@@ -158,21 +152,17 @@ def _grid_sets(instance, grid_k: int | None):
     return [grid_vertices(instance, a, grid) for a in range(instance.n_actions)], k
 
 
-def _full_persuasion(instance, point_sets, candidates=None) -> bool | None:
+def _full_persuasion(instance, plan) -> bool | None:
     try:
-        if candidates is not None:
-            return full_persuasion_binary(instance, candidates)
-        return full_persuasion_general(instance, point_sets)
+        return full_persuasion(instance, plan)
     except ValueError:
-        # Ill-posed for this sender table (ties or weak preferences).
+        # Ill-posed for this sender table: a state's preferred action is tied.
         return None
 
 
 def _cmd_solve(args) -> int:
     instance = instance_from_json(_load_json(args.instance))
-    plan, sets, method, k, candidates = _solve_instance(
-        instance, args.method, args.grid_k
-    )
+    plan, sets, method, k = _solve_instance(instance, args.method, args.grid_k)
     compiled = scheme_from_plan(plan, instance)
     report = validate_scheme(compiled, instance)
     benefit = benefit_check(instance, plan, sets)
@@ -188,7 +178,7 @@ def _cmd_solve(args) -> int:
             "certificate_point": [float(x) for x in benefit.certificate_point],
             "certificate_gain": benefit.certificate_gain,
         },
-        "full_persuasion": _full_persuasion(instance, sets, candidates),
+        "full_persuasion": _full_persuasion(instance, plan),
         "plan": {
             "t": [[float(x) for x in row] for row in plan.t],
             "atoms": [
@@ -257,6 +247,11 @@ def _plot_data_csv(plot: dict) -> str:
 
 
 def _cmd_queue(args) -> int:
+    if args.simulate is not None:
+        if args.seed is None:
+            raise FormatError("--seed", "simulation requires an explicit seed")
+        if args.format == "csv":
+            raise FormatError("--simulate", "the CSV table has no simulation columns")
     instance = QueueInstance(
         arrival_rate=args.lam,
         beta=args.beta,
@@ -291,8 +286,6 @@ def _cmd_queue(args) -> int:
         "scheme": scheme_to_json(solution.scheme),
     }
     if args.simulate is not None:
-        if args.seed is None:
-            raise FormatError("--seed", "simulation requires an explicit seed")
         sim = simulate_queue(instance, solution.scheme, args.simulate, args.seed)
         doc["simulation"] = {
             "events": sim.events,
@@ -327,15 +320,10 @@ def _cmd_queue(args) -> int:
 
 def _cmd_check_full(args) -> int:
     instance = instance_from_json(_load_json(args.instance))
-    if binary_precondition_error(instance) is None and bool(
-        np.all(instance.sender.table[:, 1] > instance.sender.table[:, 0])
-    ):
-        verdict: bool | None = full_persuasion_binary(instance)
-        method = "binary"
-    else:
-        verdict = _full_persuasion(instance, _grid_sets(instance, args.grid_k)[0])
-        method = "grid"
-    _emit({"full_persuasion": verdict, "method": method})
+    v = instance.sender.table
+    strict = binary_precondition_error(instance) is None and bool(np.all(v[:, 1] > v[:, 0]))
+    plan, _, method, _ = _solve_instance(instance, "binary" if strict else "grid", args.grid_k)
+    _emit({"full_persuasion": _full_persuasion(instance, plan), "method": method})
     return 0
 
 

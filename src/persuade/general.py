@@ -21,10 +21,10 @@ from .geometry import (
     ATOM_FLOOR,
     InfeasibleProgramError,
     LinearProgram,
-    hull_membership,
     solve_lp,
 )
 from .model import (
+    PLAN_MASS_TOLERANCE,
     OptimalPlan,
     PersuasionInstance,
     PlanAtom,
@@ -52,7 +52,7 @@ __all__ = [
     "solve_general",
     "baseline_values",
     "benefit_check",
-    "full_persuasion_general",
+    "full_persuasion",
     "expected_region_vertices",
 ]
 
@@ -287,39 +287,25 @@ def benefit_check(
     )
 
 
-def full_persuasion_general(
-    instance: PersuasionInstance, point_sets: list[np.ndarray]
-) -> bool:
-    """Whether the sender can hit its pointwise-best action everywhere.
+def full_persuasion(instance: PersuasionInstance, plan: OptimalPlan) -> bool:
+    """Whether the solved plan gets the sender its pointwise-best action everywhere.
 
-    Partitions states by the sender's uniquely preferred action (a tie
-    makes the question ill-posed and raises), scales the prior restricted
-    to each cell into a mean posterior, and asks hull membership against
-    that action's point set.
+    The sender-preferred action must be unique in every state (a tie makes
+    the question ill-posed and raises).  Each unit of joint mass off that
+    ideal action then costs the plan a positive amount of value, so an
+    optimal plan reaches the full-information ideal exactly when it puts
+    no mass off the ideal action, that is, when each ideal action's cell
+    of the prior lies in the hull of that action's candidates.  Off-ideal
+    mass at or below PLAN_MASS_TOLERANCE, the precision to which a plan's
+    joint mass is checked against the prior, counts as none.
     """
-    if len(point_sets) != instance.n_actions:
-        raise ValueError("need one point set per action")
     v = instance.sender.table
-    d = instance.n_states
-    ideal = np.argmax(v, axis=1)
     if instance.n_actions > 1:
-        sorted_v = np.sort(v, axis=1)
-        if np.any(sorted_v[:, -1] - sorted_v[:, -2] <= 0.0):
-            raise ValueError(
-                "sender-preferred action is not unique in some state"
-            )
-    prior = instance.prior.weights
-    for a in range(instance.n_actions):
-        cell = prior * (ideal == a)
-        mass = cell.sum()
-        if mass <= 0.0:
-            continue
-        pts = np.atleast_2d(np.asarray(point_sets[a], dtype=float))
-        if pts.size == 0:
-            return False
-        if hull_membership(cell / mass, pts) is None:
-            return False
-    return True
+        top = np.sort(v, axis=1)
+        if np.any(top[:, -1] - top[:, -2] <= 0.0):
+            raise ValueError("sender-preferred action is not unique in some state")
+    off_ideal = np.arange(instance.n_actions)[:, None] != np.argmax(v, axis=1)
+    return bool(plan.t[off_ideal].sum() <= PLAN_MASS_TOLERANCE)
 
 
 def expected_region_vertices(

@@ -1,10 +1,8 @@
-"""Convex geometry on the belief simplex, backed by an exact-ish LP core.
+"""The LP core every solver shares.
 
-Point sets are plain float arrays with one point per row; entries are
-beliefs or nonnegative rescalings of beliefs (the origin is a legal row).
-Everything here funnels through ``solve_lp``, a thin contract around the
-HiGHS dual simplex: equality constraints, variables bounded below by zero,
-basic (vertex) optimal solutions.
+``solve_lp`` is a thin contract around the HiGHS dual simplex: equality
+constraints, variables bounded below by zero, basic (vertex) optimal
+solutions, and an equality residual checked on every accepted solution.
 """
 
 from __future__ import annotations
@@ -15,17 +13,12 @@ import numpy as np
 import scipy.sparse
 from scipy.optimize import linprog
 
-# A point counts as inside a hull when some convex combination reproduces
-# it with total absolute residual at most this.
-HULL_TOLERANCE = 1e-8
-# Equality residual allowed on any accepted LP solution; a ConvexCombination's
-# weights, which an LP row makes sum to one, must do so within it too.
+# Equality residual allowed on any accepted LP solution.
 LP_RESIDUAL = 1e-9
-# Weights smaller than this are dropped from decompositions.
+# LP weights at or below this are dropped from a plan's atoms.
 ATOM_FLOOR = 1e-12
 
 __all__ = [
-    "HULL_TOLERANCE",
     "LP_RESIDUAL",
     "ATOM_FLOOR",
     "LpSolverError",
@@ -33,9 +26,7 @@ __all__ = [
     "LinearProgram",
     "SparseConstraints",
     "LpResult",
-    "ConvexCombination",
     "solve_lp",
-    "hull_membership",
 ]
 
 
@@ -129,81 +120,3 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     if residual > LP_RESIDUAL * scale:
         raise LpSolverError(f"equality residual {residual:.3e} out of tolerance")
     return LpResult(status="optimal", x=x, value=float(-res.fun))
-
-
-@dataclass(frozen=True, eq=False)
-class ConvexCombination:
-    """Convex weights over rows of a point set reproducing a target.
-
-    ``indices`` refer to rows of the point set the combination was built
-    from; ``points`` are those rows copied out so the object stands alone.
-    """
-
-    indices: np.ndarray
-    weights: np.ndarray
-    points: np.ndarray
-    target: np.ndarray
-    tolerance: float = HULL_TOLERANCE
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.size == 0:
-            raise ValueError("a convex combination needs at least one atom")
-        if w.min() < -ATOM_FLOOR or abs(w.sum() - 1.0) > LP_RESIDUAL:
-            raise ValueError("weights must be nonnegative and sum to one")
-        err = np.max(np.abs(w @ self.points - self.target))
-        if err > self.tolerance:
-            raise ValueError(f"combination misses its target by {err:.3e}")
-
-    @property
-    def n_atoms(self) -> int:
-        return int(self.weights.size)
-
-
-def _membership_lp(target: np.ndarray, points: np.ndarray) -> LinearProgram:
-    # min sum of slacks <=> max -(s+ + s-); columns are [lambda, s+, s-].
-    n, d = points.shape
-    a = np.zeros((d + 1, n + 2 * d))
-    a[:d, :n] = points.T
-    a[:d, n : n + d] = np.eye(d)
-    a[:d, n + d :] = -np.eye(d)
-    a[d, :n] = 1.0
-    b = np.concatenate([target, [1.0]])
-    c = np.zeros(n + 2 * d)
-    c[n:] = -1.0
-    return LinearProgram(c=c, a_eq=a, b_eq=b)
-
-
-def hull_membership(
-    target: np.ndarray, points: np.ndarray, tol: float = HULL_TOLERANCE
-) -> ConvexCombination | None:
-    """Test whether target lies in the convex hull of the rows of points.
-
-    Returns a witness combination when some convex mix of rows comes
-    within total absolute residual ``tol`` of the target, else None.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    target = np.asarray(target, dtype=float)
-    if points.shape[0] == 0:
-        return None
-    if points.shape[1] != target.size:
-        raise ValueError("points and target dimensions disagree")
-    res = solve_lp(_membership_lp(target, points))
-    if not res.optimal:
-        return None
-    n = points.shape[0]
-    slack = -res.value
-    if slack > tol:
-        return None
-    lam = res.x[:n]
-    keep = np.nonzero(lam > ATOM_FLOOR)[0]
-    if keep.size == 0:
-        keep = np.array([int(np.argmax(lam))])
-    w = lam[keep] / lam[keep].sum()
-    return ConvexCombination(
-        indices=keep,
-        weights=w,
-        points=points[keep],
-        target=target,
-        tolerance=max(tol, HULL_TOLERANCE),
-    )

@@ -81,6 +81,8 @@ class SignalingScheme:
         prior = np.asarray(self.prior, dtype=float)
         if cond.shape != (len(self.signals), prior.size):
             raise ValueError("conditional law shape must be signals by states")
+        if len(set(self.labels)) != len(self.signals):
+            raise ValueError("signal labels must be distinct")
         object.__setattr__(self, "conditional", cond)
         object.__setattr__(self, "prior", prior)
 
@@ -333,12 +335,19 @@ def scheme_from_json(data: dict) -> SignalingScheme:
         raise FormatError("prior", "weights must be nonnegative")
 
     signals = []
+    seen: set[str] = set()
     for i, raw in enumerate(raw_signals):
         if not isinstance(raw, dict):
             raise FormatError(f"signals[{i}]", "expected an object")
         for key in ("label", "posterior", "action", "marginal"):
             if key not in raw:
                 raise FormatError(f"signals[{i}].{key}", "missing field")
+        label = raw["label"]
+        if not isinstance(label, str):
+            raise FormatError(f"signals[{i}].label", "expected a string")
+        if label in seen:
+            raise FormatError(f"signals[{i}].label", f"repeats the label {label!r}")
+        seen.add(label)
         post = raw["posterior"]
         if not isinstance(post, list) or len(post) != d:
             raise FormatError(f"signals[{i}].posterior", f"expected {d} weights")
@@ -355,7 +364,7 @@ def scheme_from_json(data: dict) -> SignalingScheme:
             raise FormatError(f"signals[{i}].marginal", f"probability {marginal!r} out of range")
         signals.append(
             Signal(
-                label=str(raw["label"]),
+                label=label,
                 posterior=np.clip(posterior, 0.0, None),
                 action=action,
                 marginal=max(marginal, 0.0),

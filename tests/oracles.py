@@ -3,8 +3,10 @@
 Everything here is deliberately written from scratch against the problem
 definitions (enumeration, direct LP formulations, closed-form chains),
 not by calling into the package, so agreement is evidence rather than
-tautology.  The one exception is ``caratheodory_decompose``, a reducer
-built on the package's ``hull_membership`` witness.  ``segment_bisection``
+tautology.  The exceptions are ``hull_membership``, a slack-minimizing
+membership LP solved by the package's ``solve_lp``, and
+``caratheodory_decompose``, a reducer built on its witness; the plan LP's
+full-persuasion verdict is checked against the former.  ``segment_bisection``
 bisects one edge at a time, the per-pair reference for the batched edge
 bisection in ``compute_k01``; ``gamma_closed_form_scalar`` is the queue's
 closed-form blend weight one pair at a time in ``math``, the reference for
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -23,11 +26,15 @@ from scipy.optimize import linprog
 from persuade.binary import BISECTION_TOLERANCE
 from persuade.geometry import (
     ATOM_FLOOR,
-    HULL_TOLERANCE,
-    ConvexCombination,
+    LP_RESIDUAL,
     InfeasibleProgramError,
-    hull_membership,
+    LinearProgram,
+    solve_lp,
 )
+
+# A point counts as inside a hull when some convex combination reproduces
+# it with total absolute residual at most this.
+HULL_TOLERANCE = 1e-8
 
 
 def simplex_grid(dim: int, k: int) -> np.ndarray:
@@ -286,6 +293,100 @@ def concavify_oracle(instance, grid) -> float:
         raise InfeasibleProgramError("prior is outside the grid's hull")
     assert res.status == 0, f"concavification LP failed with status {res.status}"
     return float(-res.fun)
+
+
+@dataclass(frozen=True, eq=False)
+class ConvexCombination:
+    """Convex weights over rows of a point set reproducing a target.
+
+    ``indices`` refer to rows of the point set the combination was built
+    from; ``points`` are those rows copied out so the object stands alone.
+    """
+
+    indices: np.ndarray
+    weights: np.ndarray
+    points: np.ndarray
+    target: np.ndarray
+    tolerance: float = HULL_TOLERANCE
+
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=float)
+        if w.size == 0:
+            raise ValueError("a convex combination needs at least one atom")
+        if w.min() < -ATOM_FLOOR or abs(w.sum() - 1.0) > LP_RESIDUAL:
+            raise ValueError("weights must be nonnegative and sum to one")
+        err = np.max(np.abs(w @ self.points - self.target))
+        if err > self.tolerance:
+            raise ValueError(f"combination misses its target by {err:.3e}")
+
+    @property
+    def n_atoms(self) -> int:
+        return int(self.weights.size)
+
+
+def _membership_lp(target: np.ndarray, points: np.ndarray) -> LinearProgram:
+    # min sum of slacks <=> max -(s+ + s-); columns are [lambda, s+, s-].
+    n, d = points.shape
+    a = np.zeros((d + 1, n + 2 * d))
+    a[:d, :n] = points.T
+    a[:d, n : n + d] = np.eye(d)
+    a[:d, n + d :] = -np.eye(d)
+    a[d, :n] = 1.0
+    b = np.concatenate([target, [1.0]])
+    c = np.zeros(n + 2 * d)
+    c[n:] = -1.0
+    return LinearProgram(c=c, a_eq=a, b_eq=b)
+
+
+def hull_membership(
+    target: np.ndarray, points: np.ndarray, tol: float = HULL_TOLERANCE
+) -> ConvexCombination | None:
+    """Test whether target lies in the convex hull of the rows of points.
+
+    Returns a witness combination when some convex mix of rows comes
+    within total absolute residual ``tol`` of the target, else None.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    target = np.asarray(target, dtype=float)
+    if points.shape[0] == 0:
+        return None
+    if points.shape[1] != target.size:
+        raise ValueError("points and target dimensions disagree")
+    res = solve_lp(_membership_lp(target, points))
+    if not res.optimal:
+        return None
+    n = points.shape[0]
+    slack = -res.value
+    if slack > tol:
+        return None
+    lam = res.x[:n]
+    keep = np.nonzero(lam > ATOM_FLOOR)[0]
+    if keep.size == 0:
+        keep = np.array([int(np.argmax(lam))])
+    w = lam[keep] / lam[keep].sum()
+    return ConvexCombination(
+        indices=keep,
+        weights=w,
+        points=points[keep],
+        target=target,
+        tolerance=max(tol, HULL_TOLERANCE),
+    )
+
+
+def full_persuasion_membership(instance, point_sets) -> bool:
+    """Full persuasion by hull membership, the reference for the plan-read verdict.
+
+    Each state's sender-preferred action owns a cell of the prior; the
+    sender always gets that action exactly when every cell, scaled to a
+    posterior, lies in the hull of its action's points.
+    """
+    ideal = np.argmax(instance.sender.table, axis=1)
+    prior = np.asarray(instance.prior.weights, dtype=float)
+    for a, pts in enumerate(point_sets):
+        cell = prior * (ideal == a)
+        if cell.sum() > 0.0 and hull_membership(cell / cell.sum(), pts) is None:
+            return False
+    return True
 
 
 class PointOutsideHullError(ValueError):

@@ -24,11 +24,10 @@ from persuade import (
     StateSpace,
     baseline_values,
     expected_region_vertices,
-    full_persuasion_binary,
+    full_persuasion,
     gamma_closed_form,
     grid_vertices,
     hull_candidates,
-    hull_membership,
     make_model,
     queue_model,
     scheme_from_plan,
@@ -80,7 +79,7 @@ def test_criterion_1_example_full_persuasion():
     start = time.perf_counter()
     inst = threshold_instance()
     plan = solve_binary(inst)
-    full = full_persuasion_binary(inst)
+    full = full_persuasion(inst, plan)
     report = validate_scheme(scheme_from_plan(_three_signal_plan(), inst), inst)
     runtime = time.perf_counter() - start
 
@@ -356,12 +355,12 @@ def _hull_identity_checks(rng) -> bool:
         for _ in range(30):
             mu = rng.dirichlet(np.ones(inst.n_states))
             in_accept = v1.shape[0] > 0 and (
-                hull_membership(mu, v1, tol=1e-6) is not None
+                oracles.hull_membership(mu, v1, tol=1e-6) is not None
             )
             if float(diff(mu)) >= 0.0:
                 ok &= in_accept
             in_reject = v0.shape[0] > 0 and (
-                hull_membership(mu, v0, tol=1e-6) is not None
+                oracles.hull_membership(mu, v0, tol=1e-6) is not None
             )
             ok &= in_accept or in_reject
     return bool(ok)

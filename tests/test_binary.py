@@ -20,7 +20,7 @@ from persuade import (
     UtilityModel,
     classify_states,
     compute_k01,
-    full_persuasion_binary,
+    full_persuasion,
     hull_candidates,
     make_model,
     solve_binary,
@@ -334,7 +334,7 @@ def test_solve_binary_threshold_game_full_value():
     assert np.allclose(plan.t[1], inst.prior.weights, atol=1e-8)
     assert plan.t[0].sum() <= 1e-8
     assert len(plan.atoms) <= 4
-    assert full_persuasion_binary(inst)
+    assert full_persuasion(inst, plan)
 
 
 def test_solve_binary_matches_brute_force_oracle():
@@ -405,11 +405,11 @@ def test_full_persuasion_binary_frontier():
     # Acceptance hull is {mu_1 >= 1/2}: the 0.3 prior misses, 0.6 makes it.
     out = _binary_instance([0.7, 0.3], model)
     inside = _binary_instance([0.4, 0.6], model)
-    assert not full_persuasion_binary(out)
-    assert full_persuasion_binary(inside)
+    assert not full_persuasion(out, solve_binary(out))
+    assert full_persuasion(inside, solve_binary(inside))
     flat = _binary_instance([0.7, 0.3], model, v1=np.zeros(2))
-    with pytest.raises(ValueError, match="strict"):
-        full_persuasion_binary(flat)
+    with pytest.raises(ValueError, match="not unique"):
+        full_persuasion(flat, solve_binary(flat))
 
 
 def _plan(t1, t0, prior):

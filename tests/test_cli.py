@@ -23,6 +23,7 @@ from persuade import (
     PersuasionInstance,
     SignalingScheme,
     cli,
+    full_persuasion,
     grid_vertices,
     hull_candidates,
     instance_from_json,
@@ -181,6 +182,17 @@ def test_queue_simulate_requires_seed(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_queue_csv_refuses_simulate_before_solving(capsys, monkeypatch):
+    # The CSV table has no simulation columns, so a simulation would be lost.
+    solves = _count_calls(monkeypatch, "solve_queue", home=persuade.queueing)
+    args = _queue_args() + ["--format", "csv", "--simulate", "20000", "--seed", "5"]
+    assert cli.run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("persuade: --simulate:")
+    assert solves == []
+
+
 def test_queue_simulation_block(capsys):
     args = _queue_args(capacity=20) + ["--simulate", "20000", "--seed", "5"]
     assert cli.run(args) == 0
@@ -328,6 +340,33 @@ def test_simulate_verb(tmp_path, capsys):
     bad[bad.index("4")] = "5"
     assert cli.run(bad) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "labels, path",
+    [(["same"] * 4, "signals[1].label"), ([7, "b", "c", "d"], "signals[0].label")],
+)
+def test_simulate_rejects_repeated_or_non_string_labels(labels, path, tmp_path, capsys):
+    # Signal counts are keyed by label: a repeated label would merge counts.
+    scheme_path = tmp_path / "scheme.json"
+    queue_args = [
+        "queue", "--lambda", "0.5", "--beta", "0.0", "--tau", "20.0",
+        "--capacity", "4", "--out", str(scheme_path),
+    ]
+    assert cli.run(queue_args) == 0
+    capsys.readouterr()
+    scheme = json.loads(scheme_path.read_text())
+    assert len(scheme["signals"]) == len(labels)
+    for signal, label in zip(scheme["signals"], labels):
+        signal["label"] = label
+    sim_args = [
+        "simulate", "--scheme", _write(tmp_path, "bad.json", scheme), "--lambda", "0.5",
+        "--capacity", "4", "--events", "20000", "--seed", "3",
+    ]
+    assert cli.run(sim_args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"persuade: {path}:")
 
 
 def test_roundtrip_fixpoint(tmp_path):
@@ -531,7 +570,9 @@ def _count_calls(monkeypatch, name, home=persuade.binary):
         calls.append(name)
         return original(*args, **kwargs)
 
-    for module in (persuade, persuade.binary, persuade.general, persuade.queueing, cli):
+    modules = (persuade, persuade.geometry, persuade.binary, persuade.general,
+               persuade.queueing, cli)
+    for module in modules:
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
     return calls
@@ -558,6 +599,110 @@ def test_solve_scores_the_baselines_once(tmp_path, capsys, monkeypatch, method):
     out = json.loads(capsys.readouterr().out)
     assert out["method"] == method
     assert len(baselines) == 1
+
+
+def _three_action_dict():
+    # Each state has one sender-preferred action, so check-full takes the
+    # grid path.  The receiver agrees with the sender in states a and b but
+    # not in c: the hull-membership verdict needed an LP for each cell.
+    return {
+        "states": ["a", "b", "c"],
+        "actions": ["x", "y", "z"],
+        "prior": [0.3, 0.3, 0.4],
+        "sender_v": [[1.0, 0.0, 0.2], [0.0, 1.0, 0.3], [0.4, 0.1, 1.0]],
+        "receiver": {
+            "kind": "expected",
+            "u": [[1.0, 0.0, 0.5], [0.0, 1.0, 0.2], [0.3, 0.6, 0.0]],
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "verb, doc, expected_method",
+    [
+        (["solve", "--method", "binary"], _seeded_binary(_mean_stdev_receiver, 11, 6), "binary"),
+        (["solve", "--method", "grid"], _seeded_binary(_mean_stdev_receiver, 11, 6), "grid"),
+        (["solve"], _three_action_dict(), "grid"),
+        (["check-full"], _seeded_binary(_mean_stdev_receiver, 11, 6), "binary"),
+        (["check-full"], _three_action_dict(), "grid"),
+    ],
+)
+def test_one_lp_per_solve_and_check_full(tmp_path, capsys, monkeypatch, verb, doc, expected_method):
+    lps = _count_calls(monkeypatch, "solve_lp", home=persuade.geometry)
+    path = _write(tmp_path, "inst.json", doc)
+    assert cli.run(verb + ["--instance", path, "--grid-k", "6"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["method"] == expected_method
+    assert out["full_persuasion"] in (True, False)
+    assert len(lps) == 1
+
+
+def _aligned(instance):
+    # The receiver's expected utility is the sender's table: full disclosure
+    # gives the sender its ideal action in every state.
+    return instance_from_json(
+        {**persuade.instance_to_json(instance),
+         "receiver": {"kind": "expected", "u": instance.sender.table.tolist()}}
+    )
+
+
+def _with_prior(instance, prior):
+    return instance_from_json({**persuade.instance_to_json(instance), "prior": list(prior)})
+
+
+def test_full_persuasion_agrees_with_hull_membership():
+    verdicts = []
+
+    def check(instance, plan, point_sets):
+        verdict = full_persuasion(instance, plan)
+        assert verdict == oracles.full_persuasion_membership(instance, point_sets)
+        verdicts.append(verdict)
+
+    # Seeded binary instances, at their own prior and at the mean of the
+    # accept candidates, which the acceptance hull holds.
+    for receiver in (_mean_stdev_receiver, _maximin_receiver, _cvar_receiver):
+        for seed, d in ((17, 6), (21, 5), (33, 8)):
+            instance = instance_from_json(_seeded_binary(receiver, seed, d))
+            inside = hull_candidates(instance).point_sets()[1].mean(axis=0)
+            for inst in (instance, _with_prior(instance, inside)):
+                candidates = hull_candidates(inst)
+                check(inst, persuade.solve_binary(inst, candidates), candidates.point_sets())
+    # Grid instances with two and three actions, random and aligned.
+    rng = np.random.default_rng(5)
+    for n_actions in (2, 3):
+        for trial in range(4):
+            d = int(rng.integers(2, 5))
+            doc = {
+                "states": [f"s{w}" for w in range(d)],
+                "actions": [f"a{a}" for a in range(n_actions)],
+                "prior": rng.dirichlet(np.ones(d)).tolist(),
+                "sender_v": rng.normal(size=(d, n_actions)).tolist(),
+                "receiver": {"kind": "expected", "u": rng.normal(size=(d, n_actions)).tolist()},
+            }
+            instance = instance_from_json(doc)
+            for inst in (instance, _aligned(instance)):
+                grid = GridSpec(k=12, dim=d)
+                sets = [grid_vertices(inst, a, grid) for a in range(n_actions)]
+                check(inst, solve_general(inst, sets), sets)
+    # Frontier cases: the 0.3 and 0.6 priors of the half-plane hull, one
+    # 2e-4 short of it (4e-4 of mass off the ideal action), an empty action
+    # set, and a single action.
+    half = {"states": ["a", "b"], "actions": ["no", "yes"], "sender_v": [[0.0, 1.0]] * 2,
+            "receiver": {"kind": "expected", "u": [[0.0, -1.0], [0.0, 1.0]]}}
+    for prior in ([0.7, 0.3], [0.4, 0.6], [0.5002, 0.4998]):
+        inst = instance_from_json({**half, "prior": prior})
+        candidates = hull_candidates(inst)
+        check(inst, persuade.solve_binary(inst, candidates), candidates.point_sets())
+    inst = instance_from_json(threshold_instance_dict())
+    sets = [np.eye(4), np.zeros((0, 4))]
+    check(inst, solve_general(inst, sets), sets)
+    single = instance_from_json(
+        {"states": ["a", "b"], "actions": ["only"], "prior": [0.5, 0.5],
+         "sender_v": [[1.0], [2.0]], "receiver": {"kind": "expected", "u": [[0.0], [0.0]]}}
+    )
+    sets = [GridSpec(k=4, dim=2).points()]
+    check(single, solve_general(single, sets), sets)
+    assert True in verdicts and False in verdicts
 
 
 # ---------------------------------------------------------------------------

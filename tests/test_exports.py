@@ -19,6 +19,11 @@ REMOVED_FUNCTIONS = (
     "BisectionError",
     "BISECTION_MAX_ITER",
     "K01Vertex",
+    "full_persuasion_binary",
+    "full_persuasion_general",
+    "hull_membership",
+    "ConvexCombination",
+    "HULL_TOLERANCE",
 )
 REMOVED_MEMBERS = (
     ("Belief", "point"),

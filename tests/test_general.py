@@ -18,7 +18,7 @@ from persuade import (
     benefit_check,
     default_grid_k,
     expected_region_vertices,
-    full_persuasion_general,
+    full_persuasion,
     grid_vertices,
     make_model,
     solve_general,
@@ -176,7 +176,7 @@ def test_full_persuasion_general_threshold_game():
     inst = threshold_instance()
     grid = GridSpec(k=24, dim=4)
     sets = [grid_vertices(inst, a, grid) for a in range(2)]
-    assert full_persuasion_general(inst, sets)
+    assert full_persuasion(inst, solve_general(inst, sets))
 
     skewed = PersuasionInstance(
         states=inst.states,
@@ -186,13 +186,13 @@ def test_full_persuasion_general_threshold_game():
         receiver=inst.receiver,
     )
     sets = [grid_vertices(skewed, a, grid) for a in range(2)]
-    assert not full_persuasion_general(skewed, sets)
+    assert not full_persuasion(skewed, solve_general(skewed, sets))
 
 
 def test_full_persuasion_general_guards():
     inst = threshold_instance()
     with pytest.raises(ValueError, match="point set"):
-        full_persuasion_general(inst, [np.eye(4)])
+        solve_general(inst, [np.eye(4)])
     tied = PersuasionInstance(
         states=inst.states,
         actions=inst.actions,
@@ -201,9 +201,9 @@ def test_full_persuasion_general_guards():
         receiver=inst.receiver,
     )
     with pytest.raises(ValueError, match="unique"):
-        full_persuasion_general(tied, [np.eye(4), np.eye(4)])
+        full_persuasion(tied, solve_general(tied, [np.eye(4), np.eye(4)]))
     # An empty point set for a demanded action is a plain negative verdict.
-    assert not full_persuasion_general(inst, [np.eye(4), np.zeros((0, 4))])
+    assert not full_persuasion(inst, solve_general(inst, [np.eye(4), np.zeros((0, 4))]))
 
 
 def test_full_persuasion_single_action_degenerates_gracefully():
@@ -214,7 +214,7 @@ def test_full_persuasion_single_action_degenerates_gracefully():
         sender=SenderUtility(np.array([[1.0], [2.0]])),
         receiver=make_model("expected", u=np.zeros((2, 1))),
     )
-    assert full_persuasion_general(inst, [GridSpec(k=4, dim=2).points()])
+    assert full_persuasion(inst, solve_general(inst, [GridSpec(k=4, dim=2).points()]))
 
 
 def test_concavify_oracle_accepts_raw_points_and_guards():

@@ -5,16 +5,13 @@ import pytest
 
 from oracles import (
     BisectionError,
+    ConvexCombination,
     PointOutsideHullError,
     caratheodory_decompose,
+    hull_membership,
     segment_bisection,
 )
-from persuade import (
-    ConvexCombination,
-    LinearProgram,
-    hull_membership,
-    solve_lp,
-)
+from persuade import LinearProgram, solve_lp
 
 
 def test_solve_lp_small_known_optimum():

@@ -182,6 +182,18 @@ def test_validate_scheme_flags_disobedient_recommendations():
     assert report.margins[0] == pytest.approx(-1.0 / 12.0, abs=1e-9)
 
 
+def test_scheme_refuses_repeated_labels():
+    scheme = scheme_from_plan(_three_signal_plan(), threshold_instance())
+    first = scheme.signals[0]
+    twin = Signal(first.label, scheme.signals[1].posterior, first.action, first.marginal)
+    with pytest.raises(ValueError, match="distinct"):
+        SignalingScheme(
+            signals=(first, twin) + scheme.signals[2:],
+            conditional=scheme.conditional,
+            prior=scheme.prior,
+        )
+
+
 def test_validate_scheme_catches_broken_bayes_rows():
     inst = threshold_instance()
     scheme = scheme_from_plan(_three_signal_plan(), inst)
