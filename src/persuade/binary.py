@@ -292,8 +292,9 @@ class ThresholdReport:
     contributes nothing.  ``threshold_state`` is the first state not
     fully accepted (None when all are).  ``witness`` is an offending
     (earlier-not-full, later-still-positive) pair when the check fails.
-    ``monotone_ok`` reports the blend-weight monotonicity audit of the
-    supplied order (None when no instance was given to audit against).
+    ``monotone_ok`` reports the blend-weight audit of the supplied order,
+    whose faults are listed in ``violations`` (None when no candidates
+    were given to audit against).
     """
 
     holds: bool
@@ -306,24 +307,16 @@ class ThresholdReport:
 def verify_threshold(
     plan: OptimalPlan,
     order: list[int],
-    instance: PersuasionInstance | None = None,
     candidates: HullCandidates | None = None,
 ) -> ThresholdReport:
     """Check that a plan's accept mass is a cutoff in the given state order.
 
-    ``order`` lists all states from most to least acceptable.  When an
-    instance is supplied, the order itself is audited: a state may only
-    precede another if it is an accept state, or both are strict-reject
-    states and every accept state blends with the earlier one at a
-    strictly larger weight than with the later one.  The blend weights are
-    ``candidates.gamma``, the candidates built from the instance when not
-    given.
-
-    The audit costs O(d * |accept|): every state after the first
-    non-accept one must be strict-reject, and in each accept state's
-    column of blend weights every entry must beat the largest later one.
-    Only when that finds a fault, or a NaN weight, does the pairwise
-    O(d^2 * |accept|) audit run, to list every offending pair.
+    ``order`` lists all states from most to least acceptable.  When hull
+    candidates are supplied, the order itself is audited against their
+    blend weights ``candidates.gamma``: a state may only precede another
+    if it is an accept state, or both are strict-reject states and every
+    accept state blends with the earlier one at a strictly larger weight
+    than with the later one.
     """
     d = plan.t.shape[1]
     if sorted(order) != list(range(d)):
@@ -338,65 +331,51 @@ def verify_threshold(
     if not holds:
         witness = (order[min(nonfull)], order[max(nonzero)])
 
-    monotone_ok: bool | None = None
-    violations: list[str] = []
-    if instance is not None:
-        if candidates is None:
-            candidates = hull_candidates(instance)
-        if not _order_is_monotone(order, candidates):
-            violations = _pairwise_violations(order, candidates)
-        monotone_ok = not violations
+    violations = () if candidates is None else tuple(_order_violations(order, candidates))
     return ThresholdReport(
         holds=bool(holds),
         threshold_state=threshold_state,
         witness=witness,
-        monotone_ok=monotone_ok,
-        violations=tuple(violations),
+        monotone_ok=None if candidates is None else not violations,
+        violations=violations,
     )
 
 
-def _order_is_monotone(order: list[int], candidates: HullCandidates) -> bool:
-    # True only when the pairwise audit would find nothing.  A NaN blend
-    # weight fails every comparison, so the pairwise audit runs and reports
-    # it as it always has.
+def _order_violations(order: list[int], candidates: HullCandidates) -> list[str]:
+    """Every faulty (earlier strict-reject, later state) pair of the order.
+
+    Listed by earlier state, then later state, then accept state.  Each
+    state is accept or strict-reject, as ``classify_states`` makes them.
+    Suffix maxima of the blend weights along the order find the earlier
+    states with a fault in O(d * |accept|); only their pairs are listed.
+    A NaN weight fails every comparison, the maxima included.
+    """
     cls = candidates.classification
-    accept = set(cls.accept)
-    first = next((p for p, w in enumerate(order) if w not in accept), len(order))
-    tail = order[first:]
-    strict = set(cls.strict_reject)
-    if not all(w in strict for w in tail[1:]):
-        return False
-    if len(tail) < 2:
-        return True
-    row = {w: i for i, w in enumerate(cls.strict_reject)}
-    g = candidates.gamma[[row[w] for w in tail]]
+    order = np.asarray(order, dtype=np.intp)
+    row = np.zeros(order.size, dtype=np.intp)
+    row[list(cls.strict_reject)] = np.arange(len(cls.strict_reject))
+    accept = np.isin(order, cls.accept)
+    strict_pos, accept_pos = np.nonzero(~accept)[0], np.nonzero(accept)[0]
+    g = candidates.gamma[row[order[strict_pos]]]
     later_max = np.maximum.accumulate(g[::-1], axis=0)[::-1]
-    return bool(np.all(g[:-1] > later_max[1:] - MONOTONE_SLACK))
-
-
-def _pairwise_violations(order: list[int], candidates: HullCandidates) -> list[str]:
-    cls = candidates.classification
-    accept = set(cls.accept)
-    strict = set(cls.strict_reject)
-    row = {w: i for i, w in enumerate(cls.strict_reject)}
-    gamma = candidates.gamma.tolist()
+    faulty = strict_pos < (accept_pos[-1] if accept_pos.size else -1)
+    faulty[:-1] |= ~np.all(g[:-1] > later_max[1:] - MONOTONE_SLACK, axis=1)
     violations = []
-    for i in range(len(order)):
-        if order[i] in accept:
-            continue
-        for j in range(i + 1, len(order)):
-            wi, wj = order[i], order[j]
-            if wj not in strict:
+    for i in np.nonzero(faulty)[0]:
+        wi = order[strict_pos[i]]
+        drops = g[i] > g[i + 1 :] - MONOTONE_SLACK
+        later = [accept_pos[accept_pos > strict_pos[i]], strict_pos[i + 1 :][~drops.all(axis=1)]]
+        for q in np.sort(np.concatenate(later)):
+            wj = order[q]
+            if accept[q]:
                 violations.append(
-                    f"state {wj} follows strict-reject state {wi} "
-                    "but is not strict-reject"
+                    f"state {wj} follows strict-reject state {wi} but is not strict-reject"
                 )
                 continue
-            for k, wa in enumerate(cls.accept):
-                gi, gj = gamma[row[wi]][k], gamma[row[wj]][k]
-                if not gi > gj - MONOTONE_SLACK:
-                    violations.append(
-                        f"blend weight with accept state {wa} fails to "
-                        f"drop from state {wi} ({gi:.6g}) to {wj} ({gj:.6g})"
-                    )
+            j = np.searchsorted(strict_pos, q)
+            for k in np.nonzero(~drops[j - i - 1])[0]:
+                violations.append(
+                    f"blend weight with accept state {cls.accept[k]} fails to "
+                    f"drop from state {wi} ({g[i, k]:.6g}) to {wj} ({g[j, k]:.6g})"
+                )
     return violations

@@ -29,6 +29,7 @@ import numpy as np
 from .binary import binary_precondition_error, hull_candidates, solve_binary
 from .general import (
     GridSpec,
+    _ideal_action_tied,
     benefit_check,
     default_grid_k,
     full_persuasion,
@@ -145,19 +146,16 @@ def _solve_instance(instance, method: str, grid_k: int | None):
     return solve_general(instance, sets), sets, "grid", k
 
 
+def _grid_spec(instance, grid_k: int | None) -> GridSpec:
+    """The belief grid at denominator grid_k, or the default for the state count."""
+    k = grid_k if grid_k is not None else default_grid_k(instance.n_states)
+    return GridSpec(k=k, dim=instance.n_states)
+
+
 def _grid_sets(instance, grid_k: int | None):
     """Each action's grid candidates at denominator grid_k (or the default); (sets, k)."""
-    k = grid_k if grid_k is not None else default_grid_k(instance.n_states)
-    grid = GridSpec(k=k, dim=instance.n_states)
-    return [grid_vertices(instance, a, grid) for a in range(instance.n_actions)], k
-
-
-def _full_persuasion(instance, plan) -> bool | None:
-    try:
-        return full_persuasion(instance, plan)
-    except ValueError:
-        # Ill-posed for this sender table: a state's preferred action is tied.
-        return None
+    grid = _grid_spec(instance, grid_k)
+    return [grid_vertices(instance, a, grid) for a in range(instance.n_actions)], grid.k
 
 
 def _cmd_solve(args) -> int:
@@ -166,6 +164,8 @@ def _cmd_solve(args) -> int:
     compiled = scheme_from_plan(plan, instance)
     report = validate_scheme(compiled, instance)
     benefit = benefit_check(instance, plan, sets)
+    # Ill-posed, so null, when a state's sender-preferred action is tied.
+    full = None if _ideal_action_tied(instance) else full_persuasion(instance, plan)
     doc = {
         "value": plan.value,
         "method": method,
@@ -178,7 +178,7 @@ def _cmd_solve(args) -> int:
             "certificate_point": [float(x) for x in benefit.certificate_point],
             "certificate_gain": benefit.certificate_gain,
         },
-        "full_persuasion": _full_persuasion(instance, plan),
+        "full_persuasion": full,
         "plan": {
             "t": [[float(x) for x in row] for row in plan.t],
             "atoms": [
@@ -320,10 +320,17 @@ def _cmd_queue(args) -> int:
 
 def _cmd_check_full(args) -> int:
     instance = instance_from_json(_load_json(args.instance))
+    if _ideal_action_tied(instance):
+        # A tie makes the verdict null, so nothing is solved; the grid flag
+        # is still checked.  The method is grid: a tie fails the strict
+        # preference below with two actions, the binary precondition with more.
+        _grid_spec(instance, args.grid_k)
+        _emit({"full_persuasion": None, "method": "grid"})
+        return 0
     v = instance.sender.table
     strict = binary_precondition_error(instance) is None and bool(np.all(v[:, 1] > v[:, 0]))
     plan, _, method, _ = _solve_instance(instance, "binary" if strict else "grid", args.grid_k)
-    _emit({"full_persuasion": _full_persuasion(instance, plan), "method": method})
+    _emit({"full_persuasion": full_persuasion(instance, plan), "method": method})
     return 0
 
 

@@ -287,6 +287,12 @@ def benefit_check(
     )
 
 
+def _ideal_action_tied(instance: PersuasionInstance) -> bool:
+    """Whether some state's sender-preferred action is tied with another."""
+    top = np.sort(instance.sender.table, axis=1)
+    return top.shape[1] > 1 and bool(np.any(top[:, -1] <= top[:, -2]))
+
+
 def full_persuasion(instance: PersuasionInstance, plan: OptimalPlan) -> bool:
     """Whether the solved plan gets the sender its pointwise-best action everywhere.
 
@@ -299,12 +305,9 @@ def full_persuasion(instance: PersuasionInstance, plan: OptimalPlan) -> bool:
     mass at or below PLAN_MASS_TOLERANCE, the precision to which a plan's
     joint mass is checked against the prior, counts as none.
     """
-    v = instance.sender.table
-    if instance.n_actions > 1:
-        top = np.sort(v, axis=1)
-        if np.any(top[:, -1] - top[:, -2] <= 0.0):
-            raise ValueError("sender-preferred action is not unique in some state")
-    off_ideal = np.arange(instance.n_actions)[:, None] != np.argmax(v, axis=1)
+    if _ideal_action_tied(instance):
+        raise ValueError("sender-preferred action is not unique in some state")
+    off_ideal = np.arange(instance.n_actions)[:, None] != np.argmax(instance.sender.table, axis=1)
     return bool(plan.t[off_ideal].sum() <= PLAN_MASS_TOLERANCE)
 
 

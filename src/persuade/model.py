@@ -42,11 +42,9 @@ SUM_SLACK = 1e-6
 # dividing by them is not bit-stable, which would break the serialization
 # fixpoint (parse/serialize must be idempotent for artifact determinism).
 SUM_NOISE = 1e-13
-# OptimalPlan.check: joint mass against the prior, at the LP residual cap ...
+# OptimalPlan.check: joint mass against the prior, and atoms against the
+# joint mass, at the LP residual cap.
 PLAN_MASS_TOLERANCE = 1e-9
-# ... and atoms against the joint mass, looser since a queue plan's t keeps
-# the LP weights at or below ATOM_FLOOR that its atoms leave out.
-PLAN_ATOM_TOLERANCE = 1e-8
 # Slot scoring builds features a block of beliefs at a time, at most this many
 # entries (8 MB of floats) a block, however many states and beliefs there are.
 SCORE_BLOCK_ENTRIES = 1 << 20
@@ -57,7 +55,6 @@ __all__ = [
     "SUM_SLACK",
     "SUM_NOISE",
     "PLAN_MASS_TOLERANCE",
-    "PLAN_ATOM_TOLERANCE",
     "FormatError",
     "StateSpace",
     "ActionSpace",
@@ -536,7 +533,7 @@ class OptimalPlan:
         rebuilt = np.zeros_like(self.t)
         for atom in self.atoms:
             rebuilt[atom.action] += atom.weight * atom.posterior
-        if np.max(np.abs(rebuilt - self.t)) > PLAN_ATOM_TOLERANCE:
+        if np.max(np.abs(rebuilt - self.t)) > PLAN_MASS_TOLERANCE:
             raise ValueError("plan atoms do not reproduce the joint mass")
 
 

@@ -60,8 +60,6 @@ SUPPORT_FLOOR = 1e-8
 LEAVE_MASS_FLOOR = 1e-10
 # Slack on the sandwich audit's ordering of Join wait means and variances.
 MOMENT_ORDER_SLACK = 1e-9
-# Join posteriors this close in max norm are one vertex; their atoms merge.
-JOIN_MERGE_TOLERANCE = 1e-12
 # gamma_closed_form's round-off: how far tau may fall short of the short
 # length's bound, and the radicand short of zero (then read as zero).
 CLOSED_FORM_SLACK = 1e-9
@@ -294,46 +292,45 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
     weights = np.maximum(res.x, 0.0)
     n1 = candidates.n_accept
 
-    def mass_over_lengths(cols: slice) -> np.ndarray:
-        # V^T x over the given candidates, one support slot at a time.
-        return np.bincount(
-            candidates.states[cols].ravel(),
-            weights=(candidates.weights[cols] * weights[cols, None]).ravel(),
-            minlength=d,
-        )
+    def masses(x: np.ndarray) -> list[np.ndarray]:
+        # V^T x over the join and then the leave candidates, one support
+        # slot at a time.
+        return [
+            np.bincount(
+                candidates.states[cols].ravel(),
+                weights=(candidates.weights[cols] * x[cols, None]).ravel(),
+                minlength=d,
+            )
+            for cols in (slice(0, n1), slice(n1, None))
+        ]
 
-    t1 = mass_over_lengths(slice(0, n1))
-    t0 = mass_over_lengths(slice(n1, None))
+    t1, t0 = masses(weights)
     balance = np.abs(t0[1:] + t1[1:] - lam * t1[:-1]).max()
     if balance > BALANCE_TOLERANCE:
         raise LpSolverError(f"flow balance residual {balance:.3e}")
     norm = abs(t0.sum() + t1.sum() + lam * t1[d - 1] - 1.0)
     if norm > NORMALIZATION_TOLERANCE:
         raise LpSolverError(f"flow normalization residual {norm:.3e}")
+    # Only weights above ATOM_FLOOR become atoms, so the prior and every
+    # mass below come from those alone and the atoms reproduce them.  The
+    # checks above read every weight: the dropped mass can reach
+    # d * ATOM_FLOOR, over NORMALIZATION_TOLERANCE once d passes 1000.
+    weights = np.where(weights > ATOM_FLOOR, weights, 0.0)
+    t1, t0 = masses(weights)
 
     mass = t0.sum() + t1.sum()
     if mass <= ATOM_FLOOR:
         raise InfeasibleProgramError("all arrivals are blocked; no belief prior")
     prior = (t0 + t1) / mass
 
-    join_atoms = []
-    kept = np.nonzero(weights[:n1] > ATOM_FLOOR)[0]
-    for i, row in zip(kept, candidates.rows(kept)):
-        # Blends with gamma = 0 collapse onto pure vertices; fold the mass
-        # together up front so the Join numbering stays gap-free.
-        for atom in join_atoms:
-            if np.max(np.abs(atom[2] - row)) <= JOIN_MERGE_TOLERANCE:
-                atom[3] += weights[i] / mass
-                break
-        else:
-            mean, var = posterior_wait_moments(row)
-            join_atoms.append([mean, var, row, weights[i] / mass])
-    join_atoms.sort(key=lambda item: item[0])
+    # Equal posteriors are equal flow-LP columns, and a vertex solution
+    # keeps at most one of them, so each kept candidate is its own Join.
+    kept = np.flatnonzero(weights[:n1])
+    rows = candidates.rows(kept)
+    by_wait = sorted(range(kept.size), key=lambda i: posterior_wait_moments(rows[i])[0])
     atoms = [
-        PlanAtom(
-            action=1, posterior=post, weight=float(w), label=f"Join_{j + 1}"
-        )
-        for j, (_, _, post, w) in enumerate(join_atoms)
+        PlanAtom(1, rows[i], float(weights[kept[i]] / mass), f"Join_{j + 1}")
+        for j, i in enumerate(by_wait)
     ]
     leave_mass = float(t0.sum()) / mass
     if leave_mass > ATOM_FLOOR:
@@ -355,9 +352,7 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
 
     persuasion = dataclasses.replace(probe, prior=Belief(prior))
     compiled = scheme_from_plan(plan, persuasion)
-    threshold = verify_threshold(
-        plan, list(range(d)), instance=persuasion, candidates=candidates
-    )
+    threshold = verify_threshold(plan, list(range(d)), candidates)
     occupancy = np.concatenate([t0 + t1, [lam * t1[d - 1]]])
     return QueueSolution(
         instance=instance,

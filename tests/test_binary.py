@@ -449,16 +449,17 @@ def test_verify_threshold_audits_order_against_blends():
     t1 = prior * np.array([1, 1, 1, 0, 0, 0])
     plan = _plan(t1, prior - t1, prior)
 
-    report = verify_threshold(plan, list(range(d)), instance=inst)
+    candidates = hull_candidates(inst)
+    report = verify_threshold(plan, list(range(d)), candidates)
     assert report.holds and report.threshold_state == 3
     assert report.monotone_ok
     assert report.violations == ()
 
-    swapped = verify_threshold(plan, [0, 1, 2, 4, 3, 5], instance=inst)
+    swapped = verify_threshold(plan, [0, 1, 2, 4, 3, 5], candidates)
     assert swapped.monotone_ok is False
     assert any("blend weight" in v for v in swapped.violations)
 
-    misplaced = verify_threshold(plan, [0, 1, 3, 2, 4, 5], instance=inst)
+    misplaced = verify_threshold(plan, [0, 1, 3, 2, 4, 5], candidates)
     assert misplaced.monotone_ok is False
     assert any("not strict-reject" in v for v in misplaced.violations)
 
@@ -466,7 +467,6 @@ def test_verify_threshold_audits_order_against_blends():
 def _audit(order, accept, strict, gammas):
     """verify_threshold's order audit and the pairwise oracle on one case."""
     d = len(order)
-    inst = _binary_instance(np.full(d, 1.0 / d), _expected_binary(np.ones(d)))
     classification = StateClassification(
         accept=tuple(accept),
         reject=tuple(strict),
@@ -487,7 +487,7 @@ def _audit(order, accept, strict, gammas):
         state_labels=tuple(str(w) for w in range(d)),
     )
     plan = _plan(np.zeros(d), np.full(d, 1.0 / d), np.full(d, 1.0 / d))
-    report = verify_threshold(plan, list(order), instance=inst, candidates=candidates)
+    report = verify_threshold(plan, list(order), candidates)
     expected = oracles.threshold_violations(order, accept, strict, gammas)
     return report, expected
 

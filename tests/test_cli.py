@@ -637,6 +637,29 @@ def test_one_lp_per_solve_and_check_full(tmp_path, capsys, monkeypatch, verb, do
     assert len(lps) == 1
 
 
+def _tied(doc, row):
+    # The sender's first two actions tie in state ``row``.
+    sender_v = [list(r) for r in doc["sender_v"]]
+    sender_v[row][1] = sender_v[row][0]
+    return {**doc, "sender_v": sender_v}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [_tied(_expected_dict(), 2), _tied(_three_action_dict(), 0)],
+    ids=["two-actions", "three-actions"],
+)
+def test_check_full_answers_a_tie_without_solving(tmp_path, capsys, monkeypatch, doc):
+    lps = _count_calls(monkeypatch, "solve_lp", home=persuade.geometry)
+    path = _write(tmp_path, "inst.json", doc)
+    assert cli.run(["check-full", "--instance", path, "--grid-k", "6"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"full_persuasion": None, "method": "grid"}
+    assert lps == []
+    # The grid flag is still checked.
+    assert cli.run(["check-full", "--instance", path, "--grid-k", "0"]) == 2
+    assert capsys.readouterr().err == "persuade: grid denominator must be at least 1\n"
+
+
 def _aligned(instance):
     # The receiver's expected utility is the sender's table: full disclosure
     # gives the sender its ideal action in every state.

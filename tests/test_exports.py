@@ -24,6 +24,10 @@ REMOVED_FUNCTIONS = (
     "hull_membership",
     "ConvexCombination",
     "HULL_TOLERANCE",
+    "_order_is_monotone",
+    "_pairwise_violations",
+    "JOIN_MERGE_TOLERANCE",
+    "PLAN_ATOM_TOLERANCE",
 )
 REMOVED_MEMBERS = (
     ("Belief", "point"),

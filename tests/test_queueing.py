@@ -10,7 +10,6 @@ import scipy.sparse
 from scipy.optimize import linprog
 
 import oracles
-import persuade.binary
 import persuade.queueing
 from persuade import (
     OptimalPlan,
@@ -387,7 +386,9 @@ def test_sparse_flow_lp_matches_dense_oracle(params, monkeypatch):
     x = linprog(-c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds").x
     assert np.array_equal(real_solve_lp(lp).x, x)
 
+    # The solution keeps only the weights above ATOM_FLOOR.
     n1 = v1.shape[0]
+    x = np.where(x > 1e-12, x, 0.0)
     t1 = v1.T @ x[:n1]
     t0 = v0.T @ x[n1:]
     mass = t0.sum() + t1.sum()
@@ -413,15 +414,28 @@ def test_sparse_flow_lp_matches_dense_oracle(params, monkeypatch):
         monotone_ok=not violations,
         violations=tuple(violations),
     )
+    assert validate_scheme(sol.scheme, sol.persuasion).ok
 
 
-def test_clean_solve_never_runs_the_pairwise_audit(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("pairwise audit ran on a clean solve")
-
-    monkeypatch.setattr(persuade.binary, "_pairwise_violations", refuse)
+def test_swapped_order_audit_matches_pairwise_oracle():
     sol = solve_queue(QueueInstance(0.95, 2.5, 7.5, 400))
-    assert sol.threshold.monotone_ok is True
+    cls = sol.candidates.classification
+    assert cls.accept == (0, 1, 2)
+    # Accept state 2 after strict-reject state 3, and two strict-reject
+    # states swapped far apart.
+    order = [0, 1, 3, 2] + list(range(4, 400))
+    order[100], order[300] = 300, 100
+    report = verify_threshold(sol.plan, order, sol.candidates)
+    gammas = {
+        (w0, wa): sol.candidates.gamma[i, k]
+        for i, w0 in enumerate(cls.strict_reject)
+        for k, wa in enumerate(cls.accept)
+    }
+    expected = oracles.threshold_violations(order, cls.accept, cls.strict_reject, gammas)
+    assert any("not strict-reject" in v for v in expected)
+    assert any("blend weight" in v for v in expected)
+    assert report.violations == tuple(expected)
+    assert report.monotone_ok is False
 
 
 def test_capacity_ten_thousand_rationing_solve_completes():
@@ -434,6 +448,21 @@ def test_capacity_ten_thousand_rationing_solve_completes():
     assert sol.threshold.holds and sol.threshold.monotone_ok
     assert 0.0 < sol.join_probability < 1.0
     assert sol.occupancy.sum() == pytest.approx(1.0, abs=1e-9)
+
+    # One swapped pair faults only at the earlier state: each accept
+    # state's blend weight rises from length 5001 to 5000.
+    order = list(range(10_000))
+    order[5000], order[5001] = 5001, 5000
+    start = time.perf_counter()
+    report = verify_threshold(sol.plan, order, sol.candidates)
+    assert time.perf_counter() - start < 5.0
+    g = sol.candidates.gamma
+    assert report.violations == tuple(
+        f"blend weight with accept state {a} fails to drop from state 5001 "
+        f"({g[4997, a]:.6g}) to 5000 ({g[4996, a]:.6g})"
+        for a in range(4)
+    )
+    assert report.monotone_ok is False
 
 
 def test_queue_over_the_blend_bound_exits_cleanly(capsys):
