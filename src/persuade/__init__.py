@@ -27,6 +27,7 @@ from .general import (
     default_grid_k,
     expected_region_vertices,
     full_persuasion,
+    grid_point_sets,
     grid_vertices,
     plan_from_candidates,
     solve_general,
@@ -36,6 +37,7 @@ from .geometry import (
     LinearProgram,
     LpResult,
     LpSolverError,
+    solve_by_columns,
     solve_lp,
 )
 from .model import (

@@ -33,7 +33,7 @@ from .general import (
     benefit_check,
     default_grid_k,
     full_persuasion,
-    grid_vertices,
+    grid_point_sets,
     solve_general,
 )
 from .geometry import InfeasibleProgramError, LpSolverError
@@ -119,14 +119,44 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-# allow_nan=False: a non-finite number raises (exit 2) instead of writing
-# bare NaN or Infinity, which is not JSON; nothing is written then.
+# Without indent, so encode() runs the stdlib's C encoder.
+_FLAT = json.JSONEncoder(allow_nan=False)
+
+
+def _dumps(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)``, byte for byte.
+
+    ``indent`` sends the stdlib to its pure-Python encoder; here each list
+    of plain ints and floats goes through the C encoder instead, one entry
+    per line, and dicts and other lists recurse in sorted-key order.
+    allow_nan=False: a non-finite number raises ``ValueError`` (exit 2)
+    instead of writing bare NaN or Infinity, which is not JSON; the error
+    is re-raised by the stdlib call for its exact message.
+    """
+    try:
+        return _indented(doc, "\n")
+    except ValueError:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+
+
+def _indented(doc, newline: str) -> str:
+    inner = newline + "  "
+    if isinstance(doc, list) and doc and set(map(type, doc)) <= {int, float}:
+        return "[" + inner + _FLAT.encode(doc)[1:-1].replace(", ", "," + inner) + newline + "]"
+    if isinstance(doc, list) and doc:
+        return "[" + inner + ("," + inner).join(_indented(x, inner) for x in doc) + newline + "]"
+    if isinstance(doc, dict) and doc and all(type(k) is str for k in doc):
+        items = (f"{_FLAT.encode(k)}: {_indented(v, inner)}" for k, v in sorted(doc.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False).replace("\n", newline)
+
+
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
+    print(_dumps(doc))
 
 
 def _write_json(path: str, doc: dict) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    text = _dumps(doc)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -155,7 +185,7 @@ def _grid_spec(instance, grid_k: int | None) -> GridSpec:
 def _grid_sets(instance, grid_k: int | None):
     """Each action's grid candidates at denominator grid_k (or the default); (sets, k)."""
     grid = _grid_spec(instance, grid_k)
-    return [grid_vertices(instance, a, grid) for a in range(instance.n_actions)], grid.k
+    return grid_point_sets(instance, grid), grid.k
 
 
 def _cmd_solve(args) -> int:

@@ -21,7 +21,7 @@ from .geometry import (
     ATOM_FLOOR,
     InfeasibleProgramError,
     LinearProgram,
-    solve_lp,
+    solve_by_columns,
 )
 from .model import (
     PLAN_MASS_TOLERANCE,
@@ -47,6 +47,7 @@ __all__ = [
     "BaselineValues",
     "BenefitReport",
     "default_grid_k",
+    "grid_point_sets",
     "grid_vertices",
     "plan_from_candidates",
     "solve_general",
@@ -107,6 +108,19 @@ class GridSpec:
         return counts.astype(float) / float(k)
 
 
+def grid_point_sets(instance: PersuasionInstance, grid: GridSpec) -> list[np.ndarray]:
+    """Each action's grid beliefs at which it is a (possibly tied) best response.
+
+    The grid is enumerated and scored once for all actions; set a keeps
+    the grid's lexicographic order.
+    """
+    if grid.dim != instance.n_states:
+        raise ValueError("grid dimension does not match the instance")
+    pts = grid.points()
+    tied = _tied(instance.receiver.score_all(pts))
+    return [pts[tied[:, a]] for a in range(instance.n_actions)]
+
+
 def grid_vertices(
     instance: PersuasionInstance,
     action: int,
@@ -120,10 +134,7 @@ def grid_vertices(
     """
     if action < 0 or action >= instance.n_actions:
         raise ValueError(f"action index {action} out of range")
-    if grid.dim != instance.n_states:
-        raise ValueError("grid dimension does not match the instance")
-    pts = grid.points()
-    chosen = pts[_tied(instance.receiver.score_all(pts))[:, action]]
+    chosen = grid_point_sets(instance, grid)[action]
     if extra is not None and len(extra):
         extra = np.atleast_2d(np.asarray(extra, dtype=float))
         if extra.shape[1] != instance.n_states:
@@ -147,6 +158,10 @@ def plan_from_candidates(
     caller's order; a basic solution keeps the atom count at or below the
     state count.  Masses at or below ATOM_FLOOR are dropped, and
     ``label(i)`` names the atom of each kept candidate i.
+
+    ``solve_by_columns`` solves it: a large program starts from one pure
+    state per state, the best-paying candidate there, and every program's
+    optimum is certified by its duals.
     """
     if rows.shape[0] == 0:
         raise InfeasibleProgramError("no candidate posteriors: all point sets are empty")
@@ -155,7 +170,9 @@ def plan_from_candidates(
     for a in np.unique(actions):
         mask = actions == a
         c[mask] = rows[mask] @ v[:, a]
-    res = solve_lp(LinearProgram(c=c, a_eq=rows.T, b_eq=instance.prior.weights))
+    res = solve_by_columns(
+        LinearProgram(c=c, a_eq=rows.T, b_eq=instance.prior.weights), _pure_seed(rows, c)
+    )
     if res.status != "optimal":
         raise InfeasibleProgramError(
             f"prior cannot be split across the candidate posteriors (LP is {res.status})"
@@ -181,6 +198,15 @@ def plan_from_candidates(
     )
     plan.check()
     return plan
+
+
+def _pure_seed(rows: np.ndarray, c: np.ndarray) -> np.ndarray | None:
+    """The best-paying pure-state candidate of each state, or None if a state has none."""
+    pure = np.nonzero((rows.max(axis=1) == 1.0) & (np.count_nonzero(rows, axis=1) == 1))[0]
+    state = rows[pure].argmax(axis=1)
+    order = np.lexsort((-c[pure], state))
+    states, first = np.unique(state[order], return_index=True)
+    return pure[order[first]] if states.size == rows.shape[1] else None
 
 
 def solve_general(

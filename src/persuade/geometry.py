@@ -2,12 +2,14 @@
 
 ``solve_lp`` is a thin contract around the HiGHS dual simplex: equality
 constraints, variables bounded below by zero, basic (vertex) optimal
-solutions, and an equality residual checked on every accepted solution.
+solutions with their equality duals, and an equality residual checked on
+every accepted solution.  ``solve_by_columns`` runs column generation on
+those duals and certifies the optimum it returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
@@ -17,16 +19,34 @@ from scipy.optimize import linprog
 LP_RESIDUAL = 1e-9
 # LP weights at or below this are dropped from a plan's atoms.
 ATOM_FLOOR = 1e-12
+# Programs with at most this many columns start column generation from all
+# of them: the first solve is then the direct LP, pricing adds nothing, and
+# the plan is the one a direct solve gives.  It sits above the largest queue
+# flow LP at capacity 1600 (9,575 columns), so moving the queue onto this
+# loop cannot change the bytes of those solves either.
+FULL_LP_COLUMNS = 10_000
+# Columns added per pricing round, the best-priced first.  The solve-fixed
+# grid programs of 20k-46k columns then close in 2-6 rounds with 69-263.
+PRICING_BATCH = 64
+# Bound on the largest reduced cost and on the primal-dual gap, scaled by
+# 1 + max|c|: the pricing threshold and the certificate.  It is the
+# LP_RESIDUAL precision; on the 3,840 plan LPs of 1,920 solve-fixed
+# instances the worst were 1.9e-10 (binary hulls) and 8.8e-13.
+CERTIFICATE_TOLERANCE = 1e-9
 
 __all__ = [
     "LP_RESIDUAL",
     "ATOM_FLOOR",
+    "FULL_LP_COLUMNS",
+    "PRICING_BATCH",
+    "CERTIFICATE_TOLERANCE",
     "LpSolverError",
     "InfeasibleProgramError",
     "LinearProgram",
     "SparseConstraints",
     "LpResult",
     "solve_lp",
+    "solve_by_columns",
 ]
 
 
@@ -82,11 +102,21 @@ class LinearProgram:
 
 @dataclass(frozen=True, eq=False)
 class LpResult:
-    """Outcome of solve_lp; x and value are meaningful when optimal."""
+    """Outcome of an LP solve; x, value and dual are meaningful when optimal.
+
+    ``dual`` is y with c - A^T y <= 0 at the optimum.  ``solve_by_columns``
+    also records its rounds, the final column count, and the certificate:
+    the largest reduced cost over all columns and |value - y . b|.
+    """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
     value: float | None
+    dual: np.ndarray | None = None
+    rounds: int | None = None
+    columns: int | None = None
+    reduced_cost: float | None = None
+    gap: float | None = None
 
     @property
     def optimal(self) -> bool:
@@ -119,4 +149,55 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     residual = float(np.max(np.abs(lp.a_eq @ x - lp.b_eq), initial=0.0))
     if residual > LP_RESIDUAL * scale:
         raise LpSolverError(f"equality residual {residual:.3e} out of tolerance")
-    return LpResult(status="optimal", x=x, value=float(-res.fun))
+    dual = -np.asarray(res.eqlin.marginals, dtype=float)
+    return LpResult(status="optimal", x=x, value=float(-res.fun), dual=dual)
+
+
+def solve_by_columns(lp: LinearProgram, seed: np.ndarray | None) -> LpResult:
+    """Solve by column generation on the duals, and certify the optimum.
+
+    The loop solves over the ``seed`` columns, prices every column by its
+    reduced cost c - A^T y (one mat-vec), adds the PRICING_BATCH best of
+    those outside the set that price above tolerance, and repeats until
+    none does (Gilmore & Gomory 1961).  The seed must admit a feasible
+    point.  A program with at most FULL_LP_COLUMNS columns, or with no
+    seed (None), starts from all its columns, so its one solve is the
+    direct LP.
+
+    Either way the optimum must pass a certificate that does not trust the
+    engine: the largest reduced cost over all columns, and the gap between
+    the value and y . b, are each at most CERTIFICATE_TOLERANCE times
+    1 + max|c|.  With them no feasible x does better than the value plus
+    the gap plus sum(x) times the largest reduced cost.  A failed
+    certificate raises ``LpSolverError``.
+    """
+    n = lp.c.size
+    active = np.arange(n) if seed is None or n <= FULL_LP_COLUMNS else np.unique(seed)
+    bound = CERTIFICATE_TOLERANCE * (1.0 + float(np.max(np.abs(lp.c), initial=0.0)))
+    rounds = 0
+    while True:
+        rounds += 1
+        sub = lp if active.size == n else LinearProgram(lp.c[active], lp.a_eq[:, active], lp.b_eq)
+        res = solve_lp(sub)
+        if not res.optimal:
+            return res
+        reduced = lp.c - lp.a_eq.T @ res.dual
+        outside = np.ones(n, dtype=bool)
+        outside[active] = False
+        entering = np.nonzero(outside & (reduced > bound))[0]
+        if entering.size == 0:
+            break
+        if entering.size > PRICING_BATCH:
+            best = np.argpartition(reduced[entering], -PRICING_BATCH)[-PRICING_BATCH:]
+            entering = entering[best]
+        active = np.union1d(active, entering)
+    worst = float(np.max(reduced, initial=-np.inf))
+    gap = abs(res.value - float(res.dual @ lp.b_eq))
+    if not (worst <= bound and gap <= bound):
+        raise LpSolverError(
+            f"LP optimality certificate failed: reduced cost {worst:.3e}, "
+            f"duality gap {gap:.3e}, tolerance {bound:.3e}"
+        )
+    x = np.zeros(n)
+    x[active] = res.x
+    return replace(res, x=x, rounds=rounds, columns=active.size, reduced_cost=worst, gap=gap)

@@ -10,7 +10,8 @@ full-persuasion verdict is checked against the former.  ``segment_bisection``
 bisects one edge at a time, the per-pair reference for the batched edge
 bisection in ``compute_k01``; ``gamma_closed_form_scalar`` is the queue's
 closed-form blend weight one pair at a time in ``math``, the reference for
-the array ``gamma_closed_form``.
+the array ``gamma_closed_form``; ``full_plan_lp`` solves the plan LP over all
+candidates in one direct scipy call, the reference for column generation.
 """
 
 from __future__ import annotations
@@ -293,6 +294,25 @@ def concavify_oracle(instance, grid) -> float:
         raise InfeasibleProgramError("prior is outside the grid's hull")
     assert res.status == 0, f"concavification LP failed with status {res.status}"
     return float(-res.fun)
+
+
+def full_plan_lp(instance, rows: np.ndarray, actions: np.ndarray) -> tuple[float, np.ndarray]:
+    """The plan LP over every candidate at once, straight in scipy.
+
+    Candidate i is the posterior ``rows[i]`` on which the receiver takes
+    ``actions[i]``, paying ``rows[i] . v[:, actions[i]]``.  Returns the
+    optimum and the joint mass t (actions by states) of the solution: the
+    value a column-generation solve must reach, and the plan whose
+    off-ideal mass gives the direct solve's full-persuasion verdict.
+    """
+    c = np.einsum("ij,ji->i", rows, instance.sender.table[:, actions])
+    res = linprog(
+        -c, A_eq=rows.T, b_eq=instance.prior.weights, bounds=(0, None), method="highs-ds"
+    )
+    assert res.status == 0, f"full plan LP failed with status {res.status}"
+    t = np.zeros((instance.n_actions, instance.n_states))
+    np.add.at(t, actions, res.x[:, None] * rows)
+    return float(-res.fun), t
 
 
 @dataclass(frozen=True, eq=False)

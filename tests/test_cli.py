@@ -316,6 +316,38 @@ def test_emitters_refuse_non_finite_numbers(tmp_path, capsys):
     assert not path.exists()
 
 
+_JSON_NUMBERS = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1.7976931348623157e308, 1e16, 0.1]),
+)
+_JSON_LEAVES = st.one_of(
+    _JSON_NUMBERS, st.booleans(), st.none(), st.text(alphabet="aé☃\"\\\n\x00 ", max_size=4)
+)
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(_JSON_NUMBERS, max_size=6),
+        st.dictionaries(st.text(alphabet="abé☃_", max_size=3), inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_DOCS)
+def test_json_writer_matches_the_stdlib_byte_for_byte(doc):
+    try:
+        expected = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            cli._dumps(doc)
+        assert str(caught.value) == str(exc)
+    else:
+        assert cli._dumps(doc) == expected
+
+
 def test_simulate_verb(tmp_path, capsys):
     scheme_path = tmp_path / "scheme.json"
     queue_args = [

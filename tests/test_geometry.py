@@ -1,17 +1,37 @@
-"""LP core, hull membership, decompositions, and boundary bisection."""
+"""LP core, column generation and its certificate, hull membership,
+decompositions, and boundary bisection."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+import persuade.general
+import persuade.geometry
 from oracles import (
     BisectionError,
     ConvexCombination,
     PointOutsideHullError,
     caratheodory_decompose,
+    full_plan_lp,
     hull_membership,
     segment_bisection,
 )
-from persuade import LinearProgram, solve_lp
+from persuade import (
+    GridSpec,
+    LinearProgram,
+    LpSolverError,
+    full_persuasion,
+    grid_point_sets,
+    instance_from_json,
+    plan_from_candidates,
+    scheme_from_plan,
+    solve_by_columns,
+    solve_lp,
+    validate_scheme,
+)
+from persuade.geometry import CERTIFICATE_TOLERANCE, FULL_LP_COLUMNS
+from persuade.model import PLAN_MASS_TOLERANCE
 
 
 def test_solve_lp_small_known_optimum():
@@ -51,6 +71,15 @@ def test_solve_lp_returns_basic_solutions():
         res = solve_lp(lp)
         assert res.optimal
         assert int((res.x > 1e-10).sum()) <= rows
+
+
+def test_solve_lp_returns_equality_duals():
+    # max x1 + 2 x2 with x1 + x2 = 1: the row's shadow price is 2.
+    lp = LinearProgram(
+        c=np.array([1.0, 2.0]), a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0])
+    )
+    res = solve_lp(lp)
+    assert res.dual == pytest.approx([2.0], abs=1e-12)
 
 
 def test_linear_program_shape_guard():
@@ -189,3 +218,191 @@ def test_segment_bisection_iteration_cap():
     diff = lambda mu: mu[0] - mu[1]
     with pytest.raises(BisectionError):
         segment_bisection(diff, np.eye(2)[1], np.eye(2)[0], tol=0.0, max_iter=50)
+
+
+# ---------------------------------------------------------------------------
+# Column generation and the plan-LP certificate
+
+
+def _grid_instance(seed, d, kind):
+    """A seeded grid-only instance: 3 actions, a non-convex reject region, or aligned."""
+    rng = np.random.default_rng(seed)
+    if kind == "nonconvex":
+        receiver = {
+            "kind": "mean_stdev",
+            "u": rng.uniform(-1.0, 1.0, (d, 2)).tolist(),
+            "g_mean": rng.uniform(0.0, 1.0, (d, 2)).tolist(),
+            "g_var": rng.uniform(0.05, 1.0, (d, 2)).tolist(),
+            "beta": float(rng.uniform(0.2, 1.0)),
+        }
+        sender = [[0.0, 1.0]] * d
+    else:
+        sender = rng.uniform(0.0, 1.0, (d, 3)).tolist()
+        u = sender if kind == "aligned" else rng.uniform(-1.0, 1.0, (d, 3)).tolist()
+        receiver = {"kind": "expected", "u": u}
+    return instance_from_json(
+        {
+            "states": [f"s{i}" for i in range(d)],
+            "actions": [f"a{i}" for i in range(len(sender[0]))],
+            "prior": rng.dirichlet(np.ones(d)).tolist(),
+            "sender_v": sender,
+            "receiver": receiver,
+        }
+    )
+
+
+def _candidates(instance, k):
+    sets = grid_point_sets(instance, GridSpec(k=k, dim=instance.n_states))
+    actions = np.repeat(np.arange(instance.n_actions), [s.shape[0] for s in sets])
+    return np.vstack(sets), actions
+
+
+def _record(monkeypatch, name, home):
+    """Wrap ``home.name`` to keep each call's (program, result)."""
+    calls = []
+    original = getattr(home, name)
+
+    def wrapper(lp, *args):
+        res = original(lp, *args)
+        calls.append((lp, res))
+        return res
+
+    monkeypatch.setattr(home, name, wrapper)
+    return calls
+
+
+def _corrupt_duals(monkeypatch, change):
+    """Make every solve_lp hand the loop ``change(dual, program)`` as its dual."""
+    original = persuade.geometry.solve_lp
+
+    def corrupted(lp):
+        res = original(lp)
+        return dataclasses.replace(res, dual=change(res.dual, lp))
+
+    monkeypatch.setattr(persuade.geometry, "solve_lp", corrupted)
+
+
+def _bound(lp):
+    return CERTIFICATE_TOLERANCE * (1.0 + np.max(np.abs(lp.c)))
+
+
+@pytest.mark.parametrize(
+    "kind, seed, d, k",
+    [("three-action", 7, 4, 6), ("nonconvex", 8, 3, 24), ("aligned", 9, 4, 6)],
+)
+def test_programs_at_or_below_the_column_limit_solve_once(monkeypatch, kind, seed, d, k):
+    instance = _grid_instance(seed, d, kind)
+    rows, actions = _candidates(instance, k)
+    assert rows.shape[0] <= FULL_LP_COLUMNS
+    lps = _record(monkeypatch, "solve_lp", persuade.geometry)
+    plan = plan_from_candidates(instance, rows, actions)
+    assert [lp.c.size for lp, _ in lps] == [rows.shape[0]]
+    value, _ = full_plan_lp(instance, rows, actions)
+    assert plan.value == pytest.approx(value, abs=1e-9)
+
+
+def test_column_limit_is_inclusive(monkeypatch):
+    # Exactly FULL_LP_COLUMNS columns: one solve over all of them.  One
+    # more column, and the first solve is over the pure-state seed.
+    rng = np.random.default_rng(3)
+    d = 3
+    rows = np.vstack([np.eye(d), rng.dirichlet(np.ones(d), size=FULL_LP_COLUMNS + 1 - d)])
+    c = rng.uniform(0.0, 1.0, rows.shape[0])
+    lps = _record(monkeypatch, "solve_lp", persuade.geometry)
+    sizes = {}
+    for n in (FULL_LP_COLUMNS, FULL_LP_COLUMNS + 1):
+        lps.clear()
+        lp = LinearProgram(c=c[:n], a_eq=rows[:n].T, b_eq=np.full(d, 1.0 / d))
+        assert solve_by_columns(lp, np.arange(d)).optimal
+        sizes[n] = [sub.c.size for sub, _ in lps]
+    assert sizes[FULL_LP_COLUMNS] == [FULL_LP_COLUMNS]
+    assert sizes[FULL_LP_COLUMNS + 1][0] == d
+
+
+@pytest.mark.parametrize(
+    "kind, seed, d, k", [("three-action", 11, 5, 30), ("nonconvex", 12, 6, 16), ("aligned", 13, 5, 30)]
+)
+def test_grid_programs_above_the_limit_match_the_full_lp(monkeypatch, kind, seed, d, k):
+    instance = _grid_instance(seed, d, kind)
+    rows, actions = _candidates(instance, k)
+    assert rows.shape[0] > FULL_LP_COLUMNS
+    solves = _record(monkeypatch, "solve_by_columns", persuade.general)
+    plan = plan_from_candidates(instance, rows, actions)
+    (lp, res), = solves
+    # Full disclosure is optimal when the receiver is aligned: the seed is the optimum.
+    assert res.rounds == 1 if kind == "aligned" else res.rounds > 1
+    assert res.columns < rows.shape[0] // 10
+    assert res.reduced_cost <= _bound(lp) and res.gap <= _bound(lp)
+    value, t = full_plan_lp(instance, rows, actions)
+    assert plan.value == pytest.approx(value, abs=1e-9)
+    assert validate_scheme(scheme_from_plan(plan, instance), instance).ok
+    off_ideal = np.arange(instance.n_actions)[:, None] != np.argmax(instance.sender.table, axis=1)
+    assert full_persuasion(instance, plan) == bool(t[off_ideal].sum() <= PLAN_MASS_TOLERANCE)
+    assert full_persuasion(instance, plan) or kind != "aligned"
+
+
+def test_candidates_without_a_pure_state_use_all_columns(monkeypatch):
+    instance = _grid_instance(21, 3, "three-action")
+    rows, actions = _candidates(instance, 12)
+    keep = rows[:, 0] < 1.0  # no candidate is state 0 alone
+    rows, actions = rows[keep], actions[keep]
+    monkeypatch.setattr(persuade.geometry, "FULL_LP_COLUMNS", 0)
+    lps = _record(monkeypatch, "solve_lp", persuade.geometry)
+    plan_from_candidates(instance, rows, actions)
+    assert [lp.c.size for lp, _ in lps] == [rows.shape[0]]
+
+
+def test_restricted_start_prices_in_columns_to_the_full_optimum(monkeypatch):
+    instance = _grid_instance(22, 4, "three-action")
+    rows, actions = _candidates(instance, 8)
+    monkeypatch.setattr(persuade.geometry, "FULL_LP_COLUMNS", 0)
+    lps = _record(monkeypatch, "solve_lp", persuade.geometry)
+    plan = plan_from_candidates(instance, rows, actions)
+    sizes = [lp.c.size for lp, _ in lps]
+    assert sizes[0] == instance.n_states and sizes == sorted(sizes) and len(sizes) > 1
+    assert plan.value == pytest.approx(full_plan_lp(instance, rows, actions)[0], abs=1e-9)
+
+
+@pytest.mark.parametrize("limit", [FULL_LP_COLUMNS, 0], ids=["full", "restricted"])
+@pytest.mark.parametrize(
+    "change",
+    [lambda y, lp: np.zeros_like(y), lambda y, lp: 0.5 * y],
+    ids=["zeroed", "halved"],
+)
+def test_corrupted_duals_fail_the_certificate(monkeypatch, limit, change):
+    instance = _grid_instance(23, 4, "three-action")
+    rows, actions = _candidates(instance, 8)
+    monkeypatch.setattr(persuade.geometry, "FULL_LP_COLUMNS", limit)
+    _corrupt_duals(monkeypatch, change)
+    with pytest.raises(LpSolverError, match="certificate"):
+        plan_from_candidates(instance, rows, actions)
+
+
+@pytest.mark.parametrize("shift, fails", [(1e-10, False), (1e-8, True)])
+def test_certificate_fires_at_its_tolerance(monkeypatch, shift, fails):
+    # Candidate rows sum to one, so lowering every dual by delta raises
+    # every reduced cost, and the gap, by delta.  The levels are literal:
+    # a certificate looser than 1e-8 (scaled) fails this test.
+    instance = _grid_instance(24, 4, "three-action")
+    rows, actions = _candidates(instance, 8)
+    assert 1e-10 < CERTIFICATE_TOLERANCE < 1e-8
+    _corrupt_duals(monkeypatch, lambda y, lp: y - shift * (1.0 + np.max(np.abs(lp.c))))
+    if fails:
+        with pytest.raises(LpSolverError, match="certificate"):
+            plan_from_candidates(instance, rows, actions)
+    else:
+        plan_from_candidates(instance, rows, actions)
+
+
+def test_certificate_prices_the_columns_already_in_the_program(monkeypatch):
+    # A dual moved along z with z . prior = 0 keeps the gap, but prices
+    # some column of the solved basis positive; every column here is in
+    # the one full solve, so only pricing those catches it.
+    instance = _grid_instance(25, 4, "three-action")
+    rows, actions = _candidates(instance, 8)
+    b = instance.prior.weights
+    z = np.zeros(instance.n_states)
+    z[0], z[1] = b[1], -b[0]
+    _corrupt_duals(monkeypatch, lambda y, lp: y + 1e-3 * z)
+    with pytest.raises(LpSolverError, match="certificate"):
+        plan_from_candidates(instance, rows, actions)
