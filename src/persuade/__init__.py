@@ -2,9 +2,10 @@
 
 The package solves sender-commitment signaling problems where the
 receiver's preferences may be nonlinear in the belief: an exact
-hull-vertex LP for binary actions with a convex rejection region, a
-grid relaxation for everything else, and an endogenous-prior variant
-for signaling queue lengths to arriving customers.
+hull-vertex LP for binary actions with a convex rejection region, the
+exact obedience LP for expected-utility receivers, a grid relaxation
+for everything else, and an endogenous-prior variant for signaling
+queue lengths to arriving customers.
 """
 
 from .binary import (
@@ -25,12 +26,11 @@ from .general import (
     baseline_values,
     benefit_check,
     default_grid_k,
-    expected_region_vertices,
     full_persuasion,
     grid_point_sets,
-    grid_vertices,
     plan_from_candidates,
     solve_general,
+    solve_obedience,
 )
 from .geometry import (
     InfeasibleProgramError,

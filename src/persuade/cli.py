@@ -3,7 +3,8 @@
 Verbs:
 
 - ``solve``: optimal scheme for a JSON instance (binary fast path when
-  the model qualifies, grid relaxation otherwise).
+  the model qualifies, the exact obedience LP for any other
+  expected-utility receiver, grid relaxation otherwise).
 - ``queue``: the queue application from rate/patience parameters, with
   optional simulation and plot-data emission.
 - ``check-full``: just the can-the-sender-always-win verdict.
@@ -35,6 +36,7 @@ from .general import (
     full_persuasion,
     grid_point_sets,
     solve_general,
+    solve_obedience,
 )
 from .geometry import InfeasibleProgramError, LpSolverError
 from .model import (
@@ -77,10 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=["auto", "binary", "grid"],
         default="auto",
-        help="binary hull LP, grid relaxation, or pick automatically",
+        help="binary hull LP, grid relaxation, or pick (binary, obedience LP or grid)",
     )
     p_solve.add_argument(
-        "--grid-k", type=int, default=None, help="grid denominator (grid method)"
+        "--grid-k", type=int, default=None, help="grid denominator (when the grid runs)"
     )
     p_solve.add_argument("--out", default=None, help="also write the scheme JSON here")
 
@@ -161,31 +163,47 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write(text + "\n")
 
 
+def _auto_method(instance, strict: bool = False) -> str:
+    """The solver ``auto`` picks, for ``solve`` and ``check-full`` alike.
+
+    Binary when the binary precondition holds (with ``strict``, as
+    ``check-full`` asks, only if the sender also strictly prefers action 1
+    in every state); otherwise the exact obedience LP for an
+    expected-utility receiver, and the grid relaxation for any other.
+    """
+    v = instance.sender.table
+    if binary_precondition_error(instance) is None and not (strict and np.any(v[:, 1] <= v[:, 0])):
+        return "binary"
+    return "obedience" if instance.receiver.kind == "expected" else "grid"
+
+
 def _solve_instance(instance, method: str, grid_k: int | None):
     """Dispatch to a solver; returns (plan, point sets, method, k).
 
     The binary path builds its hull candidates once (one classification,
-    one k01 pass) and hands them to the LP and to the benefit check.
+    one k01 pass) and hands them to the LP and to the benefit check.  The
+    obedience plan's atom posteriors are its point sets: their weighted
+    gains sum to the margin, so they certify it.
     """
     if method == "auto":
-        method = "grid" if binary_precondition_error(instance) else "binary"
+        method = _auto_method(instance)
     if method == "binary":
         candidates = hull_candidates(instance)
         return solve_binary(instance, candidates), candidates.point_sets(), "binary", None
-    sets, k = _grid_sets(instance, grid_k)
-    return solve_general(instance, sets), sets, "grid", k
+    if method == "obedience":
+        plan = solve_obedience(instance)
+        sets = [np.array([x.posterior for x in plan.atoms if x.action == a])
+                for a in range(instance.n_actions)]
+        return plan, sets, "obedience", None
+    grid = _grid_spec(instance, grid_k)
+    sets = grid_point_sets(instance, grid)
+    return solve_general(instance, sets), sets, "grid", grid.k
 
 
 def _grid_spec(instance, grid_k: int | None) -> GridSpec:
     """The belief grid at denominator grid_k, or the default for the state count."""
     k = grid_k if grid_k is not None else default_grid_k(instance.n_states)
     return GridSpec(k=k, dim=instance.n_states)
-
-
-def _grid_sets(instance, grid_k: int | None):
-    """Each action's grid candidates at denominator grid_k (or the default); (sets, k)."""
-    grid = _grid_spec(instance, grid_k)
-    return grid_point_sets(instance, grid), grid.k
 
 
 def _cmd_solve(args) -> int:
@@ -351,15 +369,13 @@ def _cmd_queue(args) -> int:
 def _cmd_check_full(args) -> int:
     instance = instance_from_json(_load_json(args.instance))
     if _ideal_action_tied(instance):
-        # A tie makes the verdict null, so nothing is solved; the grid flag
-        # is still checked.  The method is grid: a tie fails the strict
-        # preference below with two actions, the binary precondition with more.
+        # A tie makes the verdict null, so nothing is solved.  The method
+        # reads grid whatever the receiver, and the grid flag is still checked.
         _grid_spec(instance, args.grid_k)
         _emit({"full_persuasion": None, "method": "grid"})
         return 0
-    v = instance.sender.table
-    strict = binary_precondition_error(instance) is None and bool(np.all(v[:, 1] > v[:, 0]))
-    plan, _, method, _ = _solve_instance(instance, "binary" if strict else "grid", args.grid_k)
+    method = _auto_method(instance, strict=True)
+    plan, _, method, _ = _solve_instance(instance, method, args.grid_k)
     _emit({"full_persuasion": full_persuasion(instance, plan), "method": method})
     return 0
 

@@ -1,11 +1,13 @@
-"""Grid-relaxation solver for any finite action set and receiver model.
+"""Fixed-prior solvers for any finite action set.
 
-Without structure on the receiver there is no finite exact vertex set, so
-the per-action belief regions are approximated by the rational grid
-{x / k : x nonnegative integers summing to k}.  The sender's problem over
-those candidate posteriors is an LP; refining k tightens the answer from
-below.  Callers holding exact boundary points (blend vertices, polytope
-corners) can union them in to recover exact optima on a coarse grid.
+An expected-utility receiver keeps the revelation principle, so its
+optimum is the obedience LP over joint masses (``solve_obedience``),
+exact for any number of actions.  Other receivers have no finite exact
+vertex set, so the per-action belief regions are approximated by the
+rational grid {x / k : x nonnegative integers summing to k}.  The
+sender's problem over those candidate posteriors is an LP; refining k
+tightens the answer from below.  Callers holding exact boundary points
+can add them to the point sets ``solve_general`` takes.
 """
 
 from __future__ import annotations
@@ -36,9 +38,6 @@ from .model import (
 CANDIDATE_CAP = 2_000_000
 # Strict-benefit verdicts require at least this much value over no info.
 BENEFIT_MARGIN = 1e-7
-# Round-off in expected_region_vertices: a solved corner may break a
-# constraint by this much, and corners this close in max norm are one.
-VERTEX_TOLERANCE = 1e-9
 
 __all__ = [
     "CANDIDATE_CAP",
@@ -48,13 +47,12 @@ __all__ = [
     "BenefitReport",
     "default_grid_k",
     "grid_point_sets",
-    "grid_vertices",
     "plan_from_candidates",
     "solve_general",
+    "solve_obedience",
     "baseline_values",
     "benefit_check",
     "full_persuasion",
-    "expected_region_vertices",
 ]
 
 
@@ -119,28 +117,6 @@ def grid_point_sets(instance: PersuasionInstance, grid: GridSpec) -> list[np.nda
     pts = grid.points()
     tied = _tied(instance.receiver.score_all(pts))
     return [pts[tied[:, a]] for a in range(instance.n_actions)]
-
-
-def grid_vertices(
-    instance: PersuasionInstance,
-    action: int,
-    grid: GridSpec,
-    extra: np.ndarray | None = None,
-) -> np.ndarray:
-    """Grid beliefs at which the action is a (possibly tied) best response.
-
-    ``extra`` rows are appended untested; they are for exact boundary
-    points the caller already certified.
-    """
-    if action < 0 or action >= instance.n_actions:
-        raise ValueError(f"action index {action} out of range")
-    chosen = grid_point_sets(instance, grid)[action]
-    if extra is not None and len(extra):
-        extra = np.atleast_2d(np.asarray(extra, dtype=float))
-        if extra.shape[1] != instance.n_states:
-            raise ValueError("extra points have the wrong dimension")
-        chosen = np.vstack([chosen, extra]) if chosen.size else extra
-    return chosen
 
 
 def plan_from_candidates(
@@ -229,6 +205,46 @@ def solve_general(
         sets.append(pts.reshape(-1, d))
     actions = np.repeat(np.arange(instance.n_actions), [s.shape[0] for s in sets])
     return plan_from_candidates(instance, np.vstack(sets), actions)
+
+
+def solve_obedience(instance: PersuasionInstance) -> OptimalPlan:
+    """Exact optimal plan for an expected-utility receiver: the obedience LP.
+
+    A linear receiver keeps the revelation principle, so the optimum
+    recommends actions the receiver obeys (Bergemann & Morris 2016): it
+    maximizes sum t(a, w) v(w, a) over joint masses t >= 0 and slacks
+    s(a, b) >= 0, a != b, with sum_a t(a, w) = prior(w) and
+    sum_w t(a, w) (u(w, a) - u(w, b)) - s(a, b) = 0.  ``solve_by_columns``
+    solves it directly and certifies it.  The plan's t is the LP's, with
+    one atom at t[a] / sum(t[a]) per action of mass above ATOM_FLOOR.
+    """
+    if instance.receiver.kind != "expected":
+        raise ValueError("the obedience LP needs an expected-utility receiver")
+    u = instance.receiver.params["u"]
+    d, n = u.shape
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    obey = np.zeros((len(pairs), n * d))
+    for i, (a, b) in enumerate(pairs):
+        obey[i, a * d : (a + 1) * d] = u[:, a] - u[:, b]
+    lp = LinearProgram(
+        c=np.concatenate([instance.sender.table.T.ravel(), np.zeros(len(pairs))]),
+        a_eq=np.block(
+            [[np.tile(np.eye(d), n), np.zeros((d, len(pairs)))], [obey, -np.eye(len(pairs))]]
+        ),
+        b_eq=np.concatenate([instance.prior.weights, np.zeros(len(pairs))]),
+    )
+    res = solve_by_columns(lp, None)
+    if res.status != "optimal":
+        raise InfeasibleProgramError(f"obedience LP is {res.status}")
+    t = res.x[: n * d].reshape(n, d)
+    mass = t.sum(axis=1)
+    atoms = tuple(
+        PlanAtom(action=a, posterior=t[a] / mass[a], weight=float(mass[a]))
+        for a in np.nonzero(mass > ATOM_FLOOR)[0].tolist()
+    )
+    plan = OptimalPlan(t=t, prior=instance.prior.weights, value=float(res.value), atoms=atoms)
+    plan.check()
+    return plan
 
 
 @dataclass(frozen=True)
@@ -335,43 +351,3 @@ def full_persuasion(instance: PersuasionInstance, plan: OptimalPlan) -> bool:
         raise ValueError("sender-preferred action is not unique in some state")
     off_ideal = np.arange(instance.n_actions)[:, None] != np.argmax(instance.sender.table, axis=1)
     return bool(plan.t[off_ideal].sum() <= PLAN_MASS_TOLERANCE)
-
-
-def expected_region_vertices(
-    instance: PersuasionInstance, action: int
-) -> np.ndarray:
-    """Exact corners of an expected-utility receiver's best-response region.
-
-    The region {mu : action weakly best} is a polytope cut out of the
-    simplex by pairwise comparison hyperplanes; with a handful of states
-    its vertices fall out of brute-force active-set enumeration.  Only
-    defined for the ``expected`` kind.
-    """
-    model = instance.receiver
-    if model.kind != "expected":
-        raise ValueError("exact region vertices need an expected-utility receiver")
-    u = np.asarray(model.params["u"], dtype=float)
-    d, n_actions = u.shape
-    if action < 0 or action >= n_actions:
-        raise ValueError(f"action index {action} out of range")
-    normals = [np.eye(d)[i] for i in range(d)]
-    normals += [u[:, action] - u[:, b] for b in range(n_actions) if b != action]
-    normals = np.array(normals)
-    verts: list[np.ndarray] = []
-    for combo in itertools.combinations(range(normals.shape[0]), d - 1):
-        m = np.vstack([normals[list(combo)], np.ones(d)])
-        rhs = np.zeros(d)
-        rhs[-1] = 1.0
-        try:
-            sol = np.linalg.solve(m, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        if np.any(sol < -VERTEX_TOLERANCE) or np.any(normals @ sol < -VERTEX_TOLERANCE):
-            continue
-        sol = np.clip(sol, 0.0, None)
-        sol = sol / sol.sum()
-        if not any(np.max(np.abs(sol - w)) < VERTEX_TOLERANCE for w in verts):
-            verts.append(sol)
-    if not verts:
-        return np.zeros((0, d))
-    return np.array(verts)

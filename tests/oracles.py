@@ -11,7 +11,9 @@ bisects one edge at a time, the per-pair reference for the batched edge
 bisection in ``compute_k01``; ``gamma_closed_form_scalar`` is the queue's
 closed-form blend weight one pair at a time in ``math``, the reference for
 the array ``gamma_closed_form``; ``full_plan_lp`` solves the plan LP over all
-candidates in one direct scipy call, the reference for column generation.
+candidates in one direct scipy call, the reference for column generation;
+``expected_region_vertices`` enumerates the corners of an expected-utility
+receiver's best-response regions, which make the grid relaxation exact.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ from persuade.geometry import (
 # A point counts as inside a hull when some convex combination reproduces
 # it with total absolute residual at most this.
 HULL_TOLERANCE = 1e-8
+# Round-off in expected_region_vertices: a solved corner may break a
+# constraint by this much, and corners this close in max norm are one.
+VERTEX_TOLERANCE = 1e-9
 
 
 def simplex_grid(dim: int, k: int) -> np.ndarray:
@@ -81,7 +86,7 @@ def revelation_lp(prior: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
             rows.append(row)
     res = linprog(
         -c,
-        A_ub=np.array(rows),
+        A_ub=np.array(rows).reshape(len(rows), nvar),
         b_ub=np.zeros(len(rows)),
         A_eq=a_eq,
         b_eq=np.ones(d),
@@ -90,6 +95,44 @@ def revelation_lp(prior: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     )
     assert res.status == 0, f"revelation LP failed with status {res.status}"
     return float(-res.fun)
+
+
+def expected_region_vertices(instance, action: int) -> np.ndarray:
+    """Exact corners of an expected-utility receiver's best-response region.
+
+    The region {mu : action weakly best} is a polytope cut out of the
+    simplex by pairwise comparison hyperplanes; with a handful of states
+    its vertices fall out of brute-force active-set enumeration.  Only
+    defined for the ``expected`` kind.
+    """
+    model = instance.receiver
+    if model.kind != "expected":
+        raise ValueError("exact region vertices need an expected-utility receiver")
+    u = np.asarray(model.params["u"], dtype=float)
+    d, n_actions = u.shape
+    if action < 0 or action >= n_actions:
+        raise ValueError(f"action index {action} out of range")
+    normals = [np.eye(d)[i] for i in range(d)]
+    normals += [u[:, action] - u[:, b] for b in range(n_actions) if b != action]
+    normals = np.array(normals)
+    verts: list[np.ndarray] = []
+    for combo in itertools.combinations(range(normals.shape[0]), d - 1):
+        m = np.vstack([normals[list(combo)], np.ones(d)])
+        rhs = np.zeros(d)
+        rhs[-1] = 1.0
+        try:
+            sol = np.linalg.solve(m, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        if np.any(sol < -VERTEX_TOLERANCE) or np.any(normals @ sol < -VERTEX_TOLERANCE):
+            continue
+        sol = np.clip(sol, 0.0, None)
+        sol = sol / sol.sum()
+        if not any(np.max(np.abs(sol - w)) < VERTEX_TOLERANCE for w in verts):
+            verts.append(sol)
+    if not verts:
+        return np.zeros((0, d))
+    return np.array(verts)
 
 
 def best_response_value(mu: np.ndarray, score, v: np.ndarray) -> float:

@@ -23,10 +23,9 @@ from persuade import (
     SenderUtility,
     StateSpace,
     baseline_values,
-    expected_region_vertices,
     full_persuasion,
     gamma_closed_form,
-    grid_vertices,
+    grid_point_sets,
     hull_candidates,
     make_model,
     queue_model,
@@ -194,11 +193,11 @@ def test_criterion_5_oracle_equivalence():
         inst = random_eum_instance(rng)
         grid = GridSpec(k=12, dim=inst.n_states)
         extras = [
-            expected_region_vertices(inst, a) for a in range(inst.n_actions)
+            oracles.expected_region_vertices(inst, a) for a in range(inst.n_actions)
         ]
         sets = [
-            grid_vertices(inst, a, grid, extra=extras[a])
-            for a in range(inst.n_actions)
+            np.vstack([points, extras[a]])
+            for a, points in enumerate(grid_point_sets(inst, grid))
         ]
         plan = solve_general(inst, sets)
         candidates = np.vstack([grid.points()] + extras)
@@ -212,7 +211,7 @@ def test_criterion_5_oracle_equivalence():
     for _ in range(25):
         inst = random_mean_stdev_instance(rng)
         grid = GridSpec(k=12, dim=inst.n_states)
-        sets = [grid_vertices(inst, a, grid) for a in range(inst.n_actions)]
+        sets = grid_point_sets(inst, grid)
         plan = solve_general(inst, sets)
         pair_dev = max(pair_dev, abs(plan.value - oracles.concavify_oracle(inst, grid)))
     runtime = time.perf_counter() - start
@@ -293,7 +292,7 @@ def _residual_and_baseline_checks(rng):
             inst, prior=Belief(_snap_to_grid(inst.prior.weights, 8))
         )
         grid = GridSpec(k=8, dim=inst.n_states)
-        sets = [grid_vertices(inst, a, grid) for a in range(inst.n_actions)]
+        sets = grid_point_sets(inst, grid)
         solved.append((inst, solve_general(inst, sets)))
     for _ in range(8):
         inst = random_mean_stdev_instance(rng)
@@ -411,9 +410,7 @@ def _grid_refinement_checks(rng) -> bool:
         values = []
         for k in (6, 12, 24):
             grid = GridSpec(k=k, dim=inst.n_states)
-            sets = [
-                grid_vertices(inst, a, grid) for a in range(inst.n_actions)
-            ]
+            sets = grid_point_sets(inst, grid)
             values.append(solve_general(inst, sets).value)
         ok &= values[0] <= values[1] + 1e-9 and values[1] <= values[2] + 1e-9
     return bool(ok)

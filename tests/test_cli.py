@@ -24,10 +24,11 @@ from persuade import (
     SignalingScheme,
     cli,
     full_persuasion,
-    grid_vertices,
+    grid_point_sets,
     hull_candidates,
     instance_from_json,
     scheme_from_json,
+    scheme_value,
     solve_general,
     validate_scheme,
 )
@@ -303,7 +304,8 @@ def test_validate_one_action_prints_valid_json(tmp_path, capsys):
     assert cli.run(["validate", "--instance", inst_path, "--scheme", str(scheme_path)]) == 0
     report = _strict_json(capsys.readouterr().out)
     assert report["ok"] is True
-    assert report["margins"] == [None, None]
+    # The exact plan of a one-action instance is one signal.
+    assert report["margins"] == [None]
 
 
 def test_emitters_refuse_non_finite_numbers(tmp_path, capsys):
@@ -586,7 +588,7 @@ def test_golden_cvar_zero_tail_accept_state_solves(tmp_path, capsys):
     assert validate_scheme(scheme_from_json(json.loads(out.read_text())), instance).ok
     for k in (16, 40):
         grid = GridSpec(k=k, dim=instance.n_states)
-        sets = [grid_vertices(instance, a, grid) for a in range(instance.n_actions)]
+        sets = grid_point_sets(instance, grid)
         assert value >= solve_general(instance, sets).value - 1e-12
     assert value == pytest.approx(
         oracles.concavify_oracle(instance, candidates.rows()), abs=1e-12
@@ -634,9 +636,9 @@ def test_solve_scores_the_baselines_once(tmp_path, capsys, monkeypatch, method):
 
 
 def _three_action_dict():
-    # Each state has one sender-preferred action, so check-full takes the
-    # grid path.  The receiver agrees with the sender in states a and b but
-    # not in c: the hull-membership verdict needed an LP for each cell.
+    # Each state has one sender-preferred action, so check-full solves, by
+    # the obedience LP.  The receiver agrees with the sender in states a and
+    # b but not in c: the hull-membership verdict needed an LP for each cell.
     return {
         "states": ["a", "b", "c"],
         "actions": ["x", "y", "z"],
@@ -654,9 +656,9 @@ def _three_action_dict():
     [
         (["solve", "--method", "binary"], _seeded_binary(_mean_stdev_receiver, 11, 6), "binary"),
         (["solve", "--method", "grid"], _seeded_binary(_mean_stdev_receiver, 11, 6), "grid"),
-        (["solve"], _three_action_dict(), "grid"),
+        (["solve"], _three_action_dict(), "obedience"),
         (["check-full"], _seeded_binary(_mean_stdev_receiver, 11, 6), "binary"),
-        (["check-full"], _three_action_dict(), "grid"),
+        (["check-full"], _three_action_dict(), "obedience"),
     ],
 )
 def test_one_lp_per_solve_and_check_full(tmp_path, capsys, monkeypatch, verb, doc, expected_method):
@@ -690,6 +692,79 @@ def test_check_full_answers_a_tie_without_solving(tmp_path, capsys, monkeypatch,
     # The grid flag is still checked.
     assert cli.run(["check-full", "--instance", path, "--grid-k", "0"]) == 2
     assert capsys.readouterr().err == "persuade: grid denominator must be at least 1\n"
+
+
+def _off_grid_dict():
+    # The sender prefers "no" in state L, so the binary precondition fails.
+    # Telling L apart from R1 and R2 pools those two at 0.49 : 0.51, where
+    # the receiver still takes "yes" (margin 0.005); a default grid (k 24)
+    # has no such belief and loses value.
+    return {
+        "states": ["L", "R1", "R2"],
+        "actions": ["no", "yes"],
+        "prior": [0.5, 0.245, 0.255],
+        "sender_v": [[1, 0], [0, 1], [0, 1]],
+        "receiver": {"kind": "expected", "u": [[0, -1], [0, 0.515], [0, -0.485]]},
+    }
+
+
+def test_expected_receiver_off_the_grid_is_solved_exactly(tmp_path, capsys):
+    path = _write(tmp_path, "inst.json", _off_grid_dict())
+    assert cli.run(["solve", "--instance", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["method"], doc["k"]) == ("obedience", None)
+    assert doc["value"] == pytest.approx(1.0, abs=1e-9)
+    assert doc["full_persuasion"] is True
+    assert cli.run(["check-full", "--instance", path]) == 0
+    assert json.loads(capsys.readouterr().out) == {"full_persuasion": True, "method": "obedience"}
+
+
+def _expected_pool():
+    # Seeded expected-utility instances over d 2-7 and 1-5 actions, each
+    # drawn once at random and once aligned (u = v).  The sender prefers
+    # action 0 in state 0, so no two-action instance passes the binary
+    # precondition.
+    rng = np.random.default_rng(23)
+    docs = []
+    for d in range(2, 8):
+        for n_actions in range(1, 6):
+            v = rng.uniform(0.0, 1.0, (d, n_actions))
+            v[0, 0] = v[0].max() + 0.5
+            for u in (rng.uniform(-1.0, 1.0, (d, n_actions)), v):
+                docs.append({
+                    "states": [f"s{w}" for w in range(d)],
+                    "actions": [f"a{a}" for a in range(n_actions)],
+                    "prior": rng.dirichlet(np.ones(d)).tolist(),
+                    "sender_v": v.tolist(),
+                    "receiver": {"kind": "expected", "u": u.tolist()},
+                })
+    return docs
+
+
+def test_auto_solves_expected_receivers_exactly(tmp_path, capsys):
+    verdicts = []
+    for i, doc in enumerate(_expected_pool()):
+        inst = instance_from_json(doc)
+        path = _write(tmp_path, f"inst-{i}.json", doc)
+        out = tmp_path / f"scheme-{i}.json"
+        assert cli.run(["solve", "--instance", path, "--out", str(out)]) == 0
+        solved = json.loads(capsys.readouterr().out)
+        u = np.asarray(doc["receiver"]["u"])
+        exact = oracles.revelation_lp(inst.prior.weights, u, inst.sender.table)
+        assert solved["method"] == "obedience"
+        assert solved["value"] == pytest.approx(exact, abs=1e-9)
+        # The atom posteriors' weighted gains sum to the margin.
+        assert solved["benefit"]["certificate_gain"] >= solved["benefit"]["margin"] - 1e-9
+        scheme = scheme_from_json(json.loads(out.read_text()))
+        assert validate_scheme(scheme, inst).ok
+        assert scheme_value(scheme, inst) == pytest.approx(solved["value"], abs=1e-9)
+        ideal = float(inst.prior.weights @ inst.sender.table.max(axis=1))
+        assert cli.run(["check-full", "--instance", path]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict == {"full_persuasion": abs(exact - ideal) <= 1e-9, "method": "obedience"}
+        assert solved["full_persuasion"] is verdict["full_persuasion"]
+        verdicts.append(verdict["full_persuasion"])
+    assert True in verdicts and False in verdicts
 
 
 def _aligned(instance):
@@ -737,7 +812,7 @@ def test_full_persuasion_agrees_with_hull_membership():
             instance = instance_from_json(doc)
             for inst in (instance, _aligned(instance)):
                 grid = GridSpec(k=12, dim=d)
-                sets = [grid_vertices(inst, a, grid) for a in range(n_actions)]
+                sets = grid_point_sets(inst, grid)
                 check(inst, solve_general(inst, sets), sets)
     # Frontier cases: the 0.3 and 0.6 priors of the half-plane hull, one
     # 2e-4 short of it (4e-4 of mass off the ideal action), an empty action

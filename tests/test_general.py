@@ -17,11 +17,11 @@ from persuade import (
     baseline_values,
     benefit_check,
     default_grid_k,
-    expected_region_vertices,
     full_persuasion,
-    grid_vertices,
+    grid_point_sets,
     make_model,
     solve_general,
+    solve_obedience,
 )
 from conftest import random_eum_instance, random_mean_stdev_instance, threshold_instance
 
@@ -63,23 +63,16 @@ def test_grid_vertices_keeps_ties_and_extras():
         receiver=make_model("expected", u=np.zeros((2, 2))),
     )
     grid = GridSpec(k=4, dim=2)
-    for a in range(2):
-        assert grid_vertices(inst, a, grid).shape[0] == grid.n_points
-    extra = np.array([[0.3, 0.7]])
-    assert grid_vertices(inst, 0, grid, extra=extra).shape[0] == grid.n_points + 1
+    assert [points.shape[0] for points in grid_point_sets(inst, grid)] == [grid.n_points] * 2
     with pytest.raises(ValueError):
-        grid_vertices(inst, 5, grid)
-    with pytest.raises(ValueError):
-        grid_vertices(inst, 0, GridSpec(k=4, dim=3))
-    with pytest.raises(ValueError):
-        grid_vertices(inst, 0, grid, extra=np.array([[0.5, 0.3, 0.2]]))
+        grid_point_sets(inst, GridSpec(k=4, dim=3))
 
 
 def test_solve_general_matches_concavify(rng):
     for _ in range(6):
         inst = random_eum_instance(rng)
         grid = GridSpec(k=8, dim=inst.n_states)
-        sets = [grid_vertices(inst, a, grid) for a in range(inst.n_actions)]
+        sets = grid_point_sets(inst, grid)
         plan = solve_general(inst, sets)
         assert plan.value == pytest.approx(
             oracles.concavify_oracle(inst, grid), abs=1e-7
@@ -87,7 +80,7 @@ def test_solve_general_matches_concavify(rng):
     for _ in range(6):
         inst = random_mean_stdev_instance(rng)
         grid = GridSpec(k=8, dim=inst.n_states)
-        sets = [grid_vertices(inst, a, grid) for a in range(inst.n_actions)]
+        sets = grid_point_sets(inst, grid)
         plan = solve_general(inst, sets)
         assert plan.value == pytest.approx(
             oracles.concavify_oracle(inst, grid), abs=1e-7
@@ -98,7 +91,7 @@ def test_solve_general_atom_count_bounded_by_states(rng):
     for _ in range(5):
         inst = random_eum_instance(rng)
         grid = GridSpec(k=8, dim=inst.n_states)
-        sets = [grid_vertices(inst, a, grid) for a in range(inst.n_actions)]
+        sets = grid_point_sets(inst, grid)
         plan = solve_general(inst, sets)
         assert len(plan.atoms) <= inst.n_states
         plan.check()
@@ -109,15 +102,16 @@ def test_solve_general_exact_vertices_recover_eum_optimum(rng):
         inst = random_eum_instance(rng)
         grid = GridSpec(k=12, dim=inst.n_states)
         sets = [
-            grid_vertices(
-                inst, a, grid, extra=expected_region_vertices(inst, a)
-            )
-            for a in range(inst.n_actions)
+            np.vstack([points, oracles.expected_region_vertices(inst, a)])
+            for a, points in enumerate(grid_point_sets(inst, grid))
         ]
         plan = solve_general(inst, sets)
         u = np.asarray(inst.receiver.params["u"], dtype=float)
         exact = oracles.revelation_lp(inst.prior.weights, u, inst.sender.table)
         assert plan.value == pytest.approx(exact, abs=1e-7)
+        assert solve_obedience(inst).value == pytest.approx(exact, abs=1e-9)
+    with pytest.raises(ValueError, match="expected-utility"):
+        solve_obedience(threshold_instance())
 
 
 def test_solve_general_guards():
@@ -142,7 +136,7 @@ def test_baseline_values_threshold_game():
 def test_benefit_check_threshold_game():
     inst = threshold_instance()
     grid = GridSpec(k=24, dim=4)
-    sets = [grid_vertices(inst, a, grid) for a in range(2)]
+    sets = grid_point_sets(inst, grid)
     plan = solve_general(inst, sets)
     report = benefit_check(inst, plan, sets)
     assert report.strictly_beneficial
@@ -164,7 +158,7 @@ def test_benefit_check_when_silence_is_optimal():
         receiver=make_model("expected", u=np.array([[0.0, 1.0], [0.0, -1.0]])),
     )
     grid = GridSpec(k=10, dim=2)
-    sets = [grid_vertices(inst, a, grid) for a in range(2)]
+    sets = grid_point_sets(inst, grid)
     plan = solve_general(inst, sets)
     report = benefit_check(inst, plan, sets)
     assert plan.value == pytest.approx(1.0, abs=1e-9)
@@ -175,7 +169,7 @@ def test_benefit_check_when_silence_is_optimal():
 def test_full_persuasion_general_threshold_game():
     inst = threshold_instance()
     grid = GridSpec(k=24, dim=4)
-    sets = [grid_vertices(inst, a, grid) for a in range(2)]
+    sets = grid_point_sets(inst, grid)
     assert full_persuasion(inst, solve_general(inst, sets))
 
     skewed = PersuasionInstance(
@@ -185,7 +179,7 @@ def test_full_persuasion_general_threshold_game():
         sender=inst.sender,
         receiver=inst.receiver,
     )
-    sets = [grid_vertices(skewed, a, grid) for a in range(2)]
+    sets = grid_point_sets(skewed, grid)
     assert not full_persuasion(skewed, solve_general(skewed, sets))
 
 
@@ -235,7 +229,7 @@ def test_expected_region_vertices_known_polytopes():
         sender=SenderUtility(np.array([[0.0, 1.0], [0.0, 1.0]])),
         receiver=make_model("expected", u=np.array([[1.0, 0.0], [0.0, 1.0]])),
     )
-    verts = expected_region_vertices(two, 1)
+    verts = oracles.expected_region_vertices(two, 1)
     expect = {(0.0, 1.0), (0.5, 0.5)}
     assert {tuple(np.round(v, 9)) for v in verts} == expect
 
@@ -247,7 +241,7 @@ def test_expected_region_vertices_known_polytopes():
         sender=SenderUtility(np.column_stack([np.zeros(3), np.ones(3)])),
         receiver=make_model("expected", u=np.column_stack([np.zeros(3), du])),
     )
-    verts = expected_region_vertices(three, 1)
+    verts = oracles.expected_region_vertices(three, 1)
     got = {tuple(np.round(v, 9)) for v in verts}
     third = round(1.0 / 3.0, 9)
     expect = {
@@ -259,9 +253,9 @@ def test_expected_region_vertices_known_polytopes():
     assert got == expect
 
     with pytest.raises(ValueError, match="expected-utility"):
-        expected_region_vertices(threshold_instance(), 1)
+        oracles.expected_region_vertices(threshold_instance(), 1)
     with pytest.raises(ValueError, match="out of range"):
-        expected_region_vertices(two, 7)
+        oracles.expected_region_vertices(two, 7)
 
 
 def test_grid_refinement_is_monotone(rng):
@@ -270,7 +264,7 @@ def test_grid_refinement_is_monotone(rng):
         values = []
         for k in (6, 12, 24):
             grid = GridSpec(k=k, dim=inst.n_states)
-            sets = [grid_vertices(inst, a, grid) for a in range(inst.n_actions)]
+            sets = grid_point_sets(inst, grid)
             values.append(solve_general(inst, sets).value)
         assert values[0] <= values[1] + 1e-9
         assert values[1] <= values[2] + 1e-9
