@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .general import plan_from_candidates
+from .general import SENDER_PREFERENCE_SLACK, plan_from_candidates
 from .model import OptimalPlan, PersuasionInstance, _dense_rows
 
 # States classify as accept/reject when the pure-state differential clears
@@ -31,9 +31,6 @@ THRESHOLD_TOLERANCE = 1e-8
 SPOT_CHECK_PAIRS = 64
 # verify_threshold's slack on the strict drop of blend weights along the order.
 MONOTONE_SLACK = 1e-12
-# solve_binary takes a sender table whose action-1 payoff falls short of the
-# action-0 payoff by at most this in any state (weak preference up to noise).
-SENDER_PREFERENCE_SLACK = 1e-12
 
 __all__ = [
     "CLASSIFY_TOLERANCE",

@@ -163,16 +163,14 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write(text + "\n")
 
 
-def _auto_method(instance, strict: bool = False) -> str:
+def _auto_method(instance) -> str:
     """The solver ``auto`` picks, for ``solve`` and ``check-full`` alike.
 
-    Binary when the binary precondition holds (with ``strict``, as
-    ``check-full`` asks, only if the sender also strictly prefers action 1
-    in every state); otherwise the exact obedience LP for an
-    expected-utility receiver, and the grid relaxation for any other.
+    Binary when the binary precondition holds; otherwise the exact
+    obedience LP for an expected-utility receiver, and the grid
+    relaxation for any other.
     """
-    v = instance.sender.table
-    if binary_precondition_error(instance) is None and not (strict and np.any(v[:, 1] <= v[:, 0])):
+    if binary_precondition_error(instance) is None:
         return "binary"
     return "obedience" if instance.receiver.kind == "expected" else "grid"
 
@@ -183,7 +181,8 @@ def _solve_instance(instance, method: str, grid_k: int | None):
     The binary path builds its hull candidates once (one classification,
     one k01 pass) and hands them to the LP and to the benefit check.  The
     obedience plan's atom posteriors are its point sets: their weighted
-    gains sum to the margin, so they certify it.
+    gains sum to the margin, so they certify it.  ``grid_k`` is read only
+    when the grid runs; None means the default for the state count.
     """
     if method == "auto":
         method = _auto_method(instance)
@@ -195,15 +194,9 @@ def _solve_instance(instance, method: str, grid_k: int | None):
         sets = [np.array([x.posterior for x in plan.atoms if x.action == a])
                 for a in range(instance.n_actions)]
         return plan, sets, "obedience", None
-    grid = _grid_spec(instance, grid_k)
-    sets = grid_point_sets(instance, grid)
-    return solve_general(instance, sets), sets, "grid", grid.k
-
-
-def _grid_spec(instance, grid_k: int | None) -> GridSpec:
-    """The belief grid at denominator grid_k, or the default for the state count."""
     k = grid_k if grid_k is not None else default_grid_k(instance.n_states)
-    return GridSpec(k=k, dim=instance.n_states)
+    sets = grid_point_sets(instance, GridSpec(k=k, dim=instance.n_states))
+    return solve_general(instance, sets), sets, "grid", k
 
 
 def _cmd_solve(args) -> int:
@@ -212,8 +205,6 @@ def _cmd_solve(args) -> int:
     compiled = scheme_from_plan(plan, instance)
     report = validate_scheme(compiled, instance)
     benefit = benefit_check(instance, plan, sets)
-    # Ill-posed, so null, when a state's sender-preferred action is tied.
-    full = None if _ideal_action_tied(instance) else full_persuasion(instance, plan)
     doc = {
         "value": plan.value,
         "method": method,
@@ -226,7 +217,7 @@ def _cmd_solve(args) -> int:
             "certificate_point": [float(x) for x in benefit.certificate_point],
             "certificate_gain": benefit.certificate_gain,
         },
-        "full_persuasion": full,
+        "full_persuasion": full_persuasion(instance, plan),
         "plan": {
             "t": [[float(x) for x in row] for row in plan.t],
             "atoms": [
@@ -294,18 +285,23 @@ def _plot_data_csv(plot: dict) -> str:
     return buf.getvalue()
 
 
+def _queue_instance(args) -> QueueInstance:
+    """The queue instance of the rate flags; a non-finite flag is a bad flag (exit 1)."""
+    for flag, value in (("--lambda", args.lam), ("--beta", args.beta), ("--tau", args.tau)):
+        if not math.isfinite(value):
+            raise FormatError(flag, f"must be a finite number, not {value}")
+    return QueueInstance(
+        arrival_rate=args.lam, beta=args.beta, tau=args.tau, capacity=args.capacity
+    )
+
+
 def _cmd_queue(args) -> int:
     if args.simulate is not None:
         if args.seed is None:
             raise FormatError("--seed", "simulation requires an explicit seed")
         if args.format == "csv":
             raise FormatError("--simulate", "the CSV table has no simulation columns")
-    instance = QueueInstance(
-        arrival_rate=args.lam,
-        beta=args.beta,
-        tau=args.tau,
-        capacity=args.capacity,
-    )
+    instance = _queue_instance(args)
     solution = solve_queue(instance)
     sandwich = verify_sandwich(solution)
     doc = {
@@ -367,15 +363,17 @@ def _cmd_queue(args) -> int:
 
 
 def _cmd_check_full(args) -> int:
+    """Print the full-persuasion verdict and the method, as ``solve`` gives them.
+
+    A tied sender table makes the verdict null, so nothing is solved and
+    ``--grid-k`` is not read: the method printed is the one ``solve``
+    would pick.
+    """
     instance = instance_from_json(_load_json(args.instance))
     if _ideal_action_tied(instance):
-        # A tie makes the verdict null, so nothing is solved.  The method
-        # reads grid whatever the receiver, and the grid flag is still checked.
-        _grid_spec(instance, args.grid_k)
-        _emit({"full_persuasion": None, "method": "grid"})
+        _emit({"full_persuasion": None, "method": _auto_method(instance)})
         return 0
-    method = _auto_method(instance, strict=True)
-    plan, _, method, _ = _solve_instance(instance, method, args.grid_k)
+    plan, _, method, _ = _solve_instance(instance, "auto", args.grid_k)
     _emit({"full_persuasion": full_persuasion(instance, plan), "method": method})
     return 0
 
@@ -399,12 +397,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    instance = QueueInstance(
-        arrival_rate=args.lam,
-        beta=args.beta,
-        tau=args.tau,
-        capacity=args.capacity,
-    )
+    instance = _queue_instance(args)
     compiled = scheme_from_json(_load_json(args.scheme))
     sim = simulate_queue(instance, compiled, args.events, args.seed)
     _emit(

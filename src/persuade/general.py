@@ -38,6 +38,9 @@ from .model import (
 CANDIDATE_CAP = 2_000_000
 # Strict-benefit verdicts require at least this much value over no info.
 BENEFIT_MARGIN = 1e-7
+# Sender payoffs this close tie, so a state's preferred action is unique only
+# past it; solve_binary takes action-1 payoffs up to it below action 0's.
+SENDER_PREFERENCE_SLACK = 1e-12
 
 __all__ = [
     "CANDIDATE_CAP",
@@ -330,17 +333,18 @@ def benefit_check(
 
 
 def _ideal_action_tied(instance: PersuasionInstance) -> bool:
-    """Whether some state's sender-preferred action is tied with another."""
+    """Whether some state's top two sender payoffs lie within SENDER_PREFERENCE_SLACK."""
     top = np.sort(instance.sender.table, axis=1)
-    return top.shape[1] > 1 and bool(np.any(top[:, -1] <= top[:, -2]))
+    return top.shape[1] > 1 and bool(np.any(top[:, -1] - top[:, -2] <= SENDER_PREFERENCE_SLACK))
 
 
-def full_persuasion(instance: PersuasionInstance, plan: OptimalPlan) -> bool:
+def full_persuasion(instance: PersuasionInstance, plan: OptimalPlan) -> bool | None:
     """Whether the solved plan gets the sender its pointwise-best action everywhere.
 
-    The sender-preferred action must be unique in every state (a tie makes
-    the question ill-posed and raises).  Each unit of joint mass off that
-    ideal action then costs the plan a positive amount of value, so an
+    None when some state's sender-preferred action is tied (within
+    SENDER_PREFERENCE_SLACK): the ideal action is then not unique and the
+    question is ill-posed.  Otherwise each unit of joint mass off that
+    ideal action costs the plan a positive amount of value, so an
     optimal plan reaches the full-information ideal exactly when it puts
     no mass off the ideal action, that is, when each ideal action's cell
     of the prior lies in the hull of that action's candidates.  Off-ideal
@@ -348,6 +352,6 @@ def full_persuasion(instance: PersuasionInstance, plan: OptimalPlan) -> bool:
     joint mass is checked against the prior, counts as none.
     """
     if _ideal_action_tied(instance):
-        raise ValueError("sender-preferred action is not unique in some state")
+        return None
     off_ideal = np.arange(instance.n_actions)[:, None] != np.argmax(instance.sender.table, axis=1)
     return bool(plan.t[off_ideal].sum() <= PLAN_MASS_TOLERANCE)

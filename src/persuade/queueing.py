@@ -108,6 +108,8 @@ class QueueInstance:
     capacity: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.arrival_rate, self.beta, self.tau))):
+            raise ValueError("arrival rate, beta and tau must be finite")
         if not self.arrival_rate > 0.0:
             raise ValueError("arrival rate must be positive")
         if self.beta < 0.0:
@@ -491,7 +493,6 @@ def simulate_queue(
     t = 0.0
     next_arrival = rng.exponential(1.0 / lam)
     next_departure = math.inf
-    arrivals = blocked = joins = leaves = 0
     signal_counts = np.zeros(n_signals, dtype=np.int64)
     arrival_seen = np.zeros(d + 1, dtype=np.int64)
     occupancy_time = np.zeros(d + 1)
@@ -508,25 +509,17 @@ def simulate_queue(
             t = now
             next_arrival = t + rng.exponential(1.0 / lam)
             if counting:
-                arrivals += 1
                 arrival_seen[n] += 1
             if n >= d:
-                if counting:
-                    blocked += 1
                 continue
             sig = int(np.searchsorted(cdf[n], rng.random(), side="left"))
             sig = min(sig, n_signals - 1)
             if counting:
                 signal_counts[sig] += 1
             if join_action[sig]:
-                if counting:
-                    joins += 1
                 n += 1
                 if n == 1:
                     next_departure = t + rng.exponential(1.0)
-            else:
-                if counting:
-                    leaves += 1
         else:
             now = next_departure
             if counting:
@@ -538,13 +531,15 @@ def simulate_queue(
     total_time = t - stats_start
     if occupancy_time.sum() > 0:
         occupancy_time = occupancy_time / occupancy_time.sum()
+    arrivals = int(arrival_seen.sum())
+    joins = int(signal_counts[join_action].sum())
     return SimulationResult(
         events=events,
         burn_in_events=burn,
         arrivals=arrivals,
-        blocked=blocked,
+        blocked=int(arrival_seen[d]),
         joins=joins,
-        leaves=leaves,
+        leaves=int(signal_counts[~join_action].sum()),
         join_rate=joins / arrivals if arrivals else 0.0,
         signal_counts={
             scheme.signals[i].label: int(signal_counts[i]) for i in range(n_signals)

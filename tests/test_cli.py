@@ -254,8 +254,9 @@ def test_check_full_grid_on_tied_sender(tmp_path, capsys):
     path = _write(tmp_path, "inst.json", doc)
     assert cli.run(["check-full", "--instance", path, "--grid-k", "6"]) == 0
     out = json.loads(capsys.readouterr().out)
-    # Tied sender rows make the verdict ill-posed; the CLI reports null.
-    assert out == {"full_persuasion": None, "method": "grid"}
+    # Tied sender rows make the verdict ill-posed; the CLI reports null and
+    # the method solve picks, binary since action 1 is weakly preferred.
+    assert out == {"full_persuasion": None, "method": "binary"}
 
 
 def test_validate_ok_then_tampered(tmp_path, capsys):
@@ -679,19 +680,80 @@ def _tied(doc, row):
 
 
 @pytest.mark.parametrize(
-    "doc",
-    [_tied(_expected_dict(), 2), _tied(_three_action_dict(), 0)],
+    "doc, method",
+    [(_tied(_expected_dict(), 2), "binary"), (_tied(_three_action_dict(), 0), "obedience")],
     ids=["two-actions", "three-actions"],
 )
-def test_check_full_answers_a_tie_without_solving(tmp_path, capsys, monkeypatch, doc):
+def test_check_full_answers_a_tie_without_solving(tmp_path, capsys, monkeypatch, doc, method):
     lps = _count_calls(monkeypatch, "solve_lp", home=persuade.geometry)
     path = _write(tmp_path, "inst.json", doc)
     assert cli.run(["check-full", "--instance", path, "--grid-k", "6"]) == 0
-    assert json.loads(capsys.readouterr().out) == {"full_persuasion": None, "method": "grid"}
+    assert json.loads(capsys.readouterr().out) == {"full_persuasion": None, "method": method}
+    # No grid runs, so the grid flag is not read.
+    assert cli.run(["check-full", "--instance", path, "--grid-k", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"full_persuasion": None, "method": method}
     assert lps == []
-    # The grid flag is still checked.
-    assert cli.run(["check-full", "--instance", path, "--grid-k", "0"]) == 2
-    assert capsys.readouterr().err == "persuade: grid denominator must be at least 1\n"
+
+
+def _verdict_pool():
+    # Seeded 2- and 3-action instances (d 2-5): expected receivers, and
+    # convex mean_stdev ones with the sender weakly or not preferring action
+    # 1, so every route runs.  Every other instance gets one sender row tied
+    # within SENDER_PREFERENCE_SLACK, whose verdict must be null.
+    rng = np.random.default_rng(41)
+    docs = []
+    for i in range(36):
+        d, n_actions = int(rng.integers(2, 6)), 3 if i % 3 == 2 else 2
+        doc = _seeded_binary(_mean_stdev_receiver, int(rng.integers(10**6)), d)
+        if i % 3 != 1:
+            u = rng.uniform(-1.0, 1.0, (d, n_actions))
+            doc["receiver"] = {"kind": "expected", "u": u.tolist()}
+        v = rng.uniform(0.0, 1.0, (d, n_actions))
+        if i % 6 < 2:
+            v[:, 1] = v[:, 0] + rng.uniform(0.1, 1.0, d)
+        if i % 2:
+            row = int(rng.integers(d))
+            v[row, :2] = [1.0, 1.0 - 5e-13] if i % 4 == 1 else [1.0 - 5e-13, 1.0]
+            v[row, 2:] = 0.0
+        docs.append({**doc, "actions": [f"a{a}" for a in range(n_actions)],
+                     "sender_v": v.tolist()})
+    return docs
+
+
+def test_check_full_gives_the_verdict_and_method_of_solve(tmp_path, capsys):
+    methods, verdicts = set(), []
+    for i, doc in enumerate(_verdict_pool()):
+        path = _write(tmp_path, f"inst-{i}.json", doc)
+        assert cli.run(["solve", "--instance", path]) == 0
+        solved = json.loads(capsys.readouterr().out)
+        assert cli.run(["check-full", "--instance", path]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict == {"full_persuasion": solved["full_persuasion"],
+                           "method": solved["method"]}, i
+        assert (verdict["full_persuasion"] is None) == (i % 2 == 1), i
+        methods.add(verdict["method"])
+        verdicts.append(verdict["full_persuasion"])
+    assert methods == {"binary", "obedience", "grid"}
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--lambda", "--beta", "--tau"])
+@pytest.mark.parametrize("verb", ["queue", "simulate"])
+def test_queue_rate_flags_must_be_finite(tmp_path, capsys, verb, flag, value):
+    # "--flag=-inf": argparse reads a separate "-inf" as an option name.
+    rates = {"--lambda": "0.95", "--beta": "2.5", "--tau": "7.5", flag: value}
+    argv = [verb] + [f"{k}={x}" for k, x in rates.items()] + ["--capacity", "4"]
+    if verb == "simulate":
+        scheme_path = tmp_path / "scheme.json"
+        assert cli.run(_queue_args(capacity=4) + ["--out", str(scheme_path)]) == 0
+        capsys.readouterr()
+        argv += ["--scheme", str(scheme_path), "--events", "10000", "--seed", "1"]
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"persuade: {flag}: ")
+    assert captured.err.count("\n") == 1
 
 
 def _off_grid_dict():

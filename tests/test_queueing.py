@@ -66,6 +66,10 @@ def test_queue_instance_guards():
         QueueInstance(0.5, 1.0, 0.0, 10)
     with pytest.raises(ValueError, match="capacity"):
         QueueInstance(0.5, 1.0, 5.0, 1)
+    for bad in (math.nan, math.inf, -math.inf):
+        for args in ((bad, 1.0, 5.0, 10), (0.5, bad, 5.0, 10), (0.5, 1.0, bad, 10)):
+            with pytest.raises(ValueError, match="finite"):
+                QueueInstance(*args)
 
 
 def test_waiting_moments():
