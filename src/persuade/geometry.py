@@ -3,8 +3,9 @@
 ``solve_lp`` is a thin contract around the HiGHS dual simplex: equality
 constraints, variables bounded below by zero, basic (vertex) optimal
 solutions with their equality duals, and an equality residual checked on
-every accepted solution.  ``solve_by_columns`` runs column generation on
-those duals and certifies the optimum it returns.
+every accepted solution.  ``certify`` checks an optimum against every
+column of a program, and ``solve_by_columns`` runs column generation on
+the duals and certifies the optimum it returns.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ LP_RESIDUAL = 1e-9
 ATOM_FLOOR = 1e-12
 # Programs with at most this many columns start column generation from all
 # of them: the first solve is then the direct LP, pricing adds nothing, and
-# the plan is the one a direct solve gives.  It sits above the largest queue
-# flow LP at capacity 1600 (9,575 columns), so moving the queue onto this
-# loop cannot change the bytes of those solves either.
+# the plan is the one a direct solve gives.  The queue flow LP does not use
+# this loop: it grows its columns by queue length (queueing.solve_queue).
 FULL_LP_COLUMNS = 10_000
 # Columns added per pricing round, the best-priced first.  The solve-fixed
 # grid programs of 20k-46k columns then close in 2-6 rounds with 69-263.
@@ -46,6 +46,8 @@ __all__ = [
     "SparseConstraints",
     "LpResult",
     "solve_lp",
+    "certificate_bound",
+    "certify",
     "solve_by_columns",
 ]
 
@@ -104,9 +106,10 @@ class LinearProgram:
 class LpResult:
     """Outcome of an LP solve; x, value and dual are meaningful when optimal.
 
-    ``dual`` is y with c - A^T y <= 0 at the optimum.  ``solve_by_columns``
-    also records its rounds, the final column count, and the certificate:
-    the largest reduced cost over all columns and |value - y . b|.
+    ``dual`` is y with c - A^T y <= 0 at the optimum.  A certified solve
+    also records its rounds, the final column count, and the certificate
+    (see ``certify``): the largest reduced cost over all columns and
+    |value - y . b|.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -153,6 +156,33 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     return LpResult(status="optimal", x=x, value=float(-res.fun), dual=dual)
 
 
+def certificate_bound(lp: LinearProgram) -> float:
+    """CERTIFICATE_TOLERANCE scaled by 1 + max|c|."""
+    return CERTIFICATE_TOLERANCE * (1.0 + float(np.max(np.abs(lp.c), initial=0.0)))
+
+
+def certify(lp: LinearProgram, res: LpResult, rounds: int, columns: int) -> LpResult:
+    """Check an optimum of ``lp`` with a certificate that does not trust the engine.
+
+    ``res.x`` must be feasible for ``lp`` and ``res.dual`` must have one
+    entry per row.  The largest reduced cost c - A^T y over all columns,
+    and the gap between the value and y . b, must each be at most
+    ``certificate_bound(lp)``.  With them no feasible x does better than
+    the value plus the gap plus sum(x) times the largest reduced cost.
+    Returns ``res`` with both recorded beside the solve's ``rounds`` and
+    final ``columns``; a failed certificate raises ``LpSolverError``.
+    """
+    bound = certificate_bound(lp)
+    worst = float(np.max(lp.c - lp.a_eq.T @ res.dual, initial=-np.inf))
+    gap = abs(res.value - float(res.dual @ lp.b_eq))
+    if not (worst <= bound and gap <= bound):
+        raise LpSolverError(
+            f"LP optimality certificate failed: reduced cost {worst:.3e}, "
+            f"duality gap {gap:.3e}, tolerance {bound:.3e}"
+        )
+    return replace(res, rounds=rounds, columns=columns, reduced_cost=worst, gap=gap)
+
+
 def solve_by_columns(lp: LinearProgram, seed: np.ndarray | None) -> LpResult:
     """Solve by column generation on the duals, and certify the optimum.
 
@@ -164,16 +194,11 @@ def solve_by_columns(lp: LinearProgram, seed: np.ndarray | None) -> LpResult:
     seed (None), starts from all its columns, so its one solve is the
     direct LP.
 
-    Either way the optimum must pass a certificate that does not trust the
-    engine: the largest reduced cost over all columns, and the gap between
-    the value and y . b, are each at most CERTIFICATE_TOLERANCE times
-    1 + max|c|.  With them no feasible x does better than the value plus
-    the gap plus sum(x) times the largest reduced cost.  A failed
-    certificate raises ``LpSolverError``.
+    Either way the optimum must pass ``certify`` over all the columns.
     """
     n = lp.c.size
     active = np.arange(n) if seed is None or n <= FULL_LP_COLUMNS else np.unique(seed)
-    bound = CERTIFICATE_TOLERANCE * (1.0 + float(np.max(np.abs(lp.c), initial=0.0)))
+    bound = certificate_bound(lp)
     rounds = 0
     while True:
         rounds += 1
@@ -191,13 +216,6 @@ def solve_by_columns(lp: LinearProgram, seed: np.ndarray | None) -> LpResult:
             best = np.argpartition(reduced[entering], -PRICING_BATCH)[-PRICING_BATCH:]
             entering = entering[best]
         active = np.union1d(active, entering)
-    worst = float(np.max(reduced, initial=-np.inf))
-    gap = abs(res.value - float(res.dual @ lp.b_eq))
-    if not (worst <= bound and gap <= bound):
-        raise LpSolverError(
-            f"LP optimality certificate failed: reduced cost {worst:.3e}, "
-            f"duality gap {gap:.3e}, tolerance {bound:.3e}"
-        )
     x = np.zeros(n)
     x[active] = res.x
-    return replace(res, x=x, rounds=rounds, columns=active.size, reduced_cost=worst, gap=gap)
+    return certify(lp, replace(res, x=x), rounds=rounds, columns=active.size)

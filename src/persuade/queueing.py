@@ -16,6 +16,7 @@ One LP handles both, and the belief prior is read back off its solution.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +34,10 @@ from .geometry import (
     ATOM_FLOOR,
     InfeasibleProgramError,
     LinearProgram,
+    LpResult,
     LpSolverError,
+    certificate_bound,
+    certify,
     solve_lp,
 )
 from .model import (
@@ -66,12 +70,18 @@ CLOSED_FORM_SLACK = 1e-9
 # Simulation guardrails.
 MIN_HORIZON = 10_000
 BURN_IN_FRACTION = 0.10
+# The flow LP is first solved on the lengths up to max(PREFIX_MIN,
+# PREFIX_PER_JOINABLE * (l + 1)), l the longest joinable length, and the
+# prefix doubles until its certificate holds.  Rationing optima end within
+# a few lengths of l; at capacity 1600 every queue-scale rationing solve
+# closes on its first prefix (lengths up to 16, 69 columns of 7,984).
+PREFIX_MIN = 8
+PREFIX_PER_JOINABLE = 4
 # Largest number of boundary blends (strict-reject x joinable lengths) a
-# queue solve takes on; each is a flow-LP column.  HiGHS time grows faster
-# than the column count: on a 2-core host, 4e4 blends (capacity 10^4, 4
-# joinable lengths) solve in about 5 s, 8e4 in 15 s, 9.75e4 (capacity 2000,
-# 50 joinable) in 50 s, and 2e5 ran past 5 minutes.  Memory stays near
-# 250 MB up to the bound.
+# queue solve takes on; each is a flow-LP column.  The prefix solve keeps
+# HiGHS small, so this bound is about memory and output: with it lifted, a
+# cold capacity-10^5 `queue` (4 or 7 joinable lengths) took 3.0-4.2 s,
+# peaked at 309-408 MB and wrote 31-47 MB of JSON on a 2-core host.
 MAX_QUEUE_BLENDS = 100_000
 
 __all__ = [
@@ -79,6 +89,8 @@ __all__ = [
     "NORMALIZATION_TOLERANCE",
     "MIN_HORIZON",
     "BURN_IN_FRACTION",
+    "PREFIX_MIN",
+    "PREFIX_PER_JOINABLE",
     "MAX_QUEUE_BLENDS",
     "QueueInstance",
     "QueueSolution",
@@ -156,7 +168,12 @@ def gamma_closed_form(n, m, tau: float, beta: float):
             - 4 * slack * slack
         )
         root = np.sqrt(np.where(h < 0.0, 0.0, h))
-        gamma = (2 * slack + beta2 * (span + 1) - beta * root) / (2 * span * (1 + beta2))
+        # The root (2 s + beta^2 (S + 1) - beta sqrt(h)) / (2 S (1 + beta^2)),
+        # s the slack and S the span, times its conjugate over itself: the
+        # textbook numerator cancels more digits the longer the span.  At
+        # beta = 0 and s = 0 this is 0 / 0, and gamma is 0 there.
+        den = span * (2 * slack + beta2 * (span + 1) + beta * root)
+        gamma = np.where(den == 0.0, 0.0, 2 * (slack * slack - beta2 * (1 + m)) / den)
     faults = (
         (n <= m, "need n > m"),
         (beta < 0.0, "beta must be nonnegative"),
@@ -197,11 +214,13 @@ class QueueSolution:
     sum short of one).  ``plan`` and ``scheme`` are rescaled onto the
     belief prior, the seen-length law conditioned on not being blocked.
     ``candidates`` are the flow LP's columns; ``candidates.gamma`` the blends.
+    ``flow`` is the certified flow LP solve (see ``_solve_flow``).
     """
 
     instance: QueueInstance
     persuasion: PersuasionInstance
     candidates: HullCandidates
+    flow: LpResult
     t0: np.ndarray
     t1: np.ndarray
     prior: np.ndarray
@@ -247,6 +266,84 @@ def _flow_program(d: int, lam: float, candidates: HullCandidates) -> LinearProgr
     return LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq)
 
 
+def _extend_duals(y: np.ndarray, length: int, lam: float, candidates: HullCandidates) -> None:
+    """Fill in place the duals of the balance rows past a prefix of lengths.
+
+    Read y(d - 1) as -y_N, y_N the normalization dual, and y(-1) as 0.  A
+    column with slots (s, x) and rate r then prices at
+    c - y_N - sum x (y(s - 1) - r y(s)).  Lengths past the prefix are
+    strict-reject, so a column has at most one slot there: a Leave column
+    at n prices -y_N - y(n - 1), and a blend of n with a joinable m at
+    weight g > 0 prices 1 - y_N - g (y(n - 1) - lam y(n)) - (1 - g) (y(m - 1)
+    - lam y(m)).  From n = d - 1 down to length + 2, y(n - 1) is set to
+    the smallest value at which every column whose long slot is n prices
+    at most 0; it enters the blends at n - 1 as + g lam y(n - 1), so the
+    smallest value is also the easiest on them.
+    """
+    d = y.size
+    cls = candidates.classification
+    accept = np.asarray(cls.accept, dtype=np.intp)
+    short = np.where(accept > 0, y[accept - 1], 0.0) - lam * y[accept]
+    g = candidates.gamma
+    need = np.full(d, -np.inf)
+    need[list(cls.strict_reject)] = np.divide(
+        1.0 - y[d - 1] - (1.0 - g) * short, g, out=np.full(g.shape, -np.inf), where=g > 0.0
+    ).max(axis=1, initial=-np.inf)
+    need = need.tolist()
+    floor = y_n = -y[d - 1]
+    for n in range(d - 1, length + 1, -1):
+        y_n = y[n - 1] = max(floor, lam * y_n + need[n])
+
+
+def _solve_flow(lp: LinearProgram, lam: float, candidates: HullCandidates) -> LpResult:
+    """The flow LP solved on a prefix of lengths and certified on the whole chain.
+
+    The columns supported on lengths <= L form a restricted program of the
+    full one: rows past L are zero rows for them, and row L, the balance
+    of length L + 1, forces zero Join mass at L.  So its optimum is
+    feasible for the full program.  Its duals, extended past L by
+    ``_extend_duals``, are checked by ``certify`` against every column of
+    the full program.  When the value is within the certificate's bound of
+    1, the dual e_N (the normalization row alone) certifies it instead, as
+    no more than every arrival can join: in full persuasion the prefix
+    duals are degenerate, and their extension prices the tail at
+    (1 - lam) / lam whatever L is.  L starts at max(PREFIX_MIN,
+    PREFIX_PER_JOINABLE * (l + 1)), l the longest joinable length, and
+    doubles while the certificate, or the engine on the prefix, fails.  Its
+    last rung, L = d - 1, is the full program, whose failure is raised.
+    ``rounds`` counts the rungs, and ``columns`` the last one's columns.
+    """
+    d = lp.b_eq.size
+    longest = candidates.states.max(axis=1)
+    bound = certificate_bound(lp)
+    joinable = candidates.classification.accept
+    length = max(PREFIX_MIN, PREFIX_PER_JOINABLE * (max(joinable, default=-1) + 1))
+    for rung in itertools.count(1):
+        length = min(length, d - 1)
+        cols = np.flatnonzero(longest <= length)
+        rows = np.r_[: min(length + 1, d - 1), d - 1]
+        sub = lp
+        if cols.size < lp.c.size:
+            sub = LinearProgram(lp.c[cols], lp.a_eq[:, cols][rows], lp.b_eq[rows])
+        try:
+            res = solve_lp(sub)
+            if not res.optimal:
+                return res
+            x = np.zeros(lp.c.size)
+            x[cols] = res.x
+            y = np.zeros(d)
+            if res.value >= 1.0 - bound:
+                y[d - 1] = 1.0
+            else:
+                y[rows] = res.dual
+                _extend_duals(y, length, lam, candidates)
+            return certify(lp, dataclasses.replace(res, x=x, dual=y), rounds=rung, columns=cols.size)
+        except LpSolverError:
+            if length == d - 1:
+                raise
+        length *= 2
+
+
 def solve_queue(instance: QueueInstance) -> QueueSolution:
     """Throughput-optimal signaling with the seen-length law endogenous.
 
@@ -256,8 +353,9 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
     normalization accounts for arrivals blocked at capacity.  The program
     is sparse: a candidate has at most two lengths of support, so its
     column has at most five nonzeros (see ``_flow_program``), and HiGHS
-    gets it in CSC form.  Instances with more than MAX_QUEUE_BLENDS
-    boundary blends are refused with a ValueError.  The belief prior is
+    gets the columns of a prefix of lengths in CSC form (see
+    ``_solve_flow``).  Instances with more than MAX_QUEUE_BLENDS boundary
+    blends are refused with a ValueError.  The belief prior is
     reconstructed from the solution and the scheme compiled with joins
     sorted by expected wait, then a single coalesced Leave signal.
     """
@@ -285,7 +383,7 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
         classification,
         gamma_fn=lambda n, m: gamma_closed_form(n, m, instance.tau, instance.beta),
     )
-    res = solve_lp(_flow_program(d, lam, candidates))
+    res = _solve_flow(_flow_program(d, lam, candidates), lam, candidates)
     if res.status != "optimal":
         raise InfeasibleProgramError(f"queue flow LP is {res.status}")
 
@@ -360,6 +458,7 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
         instance=instance,
         persuasion=persuasion,
         candidates=candidates,
+        flow=res,
         t0=t0,
         t1=t1,
         prior=prior,

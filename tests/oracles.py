@@ -249,7 +249,10 @@ def gamma_closed_form_scalar(n: int, m: int, tau: float, beta: float) -> float |
 
     Solves E + beta * sqrt(Var) = tau along gamma * e_n + (1 - gamma) * e_m,
     with E = 1 + m + (n - m) gamma and Var = E + (n - m)^2 gamma (1 - gamma),
-    term for term as the library does.  None when n <= m, beta < 0, tau lies
+    term for term as the library does: the root in its rationalized form
+    2 (s^2 - beta^2 (1 + m)) / (S (2 s + beta^2 (S + 1) + beta sqrt(h))), with
+    s = tau - 1 - m and S = n - m, and 0 where that is 0 / 0 (beta = 0 and
+    s = 0).  None when n <= m, beta < 0, tau lies
     outside [m + 1 + beta sqrt(m + 1) - 1e-9, n + 1 + beta sqrt(n + 1)), or
     the radicand is below -1e-9.
     """
@@ -270,9 +273,10 @@ def gamma_closed_form_scalar(n: int, m: int, tau: float, beta: float) -> float |
     if h < -1e-9:
         return None
     h = 0.0 if h < 0.0 else h
-    gamma = (2 * slack + beta * beta * (span + 1) - beta * math.sqrt(h)) / (
-        2 * span * (1 + beta * beta)
-    )
+    den = span * (2 * slack + beta * beta * (span + 1) + beta * math.sqrt(h))
+    if den == 0.0:
+        return 0.0
+    gamma = 2 * (slack * slack - beta * beta * (1 + m)) / den
     return min(max(gamma, 0.0), 1.0)
 
 

@@ -18,15 +18,21 @@ from hypothesis import strategies as st
 import oracles
 import persuade
 from persuade import (
+    ActionSpace,
+    Belief,
     FormatError,
     GridSpec,
     PersuasionInstance,
+    QueueInstance,
+    SenderUtility,
     SignalingScheme,
+    StateSpace,
     cli,
     full_persuasion,
     grid_point_sets,
     hull_candidates,
     instance_from_json,
+    queue_model,
     scheme_from_json,
     scheme_value,
     solve_general,
@@ -506,13 +512,13 @@ GOLDEN_CASES = {
     ),
     "queue-json": (
         None, GOLDEN_QUEUE,
-        "06dcfc7eacadd3903bb10aa96d4aab3dd874affb4c0978296cf3736dd1ca04a6",
-        "b0e714c67c43188f736270dc17e20449f9f1575847e2bb4782c607d3cd61ed20",
+        "d255821b9289f19f2654580117c2ba88482e252651d5866ae7a0f234ad5da818",
+        "eda3d10c2f4e8a878607c09a593ed57b11ccb196f8d3559a67b526951a777f1e",
     ),
     "queue-csv": (
         None, GOLDEN_QUEUE + ["--format", "csv"],
-        "501a304278e0024b901871596e841426121fbbdea1b2cd9fa003f075015dde36",
-        "b0e714c67c43188f736270dc17e20449f9f1575847e2bb4782c607d3cd61ed20",
+        "c8c9bb8a3dd404226c52ed71d8959b37406d9d35785566f5c367d33764a12dc2",
+        "eda3d10c2f4e8a878607c09a593ed57b11ccb196f8d3559a67b526951a777f1e",
     ),
     "mean-stdev-binary": (
         _seeded_binary(_mean_stdev_receiver, 11, 16), ["solve"],
@@ -551,10 +557,10 @@ def test_golden_bytes(case, tmp_path, capsys):
 
 # format: (extra argv, --emit-plot-data sha256); stdout is the queue case's.
 GOLDEN_PLOT_DATA = {
-    "json": ([], "d1444f687e5c4ae527fe2b6756cb5bb56946f52457d9a3089e8b9dd33b5595b8"),
+    "json": ([], "a6f5120e37debb9c313a2d1cd43a44e47e943ec59df921448b44fc8a46a8152d"),
     "csv": (
         ["--format", "csv"],
-        "89811e672e4ef1e0b7daefc94a744cbd36a7fce37d2422a3d15fb01bfbc11fd0",
+        "69f61e762745fdeb6f751fad2697d2a2b2a0116a2f8196f800d0217faf9fea7f",
     ),
 }
 
@@ -568,6 +574,44 @@ def test_golden_plot_data_bytes(fmt, tmp_path, capsys):
     assert captured.err == ""
     assert _sha(captured.out) == GOLDEN_CASES[f"queue-{fmt}"][2]
     assert _sha(plot.read_bytes()) == plot_sha
+
+
+def _queue_scheme_validates(path, lam, beta, tau, capacity) -> bool:
+    compiled = scheme_from_json(json.loads(Path(path).read_text()))
+    instance = PersuasionInstance(
+        states=StateSpace(tuple(str(n) for n in range(capacity))),
+        actions=ActionSpace(("leave", "join")),
+        prior=Belief(compiled.prior),
+        sender=SenderUtility(np.column_stack([np.zeros(capacity), np.ones(capacity)])),
+        receiver=queue_model(QueueInstance(lam, beta, tau, capacity)),
+    )
+    return validate_scheme(compiled, instance).ok
+
+
+@pytest.mark.parametrize("lam, capacity", [(0.55, 1600), (0.65, 1600), (0.55, 1200)])
+def test_queue_full_persuasion_at_scale_exits_zero(lam, capacity, tmp_path, capsys):
+    # HiGHS's dual simplex gave up on the whole flow LP of these three
+    # (exit 2); the prefix solve closes on 40 or 80 lengths.
+    out = tmp_path / "scheme.json"
+    argv = ["queue", "--lambda", str(lam), "--beta", "0", "--tau", "5.5",
+            "--capacity", str(capacity), "--out", str(out)]
+    assert cli.run(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["value"] == 1.0 and doc["threshold"]["holds"]
+    assert _queue_scheme_validates(out, lam, 0.0, 5.5, capacity)
+
+
+def test_queue_capacity_fifty_thousand_exits_zero(tmp_path, capsys):
+    # Lengths 0 and 1 are joinable: 99,996 blends, under MAX_QUEUE_BLENDS.
+    # The textbook blend weight put the blend of 41999 and 1 off the
+    # boundary by 1.0e-7, and the solve exited 2.
+    out = tmp_path / "scheme.json"
+    argv = ["queue", "--lambda", "0.95", "--beta", "2.5", "--tau", "6",
+            "--capacity", "50000", "--out", str(out)]
+    assert cli.run(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["threshold"]["holds"] and doc["sandwich"]["passed"]
+    assert _queue_scheme_validates(out, 0.95, 2.5, 6.0, 50_000)
 
 
 def test_golden_cvar_zero_tail_accept_state_solves(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Queue disclosure: closed-form blends, the flow LP, and the simulator."""
 
 import dataclasses
+import decimal
 import math
 import time
 
@@ -12,6 +13,7 @@ from scipy.optimize import linprog
 import oracles
 import persuade.queueing
 from persuade import (
+    LpSolverError,
     OptimalPlan,
     QueueInstance,
     Signal,
@@ -29,6 +31,7 @@ from persuade import (
     verify_threshold,
 )
 from persuade.binary import classify_states
+from persuade.geometry import certificate_bound
 from persuade.model import (
     ActionSpace,
     Belief,
@@ -164,6 +167,28 @@ def test_gamma_closed_form_arrays_match_scalar_calls():
                 assert type(scalar) is float
                 assert float(batch[i]).hex() == scalar.hex() == want.hex(), (ni, mi, tau, beta)
     assert 0 < raised < 7 * 4 * n.size
+
+
+def test_gamma_closed_form_long_spans_sit_on_the_boundary():
+    # The differential at the returned weight, worked out in 60-digit
+    # decimal arithmetic, for spans up to 10^5.  The root in its textbook
+    # form, a difference of two terms of size beta^2 (n - m), missed it by
+    # up to 2.2e-7 here, and by 1.0e-7 at (41999, 1), tau 6, beta 2.5,
+    # past BOUNDARY_TOLERANCE: a capacity-50000 queue solve exited 2.
+    lengths = np.array([100, 1600, 10_000, 41_999, 52_430, 99_999])
+    for tau, beta in ((6.0, 2.5), (7.5, 2.5), (10.0, 2.5), (5.5, 1.0), (12.0, 0.5), (5.5, 0.0)):
+        shorts = [m for m in range(12) if m + 1 + beta * math.sqrt(m + 1) <= tau]
+        assert shorts
+        for m in shorts:
+            gammas = gamma_closed_form(lengths, np.full(lengths.size, m), tau, beta)
+            for n, gamma in zip(lengths.tolist(), gammas.tolist()):
+                with decimal.localcontext() as ctx:
+                    ctx.prec = 60
+                    g, span = decimal.Decimal(gamma), decimal.Decimal(n - m)
+                    mean = 1 + m + span * g
+                    var = mean + span * span * g * (1 - g)
+                    diff = decimal.Decimal(tau) - mean - decimal.Decimal(beta) * var.sqrt()
+                assert abs(diff) <= decimal.Decimal("1e-12"), (n, m, tau, beta, float(diff))
 
 
 def test_gamma_matches_bisection():
@@ -354,16 +379,28 @@ FLOW_CASES = (
 )
 
 
+# Full persuasion at capacities 100 and 400: the weights above ATOM_FLOOR
+# of the direct solve of the whole chain join 0.99999999999747 and
+# 0.99999999999868 of the arrivals, where the optimum is 1 (every arrival
+# joins, and blocking at capacity is below 1e-20).
+DIRECT_SHORT_OF_ONE = ((0.6, 0.0, 5.5, 100), (0.6, 0.0, 5.5, 400))
+
+
+def _record_flow_programs(monkeypatch):
+    programs = []
+    real_flow_program = persuade.queueing._flow_program
+
+    def recording_flow_program(*args):
+        programs.append(real_flow_program(*args))
+        return programs[-1]
+
+    monkeypatch.setattr(persuade.queueing, "_flow_program", recording_flow_program)
+    return programs
+
+
 @pytest.mark.parametrize("params", FLOW_CASES, ids=str)
 def test_sparse_flow_lp_matches_dense_oracle(params, monkeypatch):
-    programs = []
-    real_solve_lp = persuade.queueing.solve_lp
-
-    def recording_solve_lp(lp):
-        programs.append(lp)
-        return real_solve_lp(lp)
-
-    monkeypatch.setattr(persuade.queueing, "solve_lp", recording_solve_lp)
+    programs = _record_flow_programs(monkeypatch)
     inst = QueueInstance(*params)
     sol = solve_queue(inst)
     (lp,) = programs
@@ -388,11 +425,17 @@ def test_sparse_flow_lp_matches_dense_oracle(params, monkeypatch):
 
     # HiGHS gets the same program either way, so it returns the same basis.
     x = linprog(-c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds").x
-    assert np.array_equal(real_solve_lp(lp).x, x)
+    assert np.array_equal(persuade.queueing.solve_lp(lp).x, x)
 
-    # The solution keeps only the weights above ATOM_FLOOR.
+    # The solution keeps only the weights above ATOM_FLOOR.  The prefix
+    # solve reaches the direct solve's optimum, or 1 where the direct solve
+    # falls short of it; the masses below are then those of the prefix.
     n1 = v1.shape[0]
     x = np.where(x > 1e-12, x, 0.0)
+    if params in DIRECT_SHORT_OF_ONE:
+        assert 1.0 - 1e-11 < x[:n1].sum() < 1.0 - 1e-12
+        assert sol.join_probability == pytest.approx(1.0, abs=1e-12)
+        x = np.where(sol.flow.x > 1e-12, sol.flow.x, 0.0)
     t1 = v1.T @ x[:n1]
     t0 = v0.T @ x[n1:]
     mass = t0.sum() + t1.sum()
@@ -419,6 +462,87 @@ def test_sparse_flow_lp_matches_dense_oracle(params, monkeypatch):
         violations=tuple(violations),
     )
     assert validate_scheme(sol.scheme, sol.persuasion).ok
+
+
+def test_engine_failure_on_a_prefix_moves_up_the_ladder(monkeypatch):
+    # The first prefix fails in the engine; the second closes.  A failure
+    # on the whole chain, the last rung, is raised.
+    real_solve_lp = persuade.queueing.solve_lp
+    sizes = []
+
+    def failing_first(lp):
+        sizes.append(lp.c.size)
+        if len(sizes) == 1 or lp.c.size == 391:
+            raise LpSolverError("LP engine failed: (HiGHS Status 0: Not Set)")
+        return real_solve_lp(lp)
+
+    monkeypatch.setattr(persuade.queueing, "solve_lp", failing_first)
+    sol = solve_queue(QueueInstance(0.95, 2.5, 7.5, 100))
+    assert sizes == [43, 91] and sol.flow.rounds == 2
+    assert sol.join_probability == pytest.approx(0.8296488217262936, abs=1e-12)
+    sizes.clear()
+    monkeypatch.setattr(persuade.queueing, "PREFIX_MIN", 99)
+    with pytest.raises(LpSolverError, match="HiGHS Status 0"):
+        solve_queue(QueueInstance(0.95, 2.5, 7.5, 100))
+    assert sizes == [391]
+
+
+def _rationing_params(seed):
+    # The first rationing op of the queue-scale benchmark at ``seed``: lengths
+    # 0..3 joinable outright, length 4 not.
+    rng = np.random.default_rng([seed, 0])
+    lam, beta = float(rng.uniform(0.9, 1.3)), float(rng.uniform(0.5, 2.5))
+    lo, hi = 4 + 2 * beta, 5 + beta * math.sqrt(5)
+    return lam, beta, float(lo + rng.uniform(0.1, 0.9) * (hi - lo))
+
+
+@pytest.mark.parametrize(
+    "params",
+    FLOW_CASES + [(*_rationing_params(seed), 1600) for seed in range(101, 111)],
+    ids=str,
+)
+def test_prefix_solve_is_certified_against_the_direct_solve(params, monkeypatch):
+    programs = _record_flow_programs(monkeypatch)
+    sol = solve_queue(QueueInstance(*params))
+    (lp,) = programs
+    bound = certificate_bound(lp)
+    assert sol.flow.reduced_cost <= bound and sol.flow.gap <= bound
+    assert sol.flow.columns <= lp.c.size and sol.flow.x.size == lp.c.size
+    direct = persuade.queueing.solve_lp(lp)
+    assert abs(sol.flow.value - direct.value) <= bound
+    if params[3] == 1600:
+        # Rationing closes on the first prefix, lengths 0..16.
+        assert sol.flow.rounds == 1 and sol.flow.columns == 69
+        assert sol.flow.reduced_cost <= 1e-14
+
+
+@pytest.mark.parametrize("lam, rungs", [(0.55, 2), (0.6, 2), (0.65, 3)])
+def test_full_persuasion_climbs_the_prefix_ladder(lam, rungs):
+    # Everyone joins, so the mass at length n is about lam^n: the prefix
+    # must reach the lengths where that falls under the certificate's
+    # bound, 40 lengths at lam .55 and .6 and 80 at .65 (16 lengths first).
+    sol = solve_queue(QueueInstance(lam, 0.0, 5.5, 1600))
+    assert sol.flow.rounds == rungs
+    assert sol.plan.value == 1.0
+    assert validate_scheme(sol.scheme, sol.persuasion).ok
+
+
+def test_corrupted_flow_duals_fail_the_certificate_on_the_whole_chain(monkeypatch):
+    # With zeroed duals every Join column prices at 1, so no prefix closes:
+    # the prefixes end at lengths 12, 24, 48 and 96, and then the rung of
+    # the whole chain raises the plan LPs' certificate error.
+    real_solve_lp = persuade.queueing.solve_lp
+    sizes = []
+
+    def zeroed(lp):
+        sizes.append(lp.c.size)
+        res = real_solve_lp(lp)
+        return dataclasses.replace(res, dual=np.zeros_like(res.dual))
+
+    monkeypatch.setattr(persuade.queueing, "solve_lp", zeroed)
+    with pytest.raises(LpSolverError, match="LP optimality certificate failed: reduced cost 1.000e"):
+        solve_queue(QueueInstance(0.95, 2.5, 7.5, 100))
+    assert sizes == [43, 91, 187, 379, 391]
 
 
 def test_swapped_order_audit_matches_pairwise_oracle():
