@@ -72,7 +72,6 @@ from .scheme import (
     Signal,
     SignalingScheme,
     ValidationReport,
-    sample_scheme,
     sample_scheme_batch,
     scheme_from_json,
     scheme_from_plan,

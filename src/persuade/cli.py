@@ -39,11 +39,7 @@ from .general import (
     solve_obedience,
 )
 from .geometry import InfeasibleProgramError, LpSolverError
-from .model import (
-    FormatError,
-    instance_from_json,
-    instance_to_json,
-)
+from .model import FormatError, instance_from_json
 from .queueing import (
     QueueInstance,
     posterior_wait_moments,
@@ -58,7 +54,7 @@ from .scheme import (
     validate_scheme,
 )
 
-__all__ = ["run", "roundtrip", "main"]
+__all__ = ["run", "main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -416,30 +412,6 @@ def _cmd_simulate(args) -> int:
         }
     )
     return 0
-
-
-def roundtrip(path: str):
-    """Parse a JSON artifact, re-serialize, re-parse; the fixpoint check.
-
-    Detects instance versus scheme documents by their top-level keys.
-    Returns the parsed object; raises FormatError when the document does
-    not reach a serialization fixpoint after one parse (numbers survive
-    via exact float repr, so this only trips on genuine schema drift).
-    """
-    data = _load_json(path)
-    if isinstance(data, dict) and "signals" in data:
-        parsed = scheme_from_json(data)
-        first = json.dumps(scheme_to_json(parsed), sort_keys=True)
-        second = json.dumps(scheme_to_json(scheme_from_json(json.loads(first))), sort_keys=True)
-    else:
-        parsed = instance_from_json(data)
-        first = json.dumps(instance_to_json(parsed), sort_keys=True)
-        second = json.dumps(
-            instance_to_json(instance_from_json(json.loads(first))), sort_keys=True
-        )
-    if first != second:
-        raise FormatError("$", "document does not round-trip to a fixpoint")
-    return parsed
 
 
 _COMMANDS = {

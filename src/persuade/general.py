@@ -19,12 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import (
-    ATOM_FLOOR,
-    InfeasibleProgramError,
-    LinearProgram,
-    solve_by_columns,
-)
+from .geometry import InfeasibleProgramError, LinearProgram, solve_by_columns
 from .model import (
     PLAN_MASS_TOLERANCE,
     OptimalPlan,
@@ -135,8 +130,8 @@ def plan_from_candidates(
     maximize sum_i x_i * rows[i] . v[:, actions[i]] subject to
     sum_i x_i * rows[i] = prior, with one column per candidate in the
     caller's order; a basic solution keeps the atom count at or below the
-    state count.  Masses at or below ATOM_FLOOR are dropped, and
-    ``label(i)`` names the atom of each kept candidate i.
+    state count.  Each candidate of positive mass is an atom (``solve_lp``
+    has floored the masses), and ``label(i)`` names the atom of candidate i.
 
     ``solve_by_columns`` solves it: a large program starts from one pure
     state per state, the best-paying candidate there, and every program's
@@ -152,13 +147,9 @@ def plan_from_candidates(
     res = solve_by_columns(
         LinearProgram(c=c, a_eq=rows.T, b_eq=instance.prior.weights), _pure_seed(rows, c)
     )
-    if res.status != "optimal":
-        raise InfeasibleProgramError(
-            f"prior cannot be split across the candidate posteriors (LP is {res.status})"
-        )
     t = np.zeros((instance.n_actions, instance.n_states))
     atoms = []
-    for i in np.nonzero(res.x > ATOM_FLOOR)[0]:
+    for i in np.nonzero(res.x)[0]:
         action, weight = int(actions[i]), float(res.x[i])
         t[action] += weight * rows[i]
         atoms.append(
@@ -219,7 +210,7 @@ def solve_obedience(instance: PersuasionInstance) -> OptimalPlan:
     s(a, b) >= 0, a != b, with sum_a t(a, w) = prior(w) and
     sum_w t(a, w) (u(w, a) - u(w, b)) - s(a, b) = 0.  ``solve_by_columns``
     solves it directly and certifies it.  The plan's t is the LP's, with
-    one atom at t[a] / sum(t[a]) per action of mass above ATOM_FLOOR.
+    one atom at t[a] / sum(t[a]) per action of positive mass.
     """
     if instance.receiver.kind != "expected":
         raise ValueError("the obedience LP needs an expected-utility receiver")
@@ -237,13 +228,11 @@ def solve_obedience(instance: PersuasionInstance) -> OptimalPlan:
         b_eq=np.concatenate([instance.prior.weights, np.zeros(len(pairs))]),
     )
     res = solve_by_columns(lp, None)
-    if res.status != "optimal":
-        raise InfeasibleProgramError(f"obedience LP is {res.status}")
     t = res.x[: n * d].reshape(n, d)
     mass = t.sum(axis=1)
     atoms = tuple(
         PlanAtom(action=a, posterior=t[a] / mass[a], weight=float(mass[a]))
-        for a in np.nonzero(mass > ATOM_FLOOR)[0].tolist()
+        for a in np.nonzero(mass)[0].tolist()
     )
     plan = OptimalPlan(t=t, prior=instance.prior.weights, value=float(res.value), atoms=atoms)
     plan.check()

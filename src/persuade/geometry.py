@@ -1,11 +1,12 @@
 """The LP core every solver shares.
 
-``solve_lp`` is a thin contract around the HiGHS dual simplex: equality
-constraints, variables bounded below by zero, basic (vertex) optimal
-solutions with their equality duals, and an equality residual checked on
-every accepted solution.  ``certify`` checks an optimum against every
-column of a program, and ``solve_by_columns`` runs column generation on
-the duals and certifies the optimum it returns.
+``solve_lp`` is the one contract around the HiGHS dual simplex: equality
+constraints, variables bounded below by zero, and a basic (vertex)
+optimal solution with its equality duals, its equality residual checked
+and its weights floored at ATOM_FLOOR; anything else raises.  ``certify``
+checks an optimum against every column of a program, and
+``solve_by_columns`` runs column generation on the duals and certifies
+the optimum it returns.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from scipy.optimize import linprog
 
 # Equality residual allowed on any accepted LP solution.
 LP_RESIDUAL = 1e-9
-# LP weights at or below this are dropped from a plan's atoms.
+# solve_lp sets LP weights at or below this to 0, so none becomes a plan atom.
 ATOM_FLOOR = 1e-12
 # Programs with at most this many columns start column generation from all
 # of them: the first solve is then the direct LP, pricing adds nothing, and
@@ -104,56 +105,64 @@ class LinearProgram:
 
 @dataclass(frozen=True, eq=False)
 class LpResult:
-    """Outcome of an LP solve; x, value and dual are meaningful when optimal.
+    """Optimal solution of an LP: its weights, value and equality duals.
 
-    ``dual`` is y with c - A^T y <= 0 at the optimum.  A certified solve
-    also records its rounds, the final column count, and the certificate
-    (see ``certify``): the largest reduced cost over all columns and
-    |value - y . b|.
+    ``x`` is nonnegative, and each entry is 0 or above ATOM_FLOOR (see
+    ``solve_lp``).  ``dual`` is y with c - A^T y <= 0 at the optimum.  A
+    certified solve also records its rounds, the final column count, and
+    the certificate (see ``certify``): the largest reduced cost over all
+    columns and |value - y . b|.
     """
 
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: np.ndarray | None
-    value: float | None
-    dual: np.ndarray | None = None
+    x: np.ndarray
+    value: float
+    dual: np.ndarray
     rounds: int | None = None
     columns: int | None = None
     reduced_cost: float | None = None
     gap: float | None = None
 
-    @property
-    def optimal(self) -> bool:
-        return self.status == "optimal"
-
 
 def solve_lp(lp: LinearProgram) -> LpResult:
-    """Solve a maximization LP, returning a basic optimal solution.
+    """Solve a maximization LP: a basic optimal solution, or a raise.
 
     The dual simplex backend terminates on every input and lands on a
     vertex, so optimal solutions carry at most as many nonzeros as there
-    are constraint rows.  Numerical breakdown raises ``LpSolverError``
-    instead of masquerading as infeasibility.
+    are constraint rows.  An infeasible or unbounded program raises
+    ``InfeasibleProgramError``, and numerical breakdown ``LpSolverError``.
+    The weights are clipped at 0 (HiGHS returns some a few ulps below it),
+    and the equality residual of the clipped weights must be at most
+    LP_RESIDUAL * (1 + max|b|).  HiGHS holds primal feasibility to 1e-7
+    by default, so a solution over that bound is solved once more with
+    the feasibility tolerance set to LP_RESIDUAL.  Weights at or below
+    ATOM_FLOOR are then set to 0, so every weight a caller reads is a
+    plan atom's.
     """
-    res = linprog(
-        -lp.c,
-        A_eq=lp.a_eq,
-        b_eq=lp.b_eq,
-        bounds=(0, None),
-        method="highs-ds",
-    )
-    if res.status == 2:
-        return LpResult(status="infeasible", x=None, value=None)
-    if res.status == 3:
-        return LpResult(status="unbounded", x=None, value=None)
-    if res.status != 0:
-        raise LpSolverError(f"LP engine failed: {res.message}")
-    x = np.asarray(res.x, dtype=float)
-    scale = 1.0 + float(np.max(np.abs(lp.b_eq), initial=0.0))
-    residual = float(np.max(np.abs(lp.a_eq @ x - lp.b_eq), initial=0.0))
-    if residual > LP_RESIDUAL * scale:
+    bound = LP_RESIDUAL * (1.0 + float(np.max(np.abs(lp.b_eq), initial=0.0)))
+    for options in (None, {"primal_feasibility_tolerance": LP_RESIDUAL}):
+        res = linprog(
+            -lp.c,
+            A_eq=lp.a_eq,
+            b_eq=lp.b_eq,
+            bounds=(0, None),
+            method="highs-ds",
+            options=options,
+        )
+        verdict = {2: "infeasible", 3: "unbounded"}.get(res["status"])
+        if verdict is not None:
+            raise InfeasibleProgramError(f"LP is {verdict}")
+        if not res.success:
+            raise LpSolverError(f"LP engine failed: {res.message}")
+        x = np.where(res.x < 0.0, 0.0, res.x)
+        residual = float(np.max(np.abs(lp.a_eq @ x - lp.b_eq), initial=0.0))
+        if residual <= bound:
+            break
+    else:
         raise LpSolverError(f"equality residual {residual:.3e} out of tolerance")
+    # Positive entries only: a zero keeps the sign HiGHS gave it, in printed plans too.
+    x[(x > 0.0) & (x <= ATOM_FLOOR)] = 0.0
     dual = -np.asarray(res.eqlin.marginals, dtype=float)
-    return LpResult(status="optimal", x=x, value=float(-res.fun), dual=dual)
+    return LpResult(x=x, value=float(-res.fun), dual=dual)
 
 
 def certificate_bound(lp: LinearProgram) -> float:
@@ -204,8 +213,6 @@ def solve_by_columns(lp: LinearProgram, seed: np.ndarray | None) -> LpResult:
         rounds += 1
         sub = lp if active.size == n else LinearProgram(lp.c[active], lp.a_eq[:, active], lp.b_eq)
         res = solve_lp(sub)
-        if not res.optimal:
-            return res
         reduced = lp.c - lp.a_eq.T @ res.dual
         outside = np.ones(n, dtype=bool)
         outside[active] = False

@@ -31,7 +31,6 @@ from .binary import (
     verify_threshold,
 )
 from .geometry import (
-    ATOM_FLOOR,
     InfeasibleProgramError,
     LinearProgram,
     LpResult,
@@ -53,9 +52,6 @@ from .model import (
 )
 from .scheme import SignalingScheme, scheme_from_plan, signal_cdf
 
-# Residual caps on the solved flow-balance system.
-BALANCE_TOLERANCE = 1e-8
-NORMALIZATION_TOLERANCE = 1e-9
 # Join posteriors must sit this close to indifference for the sandwich audit.
 SANDWICH_UTILITY_TOLERANCE = 1e-6
 # Posterior entries above this count as support in the sandwich audit.
@@ -85,8 +81,6 @@ PREFIX_PER_JOINABLE = 4
 MAX_QUEUE_BLENDS = 100_000
 
 __all__ = [
-    "BALANCE_TOLERANCE",
-    "NORMALIZATION_TOLERANCE",
     "MIN_HORIZON",
     "BURN_IN_FRACTION",
     "PREFIX_MIN",
@@ -301,7 +295,8 @@ def _solve_flow(lp: LinearProgram, lam: float, candidates: HullCandidates) -> Lp
     The columns supported on lengths <= L form a restricted program of the
     full one: rows past L are zero rows for them, and row L, the balance
     of length L + 1, forces zero Join mass at L.  So its optimum is
-    feasible for the full program.  Its duals, extended past L by
+    feasible for the full program, with the same equality residual, which
+    ``solve_lp`` has checked.  Its duals, extended past L by
     ``_extend_duals``, are checked by ``certify`` against every column of
     the full program.  When the value is within the certificate's bound of
     1, the dual e_N (the normalization row alone) certifies it instead, as
@@ -327,8 +322,6 @@ def _solve_flow(lp: LinearProgram, lam: float, candidates: HullCandidates) -> Lp
             sub = LinearProgram(lp.c[cols], lp.a_eq[:, cols][rows], lp.b_eq[rows])
         try:
             res = solve_lp(sub)
-            if not res.optimal:
-                return res
             x = np.zeros(lp.c.size)
             x[cols] = res.x
             y = np.zeros(d)
@@ -355,9 +348,11 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
     column has at most five nonzeros (see ``_flow_program``), and HiGHS
     gets the columns of a prefix of lengths in CSC form (see
     ``_solve_flow``).  Instances with more than MAX_QUEUE_BLENDS boundary
-    blends are refused with a ValueError.  The belief prior is
-    reconstructed from the solution and the scheme compiled with joins
-    sorted by expected wait, then a single coalesced Leave signal.
+    blends are refused with a ValueError.  ``solve_lp`` has checked the
+    balance and normalization rows and floored the weights, so the belief
+    prior is read off exactly the weights that become atoms, and the scheme
+    is compiled with joins sorted by expected wait, then a single coalesced
+    Leave signal.
     """
     d = instance.capacity
     lam = instance.arrival_rate
@@ -384,56 +379,33 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
         gamma_fn=lambda n, m: gamma_closed_form(n, m, instance.tau, instance.beta),
     )
     res = _solve_flow(_flow_program(d, lam, candidates), lam, candidates)
-    if res.status != "optimal":
-        raise InfeasibleProgramError(f"queue flow LP is {res.status}")
-
-    # HiGHS may return weights a few ulps below zero; they would turn into
-    # negative prior entries.
-    weights = np.maximum(res.x, 0.0)
     n1 = candidates.n_accept
-
-    def masses(x: np.ndarray) -> list[np.ndarray]:
-        # V^T x over the join and then the leave candidates, one support
-        # slot at a time.
-        return [
-            np.bincount(
-                candidates.states[cols].ravel(),
-                weights=(candidates.weights[cols] * x[cols, None]).ravel(),
-                minlength=d,
-            )
-            for cols in (slice(0, n1), slice(n1, None))
-        ]
-
-    t1, t0 = masses(weights)
-    balance = np.abs(t0[1:] + t1[1:] - lam * t1[:-1]).max()
-    if balance > BALANCE_TOLERANCE:
-        raise LpSolverError(f"flow balance residual {balance:.3e}")
-    norm = abs(t0.sum() + t1.sum() + lam * t1[d - 1] - 1.0)
-    if norm > NORMALIZATION_TOLERANCE:
-        raise LpSolverError(f"flow normalization residual {norm:.3e}")
-    # Only weights above ATOM_FLOOR become atoms, so the prior and every
-    # mass below come from those alone and the atoms reproduce them.  The
-    # checks above read every weight: the dropped mass can reach
-    # d * ATOM_FLOOR, over NORMALIZATION_TOLERANCE once d passes 1000.
-    weights = np.where(weights > ATOM_FLOOR, weights, 0.0)
-    t1, t0 = masses(weights)
-
+    # V^T x over the join and then the leave candidates, one support slot
+    # at a time.
+    t1, t0 = (
+        np.bincount(
+            candidates.states[cols].ravel(),
+            weights=(candidates.weights[cols] * res.x[cols, None]).ravel(),
+            minlength=d,
+        )
+        for cols in (slice(0, n1), slice(n1, None))
+    )
     mass = t0.sum() + t1.sum()
-    if mass <= ATOM_FLOOR:
+    if mass <= 0.0:
         raise InfeasibleProgramError("all arrivals are blocked; no belief prior")
     prior = (t0 + t1) / mass
 
     # Equal posteriors are equal flow-LP columns, and a vertex solution
     # keeps at most one of them, so each kept candidate is its own Join.
-    kept = np.flatnonzero(weights[:n1])
+    kept = np.flatnonzero(res.x[:n1])
     rows = candidates.rows(kept)
     by_wait = sorted(range(kept.size), key=lambda i: posterior_wait_moments(rows[i])[0])
     atoms = [
-        PlanAtom(1, rows[i], float(weights[kept[i]] / mass), f"Join_{j + 1}")
+        PlanAtom(1, rows[i], float(res.x[kept[i]] / mass), f"Join_{j + 1}")
         for j, i in enumerate(by_wait)
     ]
     leave_mass = float(t0.sum()) / mass
-    if leave_mass > ATOM_FLOOR:
+    if leave_mass > 0.0:
         atoms.append(
             PlanAtom(
                 action=0,

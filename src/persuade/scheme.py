@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -53,7 +52,6 @@ __all__ = [
     "validate_scheme",
     "scheme_value",
     "signal_cdf",
-    "sample_scheme",
     "sample_scheme_batch",
     "scheme_to_json",
     "scheme_from_json",
@@ -288,15 +286,6 @@ def sample_scheme_batch(
         if mask.any():
             signals[mask] = np.searchsorted(cum[w], u[mask], side="left")
     return states, np.minimum(signals, scheme.n_signals - 1)
-
-
-def sample_scheme(scheme: SignalingScheme, seed: int) -> Iterator[tuple[int, int]]:
-    """Endless stream of (state, signal) index pairs; fixed seed, fixed stream."""
-    block = 0
-    while True:
-        states, signals = sample_scheme_batch(scheme, seed + block, 1024)
-        yield from zip(states.tolist(), signals.tolist())
-        block += 1
 
 
 def scheme_to_json(scheme: SignalingScheme) -> dict:

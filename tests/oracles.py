@@ -14,11 +14,13 @@ the array ``gamma_closed_form``; ``full_plan_lp`` solves the plan LP over all
 candidates in one direct scipy call, the reference for column generation;
 ``expected_region_vertices`` enumerates the corners of an expected-utility
 receiver's best-response regions, which make the grid relaxation exact.
+``roundtrip`` is the parse/serialize fixpoint check on a JSON artifact.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -27,6 +29,8 @@ import scipy.linalg
 from scipy.optimize import linprog
 
 from persuade.binary import BISECTION_TOLERANCE
+from persuade.model import FormatError, instance_from_json, instance_to_json
+from persuade.scheme import scheme_from_json, scheme_to_json
 from persuade.geometry import (
     ATOM_FLOOR,
     LP_RESIDUAL,
@@ -419,8 +423,9 @@ def hull_membership(
         return None
     if points.shape[1] != target.size:
         raise ValueError("points and target dimensions disagree")
-    res = solve_lp(_membership_lp(target, points))
-    if not res.optimal:
+    try:
+        res = solve_lp(_membership_lp(target, points))
+    except InfeasibleProgramError:
         return None
     n = points.shape[0]
     slack = -res.value
@@ -557,3 +562,25 @@ def segment_bisection(
     raise BisectionError(
         f"no convergence to width {tol:g} within {max_iter} iterations"
     )
+
+
+def roundtrip(path: str):
+    """Parse a JSON artifact, re-serialize, re-parse; the fixpoint check.
+
+    Detects instance versus scheme documents by their top-level keys.
+    Returns the parsed object; raises FormatError when the document does
+    not reach a serialization fixpoint after one parse (numbers survive
+    via exact float repr, so this only trips on genuine schema drift).
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if isinstance(data, dict) and "signals" in data:
+        parse, dump = scheme_from_json, scheme_to_json
+    else:
+        parse, dump = instance_from_json, instance_to_json
+    parsed = parse(data)
+    first = json.dumps(dump(parsed), sort_keys=True)
+    second = json.dumps(dump(parse(json.loads(first))), sort_keys=True)
+    if first != second:
+        raise FormatError("$", "document does not round-trip to a fixpoint")
+    return parsed

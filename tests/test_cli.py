@@ -414,20 +414,20 @@ def test_roundtrip_fixpoint(tmp_path):
     inst_doc = threshold_instance_dict()
     inst_doc["prior"] = [1 / 3, 1 / 3, 1 / 6, 1 / 6]
     inst_path = _write(tmp_path, "inst.json", inst_doc)
-    parsed = cli.roundtrip(inst_path)
+    parsed = oracles.roundtrip(inst_path)
     assert isinstance(parsed, PersuasionInstance)
 
     scheme_path = tmp_path / "scheme.json"
     assert cli.run(
         ["solve", "--instance", inst_path, "--out", str(scheme_path)]
     ) == 0
-    parsed = cli.roundtrip(str(scheme_path))
+    parsed = oracles.roundtrip(str(scheme_path))
     assert isinstance(parsed, SignalingScheme)
 
     broken = {k: v for k, v in inst_doc.items() if k != "prior"}
     broken_path = _write(tmp_path, "broken.json", broken)
     with pytest.raises(FormatError):
-        cli.roundtrip(broken_path)
+        oracles.roundtrip(broken_path)
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +599,28 @@ def test_queue_full_persuasion_at_scale_exits_zero(lam, capacity, tmp_path, caps
     doc = json.loads(capsys.readouterr().out)
     assert doc["value"] == 1.0 and doc["threshold"]["holds"]
     assert _queue_scheme_validates(out, lam, 0.0, 5.5, capacity)
+
+
+@pytest.mark.parametrize(
+    "lam, beta, tau, capacity",
+    [
+        (0.49891308564886205, 0.0, 2.472333823976656, 30),
+        (0.6943298699647857, 2.445107607623497, 10.70457655987117, 400),
+    ],
+)
+def test_queue_over_the_residual_bound_retries_and_exits_zero(
+    lam, beta, tau, capacity, tmp_path, capsys
+):
+    # HiGHS's default primal feasibility tolerance (1e-7) left every rung's
+    # equality residual at 3.5e-9 and 2.3e-8, over the 2e-9 bound (exit 2);
+    # the retry at LP_RESIDUAL closes both.
+    out = tmp_path / "scheme.json"
+    argv = ["queue", "--lambda", repr(lam), "--beta", repr(beta), "--tau", repr(tau),
+            "--capacity", str(capacity), "--out", str(out)]
+    assert cli.run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and json.loads(captured.out)["value"] == 1.0
+    assert _queue_scheme_validates(out, lam, beta, tau, capacity)
 
 
 def test_queue_capacity_fifty_thousand_exits_zero(tmp_path, capsys):

@@ -28,6 +28,10 @@ REMOVED_FUNCTIONS = (
     "_pairwise_violations",
     "JOIN_MERGE_TOLERANCE",
     "PLAN_ATOM_TOLERANCE",
+    "sample_scheme",
+    "roundtrip",
+    "BALANCE_TOLERANCE",
+    "NORMALIZATION_TOLERANCE",
 )
 REMOVED_MEMBERS = (
     ("Belief", "point"),
@@ -35,6 +39,8 @@ REMOVED_MEMBERS = (
     ("OptimalPlan", "mean_posterior"),
     ("UtilityModel", "evaluate"),
     ("SimulationResult", "seen_signal_counts"),
+    ("LpResult", "status"),
+    ("LpResult", "optimal"),
 )
 
 

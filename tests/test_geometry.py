@@ -5,6 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import persuade.general
 import persuade.geometry
@@ -19,6 +20,7 @@ from oracles import (
 )
 from persuade import (
     GridSpec,
+    InfeasibleProgramError,
     LinearProgram,
     LpSolverError,
     full_persuasion,
@@ -30,7 +32,7 @@ from persuade import (
     solve_lp,
     validate_scheme,
 )
-from persuade.geometry import CERTIFICATE_TOLERANCE, FULL_LP_COLUMNS
+from persuade.geometry import CERTIFICATE_TOLERANCE, FULL_LP_COLUMNS, LP_RESIDUAL
 from persuade.model import PLAN_MASS_TOLERANCE
 
 
@@ -39,7 +41,6 @@ def test_solve_lp_small_known_optimum():
         c=np.array([1.0, 2.0]), a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0])
     )
     res = solve_lp(lp)
-    assert res.optimal
     assert res.value == pytest.approx(2.0, abs=1e-12)
     assert np.allclose(res.x, [0.0, 1.0])
 
@@ -48,16 +49,16 @@ def test_solve_lp_reports_infeasible():
     lp = LinearProgram(
         c=np.array([1.0]), a_eq=np.array([[1.0]]), b_eq=np.array([-1.0])
     )
-    res = solve_lp(lp)
-    assert res.status == "infeasible"
-    assert res.x is None and res.value is None
+    with pytest.raises(InfeasibleProgramError, match="LP is infeasible"):
+        solve_lp(lp)
 
 
 def test_solve_lp_reports_unbounded():
     lp = LinearProgram(
         c=np.array([1.0, 0.0]), a_eq=np.array([[0.0, 1.0]]), b_eq=np.array([1.0])
     )
-    assert solve_lp(lp).status == "unbounded"
+    with pytest.raises(InfeasibleProgramError, match="LP is unbounded"):
+        solve_lp(lp)
 
 
 def test_solve_lp_returns_basic_solutions():
@@ -69,7 +70,6 @@ def test_solve_lp_returns_basic_solutions():
         feasible = rng.uniform(0.0, 1.0, size=cols)
         lp = LinearProgram(c=rng.normal(size=cols), a_eq=a, b_eq=a @ feasible)
         res = solve_lp(lp)
-        assert res.optimal
         assert int((res.x > 1e-10).sum()) <= rows
 
 
@@ -80,6 +80,57 @@ def test_solve_lp_returns_equality_duals():
     )
     res = solve_lp(lp)
     assert res.dual == pytest.approx([2.0], abs=1e-12)
+
+
+def _fake_linprog(monkeypatch, *weights):
+    """Make HiGHS answer the i-th call with ``weights[i]``; returns the calls' options."""
+    calls = []
+
+    def fake(c, **kwargs):
+        calls.append(kwargs.get("options"))
+        x = np.asarray(weights[len(calls) - 1], dtype=float)
+        return scipy.optimize.OptimizeResult(
+            status=0,
+            success=True,
+            message="",
+            x=x,
+            fun=float(c @ x),
+            eqlin=scipy.optimize.OptimizeResult(marginals=np.zeros(kwargs["b_eq"].size)),
+        )
+
+    monkeypatch.setattr(persuade.geometry, "linprog", fake)
+    return calls
+
+
+_SIMPLEX_LP = LinearProgram(c=np.arange(4.0), a_eq=np.ones((1, 4)), b_eq=np.array([1.0]))
+
+
+def test_solve_lp_clips_and_floors_weights(monkeypatch):
+    # A few ulps below zero and a trace above it both come back as 0; a
+    # zero keeps its sign, so printed plans keep HiGHS's -0.0.
+    _fake_linprog(monkeypatch, [-1e-13, 1e-13, -0.0, 1.0])
+    res = solve_lp(_SIMPLEX_LP)
+    assert res.x.tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert not np.signbit(res.x[:2]).any() and np.signbit(res.x[2])
+    assert res.value == pytest.approx(3.0, abs=1e-12)
+
+
+def test_solve_lp_retries_once_at_the_residual_tolerance(monkeypatch):
+    # Over the residual bound on both calls: raised, and only the second
+    # call tightens HiGHS's primal feasibility tolerance.
+    retry = {"primal_feasibility_tolerance": LP_RESIDUAL}
+    calls = _fake_linprog(monkeypatch, [0.0, 0.0, 0.25, 0.75 + 3e-9], [0.0, 0.0, 0.25, 0.75 - 3e-9])
+    with pytest.raises(LpSolverError, match="equality residual 3.000e-09 out of tolerance"):
+        solve_lp(_SIMPLEX_LP)
+    assert calls == [None, retry]
+    # Over the bound once: the retry's solution is returned.
+    calls = _fake_linprog(monkeypatch, [0.0, 0.0, 0.25, 0.75 + 3e-9], [0.0, 0.5, 0.5, 0.0])
+    assert solve_lp(_SIMPLEX_LP).x.tolist() == [0.0, 0.5, 0.5, 0.0]
+    assert calls == [None, retry]
+    # Within it: one call, no option.
+    calls = _fake_linprog(monkeypatch, [0.0, 0.0, 0.25, 0.75 + 1e-9])
+    solve_lp(_SIMPLEX_LP)
+    assert calls == [None]
 
 
 def test_linear_program_shape_guard():
@@ -313,7 +364,7 @@ def test_column_limit_is_inclusive(monkeypatch):
     for n in (FULL_LP_COLUMNS, FULL_LP_COLUMNS + 1):
         lps.clear()
         lp = LinearProgram(c=c[:n], a_eq=rows[:n].T, b_eq=np.full(d, 1.0 / d))
-        assert solve_by_columns(lp, np.arange(d)).optimal
+        solve_by_columns(lp, np.arange(d))
         sizes[n] = [sub.c.size for sub, _ in lps]
     assert sizes[FULL_LP_COLUMNS] == [FULL_LP_COLUMNS]
     assert sizes[FULL_LP_COLUMNS + 1][0] == d

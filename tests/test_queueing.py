@@ -423,19 +423,21 @@ def test_sparse_flow_lp_matches_dense_oracle(params, monkeypatch):
         assert np.array_equal(getattr(lp.a_eq, field), getattr(dense, field)), field
     assert np.array_equal(lp.c, c) and np.array_equal(lp.b_eq, b_eq)
 
-    # HiGHS gets the same program either way, so it returns the same basis.
+    # HiGHS gets the same program either way, so it returns the same basis;
+    # solve_lp clips its weights at 0 and floors them at ATOM_FLOOR.
     x = linprog(-c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds").x
+    x = np.maximum(x, 0.0)
+    x = np.where(x > 1e-12, x, 0.0)
     assert np.array_equal(persuade.queueing.solve_lp(lp).x, x)
 
-    # The solution keeps only the weights above ATOM_FLOOR.  The prefix
-    # solve reaches the direct solve's optimum, or 1 where the direct solve
-    # falls short of it; the masses below are then those of the prefix.
+    # The prefix solve reaches the direct solve's optimum, or 1 where the
+    # direct solve falls short of it; the masses below are then those of
+    # the prefix.
     n1 = v1.shape[0]
-    x = np.where(x > 1e-12, x, 0.0)
     if params in DIRECT_SHORT_OF_ONE:
         assert 1.0 - 1e-11 < x[:n1].sum() < 1.0 - 1e-12
         assert sol.join_probability == pytest.approx(1.0, abs=1e-12)
-        x = np.where(sol.flow.x > 1e-12, sol.flow.x, 0.0)
+        x = sol.flow.x
     t1 = v1.T @ x[:n1]
     t0 = v0.T @ x[n1:]
     mass = t0.sum() + t1.sum()
