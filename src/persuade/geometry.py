@@ -2,16 +2,16 @@
 
 ``solve_lp`` is the one contract around the HiGHS dual simplex: equality
 constraints, variables bounded below by zero, and a basic (vertex)
-optimal solution with its equality duals, its equality residual checked
-and its weights floored at ATOM_FLOOR; anything else raises.  ``certify``
-checks an optimum against every column of a program, and
-``solve_by_columns`` runs column generation on the duals and certifies
-the optimum it returns.
+optimal solution with its equality duals and its weights floored at
+ATOM_FLOOR; anything else raises.  ``certify`` is the one acceptance test
+of an LP answer, and builds every ``LpResult``.  ``solve_by_columns`` runs
+column generation on the duals and certifies the optimum it returns on
+the whole program.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -64,7 +64,7 @@ class InfeasibleProgramError(RuntimeError):
 class SparseConstraints(scipy.sparse.csc_array):
     """CSC constraint matrix that numpy functions read as its dense form.
 
-    HiGHS and the residual check in ``solve_lp`` work on the sparse
+    HiGHS and the residual check in ``certify`` work on the sparse
     structure.  ``np.asarray`` and the numpy functions built on it
     (``np.count_nonzero``, ...) see the dense matrix, so code that reads
     ``LinearProgram.a_eq`` with numpy works on either kind of program.
@@ -105,41 +105,40 @@ class LinearProgram:
 
 @dataclass(frozen=True, eq=False)
 class LpResult:
-    """Optimal solution of an LP: its weights, value and equality duals.
+    """A certified optimum of an LP: weights, value, equality duals, certificate.
 
     ``x`` is nonnegative, and each entry is 0 or above ATOM_FLOOR (see
-    ``solve_lp``).  ``dual`` is y with c - A^T y <= 0 at the optimum.  A
-    certified solve also records its rounds, the final column count, and
-    the certificate (see ``certify``): the largest reduced cost over all
-    columns and |value - y . b|.
+    ``solve_lp``).  ``dual`` is y with c - A^T y <= 0 at the optimum.
+    ``rounds`` and ``columns`` are the solves it took and the final column
+    count; ``reduced_cost`` and ``gap`` are the certificate (see
+    ``certify``, which builds every ``LpResult``).
     """
 
     x: np.ndarray
     value: float
     dual: np.ndarray
-    rounds: int | None = None
-    columns: int | None = None
-    reduced_cost: float | None = None
-    gap: float | None = None
+    rounds: int
+    columns: int
+    reduced_cost: float
+    gap: float
 
 
 def solve_lp(lp: LinearProgram) -> LpResult:
-    """Solve a maximization LP: a basic optimal solution, or a raise.
+    """Solve a maximization LP: a certified basic optimal solution, or a raise.
 
     The dual simplex backend terminates on every input and lands on a
     vertex, so optimal solutions carry at most as many nonzeros as there
     are constraint rows.  An infeasible or unbounded program raises
     ``InfeasibleProgramError``, and numerical breakdown ``LpSolverError``.
-    The weights are clipped at 0 (HiGHS returns some a few ulps below it),
-    and the equality residual of the clipped weights must be at most
-    LP_RESIDUAL * (1 + max|b|).  HiGHS holds primal feasibility to 1e-7
-    by default, so a solution over that bound is solved once more with
-    the feasibility tolerance set to LP_RESIDUAL.  Weights at or below
-    ATOM_FLOOR are then set to 0, so every weight a caller reads is a
-    plan atom's.
+    The weights are clipped at 0 (HiGHS returns some a few ulps below it)
+    and must pass ``certify`` on ``lp``.  HiGHS holds primal and dual
+    feasibility to 1e-7 by default, so a failed answer is solved once more
+    at LP_RESIDUAL and CERTIFICATE_TOLERANCE, and a second one is raised.
+    Weights at or below ATOM_FLOOR are then set to 0, so every weight a
+    caller reads is a plan atom's.
     """
-    bound = LP_RESIDUAL * (1.0 + float(np.max(np.abs(lp.b_eq), initial=0.0)))
-    for options in (None, {"primal_feasibility_tolerance": LP_RESIDUAL}):
+    for options in (None, {"primal_feasibility_tolerance": LP_RESIDUAL,
+                           "dual_feasibility_tolerance": CERTIFICATE_TOLERANCE}):
         res = linprog(
             -lp.c,
             A_eq=lp.a_eq,
@@ -154,15 +153,15 @@ def solve_lp(lp: LinearProgram) -> LpResult:
         if not res.success:
             raise LpSolverError(f"LP engine failed: {res.message}")
         x = np.where(res.x < 0.0, 0.0, res.x)
-        residual = float(np.max(np.abs(lp.a_eq @ x - lp.b_eq), initial=0.0))
-        if residual <= bound:
+        try:
+            out = certify(lp, x, float(-res.fun), -res.eqlin.marginals, rounds=1, columns=lp.c.size)
             break
-    else:
-        raise LpSolverError(f"equality residual {residual:.3e} out of tolerance")
+        except LpSolverError:
+            if options is not None:
+                raise
     # Positive entries only: a zero keeps the sign HiGHS gave it, in printed plans too.
-    x[(x > 0.0) & (x <= ATOM_FLOOR)] = 0.0
-    dual = -np.asarray(res.eqlin.marginals, dtype=float)
-    return LpResult(x=x, value=float(-res.fun), dual=dual)
+    out.x[(out.x > 0.0) & (out.x <= ATOM_FLOOR)] = 0.0
+    return out
 
 
 def certificate_bound(lp: LinearProgram) -> float:
@@ -170,26 +169,32 @@ def certificate_bound(lp: LinearProgram) -> float:
     return CERTIFICATE_TOLERANCE * (1.0 + float(np.max(np.abs(lp.c), initial=0.0)))
 
 
-def certify(lp: LinearProgram, res: LpResult, rounds: int, columns: int) -> LpResult:
-    """Check an optimum of ``lp`` with a certificate that does not trust the engine.
+def certify(
+    lp: LinearProgram, x: np.ndarray, value: float, dual: np.ndarray, rounds: int, columns: int
+) -> LpResult:
+    """Accept an optimum of ``lp`` with a certificate that does not trust the engine.
 
-    ``res.x`` must be feasible for ``lp`` and ``res.dual`` must have one
-    entry per row.  The largest reduced cost c - A^T y over all columns,
-    and the gap between the value and y . b, must each be at most
-    ``certificate_bound(lp)``.  With them no feasible x does better than
-    the value plus the gap plus sum(x) times the largest reduced cost.
-    Returns ``res`` with both recorded beside the solve's ``rounds`` and
-    final ``columns``; a failed certificate raises ``LpSolverError``.
+    ``x`` (nonnegative, one entry per column) must satisfy A x = b to
+    LP_RESIDUAL * (1 + max|b|).  The largest reduced cost c - A^T y over
+    all columns, and the gap between ``value`` and y . b, must each be at
+    most ``certificate_bound(lp)``.  With them no feasible x does better
+    than the value plus the gap plus sum(x) times the largest reduced
+    cost.  Returns the ``LpResult`` with both beside the solve's
+    ``rounds`` and final ``columns``; a failed check raises
+    ``LpSolverError``.
     """
+    residual = float(np.max(np.abs(lp.a_eq @ x - lp.b_eq), initial=0.0))
+    if not residual <= LP_RESIDUAL * (1.0 + float(np.max(np.abs(lp.b_eq), initial=0.0))):
+        raise LpSolverError(f"equality residual {residual:.3e} out of tolerance")
     bound = certificate_bound(lp)
-    worst = float(np.max(lp.c - lp.a_eq.T @ res.dual, initial=-np.inf))
-    gap = abs(res.value - float(res.dual @ lp.b_eq))
+    worst = float(np.max(lp.c - lp.a_eq.T @ dual, initial=-np.inf))
+    gap = abs(value - float(dual @ lp.b_eq))
     if not (worst <= bound and gap <= bound):
         raise LpSolverError(
             f"LP optimality certificate failed: reduced cost {worst:.3e}, "
             f"duality gap {gap:.3e}, tolerance {bound:.3e}"
         )
-    return replace(res, rounds=rounds, columns=columns, reduced_cost=worst, gap=gap)
+    return LpResult(x, value, dual, rounds, columns, worst, gap)
 
 
 def solve_by_columns(lp: LinearProgram, seed: np.ndarray | None) -> LpResult:
@@ -225,4 +230,4 @@ def solve_by_columns(lp: LinearProgram, seed: np.ndarray | None) -> LpResult:
         active = np.union1d(active, entering)
     x = np.zeros(n)
     x[active] = res.x
-    return certify(lp, replace(res, x=x), rounds=rounds, columns=active.size)
+    return certify(lp, x, res.value, res.dual, rounds=rounds, columns=active.size)

@@ -31,7 +31,6 @@ from .binary import (
     verify_threshold,
 )
 from .geometry import (
-    InfeasibleProgramError,
     LinearProgram,
     LpResult,
     LpSolverError,
@@ -295,18 +294,17 @@ def _solve_flow(lp: LinearProgram, lam: float, candidates: HullCandidates) -> Lp
     The columns supported on lengths <= L form a restricted program of the
     full one: rows past L are zero rows for them, and row L, the balance
     of length L + 1, forces zero Join mass at L.  So its optimum is
-    feasible for the full program, with the same equality residual, which
-    ``solve_lp`` has checked.  Its duals, extended past L by
-    ``_extend_duals``, are checked by ``certify`` against every column of
-    the full program.  When the value is within the certificate's bound of
-    1, the dual e_N (the normalization row alone) certifies it instead, as
-    no more than every arrival can join: in full persuasion the prefix
-    duals are degenerate, and their extension prices the tail at
-    (1 - lam) / lam whatever L is.  L starts at max(PREFIX_MIN,
-    PREFIX_PER_JOINABLE * (l + 1)), l the longest joinable length, and
-    doubles while the certificate, or the engine on the prefix, fails.  Its
-    last rung, L = d - 1, is the full program, whose failure is raised.
-    ``rounds`` counts the rungs, and ``columns`` the last one's columns.
+    feasible for the full program, and ``certify`` checks it on the whole
+    chain, with the prefix duals extended past L by ``_extend_duals``.
+    When the value is within the certificate's bound of 1, the dual e_N
+    (the normalization row alone) certifies it instead, as no more than
+    every arrival can join: in full persuasion the prefix duals are
+    degenerate, and their extension prices the tail at (1 - lam) / lam
+    whatever L is.  With l the longest joinable length, L starts at
+    max(PREFIX_MIN, PREFIX_PER_JOINABLE * (l + 1)) and doubles while the
+    certificate, or the engine on the prefix, fails.  Its last rung,
+    L = d - 1, is the full program, whose failure is raised.  ``rounds``
+    counts the rungs, and ``columns`` the last one's columns.
     """
     d = lp.b_eq.size
     longest = candidates.states.max(axis=1)
@@ -330,7 +328,7 @@ def _solve_flow(lp: LinearProgram, lam: float, candidates: HullCandidates) -> Lp
             else:
                 y[rows] = res.dual
                 _extend_duals(y, length, lam, candidates)
-            return certify(lp, dataclasses.replace(res, x=x, dual=y), rounds=rung, columns=cols.size)
+            return certify(lp, x, res.value, y, rounds=rung, columns=cols.size)
         except LpSolverError:
             if length == d - 1:
                 raise
@@ -348,11 +346,10 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
     column has at most five nonzeros (see ``_flow_program``), and HiGHS
     gets the columns of a prefix of lengths in CSC form (see
     ``_solve_flow``).  Instances with more than MAX_QUEUE_BLENDS boundary
-    blends are refused with a ValueError.  ``solve_lp`` has checked the
-    balance and normalization rows and floored the weights, so the belief
-    prior is read off exactly the weights that become atoms, and the scheme
-    is compiled with joins sorted by expected wait, then a single coalesced
-    Leave signal.
+    blends are refused with a ValueError.  The weights are certified on
+    the whole chain and floored, so the belief prior is read off exactly
+    the weights that become atoms, and the scheme is compiled with joins
+    sorted by expected wait, then a single coalesced Leave signal.
     """
     d = instance.capacity
     lam = instance.arrival_rate
@@ -391,8 +388,6 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
         for cols in (slice(0, n1), slice(n1, None))
     )
     mass = t0.sum() + t1.sum()
-    if mass <= 0.0:
-        raise InfeasibleProgramError("all arrivals are blocked; no belief prior")
     prior = (t0 + t1) / mass
 
     # Equal posteriors are equal flow-LP columns, and a vertex solution

@@ -623,6 +623,30 @@ def test_queue_over_the_residual_bound_retries_and_exits_zero(
     assert _queue_scheme_validates(out, lam, beta, tau, capacity)
 
 
+@pytest.mark.parametrize(
+    "lam, beta, tau, capacity",
+    [
+        (2.8927817964701577, 0.13811660321337194, 11.949541895523291, 30),
+        (2.372653907359783, 0.000918358899591798, 9.762526328232399, 100),
+    ],
+)
+def test_queue_over_the_dual_tolerance_retries_and_exits_zero(
+    lam, beta, tau, capacity, tmp_path, capsys
+):
+    # HiGHS's default dual feasibility tolerance (1e-7) left a column of
+    # the whole chain pricing at 8.9e-8, over the 2e-9 bound (exit 2); the
+    # retry at CERTIFICATE_TOLERANCE closes both.
+    out, inst = tmp_path / "scheme.json", tmp_path / "instance.json"
+    argv = ["queue", "--lambda", repr(lam), "--beta", repr(beta), "--tau", repr(tau),
+            "--capacity", str(capacity), "--out", str(out)]
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().err == ""
+    solution = persuade.solve_queue(persuade.QueueInstance(lam, beta, tau, capacity))
+    inst.write_text(json.dumps(persuade.instance_to_json(solution.persuasion)))
+    assert cli.run(["validate", "--instance", str(inst), "--scheme", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
 def test_queue_capacity_fifty_thousand_exits_zero(tmp_path, capsys):
     # Lengths 0 and 1 are joinable: 99,996 blends, under MAX_QUEUE_BLENDS.
     # The textbook blend weight put the blend of 41999 and 1 off the
@@ -730,12 +754,14 @@ def _three_action_dict():
 )
 def test_one_lp_per_solve_and_check_full(tmp_path, capsys, monkeypatch, verb, doc, expected_method):
     lps = _count_calls(monkeypatch, "solve_lp", home=persuade.geometry)
+    # One HiGHS call too: a retry on a solve that passes would show here.
+    engine = _count_calls(monkeypatch, "linprog", home=persuade.geometry)
     path = _write(tmp_path, "inst.json", doc)
     assert cli.run(verb + ["--instance", path, "--grid-k", "6"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["method"] == expected_method
     assert out["full_persuasion"] in (True, False)
-    assert len(lps) == 1
+    assert len(lps) == len(engine) == 1
 
 
 def _tied(doc, row):

@@ -62,7 +62,8 @@ def test_solve_lp_reports_unbounded():
 
 
 def test_solve_lp_returns_basic_solutions():
-    # A vertex solution carries at most one nonzero per constraint row.
+    # A vertex solution carries at most one nonzero per constraint row, and
+    # carries its certificate on the program it solved.
     rng = np.random.default_rng(5)
     for _ in range(20):
         rows, cols = int(rng.integers(2, 6)), int(rng.integers(8, 20))
@@ -71,6 +72,8 @@ def test_solve_lp_returns_basic_solutions():
         lp = LinearProgram(c=rng.normal(size=cols), a_eq=a, b_eq=a @ feasible)
         res = solve_lp(lp)
         assert int((res.x > 1e-10).sum()) <= rows
+        assert (res.rounds, res.columns) == (1, cols)
+        assert res.reduced_cost <= _bound(lp) and res.gap <= _bound(lp)
 
 
 def test_solve_lp_returns_equality_duals():
@@ -82,27 +85,35 @@ def test_solve_lp_returns_equality_duals():
     assert res.dual == pytest.approx([2.0], abs=1e-12)
 
 
-def _fake_linprog(monkeypatch, *weights):
-    """Make HiGHS answer the i-th call with ``weights[i]``; returns the calls' options."""
+def _fake_linprog(monkeypatch, *weights, duals=None):
+    """Make HiGHS answer the i-th call with ``weights[i]`` and the equality
+    dual ``duals[i]`` (3, which certifies the optimum of ``_SIMPLEX_LP``,
+    by default); returns the calls' options."""
     calls = []
 
     def fake(c, **kwargs):
         calls.append(kwargs.get("options"))
         x = np.asarray(weights[len(calls) - 1], dtype=float)
+        y = 3.0 if duals is None else duals[len(calls) - 1]
         return scipy.optimize.OptimizeResult(
             status=0,
             success=True,
             message="",
             x=x,
             fun=float(c @ x),
-            eqlin=scipy.optimize.OptimizeResult(marginals=np.zeros(kwargs["b_eq"].size)),
+            eqlin=scipy.optimize.OptimizeResult(marginals=np.full(kwargs["b_eq"].size, -y)),
         )
 
     monkeypatch.setattr(persuade.geometry, "linprog", fake)
     return calls
 
 
+# max x1 + 2 x2 + 3 x3 on the simplex: x = e3, y = 3, certificate bound 4e-9.
 _SIMPLEX_LP = LinearProgram(c=np.arange(4.0), a_eq=np.ones((1, 4)), b_eq=np.array([1.0]))
+_RETRY = {
+    "primal_feasibility_tolerance": LP_RESIDUAL,
+    "dual_feasibility_tolerance": CERTIFICATE_TOLERANCE,
+}
 
 
 def test_solve_lp_clips_and_floors_weights(monkeypatch):
@@ -117,20 +128,35 @@ def test_solve_lp_clips_and_floors_weights(monkeypatch):
 
 def test_solve_lp_retries_once_at_the_residual_tolerance(monkeypatch):
     # Over the residual bound on both calls: raised, and only the second
-    # call tightens HiGHS's primal feasibility tolerance.
-    retry = {"primal_feasibility_tolerance": LP_RESIDUAL}
-    calls = _fake_linprog(monkeypatch, [0.0, 0.0, 0.25, 0.75 + 3e-9], [0.0, 0.0, 0.25, 0.75 - 3e-9])
+    # call tightens HiGHS's feasibility tolerances.
+    calls = _fake_linprog(monkeypatch, [0.0, 0.0, 0.0, 1.0 + 3e-9], [0.0, 0.0, 0.0, 1.0 - 3e-9])
     with pytest.raises(LpSolverError, match="equality residual 3.000e-09 out of tolerance"):
         solve_lp(_SIMPLEX_LP)
-    assert calls == [None, retry]
+    assert calls == [None, _RETRY]
     # Over the bound once: the retry's solution is returned.
-    calls = _fake_linprog(monkeypatch, [0.0, 0.0, 0.25, 0.75 + 3e-9], [0.0, 0.5, 0.5, 0.0])
-    assert solve_lp(_SIMPLEX_LP).x.tolist() == [0.0, 0.5, 0.5, 0.0]
-    assert calls == [None, retry]
+    calls = _fake_linprog(monkeypatch, [0.0, 0.0, 0.0, 1.0 + 3e-9], [0.0, 0.0, 0.0, 1.0])
+    assert solve_lp(_SIMPLEX_LP).x.tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert calls == [None, _RETRY]
     # Within it: one call, no option.
-    calls = _fake_linprog(monkeypatch, [0.0, 0.0, 0.25, 0.75 + 1e-9])
+    calls = _fake_linprog(monkeypatch, [0.0, 0.0, 0.0, 1.0 + 1e-9])
     solve_lp(_SIMPLEX_LP)
     assert calls == [None]
+
+
+def test_solve_lp_retries_once_on_its_own_reduced_costs(monkeypatch):
+    # HiGHS calls a basis optimal while one of its columns still prices
+    # up to its dual tolerance (1e-7) above zero.  Here x3 prices at 1e-8
+    # with no gap: one retry with both tolerances tightened, and two such
+    # answers raise.
+    priced = [0.0, 0.0, 1e-8, 1.0 - 1e-8]
+    calls = _fake_linprog(monkeypatch, priced, priced, duals=[3.0 - 1e-8] * 2)
+    with pytest.raises(LpSolverError, match="LP optimality certificate failed: reduced cost 1.000e-08"):
+        solve_lp(_SIMPLEX_LP)
+    assert calls == [None, _RETRY]
+    calls = _fake_linprog(monkeypatch, priced, [0.0, 0.0, 0.0, 1.0], duals=[3.0 - 1e-8, 3.0])
+    res = solve_lp(_SIMPLEX_LP)
+    assert calls == [None, _RETRY]
+    assert res.x.tolist() == [0.0, 0.0, 0.0, 1.0] and res.dual.tolist() == [3.0]
 
 
 def test_linear_program_shape_guard():
@@ -322,13 +348,13 @@ def _record(monkeypatch, name, home):
     return calls
 
 
-def _corrupt_duals(monkeypatch, change):
-    """Make every solve_lp hand the loop ``change(dual, program)`` as its dual."""
+def _corrupt(monkeypatch, field, change):
+    """Make every solve_lp hand the loop ``change(value, program)`` as its ``field``."""
     original = persuade.geometry.solve_lp
 
     def corrupted(lp):
         res = original(lp)
-        return dataclasses.replace(res, dual=change(res.dual, lp))
+        return dataclasses.replace(res, **{field: change(getattr(res, field), lp)})
 
     monkeypatch.setattr(persuade.geometry, "solve_lp", corrupted)
 
@@ -424,8 +450,25 @@ def test_corrupted_duals_fail_the_certificate(monkeypatch, limit, change):
     instance = _grid_instance(23, 4, "three-action")
     rows, actions = _candidates(instance, 8)
     monkeypatch.setattr(persuade.geometry, "FULL_LP_COLUMNS", limit)
-    _corrupt_duals(monkeypatch, change)
+    _corrupt(monkeypatch, "dual", change)
     with pytest.raises(LpSolverError, match="certificate"):
+        plan_from_candidates(instance, rows, actions)
+
+
+def test_restricted_weights_are_checked_on_the_whole_program(monkeypatch):
+    # One support weight of each restricted solve moved by 1e-6: the plan
+    # LP's rows no longer add up, and the certificate says so first.
+    instance = _grid_instance(23, 4, "three-action")
+    rows, actions = _candidates(instance, 8)
+    monkeypatch.setattr(persuade.geometry, "FULL_LP_COLUMNS", 0)
+
+    def moved(x, lp):
+        x = x.copy()
+        x[np.argmax(x)] += 1e-6
+        return x
+
+    _corrupt(monkeypatch, "x", moved)
+    with pytest.raises(LpSolverError, match="equality residual"):
         plan_from_candidates(instance, rows, actions)
 
 
@@ -437,7 +480,7 @@ def test_certificate_fires_at_its_tolerance(monkeypatch, shift, fails):
     instance = _grid_instance(24, 4, "three-action")
     rows, actions = _candidates(instance, 8)
     assert 1e-10 < CERTIFICATE_TOLERANCE < 1e-8
-    _corrupt_duals(monkeypatch, lambda y, lp: y - shift * (1.0 + np.max(np.abs(lp.c))))
+    _corrupt(monkeypatch, "dual", lambda y, lp: y - shift * (1.0 + np.max(np.abs(lp.c))))
     if fails:
         with pytest.raises(LpSolverError, match="certificate"):
             plan_from_candidates(instance, rows, actions)
@@ -454,6 +497,6 @@ def test_certificate_prices_the_columns_already_in_the_program(monkeypatch):
     b = instance.prior.weights
     z = np.zeros(instance.n_states)
     z[0], z[1] = b[1], -b[0]
-    _corrupt_duals(monkeypatch, lambda y, lp: y + 1e-3 * z)
+    _corrupt(monkeypatch, "dual", lambda y, lp: y + 1e-3 * z)
     with pytest.raises(LpSolverError, match="certificate"):
         plan_from_candidates(instance, rows, actions)

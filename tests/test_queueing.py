@@ -529,6 +529,28 @@ def test_full_persuasion_climbs_the_prefix_ladder(lam, rungs):
     assert validate_scheme(sol.scheme, sol.persuasion).ok
 
 
+def _sweep(seed, n):
+    """n random queue instances: rationing and full persuasion, capacity 5 to 1600."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        lam = rng.uniform(0.2, 3.0)
+        beta = rng.uniform(0.0, 3.0) if rng.random() < 0.7 else 0.0
+        tau = rng.uniform(1.5, 12.0)
+        yield QueueInstance(lam, beta, tau, int(rng.choice([5, 12, 30, 100, 400, 1600])))
+
+
+def test_random_queue_instances_solve_and_validate():
+    # Draws 138 and 246 priced a column of the whole chain at 8.9e-8 under
+    # HiGHS's default dual tolerance, and exited 2 before solve_lp retried
+    # on its certificate.
+    instances = list(_sweep(12, 300))
+    assert instances[138].arrival_rate == 2.8927817964701577
+    assert instances[246].arrival_rate == 2.372653907359783
+    for instance in instances:
+        sol = solve_queue(instance)
+        assert validate_scheme(sol.scheme, sol.persuasion).ok, instance
+
+
 def test_corrupted_flow_duals_fail_the_certificate_on_the_whole_chain(monkeypatch):
     # With zeroed duals every Join column prices at 1, so no prefix closes:
     # the prefixes end at lengths 12, 24, 48 and 96, and then the rung of
