@@ -291,10 +291,17 @@ def _queue_instance(args) -> QueueInstance:
     )
 
 
+def _check_seed(seed: int | None) -> None:
+    """A simulation needs a seed numpy takes: given, and non-negative (exit 1)."""
+    if seed is None:
+        raise FormatError("--seed", "simulation requires an explicit seed")
+    if seed < 0:
+        raise FormatError("--seed", f"must be a non-negative integer, not {seed}")
+
+
 def _cmd_queue(args) -> int:
     if args.simulate is not None:
-        if args.seed is None:
-            raise FormatError("--seed", "simulation requires an explicit seed")
+        _check_seed(args.seed)
         if args.format == "csv":
             raise FormatError("--simulate", "the CSV table has no simulation columns")
     instance = _queue_instance(args)
@@ -393,6 +400,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _check_seed(args.seed)
     instance = _queue_instance(args)
     compiled = scheme_from_json(_load_json(args.scheme))
     sim = simulate_queue(instance, compiled, args.events, args.seed)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -541,7 +542,12 @@ def simulate_queue(
     Runs exactly ``events`` arrival/departure events, discarding the
     first BURN_IN_FRACTION of them before tallying.  Horizons under
     MIN_HORIZON are refused: shorter runs say nothing at these rates.
-    The seed is required; identical seeds give identical runs.
+    The seed is required; identical seeds give identical runs, draw for
+    draw: one exponential gap per event and one uniform per signal, in
+    event order.  The loop keeps its state in Python scalars and lists.
+    A state's CDF row becomes a list the first time the chain visits it;
+    ``bisect_left`` on it takes the midpoints ``np.searchsorted`` takes
+    for one key, so the same uniform picks the same signal.
     """
     if events < MIN_HORIZON:
         raise ValueError(f"horizon {events} below the minimum {MIN_HORIZON}")
@@ -549,66 +555,78 @@ def simulate_queue(
     if scheme.prior.size != d:
         raise ValueError("scheme state count does not match the capacity")
     rng = np.random.default_rng(seed)
-    lam = instance.arrival_rate
+    # rng.exponential(scale) is scale * rng.standard_exponential(), bit for bit.
+    exponential = rng.standard_exponential
+    uniform = rng.random
+    arrival_gap = 1.0 / instance.arrival_rate
     n_signals = scheme.n_signals
+    last_signal = n_signals - 1
     cdf = signal_cdf(scheme)
-    join_action = np.array([s.action == 1 for s in scheme.signals])
+    rows = [None] * d
+    join_action = [s.action == 1 for s in scheme.signals]
 
     burn = int(BURN_IN_FRACTION * events)
     n = 0
     t = 0.0
-    next_arrival = rng.exponential(1.0 / lam)
+    next_arrival = arrival_gap * exponential()
     next_departure = math.inf
-    signal_counts = np.zeros(n_signals, dtype=np.int64)
-    arrival_seen = np.zeros(d + 1, dtype=np.int64)
-    occupancy_time = np.zeros(d + 1)
+    signal_counts = [0] * n_signals
+    arrival_seen = [0] * (d + 1)
+    occupancy_time = [0.0] * (d + 1)
     stats_start = 0.0
 
     for event in range(events):
         counting = event >= burn
         if event == burn:
-            stats_start = min(next_arrival, next_departure)
+            # No event comes before t, so from here on each event's
+            # tallied span starts at t.
+            stats_start = t = min(next_arrival, next_departure)
         if next_arrival <= next_departure:
             now = next_arrival
             if counting:
-                occupancy_time[n] += now - max(t, stats_start)
-            t = now
-            next_arrival = t + rng.exponential(1.0 / lam)
-            if counting:
+                occupancy_time[n] += now - t
                 arrival_seen[n] += 1
+            t = now
+            next_arrival = t + arrival_gap * exponential()
             if n >= d:
                 continue
-            sig = int(np.searchsorted(cdf[n], rng.random(), side="left"))
-            sig = min(sig, n_signals - 1)
+            row = rows[n]
+            if row is None:
+                row = rows[n] = cdf[n].tolist()
+            sig = bisect_left(row, uniform())
+            if sig > last_signal:
+                sig = last_signal
             if counting:
                 signal_counts[sig] += 1
             if join_action[sig]:
                 n += 1
                 if n == 1:
-                    next_departure = t + rng.exponential(1.0)
+                    next_departure = t + exponential()
         else:
             now = next_departure
             if counting:
-                occupancy_time[n] += now - max(t, stats_start)
+                occupancy_time[n] += now - t
             t = now
             n -= 1
-            next_departure = t + rng.exponential(1.0) if n > 0 else math.inf
+            next_departure = t + exponential() if n > 0 else math.inf
 
     total_time = t - stats_start
+    occupancy_time = np.array(occupancy_time)
     if occupancy_time.sum() > 0:
         occupancy_time = occupancy_time / occupancy_time.sum()
+    arrival_seen = np.array(arrival_seen, dtype=np.int64)
     arrivals = int(arrival_seen.sum())
-    joins = int(signal_counts[join_action].sum())
+    joins = sum(c for c, j in zip(signal_counts, join_action) if j)
     return SimulationResult(
         events=events,
         burn_in_events=burn,
         arrivals=arrivals,
         blocked=int(arrival_seen[d]),
         joins=joins,
-        leaves=int(signal_counts[~join_action].sum()),
+        leaves=sum(signal_counts) - joins,
         join_rate=joins / arrivals if arrivals else 0.0,
         signal_counts={
-            scheme.signals[i].label: int(signal_counts[i]) for i in range(n_signals)
+            scheme.signals[i].label: signal_counts[i] for i in range(n_signals)
         },
         arrival_seen=arrival_seen,
         occupancy_time=occupancy_time,

@@ -15,6 +15,9 @@ candidates in one direct scipy call, the reference for column generation;
 ``expected_region_vertices`` enumerates the corners of an expected-utility
 receiver's best-response regions, which make the grid relaxation exact.
 ``roundtrip`` is the parse/serialize fixpoint check on a JSON artifact.
+``simulate_queue_reference`` and ``sample_scheme_batch_reference`` are the
+simulator's event loop on numpy state and the sampler's per-state mask
+loop: the same draws as the package's, computed the plain way.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from scipy.optimize import linprog
 
 from persuade.binary import BISECTION_TOLERANCE
 from persuade.model import FormatError, instance_from_json, instance_to_json
-from persuade.scheme import scheme_from_json, scheme_to_json
+from persuade.queueing import BURN_IN_FRACTION, MIN_HORIZON, SimulationResult
+from persuade.scheme import scheme_from_json, scheme_to_json, signal_cdf
 from persuade.geometry import (
     ATOM_FLOOR,
     LP_RESIDUAL,
@@ -584,3 +588,103 @@ def roundtrip(path: str):
     if first != second:
         raise FormatError("$", "document does not round-trip to a fixpoint")
     return parsed
+
+
+def simulate_queue_reference(instance, scheme, events: int, seed: int) -> SimulationResult:
+    """The event loop on numpy state, draw for draw the one ``simulate_queue`` makes.
+
+    Each signal is a ``np.searchsorted`` on the state's CDF row, each gap an
+    ``rng.exponential`` call, and the tallies live in numpy arrays.  The
+    package's loop must return the same result, field for field and bit
+    for bit.
+    """
+    if events < MIN_HORIZON:
+        raise ValueError(f"horizon {events} below the minimum {MIN_HORIZON}")
+    d = instance.capacity
+    if scheme.prior.size != d:
+        raise ValueError("scheme state count does not match the capacity")
+    rng = np.random.default_rng(seed)
+    lam = instance.arrival_rate
+    n_signals = scheme.n_signals
+    cdf = signal_cdf(scheme)
+    join_action = np.array([s.action == 1 for s in scheme.signals])
+
+    burn = int(BURN_IN_FRACTION * events)
+    n = 0
+    t = 0.0
+    next_arrival = rng.exponential(1.0 / lam)
+    next_departure = math.inf
+    signal_counts = np.zeros(n_signals, dtype=np.int64)
+    arrival_seen = np.zeros(d + 1, dtype=np.int64)
+    occupancy_time = np.zeros(d + 1)
+    stats_start = 0.0
+
+    for event in range(events):
+        counting = event >= burn
+        if event == burn:
+            stats_start = min(next_arrival, next_departure)
+        if next_arrival <= next_departure:
+            now = next_arrival
+            if counting:
+                occupancy_time[n] += now - max(t, stats_start)
+            t = now
+            next_arrival = t + rng.exponential(1.0 / lam)
+            if counting:
+                arrival_seen[n] += 1
+            if n >= d:
+                continue
+            sig = int(np.searchsorted(cdf[n], rng.random(), side="left"))
+            sig = min(sig, n_signals - 1)
+            if counting:
+                signal_counts[sig] += 1
+            if join_action[sig]:
+                n += 1
+                if n == 1:
+                    next_departure = t + rng.exponential(1.0)
+        else:
+            now = next_departure
+            if counting:
+                occupancy_time[n] += now - max(t, stats_start)
+            t = now
+            n -= 1
+            next_departure = t + rng.exponential(1.0) if n > 0 else math.inf
+
+    total_time = t - stats_start
+    if occupancy_time.sum() > 0:
+        occupancy_time = occupancy_time / occupancy_time.sum()
+    arrivals = int(arrival_seen.sum())
+    joins = int(signal_counts[join_action].sum())
+    return SimulationResult(
+        events=events,
+        burn_in_events=burn,
+        arrivals=arrivals,
+        blocked=int(arrival_seen[d]),
+        joins=joins,
+        leaves=int(signal_counts[~join_action].sum()),
+        join_rate=joins / arrivals if arrivals else 0.0,
+        signal_counts={
+            scheme.signals[i].label: int(signal_counts[i]) for i in range(n_signals)
+        },
+        arrival_seen=arrival_seen,
+        occupancy_time=occupancy_time,
+        total_time=total_time,
+    )
+
+
+def sample_scheme_batch_reference(scheme, seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n iid (state, signal) draws, the signals looked up one state mask at a time.
+
+    Scans all n draws once per state; ``sample_scheme_batch`` must return
+    the same two arrays.
+    """
+    rng = np.random.default_rng(seed)
+    d = scheme.prior.size
+    states = rng.choice(d, size=n, p=scheme.prior / scheme.prior.sum())
+    cum = signal_cdf(scheme)
+    u = rng.random(n)
+    signals = np.empty(n, dtype=np.int64)
+    for w in range(d):
+        mask = states == w
+        if mask.any():
+            signals[mask] = np.searchsorted(cum[w], u[mask], side="left")
+    return states, np.minimum(signals, scheme.n_signals - 1)

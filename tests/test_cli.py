@@ -200,6 +200,27 @@ def test_queue_csv_refuses_simulate_before_solving(capsys, monkeypatch):
     assert solves == []
 
 
+def test_queue_simulate_refuses_a_negative_seed_before_solving(capsys, monkeypatch):
+    # numpy refuses a negative seed, but only after the whole solve, and
+    # its message does not name the flag.
+    solves = _count_calls(monkeypatch, "solve_queue", home=persuade.queueing)
+    args = _queue_args(capacity=1600) + ["--simulate", "20000", "--seed", "-3"]
+    assert cli.run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "persuade: --seed: must be a non-negative integer, not -3\n"
+    assert solves == []
+
+
+def test_simulate_refuses_a_negative_seed_before_reading_the_scheme(tmp_path, capsys):
+    argv = ["simulate", "--scheme", str(tmp_path / "absent.json"), "--lambda", "0.5",
+            "--capacity", "4", "--events", "20000", "--seed", "-1"]
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "persuade: --seed: must be a non-negative integer, not -1\n"
+
+
 def test_queue_simulation_block(capsys):
     args = _queue_args(capacity=20) + ["--simulate", "20000", "--seed", "5"]
     assert cli.run(args) == 0
@@ -574,6 +595,32 @@ def test_golden_plot_data_bytes(fmt, tmp_path, capsys):
     assert captured.err == ""
     assert _sha(captured.out) == GOLDEN_CASES[f"queue-{fmt}"][2]
     assert _sha(plot.read_bytes()) == plot_sha
+
+
+# Simulation bytes: a seed fixes every draw, so these hold across versions.
+GOLDEN_SIMULATE_SHA = "c5fcdd3f194a77361303944709c560d365e77233e7f6ec03f4940ecf52b8b34a"
+GOLDEN_QUEUE_SIMULATE_SHA = "41ab7f2eaeee8f970a1432f55cd0ed2943c38b8b4cdcf00e94a79fcf2d90c1cc"
+
+
+def test_golden_simulate_bytes(tmp_path, capsys):
+    scheme = tmp_path / "scheme.json"
+    assert cli.run(GOLDEN_QUEUE + ["--out", str(scheme)]) == 0
+    capsys.readouterr()
+    argv = ["simulate", "--scheme", str(scheme), "--lambda", "0.95", "--beta", "2.5",
+            "--tau", "7.5", "--capacity", "100", "--events", "20000", "--seed", "3"]
+    assert cli.run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert _sha(captured.out) == GOLDEN_SIMULATE_SHA
+
+
+def test_golden_queue_simulate_bytes(capsys):
+    argv = ["queue", "--lambda", "0.5", "--beta", "0", "--tau", "20", "--capacity", "4",
+            "--simulate", "20000", "--seed", "7"]
+    assert cli.run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert _sha(captured.out) == GOLDEN_QUEUE_SIMULATE_SHA
 
 
 def _queue_scheme_validates(path, lam, beta, tau, capacity) -> bool:

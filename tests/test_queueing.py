@@ -328,6 +328,67 @@ def test_simulation_is_deterministic():
     assert a.burn_in_events == 2_000
 
 
+# (λ, β, τ, capacity) of solved schemes the simulator and the sampler
+# must run draw for draw as the numpy reference loops do.
+IDENTITY_QUEUES = [
+    (0.5, 0.0, 20.0, 4),
+    (0.9, 2.5, 7.5, 5),
+    (0.7, 2.5, 7.5, 40),
+    (0.95, 2.5, 7.5, 70),
+    (0.95, 2.5, 7.5, 100),
+    (1.5, 1.0, 5.0, 100),
+    (1.2, 2.5, 7.5, 1600),
+    None,  # the zero-row scheme
+]
+IDENTITY_EVENTS = (10_000, 20_000, 33_333)
+
+
+def _identity_case(params):
+    """(instance, scheme) of a solved queue, or of a scheme with an all-zero CDF row.
+
+    In the latter, state 2 has no signal mass, so every draw there is
+    clamped to the last signal, a join.
+    """
+    if params is not None:
+        sol = solve_queue(QueueInstance(*params))
+        return sol.instance, sol.scheme
+    d = 6
+    conditional = np.random.default_rng(5).dirichlet(np.ones(3), size=d).T
+    conditional[:, 2] = 0.0
+    prior = np.full(d, 1.0 / d)
+    signals = tuple(
+        Signal(label, prior, action, 1.0 / 3.0)
+        for label, action in (("a", 1), ("b", 0), ("c", 1))
+    )
+    return QueueInstance(1.5, BETA, TAU, d), SignalingScheme(signals, conditional, prior)
+
+
+@pytest.mark.parametrize("case", range(len(IDENTITY_QUEUES)))
+def test_simulation_matches_the_numpy_reference_loop(case):
+    instance, scheme = _identity_case(IDENTITY_QUEUES[case])
+    for run in (2 * case, 2 * case + 1):
+        seed, events = run % 8, IDENTITY_EVENTS[run % 3]
+        got = simulate_queue(instance, scheme, events, seed)
+        want = oracles.simulate_queue_reference(instance, scheme, events, seed)
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert type(a) is type(b), field.name
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+            else:
+                assert a == b, field.name
+
+
+@pytest.mark.parametrize("case", range(len(IDENTITY_QUEUES)))
+def test_sampler_matches_the_per_state_mask_loop(case):
+    _, scheme = _identity_case(IDENTITY_QUEUES[case])
+    for seed in (case, case + 8):
+        got = sample_scheme_batch(scheme, seed, 50_000)
+        want = oracles.sample_scheme_batch_reference(scheme, seed, 50_000)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_simulation_guards():
     sol = solve_queue(QueueInstance(0.5, 0.0, 20.0, 4))
     with pytest.raises(ValueError, match="horizon"):
