@@ -41,6 +41,7 @@ from .general import (
 from .geometry import InfeasibleProgramError, LpSolverError
 from .model import FormatError, instance_from_json
 from .queueing import (
+    MIN_HORIZON,
     QueueInstance,
     posterior_wait_moments,
     simulate_queue,
@@ -291,8 +292,20 @@ def _queue_instance(args) -> QueueInstance:
     )
 
 
-def _check_seed(seed: int | None) -> None:
-    """A simulation needs a seed numpy takes: given, and non-negative (exit 1)."""
+def _check_simulation(flag: str, events: int | None, seed: int | None) -> None:
+    """Refuse bad simulation flags (exit 1) before anything is read or solved.
+
+    ``events`` is the horizon that ``flag`` gives, or None when no
+    simulation runs, and then a ``seed`` would be ignored.  A simulation
+    needs at least MIN_HORIZON events and a seed numpy takes: given, and
+    non-negative.
+    """
+    if events is None:
+        if seed is not None:
+            raise FormatError("--seed", "seeds a simulation, and no --simulate is given")
+        return
+    if events < MIN_HORIZON:
+        raise FormatError(flag, f"horizon {events} below the minimum {MIN_HORIZON}")
     if seed is None:
         raise FormatError("--seed", "simulation requires an explicit seed")
     if seed < 0:
@@ -300,10 +313,9 @@ def _check_seed(seed: int | None) -> None:
 
 
 def _cmd_queue(args) -> int:
-    if args.simulate is not None:
-        _check_seed(args.seed)
-        if args.format == "csv":
-            raise FormatError("--simulate", "the CSV table has no simulation columns")
+    _check_simulation("--simulate", args.simulate, args.seed)
+    if args.simulate is not None and args.format == "csv":
+        raise FormatError("--simulate", "the CSV table has no simulation columns")
     instance = _queue_instance(args)
     solution = solve_queue(instance)
     sandwich = verify_sandwich(solution)
@@ -400,7 +412,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    _check_seed(args.seed)
+    _check_simulation("--events", args.events, args.seed)
     instance = _queue_instance(args)
     compiled = scheme_from_json(_load_json(args.scheme))
     sim = simulate_queue(instance, compiled, args.events, args.seed)

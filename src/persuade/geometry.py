@@ -7,15 +7,24 @@ ATOM_FLOOR; anything else raises.  ``certify`` is the one acceptance test
 of an LP answer, and builds every ``LpResult``.  ``solve_by_columns`` runs
 column generation on the duals and certifies the optimum it returns on
 the whole program.
+
+scipy loads on first use: ``scipy.optimize`` on the first LP solved
+(``linprog``), ``scipy.sparse`` with the first sparse program.  Importing
+the package loads neither, so the CLI verbs that solve no LP
+(``validate``, ``simulate``) start without them.
 """
 
 from __future__ import annotations
 
+import functools
+import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
-from scipy.optimize import linprog
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 # Equality residual allowed on any accepted LP solution.
 LP_RESIDUAL = 1e-9
@@ -44,7 +53,6 @@ __all__ = [
     "LpSolverError",
     "InfeasibleProgramError",
     "LinearProgram",
-    "SparseConstraints",
     "LpResult",
     "solve_lp",
     "certificate_bound",
@@ -61,17 +69,33 @@ class InfeasibleProgramError(RuntimeError):
     """A solver-level program admitted no feasible point."""
 
 
-class SparseConstraints(scipy.sparse.csc_array):
-    """CSC constraint matrix that numpy functions read as its dense form.
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on its first call."""
+    from scipy.optimize import linprog
 
-    HiGHS and the residual check in ``certify`` work on the sparse
-    structure.  ``np.asarray`` and the numpy functions built on it
-    (``np.count_nonzero``, ...) see the dense matrix, so code that reads
-    ``LinearProgram.a_eq`` with numpy works on either kind of program.
-    """
+    return linprog(*args, **kwargs)
 
-    def __array__(self, dtype=None, copy=None):
-        return self.toarray().astype(dtype, copy=False)
+
+@functools.cache
+def _sparse_constraints() -> type:
+    """The ``SparseConstraints`` class, built when the first sparse program is."""
+    import scipy.sparse
+
+    class SparseConstraints(scipy.sparse.csc_array):
+        """CSC constraint matrix that numpy functions read as its dense form.
+
+        HiGHS and the residual check in ``certify`` work on the sparse
+        structure.  ``np.asarray`` and the numpy functions built on it
+        (``np.count_nonzero``, ...) see the dense matrix, so code that reads
+        ``LinearProgram.a_eq`` with numpy works on either kind of program.
+        The class is built with the first sparse program, so importing
+        this module does not load ``scipy.sparse``.
+        """
+
+        def __array__(self, dtype=None, copy=None):
+            return self.toarray().astype(dtype, copy=False)
+
+    return SparseConstraints
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,17 +103,21 @@ class LinearProgram:
     """maximize c . x  subject to  A_eq x = b_eq, x >= 0.
 
     ``a_eq`` is a dense array or any ``scipy.sparse`` matrix; a sparse one
-    is kept sparse (as ``SparseConstraints``) all the way to HiGHS.
+    is kept sparse all the way to HiGHS, as a ``SparseConstraints``, whose
+    class is built on the first sparse program.  A sparse matrix can only
+    exist once ``scipy.sparse`` is imported, so a dense program is told
+    apart without importing it.
     """
 
     c: np.ndarray
-    a_eq: np.ndarray | SparseConstraints
+    a_eq: np.ndarray | scipy.sparse.csc_array
     b_eq: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
-        if scipy.sparse.issparse(self.a_eq):
-            a = SparseConstraints(self.a_eq, dtype=float)
+        sparse = sys.modules.get("scipy.sparse")
+        if sparse is not None and sparse.issparse(self.a_eq):
+            a = _sparse_constraints()(self.a_eq, dtype=float)
         else:
             a = np.atleast_2d(np.asarray(self.a_eq, dtype=float))
         b = np.asarray(self.b_eq, dtype=float)

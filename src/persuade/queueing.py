@@ -22,7 +22,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .binary import (
     HullCandidates,
@@ -240,6 +239,8 @@ def _flow_program(d: int, lam: float, candidates: HullCandidates) -> LinearProgr
     COO matrix (at most two meet in a balance row, so the sums are the
     dense ones bit for bit) and exact zeros are left out.
     """
+    import scipy.sparse
+
     states, weights, n1 = candidates.states, candidates.weights, candidates.n_accept
     n = states.shape[0]
     cols = np.repeat(np.arange(n), states.shape[1])

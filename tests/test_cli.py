@@ -38,6 +38,7 @@ from persuade import (
     solve_general,
     validate_scheme,
 )
+from persuade.queueing import MIN_HORIZON
 from conftest import threshold_instance_dict
 
 
@@ -219,6 +220,45 @@ def test_simulate_refuses_a_negative_seed_before_reading_the_scheme(tmp_path, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "persuade: --seed: must be a non-negative integer, not -1\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", "3"], "--seed: seeds a simulation, and no --simulate is given"),
+        (["--seed", "-3"], "--seed: seeds a simulation, and no --simulate is given"),
+        (["--simulate", str(MIN_HORIZON - 1), "--seed", "5"],
+         f"--simulate: horizon {MIN_HORIZON - 1} below the minimum {MIN_HORIZON}"),
+        (["--simulate", "0", "--seed", "5"],
+         f"--simulate: horizon 0 below the minimum {MIN_HORIZON}"),
+    ],
+    ids=["seed", "negative-seed", "one-short", "zero"],
+)
+def test_queue_refuses_bad_simulation_flags_before_solving(capsys, monkeypatch, flags, message):
+    # A seed without --simulate would be ignored, and a short horizon was
+    # refused only after the whole solve.
+    solves = _count_calls(monkeypatch, "solve_queue", home=persuade.queueing)
+    assert cli.run(_queue_args(capacity=1600) + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"persuade: {message}\n"
+    assert solves == []
+
+
+@pytest.mark.parametrize("events", [MIN_HORIZON - 1, 0, -5])
+def test_simulate_refuses_a_short_horizon_before_reading_the_scheme(
+    tmp_path, capsys, monkeypatch, events
+):
+    runs = _count_calls(monkeypatch, "simulate_queue", home=persuade.queueing)
+    argv = ["simulate", "--scheme", str(tmp_path / "absent.json"), "--lambda", "0.5",
+            "--capacity", "4", "--events", str(events), "--seed", "1"]
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"persuade: --events: horizon {events} below the minimum {MIN_HORIZON}\n"
+    )
+    assert runs == []
 
 
 def test_queue_simulation_block(capsys):
