@@ -191,6 +191,8 @@ def _solve_instance(instance, method: str, grid_k: int | None):
         sets = [np.array([x.posterior for x in plan.atoms if x.action == a])
                 for a in range(instance.n_actions)]
         return plan, sets, "obedience", None
+    if grid_k is not None and grid_k < 1:
+        raise FormatError("--grid-k", f"must be at least 1, not {grid_k}")
     k = grid_k if grid_k is not None else default_grid_k(instance.n_states)
     sets = grid_point_sets(instance, GridSpec(k=k, dim=instance.n_states))
     return solve_general(instance, sets), sets, "grid", k
@@ -283,10 +285,16 @@ def _plot_data_csv(plot: dict) -> str:
 
 
 def _queue_instance(args) -> QueueInstance:
-    """The queue instance of the rate flags; a non-finite flag is a bad flag (exit 1)."""
-    for flag, value in (("--lambda", args.lam), ("--beta", args.beta), ("--tau", args.tau)):
-        if not math.isfinite(value):
-            raise FormatError(flag, f"must be a finite number, not {value}")
+    """The queue instance of the flags; a value ``QueueInstance`` refuses is a bad flag (exit 1)."""
+    for flag, value, ok, rule in (
+        ("--lambda", args.lam, args.lam > 0.0, "positive"),
+        ("--beta", args.beta, args.beta >= 0.0, "nonnegative"),
+        ("--tau", args.tau, args.tau > 0.0, "positive"),
+    ):
+        if not (ok and math.isfinite(value)):
+            raise FormatError(flag, f"must be a finite {rule} number, not {value}")
+    if args.capacity < 2:
+        raise FormatError("--capacity", f"must be at least 2, not {args.capacity}")
     return QueueInstance(
         arrival_rate=args.lam, beta=args.beta, tau=args.tau, capacity=args.capacity
     )

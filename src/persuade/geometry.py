@@ -8,17 +8,23 @@ of an LP answer, and builds every ``LpResult``.  ``solve_by_columns`` runs
 column generation on the duals and certifies the optimum it returns on
 the whole program.
 
-scipy loads on first use: ``scipy.optimize`` on the first LP solved
-(``linprog``), ``scipy.sparse`` with the first sparse program.  Importing
-the package loads neither, so the CLI verbs that solve no LP
-(``validate``, ``simulate``) start without them.
+HiGHS is scipy's bundled extension module ``scipy.optimize._highspy._core``,
+loaded by itself on the first LP solved (``linprog``), so no process loads
+``scipy.optimize``.  ``scipy.sparse`` loads with the first sparse program.
+Importing the package loads neither, so the CLI verbs that solve no LP
+(``validate``, ``simulate``) start without them, and ``solve`` and
+``check-full`` solve without them.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
+import os
 import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -69,11 +75,115 @@ class InfeasibleProgramError(RuntimeError):
     """A solver-level program admitted no feasible point."""
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on its first call."""
-    from scipy.optimize import linprog
+# scipy's pybind11 bindings of HiGHS, the extension module its
+# linprog(method="highs-ds") calls; scipy ships them since 1.15.
+HIGHS_CORE = "scipy.optimize._highspy._core"
 
-    return linprog(*args, **kwargs)
+
+@functools.cache
+def _highs():
+    """The HiGHS extension module, loaded without importing ``scipy.optimize``.
+
+    It is found beside scipy's ``__init__`` (``find_spec`` does not import
+    scipy) and registered in ``sys.modules`` under its own name, so a later
+    ``import scipy.optimize`` reuses it; one that scipy loaded first is
+    reused here.
+    """
+    core = sys.modules.get(HIGHS_CORE)
+    if core is not None:
+        return core
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is not None:
+        stem = os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy", "_core")
+        for path in (stem + suffix for suffix in EXTENSION_SUFFIXES):
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(HIGHS_CORE, path)
+                core = importlib.util.module_from_spec(spec)
+                sys.modules[HIGHS_CORE] = core
+                spec.loader.exec_module(core)
+                return core
+    from importlib.metadata import PackageNotFoundError, version
+
+    try:
+        found = f"scipy {version('scipy')}"
+    except PackageNotFoundError:
+        found = "no scipy"
+    raise ImportError(f"{HIGHS_CORE} not found: the LP engine needs scipy>=1.15, found {found}")
+
+
+def linprog(c, A_eq, b_eq, options=None):
+    """minimize c . x  s.t.  A_eq x = b_eq, x >= 0, by the HiGHS dual simplex.
+
+    The model and the options are those of scipy's
+    ``linprog(method="highs-ds")``: HiGHS gets the constraints in CSC
+    form, presolve on, the dual simplex strategy and output off, plus
+    ``options`` (HiGHS option names).  Returns ``status`` (0 optimal, 2
+    infeasible, 3 unbounded, 4 any other HiGHS verdict), ``success``,
+    ``message`` and, at an optimum, ``x``, ``fun`` and the equality duals
+    ``eqlin.marginals`` (scipy's names).  Like scipy, it refuses an empty
+    or non-finite program with ``ValueError`` before HiGHS sees it.
+    """
+    core = _highs()
+    n = c.size
+    if isinstance(A_eq, np.ndarray):
+        cols, rows = np.nonzero(A_eq.T)
+        data = A_eq[rows, cols]
+        start = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+    else:
+        if not A_eq.has_canonical_format:
+            A_eq = A_eq.copy()
+            A_eq.sum_duplicates()
+        start, rows, data = A_eq.indptr, A_eq.indices, A_eq.data
+    if n == 0 or not all(np.isfinite(v).all() for v in (c, data, b_eq)):
+        raise ValueError("LP coefficients must be finite, with at least one column")
+    model = core.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = n
+    model.num_row_ = model.a_matrix_.num_row_ = b_eq.size
+    model.a_matrix_.format_ = core.MatrixFormat.kColwise
+    model.a_matrix_.start_ = start
+    model.a_matrix_.index_ = rows
+    model.a_matrix_.value_ = data
+    model.col_cost_ = c
+    model.col_lower_ = np.zeros(n)
+    model.col_upper_ = np.full(n, core.kHighsInf)
+    model.row_lower_ = model.row_upper_ = b_eq
+    settings = core.HighsOptions()
+    for key, value in {
+        "presolve": "on",
+        "solver": "simplex",
+        "simplex_strategy": core.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
+        "highs_debug_level": core.HighsDebugLevel.kHighsDebugLevelNone,
+        "log_to_console": False,
+        "output_flag": False,
+        **(options or {}),
+    }.items():
+        setattr(settings, key, value)
+    highs = core._Highs()
+    highs.passOptions(settings)
+    if highs.passModel(model) == core.HighsStatus.kError:
+        status = core.HighsModelStatus.kModelError
+    else:
+        highs.run()
+        status = highs.getModelStatus()
+    verdict = {
+        core.HighsModelStatus.kOptimal: 0,
+        core.HighsModelStatus.kInfeasible: 2,
+        core.HighsModelStatus.kUnbounded: 3,
+    }.get(status, 4)
+    res = SimpleNamespace(
+        status=verdict,
+        success=verdict == 0,
+        message=f"no optimum (HiGHS Status {int(status)}: {highs.modelStatusToString(status)})",
+        x=None,
+        fun=None,
+        eqlin=SimpleNamespace(marginals=None),
+    )
+    if res.success:
+        solution = highs.getSolution()
+        res.x = np.array(solution.col_value)
+        res.fun = highs.getInfo().objective_function_value
+        res.eqlin.marginals = np.array(solution.row_dual)
+    return res
 
 
 @functools.cache
@@ -167,15 +277,8 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     """
     for options in (None, {"primal_feasibility_tolerance": LP_RESIDUAL,
                            "dual_feasibility_tolerance": CERTIFICATE_TOLERANCE}):
-        res = linprog(
-            -lp.c,
-            A_eq=lp.a_eq,
-            b_eq=lp.b_eq,
-            bounds=(0, None),
-            method="highs-ds",
-            options=options,
-        )
-        verdict = {2: "infeasible", 3: "unbounded"}.get(res["status"])
+        res = linprog(-lp.c, A_eq=lp.a_eq, b_eq=lp.b_eq, options=options)
+        verdict = {2: "infeasible", 3: "unbounded"}.get(res.status)
         if verdict is not None:
             raise InfeasibleProgramError(f"LP is {verdict}")
         if not res.success:

@@ -297,8 +297,8 @@ def test_queue_emit_plot_data(tmp_path, capsys):
 
 
 def test_queue_capacity_guard(capsys):
-    assert cli.run(_queue_args(capacity=1)) == 2
-    assert "capacity" in capsys.readouterr().err
+    assert cli.run(_queue_args(capacity=1)) == 1
+    assert capsys.readouterr().err == "persuade: --capacity: must be at least 2, not 1\n"
 
 
 def test_check_full_binary(tmp_path, capsys):
@@ -933,6 +933,55 @@ def test_queue_rate_flags_must_be_finite(tmp_path, capsys, verb, flag, value):
     assert captured.out == ""
     assert captured.err.startswith(f"persuade: {flag}: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--lambda", "0", "must be a finite positive number, not 0.0"),
+        ("--lambda", "-0.5", "must be a finite positive number, not -0.5"),
+        ("--beta", "-1", "must be a finite nonnegative number, not -1.0"),
+        ("--tau", "0", "must be a finite positive number, not 0.0"),
+        ("--capacity", "1", "must be at least 2, not 1"),
+    ],
+    ids=["lambda-zero", "lambda-negative", "beta", "tau", "capacity"],
+)
+@pytest.mark.parametrize("verb", ["queue", "simulate"])
+def test_queue_flags_out_of_range_exit_one_before_solving(
+    tmp_path, capsys, monkeypatch, verb, flag, value, message
+):
+    # QueueInstance refuses these with ValueError (exit 2, as for a failed
+    # run); as flags they are bad input, refused before anything runs.
+    solves = _count_calls(monkeypatch, "solve_queue", home=persuade.queueing)
+    runs = _count_calls(monkeypatch, "simulate_queue", home=persuade.queueing)
+    flags = {"--lambda": "0.95", "--beta": "2.5", "--tau": "7.5", "--capacity": "4", flag: value}
+    argv = [verb] + [f"{k}={x}" for k, x in flags.items()]
+    if verb == "simulate":
+        argv += ["--scheme", str(tmp_path / "absent.json"), "--events", "10000", "--seed", "1"]
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"persuade: {flag}: {message}\n"
+    assert solves == runs == []
+
+
+def test_grid_k_below_one_exits_one_when_a_grid_runs(tmp_path, capsys, monkeypatch):
+    # The sender prefers "no" in state s0, so this mean_stdev instance
+    # takes the grid.  A binary solve does not read the flag.
+    doc = _seeded_binary(_mean_stdev_receiver, 11, 3)
+    doc["sender_v"] = [[1.0, 0.0]] + doc["sender_v"][1:]
+    path = _write(tmp_path, "inst.json", doc)
+    assert cli.run(["solve", "--instance", path, "--grid-k", "6"]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "grid"
+    lps = _count_calls(monkeypatch, "solve_lp", home=persuade.geometry)
+    for verb in (["solve"], ["solve", "--method", "grid"], ["check-full"]):
+        assert cli.run(verb + ["--instance", path, "--grid-k", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "persuade: --grid-k: must be at least 1, not 0\n"
+    assert lps == []
+    binary = _write(tmp_path, "binary.json", _expected_dict())
+    assert cli.run(["solve", "--instance", binary, "--method", "binary", "--grid-k", "0"]) == 0
 
 
 def _off_grid_dict():

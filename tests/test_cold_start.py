@@ -1,4 +1,4 @@
-"""A cold process loads scipy only when it solves an LP.
+"""A cold process never loads ``scipy.optimize``, and ``scipy.sparse`` only for a sparse LP.
 
 Each case runs a fresh interpreter under ``-X importtime``, which lists on
 stderr every module the process imports, so the CLI runs exactly as
@@ -60,6 +60,8 @@ def argvs(tmp_path_factory):
         "simulate": ["-m", "persuade", "simulate", "--scheme", queue_scheme, *README_QUEUE,
                      "--events", "10000", "--seed", "3"],
         "solve": ["-m", "persuade", "solve", "--instance", str(instance)],
+        "check-full": ["-m", "persuade", "check-full", "--instance", str(instance)],
+        "queue": ["-m", "persuade", "queue", *README_QUEUE],
     }
 
 
@@ -71,11 +73,50 @@ def test_no_lp_no_scipy_import(argvs, case):
     assert modules & LP_MODULES == set()
 
 
-def test_cold_solve_loads_scipy_and_prints_the_in_process_bytes(argvs, capsys):
+@pytest.mark.parametrize(
+    "verb, loaded",
+    [("solve", set()), ("check-full", set()), ("queue", {"scipy.sparse"})],
+    ids=["solve", "check-full", "queue"],
+)
+def test_cold_lp_verb_prints_the_in_process_bytes_without_scipy_optimize(argvs, capsys, verb, loaded):
+    # HiGHS loads by itself; only the queue's flow LP is a sparse program.
     capsys.readouterr()
-    assert cli.run(argvs["solve"][2:]) == 0
+    assert cli.run(argvs[verb][2:]) == 0
     expected = capsys.readouterr().out
-    rc, out, modules = _cold(*argvs["solve"])
+    rc, out, modules = _cold(*argvs[verb])
     assert rc == 0
     assert out == expected
-    assert "scipy.optimize" in modules
+    assert modules & LP_MODULES == loaded
+
+
+ENGINE_AND_SCIPY = """
+import sys
+import numpy as np
+from persuade.geometry import HIGHS_CORE, LinearProgram, solve_lp
+
+lp = LinearProgram(np.arange(4.0), np.array([[1.0, 1, 1, 1], [0, 1, 2, 3]]), np.array([1.0, 1.5]))
+answers = []
+for step in {order}:
+    if step == "solve":
+        answers.append(solve_lp(lp))
+    else:
+        assert "scipy.optimize" not in sys.modules
+        import scipy.optimize
+assert sys.modules["scipy.optimize._highspy._highs_wrapper"]._h is sys.modules[HIGHS_CORE]
+assert [name for name in sys.modules if name.endswith("_highspy._core")] == [HIGHS_CORE]
+assert scipy.optimize.linprog(-lp.c, A_eq=lp.a_eq, b_eq=lp.b_eq, method="highs-ds").success
+print(len({{(res.x.tobytes(), res.dual.tobytes()) for res in answers}}))
+"""
+
+
+@pytest.mark.parametrize(
+    "order",
+    [("solve", "import", "solve"), ("import", "solve")],
+    ids=["engine-first", "scipy-first"],
+)
+def test_one_highs_module_whichever_loads_it_first(order):
+    # Loaded before scipy.optimize, the engine is the module scipy then
+    # uses; loaded after, it is scipy's.  Either way one copy, one answer.
+    rc, out, _ = _cold("-c", ENGINE_AND_SCIPY.format(order=order))
+    assert rc == 0
+    assert out == "1\n"

@@ -2,10 +2,13 @@
 decompositions, and boundary bisection."""
 
 import dataclasses
+import importlib.util
+import sys
 
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 
 import persuade.general
 import persuade.geometry
@@ -157,6 +160,80 @@ def test_solve_lp_retries_once_on_its_own_reduced_costs(monkeypatch):
     res = solve_lp(_SIMPLEX_LP)
     assert calls == [None, _RETRY]
     assert res.x.tolist() == [0.0, 0.0, 0.0, 1.0] and res.dual.tolist() == [3.0]
+
+
+def _highs_ds(c, a_eq, b_eq, options=None):
+    """scipy's own HiGHS dual simplex call, the reference for ``geometry.linprog``."""
+    return scipy.optimize.linprog(
+        c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds", options=options
+    )
+
+
+@pytest.mark.parametrize("options", [None, _RETRY], ids=["default", "retry"])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_engine_matches_scipy_highs_ds_bit_for_bit(sparse, options):
+    # The same model and options reach HiGHS, so the same bits come back.
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        d, n = int(rng.integers(2, 10)), int(rng.integers(2, 60))
+        a = rng.random((d, n)) * (rng.random((d, n)) < 0.6)
+        a[-1] = 1.0
+        lp = LinearProgram(
+            rng.normal(size=n),
+            scipy.sparse.csc_array(a) if sparse else a,
+            a @ rng.dirichlet(np.ones(n)),
+        )
+        args = (-lp.c, lp.a_eq, lp.b_eq, options)
+        got, want = persuade.geometry.linprog(*args), _highs_ds(*args)
+        assert got.status == want.status == 0
+        assert got.x.tobytes() == want.x.tobytes()
+        assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
+        assert got.eqlin.marginals.tobytes() == want.eqlin.marginals.tobytes()
+
+
+@pytest.mark.parametrize(
+    "c, a, b, status",
+    [([1.0, 0.0], [1.0, 1.0], -1.0, 2), ([-1.0, 0.0], [1.0, -1.0], 0.0, 3)],
+    ids=["infeasible", "unbounded"],
+)
+def test_engine_matches_scipy_highs_ds_verdicts(c, a, b, status):
+    # x1 + x2 = -1 has no nonnegative point; x1 = x2 lets -x1 fall forever.
+    args = (np.array(c), np.array([a]), np.array([b]))
+    got, want = persuade.geometry.linprog(*args), _highs_ds(*args)
+    assert got.status == want.status == status
+    assert not got.success and got.x is None
+    assert "HiGHS Status" in got.message
+
+
+def test_engine_refuses_non_finite_programs_as_scipy_did():
+    a, b = np.ones((1, 2)), np.ones(1)
+    for c, a_eq in (([np.nan, 1.0], a), ([1.0, 1.0], np.array([[1.0, np.inf]]))):
+        with pytest.raises(ValueError):
+            _highs_ds(np.array(c), a_eq, b)
+        with pytest.raises(ValueError, match="finite"):
+            persuade.geometry.linprog(np.array(c), a_eq, b)
+
+
+def test_a_model_highs_refuses_is_an_engine_failure_not_infeasible():
+    # HiGHS refuses a matrix entry of 1e15 or more when the model is
+    # passed; scipy reported that as infeasible, though x = (1, 0) is feasible.
+    lp = LinearProgram(np.array([1.0, 0.0]), np.array([[1.0, 1e16], [1.0, 1.0]]), np.ones(2))
+    with pytest.raises(LpSolverError, match=r"LP engine failed: .*\(HiGHS Status 2: Model error\)"):
+        solve_lp(lp)
+
+
+def test_missing_highs_core_names_the_scipy_found(monkeypatch, tmp_path):
+    # A scipy without the bundled HiGHS module: one ImportError with its version.
+    spec = importlib.util.spec_from_file_location("scipy", tmp_path / "__init__.py")
+    spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    monkeypatch.delitem(sys.modules, persuade.geometry.HIGHS_CORE)
+    persuade.geometry._highs.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=rf"scipy>=1\.15, found scipy {scipy.__version__}$"):
+            persuade.geometry._highs()
+    finally:
+        persuade.geometry._highs.cache_clear()
 
 
 def test_linear_program_shape_guard():
