@@ -236,9 +236,11 @@ def _cmd_solve(args) -> int:
         },
         "scheme": scheme_to_json(compiled),
     }
-    _emit(doc)
+    # The file first: a run that cannot write it prints no document.
+    text = _dumps(doc)
     if args.out:
         _write_json(args.out, doc["scheme"])
+    print(text)
     return 0
 
 
@@ -370,9 +372,10 @@ def _cmd_queue(args) -> int:
         writer.writerow(["label", "action", *columns])
         for row in doc["signals"]:
             writer.writerow([row["label"], row["action"]] + [repr(row[c]) for c in columns])
-        sys.stdout.write(buf.getvalue())
+        text = buf.getvalue()
     else:
-        _emit(doc)
+        text = _dumps(doc) + "\n"
+    # The files first: a run that cannot write them prints no document.
     if args.out:
         _write_json(args.out, doc["scheme"])
     if args.emit_plot_data:
@@ -382,6 +385,7 @@ def _cmd_queue(args) -> int:
                 fh.write(_plot_data_csv(plot))
         else:
             _write_json(args.emit_plot_data, plot)
+    sys.stdout.write(text)
     return 0
 
 

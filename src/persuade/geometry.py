@@ -10,10 +10,12 @@ the whole program.
 
 HiGHS is scipy's bundled extension module ``scipy.optimize._highspy._core``,
 loaded by itself on the first LP solved (``linprog``), so no process loads
-``scipy.optimize``.  ``scipy.sparse`` loads with the first sparse program.
-Importing the package loads neither, so the CLI verbs that solve no LP
-(``validate``, ``simulate``) start without them, and ``solve`` and
-``check-full`` solve without them.
+``scipy.optimize``.  A sparse program holds its constraints as a
+``CscMatrix``, numpy arrays in the compressed column form HiGHS takes, so
+no process imports scipy's sparse package either.  Importing the package
+loads no scipy module: the CLI verbs that solve no LP (``validate``,
+``simulate``) start without scipy, and ``solve``, ``check-full`` and
+``queue`` load the HiGHS module alone.
 """
 
 from __future__ import annotations
@@ -25,12 +27,8 @@ import sys
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 # Equality residual allowed on any accepted LP solution.
 LP_RESIDUAL = 1e-9
@@ -58,6 +56,7 @@ __all__ = [
     "CERTIFICATE_TOLERANCE",
     "LpSolverError",
     "InfeasibleProgramError",
+    "CscMatrix",
     "LinearProgram",
     "LpResult",
     "solve_lp",
@@ -116,8 +115,9 @@ def linprog(c, A_eq, b_eq, options=None):
 
     The model and the options are those of scipy's
     ``linprog(method="highs-ds")``: HiGHS gets the constraints in CSC
-    form, presolve on, the dual simplex strategy and output off, plus
-    ``options`` (HiGHS option names).  Returns ``status`` (0 optimal, 2
+    form (a dense ``A_eq``'s nonzeros, or a ``CscMatrix``'s arrays), presolve
+    on, the dual simplex strategy and output off, plus ``options`` (HiGHS
+    option names).  Returns ``status`` (0 optimal, 2
     infeasible, 3 unbounded, 4 any other HiGHS verdict), ``success``,
     ``message`` and, at an optimum, ``x``, ``fun`` and the equality duals
     ``eqlin.marginals`` (scipy's names).  Like scipy, it refuses an empty
@@ -130,9 +130,6 @@ def linprog(c, A_eq, b_eq, options=None):
         data = A_eq[rows, cols]
         start = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
     else:
-        if not A_eq.has_canonical_format:
-            A_eq = A_eq.copy()
-            A_eq.sum_duplicates()
         start, rows, data = A_eq.indptr, A_eq.indices, A_eq.data
     if n == 0 or not all(np.isfinite(v).all() for v in (c, data, b_eq)):
         raise ValueError("LP coefficients must be finite, with at least one column")
@@ -186,48 +183,104 @@ def linprog(c, A_eq, b_eq, options=None):
     return res
 
 
-@functools.cache
-def _sparse_constraints() -> type:
-    """The ``SparseConstraints`` class, built when the first sparse program is."""
-    import scipy.sparse
+class CscMatrix:
+    """A sparse matrix in compressed sparse column (CSC) form, in numpy arrays.
 
-    class SparseConstraints(scipy.sparse.csc_array):
-        """CSC constraint matrix that numpy functions read as its dense form.
+    Column j holds ``data[indptr[j]:indptr[j + 1]]`` at the rows
+    ``indices[indptr[j]:indptr[j + 1]]``, which increase, so no entry
+    repeats: scipy's canonical CSC, the arrays HiGHS takes.  ``A @ x`` and
+    ``A.T @ y`` add each sum's terms in entry order, as scipy's sparse
+    products do, so they give its bits.  ``A[:, cols]`` and ``A[rows]``
+    (increasing ``rows``) take sub-matrices as numpy does.  ``np.asarray``
+    and the numpy functions built on it (``np.count_nonzero``, ...) see the
+    dense matrix, so code that reads ``LinearProgram.a_eq`` with numpy works
+    on either kind of program.
+    """
 
-        HiGHS and the residual check in ``certify`` work on the sparse
-        structure.  ``np.asarray`` and the numpy functions built on it
-        (``np.count_nonzero``, ...) see the dense matrix, so code that reads
-        ``LinearProgram.a_eq`` with numpy works on either kind of program.
-        The class is built with the first sparse program, so importing
-        this module does not load ``scipy.sparse``.
-        """
+    def __init__(self, indptr, indices, data, shape):
+        self.indptr = np.asarray(indptr, dtype=np.intp)
+        self.indices = np.asarray(indices, dtype=np.intp)
+        self.data = np.asarray(data, dtype=float)
+        self.shape = m, n = (int(shape[0]), int(shape[1]))
+        counts = np.diff(self.indptr)
+        if not (
+            self.indptr.shape == (n + 1,)
+            and self.indptr[0] == 0
+            and self.indptr[-1] == self.indices.size == self.data.size
+            and (counts >= 0).all()
+        ):
+            raise ValueError(f"CSC column pointers do not fit {self.data.size} entries in {n} columns")
+        # The column of each entry, for the products and the row sub-matrix.
+        self._cols = np.repeat(np.arange(n), counts)
+        rows = self.indices
+        if rows.size and not (
+            rows.min() >= 0
+            and rows.max() < m
+            and ((np.diff(rows) > 0) | (np.diff(self._cols) > 0)).all()
+        ):
+            raise ValueError(f"CSC row indices must increase within each column, below {m}")
 
-        def __array__(self, dtype=None, copy=None):
-            return self.toarray().astype(dtype, copy=False)
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.indices, weights=self.data * x[self._cols], minlength=self.shape[0])
 
-    return SparseConstraints
+    @property
+    def T(self) -> _CscTranspose:
+        return _CscTranspose(self)
+
+    def __getitem__(self, key) -> CscMatrix:
+        if isinstance(key, tuple):
+            if len(key) != 2 or not (isinstance(key[0], slice) and key[0] == slice(None)):
+                raise TypeError("a CscMatrix takes the sub-matrices A[:, cols] and A[rows] only")
+            cols = np.asarray(key[1], dtype=np.intp)
+            start = self.indptr[cols]
+            counts = self.indptr[cols + 1] - start
+            indptr = np.concatenate(([0], np.cumsum(counts)))
+            take = np.repeat(start - indptr[:-1], counts) + np.arange(indptr[-1])
+            return CscMatrix(indptr, self.indices[take], self.data[take], (self.shape[0], cols.size))
+        rows = np.asarray(key, dtype=np.intp)
+        if not (np.diff(rows) > 0).all():
+            raise ValueError("the rows of a CSC sub-matrix must increase")
+        position = np.full(self.shape[0], -1)
+        position[rows] = np.arange(rows.size)
+        at = position[self.indices]
+        keep = at >= 0
+        counts = np.bincount(self._cols[keep], minlength=self.shape[1])
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        return CscMatrix(indptr, at[keep], self.data[keep], (rows.size, self.shape[1]))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        dense[self.indices, self._cols] = self.data
+        return dense.astype(dtype, copy=False) if dtype is not None else dense
+
+
+class _CscTranspose:
+    """``A.T`` of a ``CscMatrix``, for ``A.T @ y``: each column's terms in row order."""
+
+    def __init__(self, a: CscMatrix):
+        self.a = a
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        a = self.a
+        return np.bincount(a._cols, weights=a.data * y[a.indices], minlength=a.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
     """maximize c . x  subject to  A_eq x = b_eq, x >= 0.
 
-    ``a_eq`` is a dense array or any ``scipy.sparse`` matrix; a sparse one
-    is kept sparse all the way to HiGHS, as a ``SparseConstraints``, whose
-    class is built on the first sparse program.  A sparse matrix can only
-    exist once ``scipy.sparse`` is imported, so a dense program is told
-    apart without importing it.
+    ``a_eq`` is a dense array or a ``CscMatrix``, which is kept sparse all
+    the way to HiGHS.
     """
 
     c: np.ndarray
-    a_eq: np.ndarray | scipy.sparse.csc_array
+    a_eq: np.ndarray | CscMatrix
     b_eq: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
-        sparse = sys.modules.get("scipy.sparse")
-        if sparse is not None and sparse.issparse(self.a_eq):
-            a = _sparse_constraints()(self.a_eq, dtype=float)
+        if isinstance(self.a_eq, CscMatrix):
+            a = self.a_eq
         else:
             a = np.atleast_2d(np.asarray(self.a_eq, dtype=float))
         b = np.asarray(self.b_eq, dtype=float)

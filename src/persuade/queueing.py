@@ -31,6 +31,7 @@ from .binary import (
     verify_threshold,
 )
 from .geometry import (
+    CscMatrix,
     LinearProgram,
     LpResult,
     LpSolverError,
@@ -235,26 +236,33 @@ def _flow_program(d: int, lam: float, candidates: HullCandidates) -> LinearProgr
     row d - 1 the normalization term 1 + rate * v[d - 1], with rate the
     arrival rate for join columns and 0 for leave ones.  So a slot (s, x)
     adds x at row s - 1, and -rate * x at row s (rate * x when s = d - 1);
-    every column starts with 1 at row d - 1.  These terms are summed as a
-    COO matrix (at most two meet in a balance row, so the sums are the
-    dense ones bit for bit) and exact zeros are left out.
+    every column has 1 at row d - 1, the last row.  A slot's rows s - 1 < s
+    are in order, so merging the two slots sorts a column: the shorter
+    length's slot first, and for a pure state (w, w) both w - 1 terms
+    before both w terms.  Equal rows are then summed (at most two of their
+    terms are nonzero, so the sums are the dense ones bit for bit), and
+    exact zeros and row -1 (a slot at length 0) left out.
     """
-    import scipy.sparse
-
     states, weights, n1 = candidates.states, candidates.weights, candidates.n_accept
     n = states.shape[0]
-    cols = np.repeat(np.arange(n), states.shape[1])
-    s, x = states.ravel(), weights.ravel()
-    rate = np.where(cols < n1, lam, 0.0)
-    up = s >= 1
-    rows = np.concatenate([np.full(n, d - 1), s[up] - 1, s])
-    values = np.concatenate(
-        [np.ones(n), x[up], np.where(s < d - 1, -rate * x, rate * x)]
-    )
-    columns = np.concatenate([np.arange(n), cols[up], cols])
-    a_eq = scipy.sparse.coo_array((values, (rows, columns)), shape=(d, n)).tocsc()
-    a_eq.sum_duplicates()
-    a_eq.eliminate_zeros()
+    rate = np.where(np.arange(n) < n1, lam, 0.0)[:, None]
+    flow = np.where(states < d - 1, -rate, rate) * weights
+    rows = np.column_stack([states[:, 0] - 1, states[:, 0], states[:, 1] - 1, states[:, 1],
+                            np.full(n, d - 1)])
+    values = np.column_stack([weights[:, 0], flow[:, 0], weights[:, 1], flow[:, 1], np.ones(n)])
+    # The sorted term order when slot 0's length is shorter, equal, longer.
+    merge = np.array([[0, 1, 2, 3, 4], [0, 2, 1, 3, 4], [2, 3, 0, 1, 4]])
+    order = merge[np.sign(states[:, 0] - states[:, 1]) + 1] + np.arange(0, 5 * n, 5)[:, None]
+    rows, values = rows.ravel()[order], values.ravel()[order]
+    # Each run of equal rows sums into its last term, and the others become 0.
+    for k in range(1, 5):
+        same = rows[:, k] == rows[:, k - 1]
+        values[:, k] += values[:, k - 1] * same
+        values[:, k - 1] *= ~same
+    keep = (values != 0.0) & (rows >= 0)
+    # Entries kept up to the end of each column.
+    indptr = np.concatenate(([0], np.cumsum(keep)[4::5]))
+    a_eq = CscMatrix(indptr, rows[keep], values[keep], (d, n))
     b_eq = np.zeros(d)
     b_eq[d - 1] = 1.0
     c = np.concatenate([np.ones(n1), np.zeros(n - n1)])

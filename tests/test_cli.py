@@ -107,6 +107,26 @@ def test_solve_out_writes_scheme(tmp_path, capsys):
     assert validate_scheme(compiled, inst).ok
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["solve"], "--out"),
+        (_queue_args(), "--out"),
+        (_queue_args(), "--emit-plot-data"),
+        (_queue_args() + ["--format", "csv"], "--emit-plot-data"),
+    ],
+    ids=["solve-out", "queue-out", "queue-plot-data", "queue-csv-plot-data"],
+)
+def test_a_file_that_cannot_be_written_prints_no_document(tmp_path, capsys, argv, flag):
+    # The path is a directory: exit 1 with the I/O error, and nothing on stdout.
+    if argv == ["solve"]:
+        argv = argv + ["--instance", _write(tmp_path, "inst.json", threshold_instance_dict())]
+    assert cli.run(argv + [flag, str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Is a directory" in captured.err
+
+
 def test_solve_grid_method(tmp_path, capsys):
     path = _write(tmp_path, "inst.json", _expected_dict())
     assert cli.run(

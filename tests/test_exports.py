@@ -32,6 +32,7 @@ REMOVED_FUNCTIONS = (
     "roundtrip",
     "BALANCE_TOLERANCE",
     "NORMALIZATION_TOLERANCE",
+    "SparseConstraints",
 )
 REMOVED_MEMBERS = (
     ("Belief", "point"),

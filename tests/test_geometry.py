@@ -35,7 +35,7 @@ from persuade import (
     solve_lp,
     validate_scheme,
 )
-from persuade.geometry import CERTIFICATE_TOLERANCE, FULL_LP_COLUMNS, LP_RESIDUAL
+from persuade.geometry import CERTIFICATE_TOLERANCE, FULL_LP_COLUMNS, LP_RESIDUAL, CscMatrix
 from persuade.model import PLAN_MASS_TOLERANCE
 
 
@@ -178,13 +178,15 @@ def test_engine_matches_scipy_highs_ds_bit_for_bit(sparse, options):
         d, n = int(rng.integers(2, 10)), int(rng.integers(2, 60))
         a = rng.random((d, n)) * (rng.random((d, n)) < 0.6)
         a[-1] = 1.0
-        lp = LinearProgram(
-            rng.normal(size=n),
-            scipy.sparse.csc_array(a) if sparse else a,
-            a @ rng.dirichlet(np.ones(n)),
-        )
-        args = (-lp.c, lp.a_eq, lp.b_eq, options)
-        got, want = persuade.geometry.linprog(*args), _highs_ds(*args)
+        lp = LinearProgram(rng.normal(size=n), a, a @ rng.dirichlet(np.ones(n)))
+        reference = (-lp.c, lp.a_eq, lp.b_eq, options)
+        args = reference
+        if sparse:
+            # scipy's own CSC matrix is the reference input; the engine gets its arrays.
+            ref = scipy.sparse.csc_array(a)
+            reference = (-lp.c, ref, lp.b_eq, options)
+            args = (-lp.c, CscMatrix(ref.indptr, ref.indices, ref.data, ref.shape), lp.b_eq, options)
+        got, want = persuade.geometry.linprog(*args), _highs_ds(*reference)
         assert got.status == want.status == 0
         assert got.x.tobytes() == want.x.tobytes()
         assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
@@ -241,6 +243,64 @@ def test_linear_program_shape_guard():
         LinearProgram(
             c=np.ones(3), a_eq=np.ones((2, 2)), b_eq=np.ones(2)
         )
+    with pytest.raises(ValueError, match="constraint shapes disagree"):
+        LinearProgram(np.ones(3), CscMatrix([0, 1, 1], [0], [1.0], (2, 2)), np.ones(2))
+
+
+@pytest.mark.parametrize("entries", ["integer", "real"])
+def test_csc_matrix_matches_scipy_and_the_dense_matrix(entries):
+    # scipy's CSC is the oracle for every result.  Integer entries make
+    # every sum exact, so the dense computation gives the same bits too.
+    rng = np.random.default_rng(20)
+
+    def draw(*size):
+        if entries == "integer":
+            return rng.integers(-4, 5, size).astype(float)
+        return rng.normal(size=size)
+
+    for _ in range(60):
+        m, n = int(rng.integers(2, 12)), int(rng.integers(3, 40))
+        a = np.where(rng.random((m, n)) < 0.4, draw(m, n), 0.0)
+        a[:, rng.integers(n)] = 0.0
+        ref = scipy.sparse.csc_array(a)
+        csc = CscMatrix(ref.indptr, ref.indices, ref.data, ref.shape)
+        x, y = draw(n), draw(m)
+        cols = np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
+        rows = np.sort(rng.choice(m, int(rng.integers(1, m + 1)), replace=False))
+        sub, ref_sub = csc[:, cols][rows], ref[:, cols][rows]
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(sub, field), getattr(ref_sub, field)), field
+        for got, want, dense in (
+            (csc @ x, ref @ x, a @ x),
+            (csc.T @ y, ref.T @ y, a.T @ y),
+            (np.asarray(csc), ref.toarray(), a),
+            (np.asarray(sub), ref_sub.toarray(), a[:, cols][rows]),
+        ):
+            assert got.tobytes() == want.tobytes()
+            if entries == "integer":
+                assert got.tobytes() == dense.tobytes()
+    assert np.count_nonzero(csc) == ref.nnz
+
+
+@pytest.mark.parametrize(
+    "indptr, indices, message",
+    [
+        ([0, 1], [0], "column pointers"),
+        ([0, 2, 1], [0], "column pointers"),
+        ([0, 1, 2], [0, 3], "row indices"),
+        ([0, 2, 2], [1, 0], "row indices"),
+        ([0, 2, 2], [1, 1], "row indices"),
+    ],
+    ids=["short", "decreasing", "row-out-of-range", "unsorted", "repeated"],
+)
+def test_csc_matrix_refuses_arrays_out_of_canonical_form(indptr, indices, message):
+    with pytest.raises(ValueError, match=message):
+        CscMatrix(indptr, indices, np.ones(len(indices)), (3, 2))
+    matrix = CscMatrix([0, 1, 1], [0], [1.0], (3, 2))
+    with pytest.raises(ValueError, match="increase"):
+        matrix[np.array([1, 1])]
+    with pytest.raises(TypeError, match="sub-matrices"):
+        matrix[0, 1]
 
 
 def test_hull_membership_recovers_random_mixtures():

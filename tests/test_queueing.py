@@ -31,7 +31,7 @@ from persuade import (
     verify_threshold,
 )
 from persuade.binary import classify_states
-from persuade.geometry import certificate_bound
+from persuade.geometry import CscMatrix, certificate_bound
 from persuade.model import (
     ActionSpace,
     Belief,
@@ -479,7 +479,7 @@ def test_sparse_flow_lp_matches_dense_oracle(params, monkeypatch):
         d, lam, cls.accept, cls.strict_reject, blends
     )
     dense = scipy.sparse.csc_array(a_eq)
-    assert scipy.sparse.issparse(lp.a_eq)
+    assert type(lp.a_eq) is CscMatrix
     for field in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(lp.a_eq, field), getattr(dense, field)), field
     assert np.array_equal(lp.c, c) and np.array_equal(lp.b_eq, b_eq)
