@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import InfeasibleProgramError, LinearProgram, solve_by_columns
+from .geometry import CscMatrix, InfeasibleProgramError, LinearProgram, solve_by_columns
 from .model import (
     PLAN_MASS_TOLERANCE,
     OptimalPlan,
@@ -90,17 +90,12 @@ class GridSpec:
         k, d = self.k, self.dim
         if d == 1:
             return np.ones((1, 1))
-        bars = np.array(
-            list(itertools.combinations(range(k + d - 1), d - 1)), dtype=np.int64
-        )
-        ext = np.hstack(
-            [
-                np.full((bars.shape[0], 1), -1, dtype=np.int64),
-                bars,
-                np.full((bars.shape[0], 1), k + d - 1, dtype=np.int64),
-            ]
-        )
-        counts = np.diff(ext, axis=1) - 1
+        bars = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(k + d - 1), d - 1)),
+            np.int64,
+            count=self.n_points * (d - 1),
+        ).reshape(-1, d - 1)
+        counts = np.diff(bars, axis=1, prepend=-1, append=k + d - 1) - 1
         return counts.astype(float) / float(k)
 
 
@@ -144,9 +139,8 @@ def plan_from_candidates(
     for a in np.unique(actions):
         mask = actions == a
         c[mask] = rows[mask] @ v[:, a]
-    res = solve_by_columns(
-        LinearProgram(c=c, a_eq=rows.T, b_eq=instance.prior.weights), _pure_seed(rows, c)
-    )
+    lp = LinearProgram(c=c, a_eq=CscMatrix.from_dense(rows.T), b_eq=instance.prior.weights)
+    res = solve_by_columns(lp, _pure_seed(rows, c))
     t = np.zeros((instance.n_actions, instance.n_states))
     atoms = []
     for i in np.nonzero(res.x)[0]:
@@ -222,8 +216,8 @@ def solve_obedience(instance: PersuasionInstance) -> OptimalPlan:
         obey[i, a * d : (a + 1) * d] = u[:, a] - u[:, b]
     lp = LinearProgram(
         c=np.concatenate([instance.sender.table.T.ravel(), np.zeros(len(pairs))]),
-        a_eq=np.block(
-            [[np.tile(np.eye(d), n), np.zeros((d, len(pairs)))], [obey, -np.eye(len(pairs))]]
+        a_eq=CscMatrix.from_dense(
+            np.block([[np.tile(np.eye(d), n), np.zeros((d, len(pairs)))], [obey, -np.eye(len(pairs))]])
         ),
         b_eq=np.concatenate([instance.prior.weights, np.zeros(len(pairs))]),
     )

@@ -10,7 +10,7 @@ the whole program.
 
 HiGHS is scipy's bundled extension module ``scipy.optimize._highspy._core``,
 loaded by itself on the first LP solved (``linprog``), so no process loads
-``scipy.optimize``.  A sparse program holds its constraints as a
+``scipy.optimize``.  Every program holds its constraints as a
 ``CscMatrix``, numpy arrays in the compressed column form HiGHS takes, so
 no process imports scipy's sparse package either.  Importing the package
 loads no scipy module: the CLI verbs that solve no LP (``validate``,
@@ -114,32 +114,26 @@ def linprog(c, A_eq, b_eq, options=None):
     """minimize c . x  s.t.  A_eq x = b_eq, x >= 0, by the HiGHS dual simplex.
 
     The model and the options are those of scipy's
-    ``linprog(method="highs-ds")``: HiGHS gets the constraints in CSC
-    form (a dense ``A_eq``'s nonzeros, or a ``CscMatrix``'s arrays), presolve
-    on, the dual simplex strategy and output off, plus ``options`` (HiGHS
-    option names).  Returns ``status`` (0 optimal, 2
-    infeasible, 3 unbounded, 4 any other HiGHS verdict), ``success``,
-    ``message`` and, at an optimum, ``x``, ``fun`` and the equality duals
-    ``eqlin.marginals`` (scipy's names).  Like scipy, it refuses an empty
-    or non-finite program with ``ValueError`` before HiGHS sees it.
+    ``linprog(method="highs-ds")``: HiGHS gets the arrays of the
+    ``CscMatrix`` ``A_eq``, presolve on, the dual simplex strategy and
+    output off, plus ``options`` (HiGHS option names).  Returns ``status``
+    (0 optimal, 2 infeasible, 3 unbounded, 4 any other HiGHS verdict),
+    ``success``, ``message`` and, at an optimum, ``x``, ``fun`` and the
+    equality duals ``eqlin.marginals`` (scipy's names).  Like scipy, it
+    refuses an empty or non-finite program with ``ValueError`` before
+    HiGHS sees it.
     """
     core = _highs()
     n = c.size
-    if isinstance(A_eq, np.ndarray):
-        cols, rows = np.nonzero(A_eq.T)
-        data = A_eq[rows, cols]
-        start = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
-    else:
-        start, rows, data = A_eq.indptr, A_eq.indices, A_eq.data
-    if n == 0 or not all(np.isfinite(v).all() for v in (c, data, b_eq)):
+    if n == 0 or not all(np.isfinite(v).all() for v in (c, A_eq.data, b_eq)):
         raise ValueError("LP coefficients must be finite, with at least one column")
     model = core.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = n
     model.num_row_ = model.a_matrix_.num_row_ = b_eq.size
     model.a_matrix_.format_ = core.MatrixFormat.kColwise
-    model.a_matrix_.start_ = start
-    model.a_matrix_.index_ = rows
-    model.a_matrix_.value_ = data
+    model.a_matrix_.start_ = A_eq.indptr
+    model.a_matrix_.index_ = A_eq.indices
+    model.a_matrix_.value_ = A_eq.data
     model.col_cost_ = c
     model.col_lower_ = np.zeros(n)
     model.col_upper_ = np.full(n, core.kHighsInf)
@@ -193,8 +187,7 @@ class CscMatrix:
     products do, so they give its bits.  ``A[:, cols]`` and ``A[rows]``
     (increasing ``rows``) take sub-matrices as numpy does.  ``np.asarray``
     and the numpy functions built on it (``np.count_nonzero``, ...) see the
-    dense matrix, so code that reads ``LinearProgram.a_eq`` with numpy works
-    on either kind of program.
+    dense matrix.
     """
 
     def __init__(self, indptr, indices, data, shape):
@@ -219,6 +212,14 @@ class CscMatrix:
             and ((np.diff(rows) > 0) | (np.diff(self._cols) > 0)).all()
         ):
             raise ValueError(f"CSC row indices must increase within each column, below {m}")
+
+    @classmethod
+    def from_dense(cls, a: np.ndarray) -> CscMatrix:
+        """The nonzeros of a dense matrix, column by column: scipy's ``csc_array(a)``."""
+        cols = np.ascontiguousarray(np.asarray(a, dtype=float).T)
+        keep = cols != 0.0
+        indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))
+        return cls(indptr, np.nonzero(keep)[1], cols[keep], cols.shape[::-1])
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self.indices, weights=self.data * x[self._cols], minlength=self.shape[0])
@@ -269,20 +270,20 @@ class _CscTranspose:
 class LinearProgram:
     """maximize c . x  subject to  A_eq x = b_eq, x >= 0.
 
-    ``a_eq`` is a dense array or a ``CscMatrix``, which is kept sparse all
-    the way to HiGHS.
+    ``a_eq`` is a ``CscMatrix``, kept sparse all the way to HiGHS; a
+    builder that holds a dense matrix converts it once with
+    ``CscMatrix.from_dense``.
     """
 
     c: np.ndarray
-    a_eq: np.ndarray | CscMatrix
+    a_eq: CscMatrix
     b_eq: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
-        if isinstance(self.a_eq, CscMatrix):
-            a = self.a_eq
-        else:
-            a = np.atleast_2d(np.asarray(self.a_eq, dtype=float))
+        a = self.a_eq
+        if not isinstance(a, CscMatrix):
+            raise TypeError(f"a_eq must be a CscMatrix, not {type(a).__name__}")
         b = np.asarray(self.b_eq, dtype=float)
         if a.shape != (b.size, c.size):
             raise ValueError(
@@ -290,7 +291,6 @@ class LinearProgram:
                 f"b has {b.size} rows, c has {c.size} columns"
             )
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "a_eq", a)
         object.__setattr__(self, "b_eq", b)
 
 
@@ -367,7 +367,9 @@ def certify(
     ``rounds`` and final ``columns``; a failed check raises
     ``LpSolverError``.
     """
-    residual = float(np.max(np.abs(lp.a_eq @ x - lp.b_eq), initial=0.0))
+    # Over x's nonzero columns only: the terms left out are +-0, so the bits are A x's.
+    nz = np.flatnonzero(x)
+    residual = float(np.max(np.abs(lp.a_eq[:, nz] @ x[nz] - lp.b_eq), initial=0.0))
     if not residual <= LP_RESIDUAL * (1.0 + float(np.max(np.abs(lp.b_eq), initial=0.0))):
         raise LpSolverError(f"equality residual {residual:.3e} out of tolerance")
     bound = certificate_bound(lp)

@@ -38,6 +38,7 @@ from persuade.scheme import scheme_from_json, scheme_to_json, signal_cdf
 from persuade.geometry import (
     ATOM_FLOOR,
     LP_RESIDUAL,
+    CscMatrix,
     InfeasibleProgramError,
     LinearProgram,
     solve_lp,
@@ -410,7 +411,7 @@ def _membership_lp(target: np.ndarray, points: np.ndarray) -> LinearProgram:
     b = np.concatenate([target, [1.0]])
     c = np.zeros(n + 2 * d)
     c[n:] = -1.0
-    return LinearProgram(c=c, a_eq=a, b_eq=b)
+    return LinearProgram(c=c, a_eq=CscMatrix.from_dense(a), b_eq=b)
 
 
 def hull_membership(

@@ -1,7 +1,7 @@
 """A cold process never loads ``scipy.optimize`` or ``scipy.sparse``.
 
-The LP verbs load scipy's HiGHS extension module by itself, and the
-queue's sparse flow LP is a numpy ``CscMatrix``.
+The LP verbs load scipy's HiGHS extension module by itself, and every
+LP's constraints are a numpy ``CscMatrix``.
 
 Each case runs a fresh interpreter under ``-X importtime``, which lists on
 stderr every module the process imports, so the CLI runs exactly as
@@ -95,9 +95,10 @@ def test_cold_lp_verb_prints_the_in_process_bytes_without_scipy_optimize(argvs, 
 ENGINE_AND_SCIPY = """
 import sys
 import numpy as np
-from persuade.geometry import HIGHS_CORE, LinearProgram, solve_lp
+from persuade.geometry import HIGHS_CORE, CscMatrix, LinearProgram, solve_lp
 
-lp = LinearProgram(np.arange(4.0), np.array([[1.0, 1, 1, 1], [0, 1, 2, 3]]), np.array([1.0, 1.5]))
+a = np.array([[1.0, 1, 1, 1], [0, 1, 2, 3]])
+lp = LinearProgram(np.arange(4.0), CscMatrix.from_dense(a), np.array([1.0, 1.5]))
 answers = []
 for step in {order}:
     if step == "solve":
@@ -107,7 +108,7 @@ for step in {order}:
         import scipy.optimize
 assert sys.modules["scipy.optimize._highspy._highs_wrapper"]._h is sys.modules[HIGHS_CORE]
 assert [name for name in sys.modules if name.endswith("_highspy._core")] == [HIGHS_CORE]
-assert scipy.optimize.linprog(-lp.c, A_eq=lp.a_eq, b_eq=lp.b_eq, method="highs-ds").success
+assert scipy.optimize.linprog(-lp.c, A_eq=a, b_eq=lp.b_eq, method="highs-ds").success
 print(len({{(res.x.tobytes(), res.dual.tobytes()) for res in answers}}))
 """
 

@@ -31,8 +31,10 @@ from persuade import (
     instance_from_json,
     plan_from_candidates,
     scheme_from_plan,
+    solve_binary,
     solve_by_columns,
     solve_lp,
+    solve_obedience,
     validate_scheme,
 )
 from persuade.geometry import CERTIFICATE_TOLERANCE, FULL_LP_COLUMNS, LP_RESIDUAL, CscMatrix
@@ -41,7 +43,7 @@ from persuade.model import PLAN_MASS_TOLERANCE
 
 def test_solve_lp_small_known_optimum():
     lp = LinearProgram(
-        c=np.array([1.0, 2.0]), a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0])
+        c=np.array([1.0, 2.0]), a_eq=CscMatrix.from_dense([[1.0, 1.0]]), b_eq=np.array([1.0])
     )
     res = solve_lp(lp)
     assert res.value == pytest.approx(2.0, abs=1e-12)
@@ -50,7 +52,7 @@ def test_solve_lp_small_known_optimum():
 
 def test_solve_lp_reports_infeasible():
     lp = LinearProgram(
-        c=np.array([1.0]), a_eq=np.array([[1.0]]), b_eq=np.array([-1.0])
+        c=np.array([1.0]), a_eq=CscMatrix.from_dense([[1.0]]), b_eq=np.array([-1.0])
     )
     with pytest.raises(InfeasibleProgramError, match="LP is infeasible"):
         solve_lp(lp)
@@ -58,7 +60,7 @@ def test_solve_lp_reports_infeasible():
 
 def test_solve_lp_reports_unbounded():
     lp = LinearProgram(
-        c=np.array([1.0, 0.0]), a_eq=np.array([[0.0, 1.0]]), b_eq=np.array([1.0])
+        c=np.array([1.0, 0.0]), a_eq=CscMatrix.from_dense([[0.0, 1.0]]), b_eq=np.array([1.0])
     )
     with pytest.raises(InfeasibleProgramError, match="LP is unbounded"):
         solve_lp(lp)
@@ -72,7 +74,7 @@ def test_solve_lp_returns_basic_solutions():
         rows, cols = int(rng.integers(2, 6)), int(rng.integers(8, 20))
         a = rng.uniform(0.0, 1.0, size=(rows, cols))
         feasible = rng.uniform(0.0, 1.0, size=cols)
-        lp = LinearProgram(c=rng.normal(size=cols), a_eq=a, b_eq=a @ feasible)
+        lp = LinearProgram(c=rng.normal(size=cols), a_eq=CscMatrix.from_dense(a), b_eq=a @ feasible)
         res = solve_lp(lp)
         assert int((res.x > 1e-10).sum()) <= rows
         assert (res.rounds, res.columns) == (1, cols)
@@ -82,7 +84,7 @@ def test_solve_lp_returns_basic_solutions():
 def test_solve_lp_returns_equality_duals():
     # max x1 + 2 x2 with x1 + x2 = 1: the row's shadow price is 2.
     lp = LinearProgram(
-        c=np.array([1.0, 2.0]), a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0])
+        c=np.array([1.0, 2.0]), a_eq=CscMatrix.from_dense([[1.0, 1.0]]), b_eq=np.array([1.0])
     )
     res = solve_lp(lp)
     assert res.dual == pytest.approx([2.0], abs=1e-12)
@@ -112,7 +114,9 @@ def _fake_linprog(monkeypatch, *weights, duals=None):
 
 
 # max x1 + 2 x2 + 3 x3 on the simplex: x = e3, y = 3, certificate bound 4e-9.
-_SIMPLEX_LP = LinearProgram(c=np.arange(4.0), a_eq=np.ones((1, 4)), b_eq=np.array([1.0]))
+_SIMPLEX_LP = LinearProgram(
+    c=np.arange(4.0), a_eq=CscMatrix.from_dense(np.ones((1, 4))), b_eq=np.array([1.0])
+)
 _RETRY = {
     "primal_feasibility_tolerance": LP_RESIDUAL,
     "dual_feasibility_tolerance": CERTIFICATE_TOLERANCE,
@@ -178,9 +182,10 @@ def test_engine_matches_scipy_highs_ds_bit_for_bit(sparse, options):
         d, n = int(rng.integers(2, 10)), int(rng.integers(2, 60))
         a = rng.random((d, n)) * (rng.random((d, n)) < 0.6)
         a[-1] = 1.0
-        lp = LinearProgram(rng.normal(size=n), a, a @ rng.dirichlet(np.ones(n)))
-        reference = (-lp.c, lp.a_eq, lp.b_eq, options)
-        args = reference
+        lp = LinearProgram(rng.normal(size=n), CscMatrix.from_dense(a), a @ rng.dirichlet(np.ones(n)))
+        # scipy gets the dense matrix, the engine its CSC arrays.
+        reference = (-lp.c, a, lp.b_eq, options)
+        args = (-lp.c, lp.a_eq, lp.b_eq, options)
         if sparse:
             # scipy's own CSC matrix is the reference input; the engine gets its arrays.
             ref = scipy.sparse.csc_array(a)
@@ -201,7 +206,8 @@ def test_engine_matches_scipy_highs_ds_bit_for_bit(sparse, options):
 def test_engine_matches_scipy_highs_ds_verdicts(c, a, b, status):
     # x1 + x2 = -1 has no nonnegative point; x1 = x2 lets -x1 fall forever.
     args = (np.array(c), np.array([a]), np.array([b]))
-    got, want = persuade.geometry.linprog(*args), _highs_ds(*args)
+    got = persuade.geometry.linprog(args[0], CscMatrix.from_dense(args[1]), args[2])
+    want = _highs_ds(*args)
     assert got.status == want.status == status
     assert not got.success and got.x is None
     assert "HiGHS Status" in got.message
@@ -213,13 +219,14 @@ def test_engine_refuses_non_finite_programs_as_scipy_did():
         with pytest.raises(ValueError):
             _highs_ds(np.array(c), a_eq, b)
         with pytest.raises(ValueError, match="finite"):
-            persuade.geometry.linprog(np.array(c), a_eq, b)
+            persuade.geometry.linprog(np.array(c), CscMatrix.from_dense(a_eq), b)
 
 
 def test_a_model_highs_refuses_is_an_engine_failure_not_infeasible():
     # HiGHS refuses a matrix entry of 1e15 or more when the model is
     # passed; scipy reported that as infeasible, though x = (1, 0) is feasible.
-    lp = LinearProgram(np.array([1.0, 0.0]), np.array([[1.0, 1e16], [1.0, 1.0]]), np.ones(2))
+    a = CscMatrix.from_dense([[1.0, 1e16], [1.0, 1.0]])
+    lp = LinearProgram(np.array([1.0, 0.0]), a, np.ones(2))
     with pytest.raises(LpSolverError, match=r"LP engine failed: .*\(HiGHS Status 2: Model error\)"):
         solve_lp(lp)
 
@@ -241,7 +248,7 @@ def test_missing_highs_core_names_the_scipy_found(monkeypatch, tmp_path):
 def test_linear_program_shape_guard():
     with pytest.raises(ValueError):
         LinearProgram(
-            c=np.ones(3), a_eq=np.ones((2, 2)), b_eq=np.ones(2)
+            c=np.ones(3), a_eq=CscMatrix.from_dense(np.ones((2, 2))), b_eq=np.ones(2)
         )
     with pytest.raises(ValueError, match="constraint shapes disagree"):
         LinearProgram(np.ones(3), CscMatrix([0, 1, 1], [0], [1.0], (2, 2)), np.ones(2))
@@ -301,6 +308,44 @@ def test_csc_matrix_refuses_arrays_out_of_canonical_form(indptr, indices, messag
         matrix[np.array([1, 1])]
     with pytest.raises(TypeError, match="sub-matrices"):
         matrix[0, 1]
+
+
+def test_from_dense_gives_scipys_csc_arrays():
+    # Zero and -0.0 entries are left out, as scipy leaves them out; an
+    # empty column keeps its place.
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 30))
+        a = np.where(rng.random((m, n)) < 0.4, rng.normal(size=(m, n)), 0.0)
+        a[rng.random((m, n)) < 0.1] = -0.0
+        a[:, rng.integers(n)] = 0.0
+        csc, ref = CscMatrix.from_dense(a), scipy.sparse.csc_array(a)
+        assert csc.shape == ref.shape
+        assert np.array_equal(csc.indptr, ref.indptr) and np.array_equal(csc.indices, ref.indices)
+        assert csc.data.tobytes() == ref.data.tobytes()
+        assert np.asarray(csc).tobytes() == (a + 0.0).tobytes()
+
+
+def test_linear_program_refuses_a_dense_matrix():
+    with pytest.raises(TypeError, match="CscMatrix"):
+        LinearProgram(np.ones(2), np.ones((1, 2)), np.ones(1))
+
+
+def test_product_over_the_nonzero_columns_is_the_full_product():
+    # certify's residual reads A[:, nz] @ x[nz]: the terms it leaves out
+    # are +-0 added to sums that start at +0.0, so the bits are A @ x's,
+    # with -0.0 and exact zeros in x and sums that cancel to 0.
+    rng = np.random.default_rng(25)
+    for _ in range(60):
+        m, n = int(rng.integers(1, 8)), int(rng.integers(1, 40))
+        a = np.where(rng.random((m, n)) < 0.5, rng.integers(-3, 4, (m, n)).astype(float), 0.0)
+        if rng.random() < 0.5:
+            a *= rng.normal(size=(m, n))
+        csc = CscMatrix.from_dense(a)
+        x = np.where(rng.random(n) < 0.3, rng.integers(1, 4, n).astype(float), 0.0)
+        x[rng.random(n) < 0.3] = -0.0
+        nz = np.flatnonzero(x)
+        assert (csc[:, nz] @ x[nz]).tobytes() == (csc @ x).tobytes()
 
 
 def test_hull_membership_recovers_random_mixtures():
@@ -526,7 +571,7 @@ def test_column_limit_is_inclusive(monkeypatch):
     sizes = {}
     for n in (FULL_LP_COLUMNS, FULL_LP_COLUMNS + 1):
         lps.clear()
-        lp = LinearProgram(c=c[:n], a_eq=rows[:n].T, b_eq=np.full(d, 1.0 / d))
+        lp = LinearProgram(c=c[:n], a_eq=CscMatrix.from_dense(rows[:n].T), b_eq=np.full(d, 1.0 / d))
         solve_by_columns(lp, np.arange(d))
         sizes[n] = [sub.c.size for sub, _ in lps]
     assert sizes[FULL_LP_COLUMNS] == [FULL_LP_COLUMNS]
@@ -553,6 +598,50 @@ def test_grid_programs_above_the_limit_match_the_full_lp(monkeypatch, kind, seed
     off_ideal = np.arange(instance.n_actions)[:, None] != np.argmax(instance.sender.table, axis=1)
     assert full_persuasion(instance, plan) == bool(t[off_ideal].sum() <= PLAN_MASS_TOLERANCE)
     assert full_persuasion(instance, plan) or kind != "aligned"
+
+
+def _binary_hull_instance(seed, d):
+    """A seeded two-action expected-utility instance, which solve_binary takes."""
+    rng = np.random.default_rng(seed)
+    return instance_from_json(
+        {
+            "states": [f"s{i}" for i in range(d)],
+            "actions": ["reject", "accept"],
+            "prior": rng.dirichlet(np.ones(d)).tolist(),
+            "sender_v": [[0.0, 1.0]] * d,
+            "receiver": {"kind": "expected", "u": rng.uniform(-1.0, 1.0, (d, 2)).tolist()},
+        }
+    )
+
+
+@pytest.mark.parametrize("program", ["binary-hull", "grid", "obedience"])
+def test_plan_programs_hand_highs_scipys_csc_arrays(monkeypatch, program):
+    # Each builder converts its dense matrix once, and HiGHS gets the arrays
+    # of scipy's csc_array of that matrix: the input a dense program gave it.
+    dense = []
+    from_dense = CscMatrix.from_dense.__func__
+
+    def recording(cls, a):
+        dense.append(np.array(a))
+        return from_dense(cls, a)
+
+    monkeypatch.setattr(CscMatrix, "from_dense", classmethod(recording))
+    solves = _record(monkeypatch, "solve_by_columns", persuade.general)
+    if program == "binary-hull":
+        solve_binary(_binary_hull_instance(26, 12))
+    elif program == "grid":
+        instance = _grid_instance(12, 5, "nonconvex")
+        rows, actions = _candidates(instance, 30)
+        assert rows.shape[0] > FULL_LP_COLUMNS
+        plan_from_candidates(instance, rows, actions)
+    else:
+        solve_obedience(_grid_instance(27, 4, "three-action"))
+    (lp, _), = solves
+    (a,) = dense
+    ref = scipy.sparse.csc_array(a)
+    assert lp.a_eq.shape == ref.shape == (lp.b_eq.size, lp.c.size)
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(lp.a_eq, field), getattr(ref, field)), field
 
 
 def test_candidates_without_a_pure_state_use_all_columns(monkeypatch):
