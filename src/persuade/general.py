@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import CscMatrix, InfeasibleProgramError, LinearProgram, solve_by_columns
+from .geometry import CscMatrix, InfeasibleProgramError, LinearProgram, solve_by_columns, solve_lp
 from .model import (
     PLAN_MASS_TOLERANCE,
     OptimalPlan,
@@ -202,8 +202,8 @@ def solve_obedience(instance: PersuasionInstance) -> OptimalPlan:
     recommends actions the receiver obeys (Bergemann & Morris 2016): it
     maximizes sum t(a, w) v(w, a) over joint masses t >= 0 and slacks
     s(a, b) >= 0, a != b, with sum_a t(a, w) = prior(w) and
-    sum_w t(a, w) (u(w, a) - u(w, b)) - s(a, b) = 0.  ``solve_by_columns``
-    solves it directly and certifies it.  The plan's t is the LP's, with
+    sum_w t(a, w) (u(w, a) - u(w, b)) - s(a, b) = 0.  ``solve_lp`` solves
+    it directly and certifies it.  The plan's t is the LP's, with
     one atom at t[a] / sum(t[a]) per action of positive mass.
     """
     if instance.receiver.kind != "expected":
@@ -221,7 +221,7 @@ def solve_obedience(instance: PersuasionInstance) -> OptimalPlan:
         ),
         b_eq=np.concatenate([instance.prior.weights, np.zeros(len(pairs))]),
     )
-    res = solve_by_columns(lp, None)
+    res = solve_lp(lp)
     t = res.x[: n * d].reshape(n, d)
     mass = t.sum(axis=1)
     atoms = tuple(

@@ -9,13 +9,14 @@ column generation on the duals and certifies the optimum it returns on
 the whole program.
 
 HiGHS is scipy's bundled extension module ``scipy.optimize._highspy._core``,
-loaded by itself on the first LP solved (``linprog``), so no process loads
-``scipy.optimize``.  Every program holds its constraints as a
-``CscMatrix``, numpy arrays in the compressed column form HiGHS takes, so
-no process imports scipy's sparse package either.  Importing the package
-loads no scipy module: the CLI verbs that solve no LP (``validate``,
-``simulate``) start without scipy, and ``solve``, ``check-full`` and
-``queue`` load the HiGHS module alone.
+loaded by itself on the first LP solved, so no process loads
+``scipy.optimize``.  ``linprog`` hands it one program and returns the
+optimum's weights, value and duals, or raises.  Every program holds its
+constraints as a ``CscMatrix``, numpy arrays in the compressed column form
+HiGHS takes, so no process imports scipy's sparse package either.
+Importing the package loads no scipy module: the CLI verbs that solve no
+LP (``validate``, ``simulate``) start without scipy, and ``solve``,
+``check-full`` and ``queue`` load the HiGHS module alone.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import os
 import sys
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -110,30 +110,28 @@ def _highs():
     raise ImportError(f"{HIGHS_CORE} not found: the LP engine needs scipy>=1.15, found {found}")
 
 
-def linprog(c, A_eq, b_eq, options=None):
-    """minimize c . x  s.t.  A_eq x = b_eq, x >= 0, by the HiGHS dual simplex.
+def linprog(c, a_eq, b_eq, options=None):
+    """minimize c . x  s.t.  a_eq x = b_eq, x >= 0, by the HiGHS dual simplex.
 
-    The model and the options are those of scipy's
-    ``linprog(method="highs-ds")``: HiGHS gets the arrays of the
-    ``CscMatrix`` ``A_eq``, presolve on, the dual simplex strategy and
-    output off, plus ``options`` (HiGHS option names).  Returns ``status``
-    (0 optimal, 2 infeasible, 3 unbounded, 4 any other HiGHS verdict),
-    ``success``, ``message`` and, at an optimum, ``x``, ``fun`` and the
-    equality duals ``eqlin.marginals`` (scipy's names).  Like scipy, it
-    refuses an empty or non-finite program with ``ValueError`` before
-    HiGHS sees it.
+    HiGHS gets the arrays of the ``CscMatrix`` ``a_eq`` and the options of
+    scipy's ``linprog(method="highs-ds")``: presolve on, the dual simplex
+    strategy and output off, plus ``options`` (HiGHS option names).
+    Returns the optimum ``(x, value, dual)``, ``dual`` the equality duals.
+    An infeasible or unbounded program raises ``InfeasibleProgramError``,
+    and any other HiGHS verdict ``LpSolverError``.  An empty or non-finite
+    program is refused with ``ValueError`` before HiGHS sees it.
     """
     core = _highs()
     n = c.size
-    if n == 0 or not all(np.isfinite(v).all() for v in (c, A_eq.data, b_eq)):
+    if n == 0 or not all(np.isfinite(v).all() for v in (c, a_eq.data, b_eq)):
         raise ValueError("LP coefficients must be finite, with at least one column")
     model = core.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = n
     model.num_row_ = model.a_matrix_.num_row_ = b_eq.size
     model.a_matrix_.format_ = core.MatrixFormat.kColwise
-    model.a_matrix_.start_ = A_eq.indptr
-    model.a_matrix_.index_ = A_eq.indices
-    model.a_matrix_.value_ = A_eq.data
+    model.a_matrix_.start_ = a_eq.indptr
+    model.a_matrix_.index_ = a_eq.indices
+    model.a_matrix_.value_ = a_eq.data
     model.col_cost_ = c
     model.col_lower_ = np.zeros(n)
     model.col_upper_ = np.full(n, core.kHighsInf)
@@ -151,30 +149,17 @@ def linprog(c, A_eq, b_eq, options=None):
         setattr(settings, key, value)
     highs = core._Highs()
     highs.passOptions(settings)
-    if highs.passModel(model) == core.HighsStatus.kError:
-        status = core.HighsModelStatus.kModelError
-    else:
+    status = core.HighsModelStatus.kModelError
+    if highs.passModel(model) != core.HighsStatus.kError:
         highs.run()
         status = highs.getModelStatus()
-    verdict = {
-        core.HighsModelStatus.kOptimal: 0,
-        core.HighsModelStatus.kInfeasible: 2,
-        core.HighsModelStatus.kUnbounded: 3,
-    }.get(status, 4)
-    res = SimpleNamespace(
-        status=verdict,
-        success=verdict == 0,
-        message=f"no optimum (HiGHS Status {int(status)}: {highs.modelStatusToString(status)})",
-        x=None,
-        fun=None,
-        eqlin=SimpleNamespace(marginals=None),
-    )
-    if res.success:
-        solution = highs.getSolution()
-        res.x = np.array(solution.col_value)
-        res.fun = highs.getInfo().objective_function_value
-        res.eqlin.marginals = np.array(solution.row_dual)
-    return res
+    verdict = highs.modelStatusToString(status)
+    if status in (core.HighsModelStatus.kInfeasible, core.HighsModelStatus.kUnbounded):
+        raise InfeasibleProgramError(f"LP is {verdict.lower()}")
+    if status != core.HighsModelStatus.kOptimal:
+        raise LpSolverError(f"LP engine failed: no optimum (HiGHS Status {int(status)}: {verdict})")
+    solution, value = highs.getSolution(), highs.getInfo().objective_function_value
+    return np.array(solution.col_value), value, np.array(solution.row_dual)
 
 
 class CscMatrix:
@@ -183,11 +168,10 @@ class CscMatrix:
     Column j holds ``data[indptr[j]:indptr[j + 1]]`` at the rows
     ``indices[indptr[j]:indptr[j + 1]]``, which increase, so no entry
     repeats: scipy's canonical CSC, the arrays HiGHS takes.  ``A @ x`` and
-    ``A.T @ y`` add each sum's terms in entry order, as scipy's sparse
-    products do, so they give its bits.  ``A[:, cols]`` and ``A[rows]``
-    (increasing ``rows``) take sub-matrices as numpy does.  ``np.asarray``
-    and the numpy functions built on it (``np.count_nonzero``, ...) see the
-    dense matrix.
+    ``A.rmatvec(y)`` (A^T y) add each sum's terms in entry order, as scipy's
+    sparse products do, so they give its bits.  ``A.columns(cols)`` is the
+    sub-matrix of those columns.  ``np.asarray`` and the numpy functions
+    built on it (``np.count_nonzero``, ...) see the dense matrix.
     """
 
     def __init__(self, indptr, indices, data, shape):
@@ -203,7 +187,7 @@ class CscMatrix:
             and (counts >= 0).all()
         ):
             raise ValueError(f"CSC column pointers do not fit {self.data.size} entries in {n} columns")
-        # The column of each entry, for the products and the row sub-matrix.
+        # The column of each entry, for the products and the dense matrix.
         self._cols = np.repeat(np.arange(n), counts)
         rows = self.indices
         if rows.size and not (
@@ -224,46 +208,22 @@ class CscMatrix:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self.indices, weights=self.data * x[self._cols], minlength=self.shape[0])
 
-    @property
-    def T(self) -> _CscTranspose:
-        return _CscTranspose(self)
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """A^T y, each column's terms in row order: scipy's ``A.T @ y``."""
+        return np.bincount(self._cols, weights=self.data * y[self.indices], minlength=self.shape[1])
 
-    def __getitem__(self, key) -> CscMatrix:
-        if isinstance(key, tuple):
-            if len(key) != 2 or not (isinstance(key[0], slice) and key[0] == slice(None)):
-                raise TypeError("a CscMatrix takes the sub-matrices A[:, cols] and A[rows] only")
-            cols = np.asarray(key[1], dtype=np.intp)
-            start = self.indptr[cols]
-            counts = self.indptr[cols + 1] - start
-            indptr = np.concatenate(([0], np.cumsum(counts)))
-            take = np.repeat(start - indptr[:-1], counts) + np.arange(indptr[-1])
-            return CscMatrix(indptr, self.indices[take], self.data[take], (self.shape[0], cols.size))
-        rows = np.asarray(key, dtype=np.intp)
-        if not (np.diff(rows) > 0).all():
-            raise ValueError("the rows of a CSC sub-matrix must increase")
-        position = np.full(self.shape[0], -1)
-        position[rows] = np.arange(rows.size)
-        at = position[self.indices]
-        keep = at >= 0
-        counts = np.bincount(self._cols[keep], minlength=self.shape[1])
+    def columns(self, cols: np.ndarray) -> CscMatrix:
+        """The sub-matrix of the columns ``cols``, in that order: numpy's ``A[:, cols]``."""
+        start = self.indptr[cols]
+        counts = self.indptr[cols + 1] - start
         indptr = np.concatenate(([0], np.cumsum(counts)))
-        return CscMatrix(indptr, at[keep], self.data[keep], (rows.size, self.shape[1]))
+        take = np.repeat(start - indptr[:-1], counts) + np.arange(indptr[-1])
+        return CscMatrix(indptr, self.indices[take], self.data[take], (self.shape[0], cols.size))
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         dense = np.zeros(self.shape)
         dense[self.indices, self._cols] = self.data
         return dense.astype(dtype, copy=False) if dtype is not None else dense
-
-
-class _CscTranspose:
-    """``A.T`` of a ``CscMatrix``, for ``A.T @ y``: each column's terms in row order."""
-
-    def __init__(self, a: CscMatrix):
-        self.a = a
-
-    def __matmul__(self, y: np.ndarray) -> np.ndarray:
-        a = self.a
-        return np.bincount(a._cols, weights=a.data * y[a.indices], minlength=a.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,26 +279,20 @@ def solve_lp(lp: LinearProgram) -> LpResult:
 
     The dual simplex backend terminates on every input and lands on a
     vertex, so optimal solutions carry at most as many nonzeros as there
-    are constraint rows.  An infeasible or unbounded program raises
-    ``InfeasibleProgramError``, and numerical breakdown ``LpSolverError``.
-    The weights are clipped at 0 (HiGHS returns some a few ulps below it)
-    and must pass ``certify`` on ``lp``.  HiGHS holds primal and dual
-    feasibility to 1e-7 by default, so a failed answer is solved once more
-    at LP_RESIDUAL and CERTIFICATE_TOLERANCE, and a second one is raised.
-    Weights at or below ATOM_FLOOR are then set to 0, so every weight a
-    caller reads is a plan atom's.
+    are constraint rows.  ``linprog``'s raises pass through: an infeasible
+    or unbounded program raises ``InfeasibleProgramError``, and any other
+    HiGHS verdict ``LpSolverError``.  The weights are clipped at 0 (HiGHS
+    returns some a few ulps below it) and must pass ``certify`` on ``lp``.
+    HiGHS holds primal and dual feasibility to 1e-7 by default, so a failed
+    answer is solved once more at LP_RESIDUAL and CERTIFICATE_TOLERANCE,
+    and a second one is raised.  Weights at or below ATOM_FLOOR are then
+    set to 0, so every weight a caller reads is a plan atom's.
     """
     for options in (None, {"primal_feasibility_tolerance": LP_RESIDUAL,
                            "dual_feasibility_tolerance": CERTIFICATE_TOLERANCE}):
-        res = linprog(-lp.c, A_eq=lp.a_eq, b_eq=lp.b_eq, options=options)
-        verdict = {2: "infeasible", 3: "unbounded"}.get(res.status)
-        if verdict is not None:
-            raise InfeasibleProgramError(f"LP is {verdict}")
-        if not res.success:
-            raise LpSolverError(f"LP engine failed: {res.message}")
-        x = np.where(res.x < 0.0, 0.0, res.x)
+        x, value, dual = linprog(-lp.c, lp.a_eq, lp.b_eq, options)
         try:
-            out = certify(lp, x, float(-res.fun), -res.eqlin.marginals, rounds=1, columns=lp.c.size)
+            out = certify(lp, np.where(x < 0.0, 0.0, x), -value, -dual, rounds=1, columns=lp.c.size)
             break
         except LpSolverError:
             if options is not None:
@@ -369,11 +323,11 @@ def certify(
     """
     # Over x's nonzero columns only: the terms left out are +-0, so the bits are A x's.
     nz = np.flatnonzero(x)
-    residual = float(np.max(np.abs(lp.a_eq[:, nz] @ x[nz] - lp.b_eq), initial=0.0))
+    residual = float(np.max(np.abs(lp.a_eq.columns(nz) @ x[nz] - lp.b_eq), initial=0.0))
     if not residual <= LP_RESIDUAL * (1.0 + float(np.max(np.abs(lp.b_eq), initial=0.0))):
         raise LpSolverError(f"equality residual {residual:.3e} out of tolerance")
     bound = certificate_bound(lp)
-    worst = float(np.max(lp.c - lp.a_eq.T @ dual, initial=-np.inf))
+    worst = float(np.max(lp.c - lp.a_eq.rmatvec(dual), initial=-np.inf))
     gap = abs(value - float(dual @ lp.b_eq))
     if not (worst <= bound and gap <= bound):
         raise LpSolverError(
@@ -402,9 +356,9 @@ def solve_by_columns(lp: LinearProgram, seed: np.ndarray | None) -> LpResult:
     rounds = 0
     while True:
         rounds += 1
-        sub = lp if active.size == n else LinearProgram(lp.c[active], lp.a_eq[:, active], lp.b_eq)
+        sub = lp if active.size == n else LinearProgram(lp.c[active], lp.a_eq.columns(active), lp.b_eq)
         res = solve_lp(sub)
-        reduced = lp.c - lp.a_eq.T @ res.dual
+        reduced = lp.c - lp.a_eq.rmatvec(res.dual)
         outside = np.ones(n, dtype=bool)
         outside[active] = False
         entering = np.nonzero(outside & (reduced > bound))[0]

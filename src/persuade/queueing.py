@@ -50,7 +50,7 @@ from .model import (
     make_model,
     mixture_moments,
 )
-from .scheme import SignalingScheme, scheme_from_plan, signal_cdf
+from .scheme import ROW_SUM_TOLERANCE, SignalingScheme, scheme_from_plan, signal_cdf
 
 # Join posteriors must sit this close to indifference for the sandwich audit.
 SANDWICH_UTILITY_TOLERANCE = 1e-6
@@ -226,26 +226,32 @@ class QueueSolution:
     threshold: ThresholdReport
 
 
-def _flow_program(d: int, lam: float, candidates: HullCandidates) -> LinearProgram:
-    """The flow LP, built column by column from each candidate's support.
+def _flow_program(d: int, lam: float, states: np.ndarray, weights: np.ndarray,
+                  n_join: int) -> LinearProgram:
+    """The flow LP over d rows, built column by column from each candidate's support.
 
-    Columns are the hull candidates in their order: the join candidates
-    (pure accept states, then blends), then the leave candidates (pure
-    strict-reject states), each held as two (state, weight) slots.  Row
-    w < d - 1 of a column is the balance term v[w + 1] - rate * v[w] and
-    row d - 1 the normalization term 1 + rate * v[d - 1], with rate the
-    arrival rate for join columns and 0 for leave ones.  So a slot (s, x)
-    adds x at row s - 1, and -rate * x at row s (rate * x when s = d - 1);
-    every column has 1 at row d - 1, the last row.  A slot's rows s - 1 < s
-    are in order, so merging the two slots sorts a column: the shorter
-    length's slot first, and for a pure state (w, w) both w - 1 terms
-    before both w terms.  Equal rows are then summed (at most two of their
-    terms are nonzero, so the sums are the dense ones bit for bit), and
-    exact zeros and row -1 (a slot at length 0) left out.
+    Column i is the candidate with the (state, weight) slots ``states[i]``
+    and ``weights[i]``; the first ``n_join`` are join candidates, the rest
+    leave candidates.  Row w < d - 1 of a column is the balance term
+    v[w + 1] - rate * v[w] and row d - 1 the normalization term
+    1 + rate * v[d - 1], with rate the arrival rate for join columns and 0
+    for leave ones.  So a slot (s, x) adds x at row s - 1, and -rate * x at
+    row s (rate * x when s = d - 1); every column has 1 at row d - 1, the
+    last row.  A slot's rows s - 1 < s are in order, so merging the two
+    slots sorts a column: the shorter length's slot first, and for a pure
+    state (w, w) both w - 1 terms before both w terms.  Equal rows are then
+    summed (at most two of their terms are nonzero, so the sums are the
+    dense ones bit for bit), and exact zeros and row -1 (a slot at length
+    0) left out.
+
+    Over the capacity's d rows and all the hull candidates, joins first,
+    this is the whole chain's program.  Over L + 2 rows and the candidates
+    supported on lengths <= L, it is a rung of ``_solve_flow``: the whole
+    program's rows 0..L and normalization row on those columns, bit for
+    bit, as those columns have no entry past row L.
     """
-    states, weights, n1 = candidates.states, candidates.weights, candidates.n_accept
     n = states.shape[0]
-    rate = np.where(np.arange(n) < n1, lam, 0.0)[:, None]
+    rate = np.where(np.arange(n) < n_join, lam, 0.0)[:, None]
     flow = np.where(states < d - 1, -rate, rate) * weights
     rows = np.column_stack([states[:, 0] - 1, states[:, 0], states[:, 1] - 1, states[:, 1],
                             np.full(n, d - 1)])
@@ -265,7 +271,7 @@ def _flow_program(d: int, lam: float, candidates: HullCandidates) -> LinearProgr
     a_eq = CscMatrix(indptr, rows[keep], values[keep], (d, n))
     b_eq = np.zeros(d)
     b_eq[d - 1] = 1.0
-    c = np.concatenate([np.ones(n1), np.zeros(n - n1)])
+    c = np.concatenate([np.ones(n_join), np.zeros(n - n_join)])
     return LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq)
 
 
@@ -298,14 +304,15 @@ def _extend_duals(y: np.ndarray, length: int, lam: float, candidates: HullCandid
         y_n = y[n - 1] = max(floor, lam * y_n + need[n])
 
 
-def _solve_flow(lp: LinearProgram, lam: float, candidates: HullCandidates) -> LpResult:
+def _solve_flow(d: int, lam: float, candidates: HullCandidates) -> LpResult:
     """The flow LP solved on a prefix of lengths and certified on the whole chain.
 
-    The columns supported on lengths <= L form a restricted program of the
-    full one: rows past L are zero rows for them, and row L, the balance
-    of length L + 1, forces zero Join mass at L.  So its optimum is
-    feasible for the full program, and ``certify`` checks it on the whole
-    chain, with the prefix duals extended past L by ``_extend_duals``.
+    The rung of a prefix L is the program ``_flow_program`` builds over
+    L + 2 rows from the columns supported on lengths <= L: the whole
+    chain's program restricted to them, whose rows past L are zero, and
+    whose row L, the balance of length L + 1, forces zero Join mass at L.
+    So its optimum is feasible for the whole chain, and ``certify`` checks
+    it there, with the prefix duals extended past L by ``_extend_duals``.
     When the value is within the certificate's bound of 1, the dual e_N
     (the normalization row alone) certifies it instead, as no more than
     every arrival can join: in full persuasion the prefix duals are
@@ -316,18 +323,17 @@ def _solve_flow(lp: LinearProgram, lam: float, candidates: HullCandidates) -> Lp
     L = d - 1, is the full program, whose failure is raised.  ``rounds``
     counts the rungs, and ``columns`` the last one's columns.
     """
-    d = lp.b_eq.size
-    longest = candidates.states.max(axis=1)
+    states, weights, n1 = candidates.states, candidates.weights, candidates.n_accept
+    lp = _flow_program(d, lam, states, weights, n1)
+    longest = states.max(axis=1)
     bound = certificate_bound(lp)
     joinable = candidates.classification.accept
     length = max(PREFIX_MIN, PREFIX_PER_JOINABLE * (max(joinable, default=-1) + 1))
     for rung in itertools.count(1):
         length = min(length, d - 1)
         cols = np.flatnonzero(longest <= length)
-        rows = np.r_[: min(length + 1, d - 1), d - 1]
-        sub = lp
-        if cols.size < lp.c.size:
-            sub = LinearProgram(lp.c[cols], lp.a_eq[:, cols][rows], lp.b_eq[rows])
+        sub = lp if cols.size == lp.c.size else _flow_program(
+            min(length + 2, d), lam, states[cols], weights[cols], np.count_nonzero(cols < n1))
         try:
             res = solve_lp(sub)
             x = np.zeros(lp.c.size)
@@ -336,7 +342,7 @@ def _solve_flow(lp: LinearProgram, lam: float, candidates: HullCandidates) -> Lp
             if res.value >= 1.0 - bound:
                 y[d - 1] = 1.0
             else:
-                y[rows] = res.dual
+                y[: sub.b_eq.size - 1], y[d - 1] = res.dual[:-1], res.dual[-1]
                 _extend_duals(y, length, lam, candidates)
             return certify(lp, x, res.value, y, rounds=rung, columns=cols.size)
         except LpSolverError:
@@ -385,7 +391,7 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
         classification,
         gamma_fn=lambda n, m: gamma_closed_form(n, m, instance.tau, instance.beta),
     )
-    res = _solve_flow(_flow_program(d, lam, candidates), lam, candidates)
+    res = _solve_flow(d, lam, candidates)
     n1 = candidates.n_accept
     # V^T x over the join and then the leave candidates, one support slot
     # at a time.
@@ -550,26 +556,32 @@ def simulate_queue(
 
     Runs exactly ``events`` arrival/departure events, discarding the
     first BURN_IN_FRACTION of them before tallying.  Horizons under
-    MIN_HORIZON are refused: shorter runs say nothing at these rates.
+    MIN_HORIZON are refused: shorter runs say nothing at these rates.  So
+    is a scheme whose signal law in some state is not a law (its column
+    sum misses 1 by more than ROW_SUM_TOLERANCE), naming the first one.
     The seed is required; identical seeds give identical runs, draw for
     draw: one exponential gap per event and one uniform per signal, in
     event order.  The loop keeps its state in Python scalars and lists.
     A state's CDF row becomes a list the first time the chain visits it;
     ``bisect_left`` on it takes the midpoints ``np.searchsorted`` takes
-    for one key, so the same uniform picks the same signal.
+    for one key, so the same uniform picks the same signal.  Each row ends
+    at exactly 1.0, above every uniform, so the pick is always a signal.
     """
     if events < MIN_HORIZON:
         raise ValueError(f"horizon {events} below the minimum {MIN_HORIZON}")
     d = instance.capacity
     if scheme.prior.size != d:
         raise ValueError("scheme state count does not match the capacity")
+    sums = scheme.conditional.sum(axis=0)
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE))
+    if bad.size:
+        raise ValueError(f"conditional law of state {bad[0]} sums to {float(sums[bad[0]])!r}, not 1")
     rng = np.random.default_rng(seed)
     # rng.exponential(scale) is scale * rng.standard_exponential(), bit for bit.
     exponential = rng.standard_exponential
     uniform = rng.random
     arrival_gap = 1.0 / instance.arrival_rate
     n_signals = scheme.n_signals
-    last_signal = n_signals - 1
     cdf = signal_cdf(scheme)
     rows = [None] * d
     join_action = [s.action == 1 for s in scheme.signals]
@@ -603,8 +615,6 @@ def simulate_queue(
             if row is None:
                 row = rows[n] = cdf[n].tolist()
             sig = bisect_left(row, uniform())
-            if sig > last_signal:
-                sig = last_signal
             if counting:
                 signal_counts[sig] += 1
             if join_action[sig]:

@@ -177,7 +177,8 @@ class ValidationReport:
     ``posterior_residual``: worst entry gap between recorded posteriors
     and Bayes updates.  ``margins``: per-signal obedience margin of the
     recommended action over the best alternative; entries below
-    OBEDIENCE_FLOOR land in ``flagged``.
+    OBEDIENCE_FLOOR land in ``flagged``.  ``ok``: the first two residuals
+    within ROW_SUM_TOLERANCE, the third within POSTERIOR_TOLERANCE, no flag.
     """
 
     bayes_residual: float
@@ -190,6 +191,7 @@ class ValidationReport:
     def ok(self) -> bool:
         return (
             self.bayes_residual <= ROW_SUM_TOLERANCE
+            and self.marginal_residual <= ROW_SUM_TOLERANCE
             and self.posterior_residual <= POSTERIOR_TOLERANCE
             and not self.flagged
         )
@@ -328,6 +330,8 @@ def scheme_from_json(data: dict) -> SignalingScheme:
     d = prior.size
     if np.any(prior < 0):
         raise FormatError("prior", "weights must be nonnegative")
+    if abs(prior.sum() - 1.0) > SUM_SLACK:
+        raise FormatError("prior", "weights must sum to 1")
 
     signals = []
     seen: set[str] = set()

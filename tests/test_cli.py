@@ -1184,6 +1184,53 @@ def test_validate_rejects_nan_posterior(tmp_path, capsys):
     assert err.startswith("persuade: signals[0].posterior[0]: expected a finite number")
 
 
+@pytest.mark.parametrize("factor", [0.0, 2.0], ids=["zeroed", "doubled"])
+def test_validate_refuses_a_prior_that_is_not_a_distribution(factor, tmp_path, capsys):
+    inst_path, scheme = _solved_scheme(tmp_path, capsys)
+    scheme["prior"] = [factor * p for p in scheme["prior"]]
+    code, out, err = _validate_exit(tmp_path, capsys, inst_path, scheme)
+    assert code == 1
+    assert out == ""
+    assert err == "persuade: prior: weights must sum to 1\n"
+
+
+def test_validate_fails_a_scheme_with_one_marginal_edited(tmp_path, capsys):
+    # The law, the posteriors and obedience still check out: only the
+    # recorded marginal disagrees with the one prior and law imply.
+    inst_path, scheme = _solved_scheme(tmp_path, capsys)
+    scheme["signals"][0]["marginal"] += 0.1
+    code, out, err = _validate_exit(tmp_path, capsys, inst_path, scheme)
+    doc = json.loads(out)
+    assert code == 2 and err == ""
+    assert doc["ok"] is False and doc["flagged"] == []
+    assert doc["marginal_residual"] == pytest.approx(0.1, abs=1e-12)
+    assert doc["bayes_residual"] <= 1e-9 and doc["posterior_residual"] <= 1e-8
+
+
+def test_simulate_refuses_a_state_whose_signal_law_is_not_a_law(tmp_path, capsys):
+    # With state 1's column zeroed every arrival at length 1 drew the last
+    # signal: Join_2 fell from 2,209 to 0 and Join_4 rose from 2,529 to 4,738.
+    scheme_path = tmp_path / "scheme.json"
+    queue = ["--lambda", "0.9", "--beta", "0", "--tau", "3", "--capacity", "4"]
+    assert cli.run(["queue", *queue, "--out", str(scheme_path)]) == 0
+    capsys.readouterr()
+    scheme = json.loads(scheme_path.read_text())
+    for row in scheme["conditional"]:
+        row[1] = 0.0
+    bad_path = _write(tmp_path, "bad.json", scheme)
+    sim = ["simulate", "--scheme", bad_path, *queue, "--events", "20000", "--seed", "1"]
+    assert cli.run(sim) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "persuade: conditional law of state 1 sums to 0.0, not 1\n"
+    # validate still reads the scheme, and reports the column as its Bayes residual.
+    solution = persuade.solve_queue(QueueInstance(0.9, 0.0, 3.0, 4))
+    inst_path = _write(tmp_path, "inst.json", persuade.instance_to_json(solution.persuasion))
+    code, out, _ = _validate_exit(tmp_path, capsys, inst_path, scheme)
+    doc = json.loads(out)
+    assert code == 2 and doc["ok"] is False and doc["bayes_residual"] == 1.0
+
+
 @pytest.mark.parametrize("marginal", ["0.3", "high", float("inf")])
 def test_validate_rejects_non_numeric_marginal(marginal, tmp_path, capsys):
     inst_path, scheme = _solved_scheme(tmp_path, capsys)

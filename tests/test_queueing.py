@@ -39,6 +39,7 @@ from persuade.model import (
     SenderUtility,
     StateSpace,
 )
+from persuade.queueing import PREFIX_MIN, PREFIX_PER_JOINABLE
 from conftest import reference_queue
 
 TAU, BETA = 7.5, 2.5
@@ -346,8 +347,8 @@ IDENTITY_EVENTS = (10_000, 20_000, 33_333)
 def _identity_case(params):
     """(instance, scheme) of a solved queue, or of a scheme with an all-zero CDF row.
 
-    In the latter, state 2 has no signal mass, so every draw there is
-    clamped to the last signal, a join.
+    In the latter, state 2 has no signal mass: the sampler clamps every
+    draw there to the last signal, a join, and the simulator refuses it.
     """
     if params is not None:
         sol = solve_queue(QueueInstance(*params))
@@ -366,6 +367,11 @@ def _identity_case(params):
 @pytest.mark.parametrize("case", range(len(IDENTITY_QUEUES)))
 def test_simulation_matches_the_numpy_reference_loop(case):
     instance, scheme = _identity_case(IDENTITY_QUEUES[case])
+    if IDENTITY_QUEUES[case] is None:
+        # State 2's signal law is not a law, so there is no run to match.
+        with pytest.raises(ValueError, match="conditional law of state 2 sums to 0.0, not 1"):
+            simulate_queue(instance, scheme, IDENTITY_EVENTS[0], 0)
+        return
     for run in (2 * case, 2 * case + 1):
         seed, events = run % 8, IDENTITY_EVENTS[run % 3]
         got = simulate_queue(instance, scheme, events, seed)
@@ -459,27 +465,37 @@ def _record_flow_programs(monkeypatch):
     return programs
 
 
+def _blends(candidates):
+    """The (reject_state, accept_state, gamma) of each blend, in column order."""
+    pairs = slice(len(candidates.classification.accept), candidates.n_accept)
+    return [
+        (w0, w1, g)
+        for (w0, w1), g in zip(candidates.states[pairs].tolist(), candidates.weights[pairs, 0].tolist())
+    ]
+
+
+def _dense_flow(sol):
+    """``oracles.queue_flow_dense`` of a solved queue's whole chain."""
+    inst, cls = sol.instance, sol.candidates.classification
+    return oracles.queue_flow_dense(
+        inst.capacity, inst.arrival_rate, cls.accept, cls.strict_reject, _blends(sol.candidates)
+    )
+
+
 @pytest.mark.parametrize("params", FLOW_CASES, ids=str)
 def test_sparse_flow_lp_matches_dense_oracle(params, monkeypatch):
     programs = _record_flow_programs(monkeypatch)
     inst = QueueInstance(*params)
     sol = solve_queue(inst)
-    (lp,) = programs
+    # The first program built is the whole chain's, the one certify reads.
+    lp = programs[0]
 
     d, lam = inst.capacity, inst.arrival_rate
     cls = sol.candidates.classification
-    pairs = slice(len(cls.accept), sol.candidates.n_accept)
-    blends = [
-        (w0, w1, g)
-        for (w0, w1), g in zip(
-            sol.candidates.states[pairs].tolist(), sol.candidates.weights[pairs, 0].tolist()
-        )
-    ]
-    c, a_eq, b_eq, v1, v0 = oracles.queue_flow_dense(
-        d, lam, cls.accept, cls.strict_reject, blends
-    )
+    blends = _blends(sol.candidates)
+    c, a_eq, b_eq, v1, v0 = _dense_flow(sol)
     dense = scipy.sparse.csc_array(a_eq)
-    assert type(lp.a_eq) is CscMatrix
+    assert type(lp.a_eq) is CscMatrix and lp.a_eq.shape == dense.shape
     for field in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(lp.a_eq, field), getattr(dense, field)), field
     assert np.array_equal(lp.c, c) and np.array_equal(lp.b_eq, b_eq)
@@ -559,15 +575,15 @@ def _rationing_params(seed):
     return lam, beta, float(lo + rng.uniform(0.1, 0.9) * (hi - lo))
 
 
-@pytest.mark.parametrize(
-    "params",
-    FLOW_CASES + [(*_rationing_params(seed), 1600) for seed in range(101, 111)],
-    ids=str,
-)
+RATIONING_1600 = [(*_rationing_params(seed), 1600) for seed in range(101, 111)]
+
+
+@pytest.mark.parametrize("params", FLOW_CASES + RATIONING_1600, ids=str)
 def test_prefix_solve_is_certified_against_the_direct_solve(params, monkeypatch):
     programs = _record_flow_programs(monkeypatch)
     sol = solve_queue(QueueInstance(*params))
-    (lp,) = programs
+    lp = programs[0]
+    assert lp.c.size == sol.candidates.states.shape[0] and lp.b_eq.size == params[3]
     bound = certificate_bound(lp)
     assert sol.flow.reduced_cost <= bound and sol.flow.gap <= bound
     assert sol.flow.columns <= lp.c.size and sol.flow.x.size == lp.c.size
@@ -577,6 +593,42 @@ def test_prefix_solve_is_certified_against_the_direct_solve(params, monkeypatch)
         # Rationing closes on the first prefix, lengths 0..16.
         assert sol.flow.rounds == 1 and sol.flow.columns == 69
         assert sol.flow.reduced_cost <= 1e-14
+
+
+@pytest.mark.parametrize("params", FLOW_CASES + RATIONING_1600, ids=str)
+def test_every_rung_is_the_whole_chain_restricted_to_it(params, monkeypatch):
+    # A rung of prefix L holds the columns supported on lengths <= L, and
+    # the rows 0..L and the normalization row: each rung _solve_flow
+    # builds is the dense oracle's matrix restricted to them, bit for bit.
+    # A solve that always fails walks the ladder up to the whole chain.
+    sol = solve_queue(QueueInstance(*params))
+    c, a_eq, b_eq, _, _ = _dense_flow(sol)
+    d = params[3]
+    programs = []
+
+    def failing(lp):
+        programs.append(lp)
+        raise LpSolverError("LP engine failed: no optimum (HiGHS Status 0: Not Set)")
+
+    monkeypatch.setattr(persuade.queueing, "solve_lp", failing)
+    with pytest.raises(LpSolverError, match="HiGHS Status 0"):
+        solve_queue(QueueInstance(*params))
+    longest = sol.candidates.states.max(axis=1)
+    joinable = sol.candidates.classification.accept
+    length = max(PREFIX_MIN, PREFIX_PER_JOINABLE * (max(joinable, default=-1) + 1))
+    rungs = [min(length, d - 1)]
+    while rungs[-1] < d - 1:
+        rungs.append(min(2 * rungs[-1], d - 1))
+    assert len(programs) == len(rungs)
+    for lp, length in zip(programs, rungs):
+        cols = np.flatnonzero(longest <= length)
+        rows = np.r_[: min(length + 1, d - 1), d - 1] if cols.size < c.size else np.arange(d)
+        want = scipy.sparse.csc_array(a_eq[np.ix_(rows, cols)])
+        assert lp.a_eq.shape == want.shape
+        assert np.array_equal(lp.a_eq.indptr, want.indptr)
+        assert np.array_equal(lp.a_eq.indices, want.indices)
+        assert lp.a_eq.data.tobytes() == want.data.tobytes()
+        assert lp.c.tobytes() == c[cols].tobytes() and lp.b_eq.tobytes() == b_eq[rows].tobytes()
 
 
 @pytest.mark.parametrize("lam, rungs", [(0.55, 2), (0.6, 2), (0.65, 3)])
