@@ -15,11 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .general import SENDER_PREFERENCE_SLACK, plan_from_candidates
-from .model import OptimalPlan, PersuasionInstance, _dense_rows
+from .model import TIE_TOLERANCE, OptimalPlan, PersuasionInstance, _dense_rows
 
-# States classify as accept/reject when the pure-state differential clears
-# zero by at least minus this.
-CLASSIFY_TOLERANCE = 1e-9
 # Boundary blends must sit on the indifference surface this tightly.
 BOUNDARY_TOLERANCE = 1e-7
 # Edge bisection halves a bracket of width one until it is at most this
@@ -33,7 +30,6 @@ SPOT_CHECK_PAIRS = 64
 MONOTONE_SLACK = 1e-12
 
 __all__ = [
-    "CLASSIFY_TOLERANCE",
     "BOUNDARY_TOLERANCE",
     "BISECTION_TOLERANCE",
     "THRESHOLD_TOLERANCE",
@@ -54,8 +50,9 @@ class StateClassification:
     """Pure states sorted by the sign of their accept-reject differential.
 
     ``accept`` holds states where accepting is weakly optimal (diff >=
-    -CLASSIFY_TOLERANCE), ``reject`` where rejecting is, and
-    ``strict_reject`` the reject states that are not also accept states.
+    -TIE_TOLERANCE, the receiver's one tie rule), ``reject`` where
+    rejecting is, and ``strict_reject`` the reject states that are not
+    also accept states.
     Boundary states with a vanishing differential belong to both accept
     and reject.
     """
@@ -76,9 +73,9 @@ def classify_states(instance: PersuasionInstance) -> StateClassification:
     _require_binary(instance)
     d = instance.n_states
     diffs = instance.receiver.differential_slots(np.arange(d)[:, None], np.ones((d, 1)))
-    accept = tuple(int(w) for w in np.nonzero(diffs >= -CLASSIFY_TOLERANCE)[0])
-    reject = tuple(int(w) for w in np.nonzero(diffs <= CLASSIFY_TOLERANCE)[0])
-    strict = tuple(int(w) for w in np.nonzero(diffs < -CLASSIFY_TOLERANCE)[0])
+    accept = tuple(int(w) for w in np.nonzero(diffs >= -TIE_TOLERANCE)[0])
+    reject = tuple(int(w) for w in np.nonzero(diffs <= TIE_TOLERANCE)[0])
+    strict = tuple(int(w) for w in np.nonzero(diffs < -TIE_TOLERANCE)[0])
     return StateClassification(
         accept=accept, reject=reject, strict_reject=strict, differentials=diffs
     )
@@ -287,18 +284,14 @@ class ThresholdReport:
     ``holds`` says the accept mass uses an order-respecting cutoff:
     every state before the threshold is fully accepted, every one after
     contributes nothing.  ``threshold_state`` is the first state not
-    fully accepted (None when all are).  ``witness`` is an offending
-    (earlier-not-full, later-still-positive) pair when the check fails.
-    ``monotone_ok`` reports the blend-weight audit of the supplied order,
-    whose faults are listed in ``violations`` (None when no candidates
-    were given to audit against).
+    fully accepted (None when all are).  ``monotone_ok`` is the verdict
+    of the blend-weight audit of the supplied order (None when no
+    candidates were given to audit against).
     """
 
     holds: bool
     threshold_state: int | None
-    witness: tuple[int, int] | None
     monotone_ok: bool | None
-    violations: tuple[str, ...] = ()
 
 
 def verify_threshold(
@@ -313,7 +306,7 @@ def verify_threshold(
     blend weights ``candidates.gamma``: a state may only precede another
     if it is an accept state, or both are strict-reject states and every
     accept state blends with the earlier one at a strictly larger weight
-    than with the later one.
+    (up to MONOTONE_SLACK) than with the later one.
     """
     d = plan.t.shape[1]
     if sorted(order) != list(range(d)):
@@ -323,56 +316,30 @@ def verify_threshold(
     nonzero = [p for p, w in enumerate(order) if t1[w] > THRESHOLD_TOLERANCE]
     nonfull = [p for p, w in enumerate(order) if t1[w] < prior[w] - THRESHOLD_TOLERANCE]
     holds = (not nonzero) or (not nonfull) or max(nonzero) <= min(nonfull)
-    threshold_state = order[min(nonfull)] if nonfull else None
-    witness = None
-    if not holds:
-        witness = (order[min(nonfull)], order[max(nonzero)])
-
-    violations = () if candidates is None else tuple(_order_violations(order, candidates))
     return ThresholdReport(
         holds=bool(holds),
-        threshold_state=threshold_state,
-        witness=witness,
-        monotone_ok=None if candidates is None else not violations,
-        violations=violations,
+        threshold_state=order[min(nonfull)] if nonfull else None,
+        monotone_ok=None if candidates is None else _monotone_order(order, candidates),
     )
 
 
-def _order_violations(order: list[int], candidates: HullCandidates) -> list[str]:
-    """Every faulty (earlier strict-reject, later state) pair of the order.
+def _monotone_order(order: list[int], candidates: HullCandidates) -> bool:
+    """Whether the order passes verify_threshold's blend-weight audit.
 
-    Listed by earlier state, then later state, then accept state.  Each
-    state is accept or strict-reject, as ``classify_states`` makes them.
-    Suffix maxima of the blend weights along the order find the earlier
-    states with a fault in O(d * |accept|); only their pairs are listed.
-    A NaN weight fails every comparison, the maxima included.
+    Each state is accept or strict-reject, as ``classify_states`` makes
+    them.  The order fails when a strict-reject state comes before an
+    accept state, or when a strict-reject state's blend weight with some
+    accept state is not above the largest later one minus MONOTONE_SLACK:
+    suffix maxima along the order, O(d * |accept|).  A NaN weight fails
+    every comparison, the maxima included.
     """
     cls = candidates.classification
     order = np.asarray(order, dtype=np.intp)
+    accept = np.isin(order, cls.accept)
     row = np.zeros(order.size, dtype=np.intp)
     row[list(cls.strict_reject)] = np.arange(len(cls.strict_reject))
-    accept = np.isin(order, cls.accept)
-    strict_pos, accept_pos = np.nonzero(~accept)[0], np.nonzero(accept)[0]
-    g = candidates.gamma[row[order[strict_pos]]]
+    g = candidates.gamma[row[order[~accept]]]
     later_max = np.maximum.accumulate(g[::-1], axis=0)[::-1]
-    faulty = strict_pos < (accept_pos[-1] if accept_pos.size else -1)
-    faulty[:-1] |= ~np.all(g[:-1] > later_max[1:] - MONOTONE_SLACK, axis=1)
-    violations = []
-    for i in np.nonzero(faulty)[0]:
-        wi = order[strict_pos[i]]
-        drops = g[i] > g[i + 1 :] - MONOTONE_SLACK
-        later = [accept_pos[accept_pos > strict_pos[i]], strict_pos[i + 1 :][~drops.all(axis=1)]]
-        for q in np.sort(np.concatenate(later)):
-            wj = order[q]
-            if accept[q]:
-                violations.append(
-                    f"state {wj} follows strict-reject state {wi} but is not strict-reject"
-                )
-                continue
-            j = np.searchsorted(strict_pos, q)
-            for k in np.nonzero(~drops[j - i - 1])[0]:
-                violations.append(
-                    f"blend weight with accept state {cls.accept[k]} fails to "
-                    f"drop from state {wi} ({g[i, k]:.6g}) to {wj} ({g[j, k]:.6g})"
-                )
-    return violations
+    return not np.any(~accept[:-1] & accept[1:]) and bool(
+        np.all(g[:-1] > later_max[1:] - MONOTONE_SLACK)
+    )

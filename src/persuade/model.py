@@ -32,7 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# Actions tied within this margin of the best score count as best responses.
+# Scores within this margin of the best tie: tied actions are best responses,
+# and binary.classify_states puts such a pure state on both sides.
 TIE_TOLERANCE = 1e-9
 # Belief weights may dip this far below zero before construction fails.
 WEIGHT_FLOOR = -1e-12
@@ -617,7 +618,7 @@ def _receiver_from_json(raw: dict, d: int, k: int) -> UtilityModel:
 
 
 def instance_from_json(data: dict) -> PersuasionInstance:
-    """Parse the instance schema, reporting schema violations by field path.
+    """Parse the instance schema, reporting schema errors by field path.
 
     Expected shape::
 

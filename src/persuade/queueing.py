@@ -50,7 +50,7 @@ from .model import (
     make_model,
     mixture_moments,
 )
-from .scheme import ROW_SUM_TOLERANCE, SignalingScheme, scheme_from_plan, signal_cdf
+from .scheme import SignalingScheme, scheme_from_plan, signal_cdf
 
 # Join posteriors must sit this close to indifference for the sandwich audit.
 SANDWICH_UTILITY_TOLERANCE = 1e-6
@@ -557,8 +557,8 @@ def simulate_queue(
     Runs exactly ``events`` arrival/departure events, discarding the
     first BURN_IN_FRACTION of them before tallying.  Horizons under
     MIN_HORIZON are refused: shorter runs say nothing at these rates.  So
-    is a scheme whose signal law in some state is not a law (its column
-    sum misses 1 by more than ROW_SUM_TOLERANCE), naming the first one.
+    is a scheme ``signal_cdf`` refuses, whose signal law in some state is
+    not a law.
     The seed is required; identical seeds give identical runs, draw for
     draw: one exponential gap per event and one uniform per signal, in
     event order.  The loop keeps its state in Python scalars and lists.
@@ -572,17 +572,13 @@ def simulate_queue(
     d = instance.capacity
     if scheme.prior.size != d:
         raise ValueError("scheme state count does not match the capacity")
-    sums = scheme.conditional.sum(axis=0)
-    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE))
-    if bad.size:
-        raise ValueError(f"conditional law of state {bad[0]} sums to {float(sums[bad[0]])!r}, not 1")
+    cdf = signal_cdf(scheme)
     rng = np.random.default_rng(seed)
     # rng.exponential(scale) is scale * rng.standard_exponential(), bit for bit.
     exponential = rng.standard_exponential
     uniform = rng.random
     arrival_gap = 1.0 / instance.arrival_rate
     n_signals = scheme.n_signals
-    cdf = signal_cdf(scheme)
     rows = [None] * d
     join_action = [s.action == 1 for s in scheme.signals]
 

@@ -202,8 +202,9 @@ def validate_scheme(
 ) -> ValidationReport:
     """Audit normalization, Bayes consistency, and obedience of a scheme.
 
-    A signal recommending an action the instance does not have is a
-    schema error (``FormatError`` naming ``signals[i].action``).
+    Marginals and Bayes updates are implied by the instance's prior, the
+    one prior read.  A signal recommending an action the instance does not
+    have is a schema error (``FormatError`` naming ``signals[i].action``).
     """
     if scheme.prior.size != instance.n_states:
         raise ValueError("scheme and instance disagree on the state count")
@@ -213,7 +214,7 @@ def validate_scheme(
                 f"signals[{i}].action",
                 f"action {sig.action} out of range for {instance.n_actions} actions",
             )
-    prior = scheme.prior
+    prior = instance.prior.weights
     cond = scheme.conditional
     live = prior > 0.0
     col_sums = cond[:, live].sum(axis=0)
@@ -261,20 +262,24 @@ def scheme_value(scheme: SignalingScheme, instance: PersuasionInstance) -> float
 def signal_cdf(scheme: SignalingScheme) -> np.ndarray:
     """Per-state cumulative law of the signals, (states, signals), C order.
 
-    Row w is normalized to end at one; a state with no signal mass keeps
-    its zero row.  A uniform draw u picks signal
-    ``searchsorted(cdf[w], u, side="left")``.
+    Refuses (ValueError) a scheme whose signal law in some state is not a
+    law, its column sum missing 1 by more than ROW_SUM_TOLERANCE, naming
+    the first such state.  Row w is normalized to end at exactly 1.0, above
+    every uniform draw u, so ``searchsorted(cdf[w], u, side="left")`` is
+    always a signal.
     """
+    sums = scheme.conditional.sum(axis=0)
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE))
+    if bad.size:
+        raise ValueError(f"conditional law of state {bad[0]} sums to {float(sums[bad[0]])!r}, not 1")
     cdf = np.cumsum(scheme.conditional, axis=0).T.copy()
-    totals = cdf[:, -1].copy()
-    totals[totals <= 0.0] = 1.0
-    return cdf / totals[:, None]
+    return cdf / cdf[:, -1:]
 
 
 def sample_scheme_batch(
     scheme: SignalingScheme, seed: int, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n iid (state, signal) pairs as two index arrays."""
+    """Draw n iid (state, signal) pairs as two index arrays; refuses what signal_cdf does."""
     if n < 0:
         raise ValueError("sample count must be nonnegative")
     rng = np.random.default_rng(seed)
@@ -293,7 +298,7 @@ def sample_scheme_batch(
             drawn = order[start:end]
             signals[drawn] = np.searchsorted(cum[w], u[drawn], side="left")
         start = end
-    return states, np.minimum(signals, scheme.n_signals - 1)
+    return states, signals
 
 
 def scheme_to_json(scheme: SignalingScheme) -> dict:
@@ -314,7 +319,7 @@ def scheme_to_json(scheme: SignalingScheme) -> dict:
 
 
 def scheme_from_json(data: dict) -> SignalingScheme:
-    """Parse the scheme schema, reporting violations by field path."""
+    """Parse the scheme schema, reporting errors by field path."""
     if not isinstance(data, dict):
         raise FormatError("$", "scheme document must be a JSON object")
     for key in ("signals", "conditional", "prior"):

@@ -17,6 +17,7 @@ from persuade import (
     SenderUtility,
     StateClassification,
     StateSpace,
+    ThresholdReport,
     UtilityModel,
     classify_states,
     compute_k01,
@@ -194,7 +195,7 @@ def _k01_receiver(family, rng, d, flat):
         return make_model("cvar", loss_values=values, loss_probs=probs, tau=1.0)
     du = rng.uniform(-1.0, 1.0, d)
     if flat:
-        # An accept state only within CLASSIFY_TOLERANCE: its blends are gamma 0.
+        # An accept state only within TIE_TOLERANCE: its blends are gamma 0.
         du[0] = -5e-10
     return _expected_binary(du)
 
@@ -232,7 +233,7 @@ def test_batched_k01_matches_per_pair_bisection(case):
 
 
 def test_tolerance_only_accept_state_blends_at_zero():
-    # State 0 accepts only within CLASSIFY_TOLERANCE.  Along its edge to the
+    # State 0 accepts only within TIE_TOLERANCE.  Along its edge to the
     # strict-reject state 2 the differential turns positive, so bisecting
     # that edge would land near 0.75; its blend is gamma 0 instead.
     def evaluator(mu, action):
@@ -424,14 +425,12 @@ def test_verify_threshold_cutoff_and_witness():
     prior = [0.2, 0.2, 0.2, 0.4]
     good = _plan([0.2, 0.2, 0.1, 0.0], [0.0, 0.0, 0.1, 0.4], prior)
     report = verify_threshold(good, [0, 1, 2, 3])
-    assert report.holds
-    assert report.threshold_state == 2
-    assert report.witness is None
+    assert report == ThresholdReport(holds=True, threshold_state=2, monotone_ok=None)
 
+    # State 1 is not fully accepted, yet the later state 2 is.
     bad = _plan([0.2, 0.1, 0.2, 0.0], [0.0, 0.1, 0.0, 0.4], prior)
     report = verify_threshold(bad, [0, 1, 2, 3])
-    assert not report.holds
-    assert report.witness == (1, 2)
+    assert report == ThresholdReport(holds=False, threshold_state=1, monotone_ok=None)
 
     full = _plan(prior, [0.0] * 4, prior)
     report = verify_threshold(full, [0, 1, 2, 3])
@@ -449,18 +448,30 @@ def test_verify_threshold_audits_order_against_blends():
     plan = _plan(t1, prior - t1, prior)
 
     candidates = hull_candidates(inst)
-    report = verify_threshold(plan, list(range(d)), candidates)
+    cls = candidates.classification
+    gammas = {
+        (w0, wa): candidates.gamma[i, k]
+        for i, w0 in enumerate(cls.strict_reject)
+        for k, wa in enumerate(cls.accept)
+    }
+
+    def audit(order):
+        expected = oracles.threshold_violations(order, cls.accept, cls.strict_reject, gammas)
+        report = verify_threshold(plan, order, candidates)
+        assert report.monotone_ok is (not expected)
+        return report, expected
+
+    report, expected = audit(list(range(d)))
     assert report.holds and report.threshold_state == 3
-    assert report.monotone_ok
-    assert report.violations == ()
+    assert report.monotone_ok and expected == []
 
-    swapped = verify_threshold(plan, [0, 1, 2, 4, 3, 5], candidates)
+    swapped, expected = audit([0, 1, 2, 4, 3, 5])
     assert swapped.monotone_ok is False
-    assert any("blend weight" in v for v in swapped.violations)
+    assert any("blend weight" in v for v in expected)
 
-    misplaced = verify_threshold(plan, [0, 1, 3, 2, 4, 5], candidates)
+    misplaced, expected = audit([0, 1, 3, 2, 4, 5])
     assert misplaced.monotone_ok is False
-    assert any("not strict-reject" in v for v in misplaced.violations)
+    assert any("not strict-reject" in v for v in expected)
 
 
 def _audit(order, accept, strict, gammas):
@@ -517,8 +528,7 @@ def _threshold_audits(draw):
 @given(_threshold_audits())
 def test_verify_threshold_audit_matches_pairwise_oracle(case):
     report, expected = _audit(*case)
-    assert report.violations == tuple(expected)
-    assert report.monotone_ok == (not expected)
+    assert report.monotone_ok is (not expected)
 
 
 @pytest.mark.parametrize(
@@ -560,5 +570,5 @@ def test_verify_threshold_audit_matches_pairwise_oracle(case):
 def test_verify_threshold_audit_edge_cases(order, accept, strict, gammas, want):
     report, expected = _audit(order, accept, strict, gammas)
     assert expected == want
-    assert report.violations == tuple(want)
+    assert report.monotone_ok is (not expected)
     assert report.monotone_ok is False

@@ -1207,6 +1207,21 @@ def test_validate_fails_a_scheme_with_one_marginal_edited(tmp_path, capsys):
     assert doc["bayes_residual"] <= 1e-9 and doc["posterior_residual"] <= 1e-8
 
 
+def test_validate_fails_a_scheme_made_for_another_prior(tmp_path, capsys):
+    # The scheme is Bayes-plausible for the prior [0.1, 0.6, 0.3] it was
+    # solved at; validate reads the instance's prior, so at [0.5, 0.25, 0.25]
+    # the marginals and posteriors that prior and the law imply miss.
+    _, scheme = _solved_scheme(tmp_path, capsys)
+    inst_path = _write(tmp_path, "other.json", dict(_expected_dict(), prior=[0.5, 0.25, 0.25]))
+    code, out, err = _validate_exit(tmp_path, capsys, inst_path, scheme)
+    doc = json.loads(out)
+    assert code == 2 and err == ""
+    assert doc["ok"] is False and doc["flagged"] == []
+    assert doc["bayes_residual"] <= 1e-9
+    assert doc["marginal_residual"] == pytest.approx(17 / 60, abs=1e-9)
+    assert doc["posterior_residual"] == pytest.approx(11 / 21, abs=1e-9)
+
+
 def test_simulate_refuses_a_state_whose_signal_law_is_not_a_law(tmp_path, capsys):
     # With state 1's column zeroed every arrival at length 1 drew the last
     # signal: Join_2 fell from 2,209 to 0 and Join_4 rose from 2,529 to 4,738.

@@ -33,6 +33,8 @@ REMOVED_FUNCTIONS = (
     "BALANCE_TOLERANCE",
     "NORMALIZATION_TOLERANCE",
     "SparseConstraints",
+    "_order_violations",
+    "CLASSIFY_TOLERANCE",
 )
 REMOVED_MEMBERS = (
     ("Belief", "point"),
@@ -42,6 +44,8 @@ REMOVED_MEMBERS = (
     ("SimulationResult", "seen_signal_counts"),
     ("LpResult", "status"),
     ("LpResult", "optimal"),
+    ("ThresholdReport", "witness"),
+    ("ThresholdReport", "violations"),
 )
 
 
