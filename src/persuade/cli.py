@@ -122,12 +122,19 @@ def _load_json(path: str):
 _FLAT = json.JSONEncoder(allow_nan=False)
 
 
+class _RenderOnce(dict):
+    """A dict ``_dumps`` renders once, then re-indents: JSON text holds no raw newline."""
+
+    text: str | None = None
+
+
 def _dumps(doc) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)``, byte for byte.
 
-    ``indent`` sends the stdlib to its pure-Python encoder; here each list
-    of plain ints and floats goes through the C encoder instead, one entry
-    per line, and dicts and other lists recurse in sorted-key order.
+    ``indent`` sends the stdlib to its pure-Python encoder; here the C
+    encoder writes each scalar and each float list's entries one per line,
+    but for +0.0 (all 64 bits zero), which is the constant ``0.0``; dicts
+    and other lists recurse in sorted-key order.
     allow_nan=False: a non-finite number raises ``ValueError`` (exit 2)
     instead of writing bare NaN or Infinity, which is not JSON; the error
     is re-raised by the stdlib call for its exact message.
@@ -140,13 +147,24 @@ def _dumps(doc) -> str:
 
 def _indented(doc, newline: str) -> str:
     inner = newline + "  "
-    if isinstance(doc, list) and doc and set(map(type, doc)) <= {int, float}:
-        return "[" + inner + _FLAT.encode(doc)[1:-1].replace(", ", "," + inner) + newline + "]"
+    if type(doc) is _RenderOnce:
+        if doc.text is None:
+            doc.text = _indented(dict(doc), "\n")
+        return doc.text.replace("\n", newline)
+    if isinstance(doc, list) and doc and set(map(type, doc)) == {float}:
+        values = np.array(doc)
+        live = np.flatnonzero(values.view(np.uint64)).tolist()
+        lines = ["0.0"] * len(doc)
+        for i, text in zip(live, _FLAT.encode(values[live].tolist())[1:-1].split(", ")):
+            lines[i] = text
+        return "[" + inner + ("," + inner).join(lines) + newline + "]"
     if isinstance(doc, list) and doc:
         return "[" + inner + ("," + inner).join(_indented(x, inner) for x in doc) + newline + "]"
     if isinstance(doc, dict) and doc and all(type(k) is str for k in doc):
         items = (f"{_FLAT.encode(k)}: {_indented(v, inner)}" for k, v in sorted(doc.items()))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if type(doc) in (str, int, float, bool, type(None)):
+        return _FLAT.encode(doc)
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False).replace("\n", newline)
 
 
@@ -213,16 +231,16 @@ def _cmd_solve(args) -> int:
             "strictly_beneficial": benefit.strictly_beneficial,
             "margin": benefit.margin,
             "certificate_action": instance.actions.labels[benefit.certificate_action],
-            "certificate_point": [float(x) for x in benefit.certificate_point],
+            "certificate_point": benefit.certificate_point.tolist(),
             "certificate_gain": benefit.certificate_gain,
         },
         "full_persuasion": full_persuasion(instance, plan),
         "plan": {
-            "t": [[float(x) for x in row] for row in plan.t],
+            "t": plan.t.tolist(),
             "atoms": [
                 {
                     "action": instance.actions.labels[a.action],
-                    "posterior": [float(x) for x in a.posterior],
+                    "posterior": a.posterior.tolist(),
                     "weight": a.weight,
                     "label": a.label,
                 }
@@ -234,7 +252,7 @@ def _cmd_solve(args) -> int:
             "posterior_residual": report.posterior_residual,
             "flagged": list(report.flagged),
         },
-        "scheme": scheme_to_json(compiled),
+        "scheme": _RenderOnce(scheme_to_json(compiled)),
     }
     # The file first: a run that cannot write it prints no document.
     text = _dumps(doc)
@@ -255,7 +273,7 @@ def _signal_rows(solution) -> list[dict]:
                 "marginal": sig.marginal,
                 "wait_mean": mean,
                 "wait_stdev": float(np.sqrt(var)),
-                "posterior": [float(x) for x in sig.posterior],
+                "posterior": sig.posterior.tolist(),
             }
         )
     return rows
@@ -266,7 +284,7 @@ def _plot_data(solution, rows: list[dict]) -> dict:
     return {
         "states": list(solution.persuasion.states.labels),
         "signals": [row["label"] for row in rows],
-        "conditional": [[float(x) for x in row] for row in solution.scheme.conditional],
+        "conditional": solution.scheme.conditional.tolist(),
         "posteriors": [row["posterior"] for row in rows],
         "marginals": [row["marginal"] for row in rows],
         "wait_means": [row["wait_mean"] for row in rows],
@@ -351,8 +369,8 @@ def _cmd_queue(args) -> int:
             "moments_ok": sandwich.moments_ok,
         },
         "signals": _signal_rows(solution),
-        "occupancy": [float(x) for x in solution.occupancy],
-        "scheme": scheme_to_json(solution.scheme),
+        "occupancy": solution.occupancy.tolist(),
+        "scheme": _RenderOnce(scheme_to_json(solution.scheme)),
     }
     if args.simulate is not None:
         sim = simulate_queue(instance, solution.scheme, args.simulate, args.seed)
@@ -363,7 +381,7 @@ def _cmd_queue(args) -> int:
             "joins": sim.joins,
             "join_rate": sim.join_rate,
             "signal_counts": sim.signal_counts,
-            "occupancy_time": [float(x) for x in sim.occupancy_time],
+            "occupancy_time": sim.occupancy_time.tolist(),
         }
     if args.format == "csv":
         buf = io.StringIO()
@@ -438,8 +456,8 @@ def _cmd_simulate(args) -> int:
             "leaves": sim.leaves,
             "join_rate": sim.join_rate,
             "signal_counts": sim.signal_counts,
-            "arrival_seen": [int(x) for x in sim.arrival_seen],
-            "occupancy_time": [float(x) for x in sim.occupancy_time],
+            "arrival_seen": sim.arrival_seen.tolist(),
+            "occupancy_time": sim.occupancy_time.tolist(),
             "total_time": sim.total_time,
         }
     )

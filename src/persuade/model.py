@@ -561,7 +561,9 @@ def _number(raw, path: str) -> float:
 def _float_list(raw, path: str) -> list[float]:
     if not isinstance(raw, list):
         raise FormatError(path, "expected a list of numbers")
-    return [_number(x, f"{path}[{i}]") for i, x in enumerate(raw)]
+    top = sys.float_info.max  # finite floats pass as they are; only the rest format a path
+    return [x if type(x) is float and abs(x) <= top else _number(x, f"{path}[{i}]")
+            for i, x in enumerate(raw)]
 
 
 def _matrix(raw, rows: int, cols: int, path: str) -> np.ndarray:

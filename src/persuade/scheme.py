@@ -307,14 +307,14 @@ def scheme_to_json(scheme: SignalingScheme) -> dict:
         "signals": [
             {
                 "label": s.label,
-                "posterior": [float(x) for x in s.posterior],
+                "posterior": s.posterior.tolist(),
                 "action": int(s.action),
                 "marginal": float(s.marginal),
             }
             for s in scheme.signals
         ],
-        "conditional": [[float(x) for x in row] for row in scheme.conditional],
-        "prior": [float(x) for x in scheme.prior],
+        "conditional": scheme.conditional.tolist(),
+        "prior": scheme.prior.tolist(),
     }
 
 

@@ -414,28 +414,55 @@ _JSON_NUMBERS = st.one_of(
 _JSON_LEAVES = st.one_of(
     _JSON_NUMBERS, st.booleans(), st.none(), st.text(alphabet="aé☃\"\\\n\x00 ", max_size=4)
 )
+# Mostly +0.0, as in a queue document, with floats written otherwise:
+# -0.0, the least subnormal, 1e16 (a repr in e-notation), 0.1, and the
+# non-finite ones the writer must refuse.
+_SPARSE_FLOATS = st.one_of(
+    st.sampled_from([0.0] * 8 + [-0.0, 5e-324, 1e16, 0.1, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
 _JSON_DOCS = st.recursive(
     _JSON_LEAVES,
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(_JSON_NUMBERS, max_size=6),
+        st.lists(_SPARSE_FLOATS, max_size=40),
+        st.lists(st.integers(-(10**20), 10**20), max_size=6),
+        st.lists(st.one_of(st.integers(-(10**20), 10**20), _SPARSE_FLOATS), max_size=40),
         st.dictionaries(st.text(alphabet="abé☃_", max_size=3), inner, max_size=4),
     ),
     max_leaves=25,
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(_JSON_DOCS)
-def test_json_writer_matches_the_stdlib_byte_for_byte(doc):
+def _assert_dumps_like_the_stdlib(doc, plain):
+    # ``doc`` renders as json.dumps renders ``plain``, or raises its error.
     try:
-        expected = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+        expected = json.dumps(plain, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         with pytest.raises(ValueError) as caught:
             cli._dumps(doc)
         assert str(caught.value) == str(exc)
     else:
         assert cli._dumps(doc) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_DOCS)
+def test_json_writer_matches_the_stdlib_byte_for_byte(doc):
+    _assert_dumps_like_the_stdlib(doc, doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(["conditional", "prior", "signals"]), _JSON_DOCS, max_size=3),
+    st.dictionaries(st.sampled_from(["a", "signals", "z"]), _JSON_DOCS, max_size=3),
+)
+def test_scheme_rendered_once_matches_the_stdlib(scheme, rest):
+    # The document renders the scheme and keeps the text that --out writes.
+    kept = cli._RenderOnce(scheme)
+    _assert_dumps_like_the_stdlib({**rest, "scheme": kept}, {**rest, "scheme": scheme})
+    _assert_dumps_like_the_stdlib(kept, scheme)
 
 
 def test_simulate_verb(tmp_path, capsys):
@@ -600,6 +627,12 @@ GOLDEN_CASES = {
         None, GOLDEN_QUEUE + ["--format", "csv"],
         "c8c9bb8a3dd404226c52ed71d8959b37406d9d35785566f5c367d33764a12dc2",
         "eda3d10c2f4e8a878607c09a593ed57b11ccb196f8d3559a67b526951a777f1e",
+    ),
+    # Full persuasion: every length gets a signal, and nearly every float is 0.0.
+    "queue-persuasion-json": (
+        None, ["queue", "--lambda", "0.6", "--beta", "0", "--tau", "5.5", "--capacity", "200"],
+        "d7be4b3d32c61b808d72498a6b1cd00fbd61b2a5fd512a22912a367cdba95298",
+        "17a48bf3cbf80df76927ef6c2a31b6380ced831790c84803d427de5ee502ceaf",
     ),
     "mean-stdev-binary": (
         _seeded_binary(_mean_stdev_receiver, 11, 16), ["solve"],

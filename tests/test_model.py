@@ -1,6 +1,7 @@
 """Beliefs, receiver models, best responses, and the instance schema."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from persuade import (
     instance_to_json,
     make_model,
     mixture_moments,
+    model,
 )
 from conftest import threshold_instance, threshold_instance_dict
 
@@ -453,6 +455,41 @@ def test_instance_json_roundtrip_preserves_semantics(rng):
         assert inst.receiver.differential(mu) == pytest.approx(
             hand.receiver.differential(mu), abs=1e-12
         )
+
+
+def _float_list_reference(raw, path):
+    # The per-entry loop _float_list replaced: every entry through _number.
+    if not isinstance(raw, list):
+        raise FormatError(path, "expected a list of numbers")
+    return [model._number(x, f"{path}[{i}]") for i, x in enumerate(raw)]
+
+
+_SCHEMA_ENTRIES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    # NaN and inf listed too: inside these lists st.floats drew no NaN.
+    st.sampled_from([0.0, -0.0, 5e-324, sys.float_info.max, -sys.float_info.max,
+                     math.nan, math.inf]),
+    st.integers(-(2**1030), 2**1030),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(_SCHEMA_ENTRIES, max_size=8), _SCHEMA_ENTRIES))
+def test_float_list_matches_the_per_entry_loop(raw):
+    try:
+        expected = _float_list_reference(raw, "signals[0].posterior")
+    except FormatError as exc:
+        with pytest.raises(FormatError) as caught:
+            model._float_list(raw, "signals[0].posterior")
+        assert (caught.value.path, str(caught.value)) == (exc.path, str(exc))
+    else:
+        got = model._float_list(raw, "signals[0].posterior")
+        assert [type(x) for x in got] == [float] * len(expected)
+        # Bits, so -0.0 stays distinct from 0.0.
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
 
 
 def test_instance_json_error_paths():
