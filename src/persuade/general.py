@@ -31,10 +31,12 @@ from .model import (
 
 # Hard cap on grid size; beyond this the enumeration is refused.
 CANDIDATE_CAP = 2_000_000
-# Strict-benefit verdicts require at least this much value over no info.
+# Strict-benefit verdicts require at least this much value over no info, a
+# hundred times CERTIFICATE_TOLERANCE: a smaller margin may be the solver's.
 BENEFIT_MARGIN = 1e-7
 # Sender payoffs this close tie, so a state's preferred action is unique only
 # past it; solve_binary takes action-1 payoffs up to it below action 0's.
+# Payoffs are data, so only their round-off, ulps of order-one values, ties.
 SENDER_PREFERENCE_SLACK = 1e-12
 
 __all__ = [

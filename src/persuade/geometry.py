@@ -30,9 +30,11 @@ from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 
-# Equality residual allowed on any accepted LP solution.
+# Equality residual allowed on any accepted LP solution, and what solve_lp's
+# retry asks of HiGHS: a hundredth of its default feasibility tolerance, 1e-7.
 LP_RESIDUAL = 1e-9
-# solve_lp sets LP weights at or below this to 0, so none becomes a plan atom.
+# solve_lp sets LP weights at or below this to 0, so none becomes a plan atom:
+# a thousandth of LP_RESIDUAL, noise next to the residual the weights met.
 ATOM_FLOOR = 1e-12
 # Programs with at most this many columns start column generation from all
 # of them: the first solve is then the direct LP, pricing adds nothing, and

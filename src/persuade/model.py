@@ -32,19 +32,20 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# Scores within this margin of the best tie: tied actions are best responses,
-# and binary.classify_states puts such a pure state on both sides.
+# Scores this close to the best tie (best responses; classify_states puts such a
+# state on both sides): the LP residual, to which a plan's posteriors are exact.
 TIE_TOLERANCE = 1e-9
-# Belief weights may dip this far below zero before construction fails.
+# Belief weights may dip this far below zero before construction fails: the
+# round-off of a difference like 1 - gamma, far under any checked mass.
 WEIGHT_FLOOR = -1e-12
-# Weight vectors renormalize when their sum is this close to one.
+# Weight vectors renormalize when their sum is this close to one: JSON
+# written with six or more significant digits, and nothing further off.
 SUM_SLACK = 1e-6
-# ... but sums already within float noise of one are left untouched:
-# dividing by them is not bit-stable, which would break the serialization
-# fixpoint (parse/serialize must be idempotent for artifact determinism).
+# ... but sums within float noise of one (some 450 ulps) stay as they are: the
+# division is not bit-stable, and parse/serialize must be a fixpoint.
 SUM_NOISE = 1e-13
-# OptimalPlan.check: joint mass against the prior, and atoms against the
-# joint mass, at the LP residual cap.
+# OptimalPlan.check: joint mass against the prior, and atoms against it, at the
+# LP residual its weights met; mass no larger is none (full_persuasion, sandwich).
 PLAN_MASS_TOLERANCE = 1e-9
 # Slot scoring builds features a block of beliefs at a time, at most this many
 # entries (8 MB of floats) a block, however many states and beliefs there are.
@@ -578,6 +579,16 @@ def _matrix(raw, rows: int, cols: int, path: str) -> np.ndarray:
     return out
 
 
+def _construct(path: str, build, *args):
+    """Return ``build(*args)``; a ValueError it raises becomes a FormatError at ``path``."""
+    try:
+        return build(*args)
+    except FormatError:
+        raise
+    except ValueError as exc:
+        raise FormatError(path, str(exc)) from exc
+
+
 def _receiver_from_json(raw: dict, d: int, k: int) -> UtilityModel:
     kind = _require(raw, "kind", "receiver")
     if kind == "expected":
@@ -610,10 +621,7 @@ def _receiver_from_json(raw: dict, d: int, k: int) -> UtilityModel:
                 for a, cell in enumerate(row):
                     _float_list(cell, f"receiver.{name}[{i}][{a}]")
         tau = _number(_require(raw, "tau", "receiver"), "receiver.tau")
-        try:
-            return make_model("cvar", loss_values=vals, loss_probs=probs, tau=tau)
-        except ValueError as exc:
-            raise FormatError("receiver", str(exc)) from exc
+        return make_model("cvar", loss_values=vals, loss_probs=probs, tau=tau)
     if kind == "custom":
         raise FormatError("receiver.kind", "custom models cannot be read from JSON")
     raise FormatError("receiver.kind", f"unknown receiver kind {kind!r}")
@@ -635,14 +643,8 @@ def instance_from_json(data: dict) -> PersuasionInstance:
         raise FormatError("states", "expected a list of labels")
     if not isinstance(actions_raw, list) or not all(isinstance(s, str) for s in actions_raw):
         raise FormatError("actions", "expected a list of labels")
-    try:
-        states = StateSpace(tuple(states_raw))
-    except ValueError as exc:
-        raise FormatError("states", str(exc)) from exc
-    try:
-        actions = ActionSpace(tuple(actions_raw))
-    except ValueError as exc:
-        raise FormatError("actions", str(exc)) from exc
+    states = _construct("states", StateSpace, tuple(states_raw))
+    actions = _construct("actions", ActionSpace, tuple(actions_raw))
     d, k = states.n, actions.n
 
     prior_raw = _float_list(_require(data, "prior", ""), "prior")
@@ -651,21 +653,14 @@ def instance_from_json(data: dict) -> PersuasionInstance:
     for i, w in enumerate(prior_raw):
         if w < WEIGHT_FLOOR:
             raise FormatError(f"prior[{i}]", f"negative weight {w!r}")
-    try:
-        prior = Belief(np.array(prior_raw))
-    except ValueError as exc:
-        raise FormatError("prior", str(exc)) from exc
-
-    try:
-        sender = SenderUtility(_matrix(_require(data, "sender_v", ""), d, k, "sender_v"))
-    except FormatError:
-        raise
-    except ValueError as exc:
-        raise FormatError("sender_v", str(exc)) from exc
+    prior = _construct("prior", Belief, np.array(prior_raw))
+    sender = _construct(
+        "sender_v", SenderUtility, _matrix(_require(data, "sender_v", ""), d, k, "sender_v")
+    )
     receiver_raw = _require(data, "receiver", "")
     if not isinstance(receiver_raw, dict):
         raise FormatError("receiver", "expected an object")
-    receiver = _receiver_from_json(receiver_raw, d, k)
+    receiver = _construct("receiver", _receiver_from_json, receiver_raw, d, k)
     return PersuasionInstance(
         states=states, actions=actions, prior=prior, sender=sender, receiver=receiver
     )

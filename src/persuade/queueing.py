@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binary import (
+    BOUNDARY_TOLERANCE,
     HullCandidates,
     ThresholdReport,
     classify_states,
@@ -40,8 +41,11 @@ from .geometry import (
     solve_lp,
 )
 from .model import (
+    PLAN_MASS_TOLERANCE,
+    TIE_TOLERANCE,
     ActionSpace,
     Belief,
+    FormatError,
     OptimalPlan,
     PersuasionInstance,
     PlanAtom,
@@ -50,18 +54,13 @@ from .model import (
     make_model,
     mixture_moments,
 )
-from .scheme import SignalingScheme, scheme_from_plan, signal_cdf
+from .scheme import POSTERIOR_TOLERANCE, SignalingScheme, scheme_from_plan, signal_cdf
 
-# Join posteriors must sit this close to indifference for the sandwich audit.
-SANDWICH_UTILITY_TOLERANCE = 1e-6
-# Posterior entries above this count as support in the sandwich audit.
-SUPPORT_FLOOR = 1e-8
-# The sandwich audit applies when the Leave mass exceeds this.
-LEAVE_MASS_FLOOR = 1e-10
-# Slack on the sandwich audit's ordering of Join wait means and variances.
+# Slack on the sandwich audit's order of Join wait means and variances: a score
+# tie (TIE_TOLERANCE), far above the round-off of a hull row's moments.
 MOMENT_ORDER_SLACK = 1e-9
-# gamma_closed_form's round-off: how far tau may fall short of the short
-# length's bound, and the radicand short of zero (then read as zero).
+# gamma_closed_form reads a radicand this far below zero as zero (round-off at
+# a tangent); a pair further short is bisected, and compute_k01 checks both.
 CLOSED_FORM_SLACK = 1e-9
 # Simulation guardrails.
 MIN_HORIZON = 10_000
@@ -146,7 +145,8 @@ def gamma_closed_form(n, m, tau: float, beta: float):
     gamma * e_n + (1 - gamma) * e_m, using the two-point moment formulas
     E = 1 + m + (n - m) gamma and Var = E + (n - m)^2 gamma (1 - gamma).
     Requires m to be joinable outright and n not:
-    m + 1 + beta sqrt(m + 1) <= tau < n + 1 + beta sqrt(n + 1).
+    m + 1 + beta sqrt(m + 1) <= tau < n + 1 + beta sqrt(n + 1), the first
+    up to TIE_TOLERANCE, the rule ``classify_states`` applies.
     Given arrays of lengths, returns an array of weights, NaN for each pair
     where a scalar call raises ValueError.
     """
@@ -171,8 +171,8 @@ def gamma_closed_form(n, m, tau: float, beta: float):
     faults = (
         (n <= m, "need n > m"),
         (beta < 0.0, "beta must be nonnegative"),
-        (tau < bound_m - CLOSED_FORM_SLACK, "tau {0!r} outside [{1!r}, {2!r}) for n={3}, m={4}"),
-        (tau >= bound_n, "tau {0!r} outside [{1!r}, {2!r}) for n={3}, m={4}"),
+        ((tau < bound_m - TIE_TOLERANCE) | (tau >= bound_n),
+         "tau {0!r} outside [{1!r}, {2!r}) for n={3}, m={4}"),
         (h < -CLOSED_FORM_SLACK, "negative radicand {5!r}; fall back to bisection"),
     )
     if gamma.ndim:
@@ -459,10 +459,11 @@ class SandwichReport:
     """Structural audit of the Join signals of a queue solution.
 
     When some arrivals are told to leave, the optimal Join posteriors
-    should each sit on the indifference surface, mix at most two lengths,
-    and nest: sorted by expected wait, their short legs ascend, their
-    long legs descend, and the wait variance falls as the mean rises.
-    ``applicable`` is False when nobody leaves (then none of this binds).
+    should each sit on the indifference surface (within BOUNDARY_TOLERANCE),
+    mix at most two lengths (entries above POSTERIOR_TOLERANCE), and nest:
+    sorted by expected wait, their short legs ascend, their long legs
+    descend, and the wait variance falls as the mean rises.  ``applicable``
+    is False when nobody leaves: Leave mass at most PLAN_MASS_TOLERANCE.
     """
 
     applicable: bool
@@ -488,17 +489,17 @@ def verify_sandwich(solution: QueueSolution) -> SandwichReport:
     """Run the nesting checks on the solved Join signals."""
     model = solution.persuasion.receiver
     joins = [s for s in solution.scheme.signals if s.action == 1]
-    applicable = solution.t0.sum() > LEAVE_MASS_FLOOR and bool(joins)
+    applicable = solution.plan.t[0].sum() > PLAN_MASS_TOLERANCE and bool(joins)
     diffs = tuple(float(model.differential(s.posterior)) for s in joins)
     supports = tuple(
-        tuple(int(w) for w in np.nonzero(s.posterior > SUPPORT_FLOOR)[0])
+        tuple(int(w) for w in np.nonzero(s.posterior > POSTERIOR_TOLERANCE)[0])
         for s in joins
     )
     moments = [posterior_wait_moments(s.posterior) for s in joins]
     means = tuple(m for m, _ in moments)
     variances = tuple(v for _, v in moments)
 
-    utility_ok = all(abs(x) <= SANDWICH_UTILITY_TOLERANCE for x in diffs)
+    utility_ok = all(abs(x) <= BOUNDARY_TOLERANCE for x in diffs)
     support_ok = all(1 <= len(s) <= 2 for s in supports)
     ordering_ok = True
     if support_ok and joins:
@@ -571,7 +572,7 @@ def simulate_queue(
         raise ValueError(f"horizon {events} below the minimum {MIN_HORIZON}")
     d = instance.capacity
     if scheme.prior.size != d:
-        raise ValueError("scheme state count does not match the capacity")
+        raise FormatError("prior", "scheme state count does not match the capacity")
     cdf = signal_cdf(scheme)
     rng = np.random.default_rng(seed)
     # rng.exponential(scale) is scale * rng.standard_exponential(), bit for bit.

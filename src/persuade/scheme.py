@@ -27,24 +27,21 @@ from .model import (
     best_response,
 )
 
-# Column sums of the conditional law may stray this far from one.
+# Column sums of the law may miss one, and parsed probabilities exceed it, by
+# this much: the law is joint mass, which meets the prior to PLAN_MASS_TOLERANCE.
 ROW_SUM_TOLERANCE = 1e-9
-# Recorded posteriors may differ from the Bayes update by this much.
+# Posteriors may miss their Bayes update by this, ten times ROW_SUM_TOLERANCE as
+# an update divides by a marginal.  Entries no larger are not support, and
+# posteriors no further apart are one signal: validate cannot tell them apart.
 POSTERIOR_TOLERANCE = 1e-8
-# Obedience margins below this negative floor get flagged.
+# Obedience margins below this get flagged: ten times binary.BOUNDARY_TOLERANCE,
+# by which a boundary blend's recommended action may trail the other.
 OBEDIENCE_FLOOR = -1e-6
-# Atoms whose posteriors agree within this merge into one signal.
-COALESCE_TOLERANCE = 1e-10
-# Posterior entries above this count as support when a signal is named.
-LABEL_SUPPORT_FLOOR = 1e-9
-# Parsed marginals and conditional entries may exceed one by this much.
-PROBABILITY_SLACK = 1e-9
 
 __all__ = [
     "ROW_SUM_TOLERANCE",
     "POSTERIOR_TOLERANCE",
     "OBEDIENCE_FLOOR",
-    "COALESCE_TOLERANCE",
     "Signal",
     "SignalingScheme",
     "ValidationReport",
@@ -94,7 +91,7 @@ class SignalingScheme:
 
 
 def _default_label(posterior: np.ndarray, labels: tuple[str, ...], serial: int) -> str:
-    support = np.nonzero(posterior > LABEL_SUPPORT_FLOOR)[0]
+    support = np.nonzero(posterior > POSTERIOR_TOLERANCE)[0]
     if support.size == 1:
         return labels[int(support[0])]
     if support.size == 2:
@@ -115,9 +112,9 @@ def scheme_from_plan(
     pi(s | w) = weight_s * posterior_s[w] / prior[w].  States the prior
     rules out get the whole unit column on the first signal, an arbitrary
     but fixed convention.  With ``coalesce`` (the default), atoms whose
-    posteriors coincide merge first, keeping the sender-preferred
-    recommendation among the merged atoms; the induced conditional law
-    is unchanged by the merge.
+    posteriors agree within POSTERIOR_TOLERANCE merge first, keeping the
+    first one's posterior, which their Bayes update (a mixture) stays within
+    that tolerance of, and the sender-preferred recommendation among them.
     """
     if instance.n_states != plan.t.shape[1]:
         raise ValueError("plan and instance disagree on the state count")
@@ -129,7 +126,7 @@ def scheme_from_plan(
         home = None
         if coalesce:
             for row in merged:
-                if np.max(np.abs(row[0] - atom.posterior)) <= COALESCE_TOLERANCE:
+                if np.max(np.abs(row[0] - atom.posterior)) <= POSTERIOR_TOLERANCE:
                     home = row
                     break
         if home is None:
@@ -150,6 +147,7 @@ def scheme_from_plan(
     signals = []
     taken: set[str] = set()
     cond = np.zeros((len(merged), prior.size))
+    live = prior > 0.0
     for i, (posterior, weight, action, label) in enumerate(merged):
         name = label if label is not None else _default_label(posterior, labels, i)
         while name in taken:
@@ -158,12 +156,8 @@ def scheme_from_plan(
         signals.append(
             Signal(label=name, posterior=posterior, action=action, marginal=float(weight))
         )
-        live = prior > 0.0
         cond[i, live] = weight * posterior[live] / prior[live]
-    dead = np.nonzero(prior <= 0.0)[0]
-    if dead.size:
-        cond[:, dead] = 0.0
-        cond[0, dead] = 1.0
+    cond[0, ~live] = 1.0
     return SignalingScheme(signals=tuple(signals), conditional=cond, prior=prior)
 
 
@@ -203,11 +197,11 @@ def validate_scheme(
     """Audit normalization, Bayes consistency, and obedience of a scheme.
 
     Marginals and Bayes updates are implied by the instance's prior, the
-    one prior read.  A signal recommending an action the instance does not
-    have is a schema error (``FormatError`` naming ``signals[i].action``).
+    one prior read.  Another state count (``prior``) or an action the
+    instance lacks (``signals[i].action``) is a schema error, ``FormatError``.
     """
     if scheme.prior.size != instance.n_states:
-        raise ValueError("scheme and instance disagree on the state count")
+        raise FormatError("prior", "scheme and instance disagree on the state count")
     for i, sig in enumerate(scheme.signals):
         if not 0 <= sig.action < instance.n_actions:
             raise FormatError(
@@ -364,7 +358,7 @@ def scheme_from_json(data: dict) -> SignalingScheme:
         if not isinstance(action, int) or isinstance(action, bool) or action < 0:
             raise FormatError(f"signals[{i}].action", "expected a nonnegative integer")
         marginal = _number(raw["marginal"], f"signals[{i}].marginal")
-        if marginal < WEIGHT_FLOOR or marginal > 1.0 + PROBABILITY_SLACK:
+        if marginal < WEIGHT_FLOOR or marginal > 1.0 + ROW_SUM_TOLERANCE:
             raise FormatError(f"signals[{i}].marginal", f"probability {marginal!r} out of range")
         signals.append(
             Signal(
@@ -376,7 +370,7 @@ def scheme_from_json(data: dict) -> SignalingScheme:
         )
 
     cond = _matrix(data["conditional"], len(signals), d, "conditional")
-    bad = np.nonzero(np.any((cond < WEIGHT_FLOOR) | (cond > 1.0 + PROBABILITY_SLACK), axis=1))[0]
+    bad = np.nonzero(np.any((cond < WEIGHT_FLOOR) | (cond > 1.0 + ROW_SUM_TOLERANCE), axis=1))[0]
     if bad.size:
         raise FormatError(f"conditional[{bad[0]}]", "entries must be probabilities")
     return SignalingScheme(

@@ -485,10 +485,13 @@ def test_simulate_verb(tmp_path, capsys):
     assert set(doc["signal_counts"]) == {"Join_1", "Join_2", "Join_3", "Join_4"}
     assert doc["join_rate"] == pytest.approx(0.9677, abs=0.02)
 
+    # A scheme over another state count than --capacity is a schema error.
     bad = sim_args.copy()
     bad[bad.index("4")] = "5"
-    assert cli.run(bad) == 2
-    capsys.readouterr()
+    assert cli.run(bad) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "persuade: prior: scheme state count does not match the capacity\n"
 
 
 @pytest.mark.parametrize(
@@ -1305,6 +1308,46 @@ def test_solve_rejects_nan_receiver_table(tmp_path, capsys):
     path = _write(tmp_path, "inst.json", doc)
     assert cli.run(["solve", "--instance", path]) == 1
     assert capsys.readouterr().err.startswith("persuade: receiver.u[1][1]: expected a finite")
+
+
+@pytest.mark.parametrize(
+    "receiver, edit, message",
+    [
+        (_mean_stdev_receiver, lambda r: r.update(beta=-0.5), "beta must be nonnegative, got -0.5"),
+        (_mean_stdev_receiver, lambda r: r["g_var"][2].__setitem__(1, -1.0),
+         "g_var entries must be nonnegative"),
+        (_cvar_receiver, lambda r: r["loss_probs"][1].__setitem__(0, [0.5, 0.2, 0.2, 0.2]),
+         "state 1, action 0: loss probabilities must form a distribution"),
+    ],
+    ids=["mean_stdev-beta", "mean_stdev-g_var", "cvar-loss_probs"],
+)
+def test_a_receiver_the_model_refuses_exits_one_at_the_receiver(
+    receiver, edit, message, tmp_path, capsys
+):
+    # The document is at fault (exit 1), and the model's message is kept.
+    doc = _seeded_binary(receiver, 11, 4)
+    edit(doc["receiver"])
+    path = _write(tmp_path, "inst.json", doc)
+    for verb in ("solve", "check-full"):
+        assert cli.run([verb, "--instance", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"persuade: receiver: {message}\n"
+
+
+def test_validate_refuses_a_scheme_over_another_state_count(tmp_path, capsys):
+    # A queue scheme over 400 lengths against a 3-state instance: a schema
+    # error at the prior (exit 1), not a failed validation.
+    scheme_path = tmp_path / "q.json"
+    queue = ["queue", "--lambda", "0.6", "--beta", "0", "--tau", "5.5", "--capacity", "400"]
+    assert cli.run([*queue, "--out", str(scheme_path)]) == 0
+    capsys.readouterr()
+    code, out, err = _validate_exit(
+        tmp_path, capsys, _write(tmp_path, "inst.json", _expected_dict()),
+        json.loads(scheme_path.read_text()),
+    )
+    assert (code, out) == (1, "")
+    assert err == "persuade: prior: scheme and instance disagree on the state count\n"
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,12 @@ REMOVED_FUNCTIONS = (
     "SparseConstraints",
     "_order_violations",
     "CLASSIFY_TOLERANCE",
+    "PROBABILITY_SLACK",
+    "LABEL_SUPPORT_FLOOR",
+    "SUPPORT_FLOOR",
+    "SANDWICH_UTILITY_TOLERANCE",
+    "COALESCE_TOLERANCE",
+    "LEAVE_MASS_FLOOR",
 )
 REMOVED_MEMBERS = (
     ("Belief", "point"),

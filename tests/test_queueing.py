@@ -33,13 +33,16 @@ from persuade import (
 from persuade.binary import classify_states
 from persuade.geometry import CscMatrix, certificate_bound
 from persuade.model import (
+    PLAN_MASS_TOLERANCE,
     ActionSpace,
     Belief,
     PersuasionInstance,
+    PlanAtom,
     SenderUtility,
     StateSpace,
 )
 from persuade.queueing import PREFIX_MIN, PREFIX_PER_JOINABLE
+from persuade.scheme import POSTERIOR_TOLERANCE, scheme_from_plan
 from conftest import reference_queue
 
 TAU, BETA = 7.5, 2.5
@@ -439,6 +442,35 @@ def test_verify_sandwich_flags_a_tampered_scheme(reference_solution):
     assert not report.utility_ok
     assert not report.passed
     assert not report.ok
+
+
+def test_sandwich_does_not_apply_to_noise_level_leave_mass():
+    # The LP leaves 9.3e-10 of Leave mass, under the precision plan mass is
+    # checked to: nobody is told to leave, as full_persuasion reads a plan.
+    sol = solve_queue(QueueInstance(0.4303267821128942, 0.31518274714343164, 4.54884511112753, 100))
+    leave = sol.scheme.signals[-1]
+    assert leave.label == "Leave" and 0.0 < leave.marginal <= PLAN_MASS_TOLERANCE
+    report = verify_sandwich(sol)
+    assert not report.applicable and report.ok
+
+
+def test_default_label_and_sandwich_count_the_same_support(reference_solution):
+    # Join_1 mixes lengths 0 and 4; an entry at 5e-9 on length 50 is under
+    # POSTERIOR_TOLERANCE, so neither the label nor the audit counts it.
+    sol = reference_solution
+    posterior = sol.scheme.signals[0].posterior.copy()
+    posterior[50], posterior[0] = 5e-9, posterior[0] - 5e-9
+    assert 0.0 < posterior[50] <= POSTERIOR_TOLERANCE
+    plan = OptimalPlan(
+        t=np.vstack([np.zeros(100), posterior]),
+        prior=posterior,
+        value=1.0,
+        atoms=(PlanAtom(action=1, posterior=posterior, weight=1.0),),
+    )
+    compiled = scheme_from_plan(plan, sol.persuasion)
+    assert compiled.labels == (f"mix(4,0,{posterior[4]:.6g})",)
+    report = verify_sandwich(dataclasses.replace(sol, scheme=compiled))
+    assert report.join_supports == ((0, 4),)
 
 
 # Rationing (some arrivals told to leave) and full persuasion (nobody is)
