@@ -52,7 +52,6 @@ from .model import (
     UtilityModel,
     best_response,
     instance_from_json,
-    instance_to_json,
     make_model,
     mixture_moments,
 )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .general import SENDER_PREFERENCE_SLACK, plan_from_candidates
-from .model import TIE_TOLERANCE, OptimalPlan, PersuasionInstance, _dense_rows
+from .model import PLAN_MASS_TOLERANCE, TIE_TOLERANCE, OptimalPlan, PersuasionInstance, _dense_rows
 
 # Boundary blends, and the sandwich audit's Joins, sit on the indifference
 # surface this tightly: bisection's last bracket times a slope of up to 1e3.
@@ -23,10 +23,6 @@ BOUNDARY_TOLERANCE = 1e-7
 # Edge bisection halves a bracket of width one until it is at most this wide:
 # 34 steps (2**-34 <= 1e-10 < 2**-33), a thousandth of BOUNDARY_TOLERANCE.
 BISECTION_TOLERANCE = 1e-10
-# verify_threshold reads joint mass at or below this as zero, ten times the
-# plan's precision: at 1e-9 the queue (lambda, beta, tau) = (0.44389059492858984,
-# 0.6225674878326488, 5.143517505325058) gets a cutoff at length 24 from noise.
-THRESHOLD_TOLERANCE = 1e-8
 # Random midpoint pairs drawn when spot-checking a convexity declaration.
 SPOT_CHECK_PAIRS = 64
 # verify_threshold's slack on the strict drop of blend weights along the order;
@@ -36,7 +32,6 @@ MONOTONE_SLACK = 1e-12
 __all__ = [
     "BOUNDARY_TOLERANCE",
     "BISECTION_TOLERANCE",
-    "THRESHOLD_TOLERANCE",
     "StateClassification",
     "HullCandidates",
     "ThresholdReport",
@@ -54,15 +49,11 @@ class StateClassification:
     """Pure states sorted by the sign of their accept-reject differential.
 
     ``accept`` holds states where accepting is weakly optimal (diff >=
-    -TIE_TOLERANCE, the receiver's one tie rule), ``reject`` where
-    rejecting is, and ``strict_reject`` the reject states that are not
-    also accept states.
-    Boundary states with a vanishing differential belong to both accept
-    and reject.
+    -TIE_TOLERANCE, the receiver's one tie rule), and ``strict_reject``
+    the others, where rejecting is strictly better.
     """
 
     accept: tuple[int, ...]
-    reject: tuple[int, ...]
     strict_reject: tuple[int, ...]
     differentials: np.ndarray
 
@@ -73,16 +64,13 @@ def _require_binary(instance: PersuasionInstance) -> None:
 
 
 def classify_states(instance: PersuasionInstance) -> StateClassification:
-    """Split pure states by whether the receiver accepts, rejects, or both."""
+    """Split pure states by whether the receiver accepts or strictly rejects."""
     _require_binary(instance)
     d = instance.n_states
     diffs = instance.receiver.differential_slots(np.arange(d)[:, None], np.ones((d, 1)))
     accept = tuple(int(w) for w in np.nonzero(diffs >= -TIE_TOLERANCE)[0])
-    reject = tuple(int(w) for w in np.nonzero(diffs <= TIE_TOLERANCE)[0])
     strict = tuple(int(w) for w in np.nonzero(diffs < -TIE_TOLERANCE)[0])
-    return StateClassification(
-        accept=accept, reject=reject, strict_reject=strict, differentials=diffs
-    )
+    return StateClassification(accept=accept, strict_reject=strict, differentials=diffs)
 
 
 def _blend_pairs(classification: StateClassification) -> np.ndarray:
@@ -289,41 +277,39 @@ class ThresholdReport:
     every state before the threshold is fully accepted, every one after
     contributes nothing.  ``threshold_state`` is the first state not
     fully accepted (None when all are).  ``monotone_ok`` is the verdict
-    of the blend-weight audit of the supplied order (None when no
-    candidates were given to audit against).
+    of the blend-weight audit of the order.
     """
 
     holds: bool
     threshold_state: int | None
-    monotone_ok: bool | None
+    monotone_ok: bool
 
 
 def verify_threshold(
-    plan: OptimalPlan,
-    order: list[int],
-    candidates: HullCandidates | None = None,
+    plan: OptimalPlan, order: list[int], candidates: HullCandidates
 ) -> ThresholdReport:
     """Check that a plan's accept mass is a cutoff in the given state order.
 
-    ``order`` lists all states from most to least acceptable.  When hull
-    candidates are supplied, the order itself is audited against their
-    blend weights ``candidates.gamma``: a state may only precede another
-    if it is an accept state, or both are strict-reject states and every
-    accept state blends with the earlier one at a strictly larger weight
-    (up to MONOTONE_SLACK) than with the later one.
+    ``order`` lists all states from most to least acceptable.  Joint mass
+    within PLAN_MASS_TOLERANCE of zero, or of the state's prior, counts as
+    none, or as all of it.  The order itself is audited against the hull
+    candidates' blend weights ``candidates.gamma``: a state may only
+    precede another if it is an accept state, or both are strict-reject
+    states and every accept state blends with the earlier one at a
+    strictly larger weight (up to MONOTONE_SLACK) than with the later one.
     """
     d = plan.t.shape[1]
     if sorted(order) != list(range(d)):
         raise ValueError("order must be a permutation of the state indices")
     t1 = plan.t[1]
     prior = plan.prior
-    nonzero = [p for p, w in enumerate(order) if t1[w] > THRESHOLD_TOLERANCE]
-    nonfull = [p for p, w in enumerate(order) if t1[w] < prior[w] - THRESHOLD_TOLERANCE]
+    nonzero = [p for p, w in enumerate(order) if t1[w] > PLAN_MASS_TOLERANCE]
+    nonfull = [p for p, w in enumerate(order) if t1[w] < prior[w] - PLAN_MASS_TOLERANCE]
     holds = (not nonzero) or (not nonfull) or max(nonzero) <= min(nonfull)
     return ThresholdReport(
         holds=bool(holds),
         threshold_state=order[min(nonfull)] if nonfull else None,
-        monotone_ok=None if candidates is None else _monotone_order(order, candidates),
+        monotone_ok=_monotone_order(order, candidates),
     )
 
 

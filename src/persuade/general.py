@@ -270,7 +270,6 @@ class BenefitReport:
     """
 
     strictly_beneficial: bool
-    value: float
     no_info: float
     full_info: float
     margin: float
@@ -307,7 +306,6 @@ def benefit_check(
             best_point = pts[i]
     return BenefitReport(
         strictly_beneficial=bool(margin > BENEFIT_MARGIN),
-        value=float(plan.value),
         no_info=base.no_info,
         full_info=base.full_info,
         margin=float(margin),

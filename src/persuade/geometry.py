@@ -347,13 +347,14 @@ def solve_by_columns(lp: LinearProgram, seed: np.ndarray | None) -> LpResult:
     those outside the set that price above tolerance, and repeats until
     none does (Gilmore & Gomory 1961).  The seed must admit a feasible
     point.  A program with at most FULL_LP_COLUMNS columns, or with no
-    seed (None), starts from all its columns, so its one solve is the
-    direct LP.
+    seed (None), is the direct LP: ``solve_lp`` certifies its one solve.
 
     Either way the optimum must pass ``certify`` over all the columns.
     """
     n = lp.c.size
-    active = np.arange(n) if seed is None or n <= FULL_LP_COLUMNS else np.unique(seed)
+    if seed is None or n <= FULL_LP_COLUMNS:
+        return solve_lp(lp)
+    active = np.unique(seed)
     bound = certificate_bound(lp)
     rounds = 0
     while True:

@@ -45,7 +45,8 @@ SUM_SLACK = 1e-6
 # division is not bit-stable, and parse/serialize must be a fixpoint.
 SUM_NOISE = 1e-13
 # OptimalPlan.check: joint mass against the prior, and atoms against it, at the
-# LP residual its weights met; mass no larger is none (full_persuasion, sandwich).
+# LP residual its weights met; mass no larger is none (full_persuasion, the
+# threshold and sandwich audits).
 PLAN_MASS_TOLERANCE = 1e-9
 # Slot scoring builds features a block of beliefs at a time, at most this many
 # entries (8 MB of floats) a block, however many states and beliefs there are.
@@ -69,7 +70,6 @@ __all__ = [
     "make_model",
     "best_response",
     "mixture_moments",
-    "instance_to_json",
     "instance_from_json",
 ]
 
@@ -194,7 +194,7 @@ class UtilityModel:
     action 0 is strictly preferred to action 1 is convex.  Built-in kinds
     set it from structural checks; custom models self-declare and the
     binary solver spot-checks the claim rather than trusting it blindly.
-    ``params`` are the builder's inputs, arrays copied, for ``instance_to_json``.
+    ``params`` are the builder's inputs, arrays copied; None for a custom model.
     """
 
     kind: str
@@ -664,22 +664,3 @@ def instance_from_json(data: dict) -> PersuasionInstance:
     return PersuasionInstance(
         states=states, actions=actions, prior=prior, sender=sender, receiver=receiver
     )
-
-
-def instance_to_json(instance: PersuasionInstance) -> dict:
-    """Serialize an instance back to the JSON schema.
-
-    Custom receivers carry an opaque callable and are rejected.
-    """
-    if instance.receiver.params is None:
-        raise FormatError("receiver.kind", "custom models cannot be written to JSON")
-    receiver = {"kind": instance.receiver.kind}
-    for key, value in instance.receiver.params.items():
-        receiver[key] = value.tolist() if isinstance(value, np.ndarray) else value
-    return {
-        "states": list(instance.states.labels),
-        "actions": list(instance.actions.labels),
-        "prior": [float(x) for x in instance.prior.weights],
-        "sender_v": [[float(x) for x in row] for row in instance.sender.table],
-        "receiver": receiver,
-    }

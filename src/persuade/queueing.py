@@ -146,9 +146,10 @@ def gamma_closed_form(n, m, tau: float, beta: float):
     E = 1 + m + (n - m) gamma and Var = E + (n - m)^2 gamma (1 - gamma).
     Requires m to be joinable outright and n not:
     m + 1 + beta sqrt(m + 1) <= tau < n + 1 + beta sqrt(n + 1), the first
-    up to TIE_TOLERANCE, the rule ``classify_states`` applies.
-    Given arrays of lengths, returns an array of weights, NaN for each pair
-    where a scalar call raises ValueError.
+    up to TIE_TOLERANCE, the rule ``classify_states`` applies.  The weight
+    is NaN wherever the closed form is undefined: n <= m, beta < 0, tau
+    outside that range, or a radicand below -CLOSED_FORM_SLACK.  Given
+    arrays of lengths, returns an array of weights; given scalars, a float.
     """
     n, m = np.asarray(n), np.asarray(m)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -168,20 +169,12 @@ def gamma_closed_form(n, m, tau: float, beta: float):
         # beta = 0 and s = 0 this is 0 / 0, and gamma is 0 there.
         den = span * (2 * slack + beta2 * (span + 1) + beta * root)
         gamma = np.where(den == 0.0, 0.0, 2 * (slack * slack - beta2 * (1 + m)) / den)
-    faults = (
-        (n <= m, "need n > m"),
-        (beta < 0.0, "beta must be nonnegative"),
-        ((tau < bound_m - TIE_TOLERANCE) | (tau >= bound_n),
-         "tau {0!r} outside [{1!r}, {2!r}) for n={3}, m={4}"),
-        (h < -CLOSED_FORM_SLACK, "negative radicand {5!r}; fall back to bisection"),
+    undefined = (
+        (n <= m) | (beta < 0.0) | (tau < bound_m - TIE_TOLERANCE) | (tau >= bound_n)
+        | (h < -CLOSED_FORM_SLACK)
     )
-    if gamma.ndim:
-        undefined = np.any(np.broadcast_arrays(*(bad for bad, _ in faults)), axis=0)
-        return np.where(undefined, np.nan, np.clip(gamma, 0.0, 1.0))
-    for bad, message in faults:
-        if bad:
-            raise ValueError(message.format(tau, float(bound_m), float(bound_n), n, m, float(h)))
-    return float(np.clip(gamma, 0.0, 1.0))
+    gamma = np.where(undefined, np.nan, np.clip(gamma, 0.0, 1.0))
+    return gamma if gamma.ndim else float(gamma)
 
 
 def queue_model(instance: QueueInstance):
@@ -217,7 +210,6 @@ class QueueSolution:
     flow: LpResult
     t0: np.ndarray
     t1: np.ndarray
-    prior: np.ndarray
     plan: OptimalPlan
     scheme: SignalingScheme
     join_probability: float
@@ -317,11 +309,14 @@ def _solve_flow(d: int, lam: float, candidates: HullCandidates) -> LpResult:
     (the normalization row alone) certifies it instead, as no more than
     every arrival can join: in full persuasion the prefix duals are
     degenerate, and their extension prices the tail at (1 - lam) / lam
-    whatever L is.  With l the longest joinable length, L starts at
-    max(PREFIX_MIN, PREFIX_PER_JOINABLE * (l + 1)) and doubles while the
-    certificate, or the engine on the prefix, fails.  Its last rung,
-    L = d - 1, is the full program, whose failure is raised.  ``rounds``
-    counts the rungs, and ``columns`` the last one's columns.
+    whatever L is.  Such a rung is kept only when it puts no weight on a
+    Leave column: Leave weight there is the geometric tail of joiners past
+    L, which the rung cannot hold.  With l the longest joinable length, L
+    starts at max(PREFIX_MIN, PREFIX_PER_JOINABLE * (l + 1)) and doubles
+    while the certificate, or the engine on the prefix, fails, or the tail
+    is not held.  Its last rung, L = d - 1, is the full program: its
+    answer is kept, and its failure raised.  ``rounds`` counts the rungs,
+    and ``columns`` the last one's columns.
     """
     states, weights, n1 = candidates.states, candidates.weights, candidates.n_accept
     lp = _flow_program(d, lam, states, weights, n1)
@@ -339,12 +334,14 @@ def _solve_flow(d: int, lam: float, candidates: HullCandidates) -> LpResult:
             x = np.zeros(lp.c.size)
             x[cols] = res.x
             y = np.zeros(d)
-            if res.value >= 1.0 - bound:
+            full = res.value >= 1.0 - bound
+            if full:
                 y[d - 1] = 1.0
             else:
                 y[: sub.b_eq.size - 1], y[d - 1] = res.dual[:-1], res.dual[-1]
                 _extend_duals(y, length, lam, candidates)
-            return certify(lp, x, res.value, y, rounds=rung, columns=cols.size)
+            if not (full and x[n1:].any() and length < d - 1):
+                return certify(lp, x, res.value, y, rounds=rung, columns=cols.size)
         except LpSolverError:
             if length == d - 1:
                 raise
@@ -444,7 +441,6 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
         flow=res,
         t0=t0,
         t1=t1,
-        prior=prior,
         plan=plan,
         scheme=compiled,
         join_probability=float(t1.sum()),
@@ -471,10 +467,7 @@ class SandwichReport:
     support_ok: bool
     ordering_ok: bool
     moments_ok: bool
-    join_diffs: tuple[float, ...]
-    join_supports: tuple[tuple[int, ...], ...]
     join_means: tuple[float, ...]
-    join_vars: tuple[float, ...]
 
     @property
     def passed(self) -> bool:
@@ -490,16 +483,12 @@ def verify_sandwich(solution: QueueSolution) -> SandwichReport:
     model = solution.persuasion.receiver
     joins = [s for s in solution.scheme.signals if s.action == 1]
     applicable = solution.plan.t[0].sum() > PLAN_MASS_TOLERANCE and bool(joins)
-    diffs = tuple(float(model.differential(s.posterior)) for s in joins)
-    supports = tuple(
-        tuple(int(w) for w in np.nonzero(s.posterior > POSTERIOR_TOLERANCE)[0])
-        for s in joins
-    )
+    supports = [np.flatnonzero(s.posterior > POSTERIOR_TOLERANCE) for s in joins]
     moments = [posterior_wait_moments(s.posterior) for s in joins]
     means = tuple(m for m, _ in moments)
-    variances = tuple(v for _, v in moments)
+    variances = [v for _, v in moments]
 
-    utility_ok = all(abs(x) <= BOUNDARY_TOLERANCE for x in diffs)
+    utility_ok = all(abs(model.differential(s.posterior)) <= BOUNDARY_TOLERANCE for s in joins)
     support_ok = all(1 <= len(s) <= 2 for s in supports)
     ordering_ok = True
     if support_ok and joins:
@@ -518,10 +507,7 @@ def verify_sandwich(solution: QueueSolution) -> SandwichReport:
         support_ok=support_ok,
         ordering_ok=ordering_ok,
         moments_ok=moments_ok,
-        join_diffs=diffs,
-        join_supports=supports,
         join_means=means,
-        join_vars=variances,
     )
 
 
@@ -559,7 +545,8 @@ def simulate_queue(
     first BURN_IN_FRACTION of them before tallying.  Horizons under
     MIN_HORIZON are refused: shorter runs say nothing at these rates.  So
     is a scheme ``signal_cdf`` refuses, whose signal law in some state is
-    not a law.
+    not a law.  A scheme of another state count, or one recommending an
+    action other than leave (0) and join (1), is a ``FormatError``.
     The seed is required; identical seeds give identical runs, draw for
     draw: one exponential gap per event and one uniform per signal, in
     event order.  The loop keeps its state in Python scalars and lists.
@@ -573,6 +560,11 @@ def simulate_queue(
     d = instance.capacity
     if scheme.prior.size != d:
         raise FormatError("prior", "scheme state count does not match the capacity")
+    for i, sig in enumerate(scheme.signals):
+        if sig.action not in (0, 1):
+            raise FormatError(
+                f"signals[{i}].action", f"action {sig.action} out of range for 2 actions"
+            )
     cdf = signal_cdf(scheme)
     rng = np.random.default_rng(seed)
     # rng.exponential(scale) is scale * rng.standard_exponential(), bit for bit.

@@ -14,6 +14,7 @@ the array ``gamma_closed_form``; ``full_plan_lp`` solves the plan LP over all
 candidates in one direct scipy call, the reference for column generation;
 ``expected_region_vertices`` enumerates the corners of an expected-utility
 receiver's best-response regions, which make the grid relaxation exact.
+``instance_to_json`` writes an instance back to the JSON schema, and
 ``roundtrip`` is the parse/serialize fixpoint check on a JSON artifact.
 ``simulate_queue_reference`` and ``sample_scheme_batch_reference`` are the
 simulator's event loop on numpy state and the sampler's per-state mask
@@ -32,7 +33,7 @@ import scipy.linalg
 from scipy.optimize import linprog
 
 from persuade.binary import BISECTION_TOLERANCE
-from persuade.model import FormatError, instance_from_json, instance_to_json
+from persuade.model import FormatError, instance_from_json
 from persuade.queueing import BURN_IN_FRACTION, MIN_HORIZON, SimulationResult
 from persuade.scheme import scheme_from_json, scheme_to_json, signal_cdf
 from persuade.geometry import (
@@ -317,6 +318,23 @@ def threshold_violations(order, accept, strict_reject, gammas) -> list[str]:
     return out
 
 
+def weak_reject_states(instance) -> tuple[int, ...]:
+    """Pure states where rejecting is weakly optimal: differential at most 1e-9."""
+    eye = np.eye(instance.n_states)
+    return tuple(
+        w for w, row in enumerate(eye) if float(instance.receiver.differential(row)) <= 1e-9
+    )
+
+
+def join_supports(scheme) -> tuple[tuple[int, ...], ...]:
+    """Lengths each Join (action 1) signal puts more than 1e-8 on, in scheme order."""
+    return tuple(
+        tuple(int(w) for w in np.flatnonzero(s.posterior > 1e-8))
+        for s in scheme.signals
+        if s.action == 1
+    )
+
+
 def concavify_oracle(instance, grid) -> float:
     """Best sender value from splitting the prior across grid posteriors.
 
@@ -564,6 +582,25 @@ def segment_bisection(
     raise BisectionError(
         f"no convergence to width {tol:g} within {max_iter} iterations"
     )
+
+
+def instance_to_json(instance) -> dict:
+    """Serialize an instance back to the JSON schema.
+
+    Custom receivers carry an opaque callable and are rejected.
+    """
+    if instance.receiver.params is None:
+        raise FormatError("receiver.kind", "custom models cannot be written to JSON")
+    receiver = {"kind": instance.receiver.kind}
+    for key, value in instance.receiver.params.items():
+        receiver[key] = value.tolist() if isinstance(value, np.ndarray) else value
+    return {
+        "states": list(instance.states.labels),
+        "actions": list(instance.actions.labels),
+        "prior": [float(x) for x in instance.prior.weights],
+        "sender_v": [[float(x) for x in row] for row in instance.sender.table],
+        "receiver": receiver,
+    }
 
 
 def roundtrip(path: str):

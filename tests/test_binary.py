@@ -63,7 +63,7 @@ def test_classify_states_queue_frozen():
     cls = classify_states(inst)
     assert cls.accept == (0, 1, 2)
     assert cls.strict_reject == (3, 4, 5)
-    assert cls.reject == (3, 4, 5)
+    assert oracles.weak_reject_states(inst) == (3, 4, 5)
     expected = [
         4.0,
         1.9644660940672622,
@@ -78,7 +78,7 @@ def test_classify_states_queue_frozen():
 def test_classify_boundary_state_joins_both_sides():
     inst = _binary_instance([0.4, 0.3, 0.3], _expected_binary([0.0, 1.0, -1.0]))
     cls = classify_states(inst)
-    assert 0 in cls.accept and 0 in cls.reject
+    assert 0 in cls.accept and 0 in oracles.weak_reject_states(inst)
     assert cls.strict_reject == (2,)
 
 
@@ -423,21 +423,31 @@ def _plan(t1, t0, prior):
 
 def test_verify_threshold_cutoff_and_witness():
     prior = [0.2, 0.2, 0.2, 0.4]
+    # Four accept states and no blends: the order audit passes.
+    candidates = _candidates(4, [0, 1, 2, 3], [], {})
     good = _plan([0.2, 0.2, 0.1, 0.0], [0.0, 0.0, 0.1, 0.4], prior)
-    report = verify_threshold(good, [0, 1, 2, 3])
-    assert report == ThresholdReport(holds=True, threshold_state=2, monotone_ok=None)
+    report = verify_threshold(good, [0, 1, 2, 3], candidates)
+    assert report == ThresholdReport(holds=True, threshold_state=2, monotone_ok=True)
 
     # State 1 is not fully accepted, yet the later state 2 is.
     bad = _plan([0.2, 0.1, 0.2, 0.0], [0.0, 0.1, 0.0, 0.4], prior)
-    report = verify_threshold(bad, [0, 1, 2, 3])
-    assert report == ThresholdReport(holds=False, threshold_state=1, monotone_ok=None)
+    report = verify_threshold(bad, [0, 1, 2, 3], candidates)
+    assert report == ThresholdReport(holds=False, threshold_state=1, monotone_ok=True)
 
     full = _plan(prior, [0.0] * 4, prior)
-    report = verify_threshold(full, [0, 1, 2, 3])
+    report = verify_threshold(full, [0, 1, 2, 3], candidates)
     assert report.holds and report.threshold_state is None
 
+    # Joint mass within PLAN_MASS_TOLERANCE of zero or of the prior is read
+    # as none or as all of it; twice that is not.
+    near = _plan([0.2 - 9e-10, 0.2, 9e-10, 0.0], [9e-10, 0.0, 0.2 - 9e-10, 0.4], prior)
+    assert verify_threshold(near, [0, 1, 2, 3], candidates).threshold_state == 2
+    off = _plan([0.2 - 2e-9, 0.2, 2e-9, 0.0], [2e-9, 0.0, 0.2 - 2e-9, 0.4], prior)
+    report = verify_threshold(off, [0, 1, 2, 3], candidates)
+    assert not report.holds and report.threshold_state == 0
+
     with pytest.raises(ValueError):
-        verify_threshold(good, [0, 1, 1, 3])
+        verify_threshold(good, [0, 1, 1, 3], candidates)
 
 
 def test_verify_threshold_audits_order_against_blends():
@@ -474,14 +484,10 @@ def test_verify_threshold_audits_order_against_blends():
     assert any("not strict-reject" in v for v in expected)
 
 
-def _audit(order, accept, strict, gammas):
-    """verify_threshold's order audit and the pairwise oracle on one case."""
-    d = len(order)
+def _candidates(d, accept, strict, gammas):
+    """Hull candidates over d states with the given blend weights."""
     classification = StateClassification(
-        accept=tuple(accept),
-        reject=tuple(strict),
-        strict_reject=tuple(strict),
-        differentials=np.zeros(d),
+        accept=tuple(accept), strict_reject=tuple(strict), differentials=np.zeros(d)
     )
     # hull_candidates' layout: pure accept states, blends, pure strict-reject.
     pairs = [(w0, wa) for w0 in strict for wa in accept]
@@ -490,12 +496,18 @@ def _audit(order, accept, strict, gammas):
     weights[:, 0] = 1.0
     g = np.array([gammas[pair] for pair in pairs])
     weights[len(accept) : len(accept) + len(pairs)] = np.column_stack([g, 1.0 - g])
-    candidates = HullCandidates(
+    return HullCandidates(
         classification=classification,
         states=np.array(states, dtype=np.intp).reshape(-1, 2),
         weights=weights,
         state_labels=tuple(str(w) for w in range(d)),
     )
+
+
+def _audit(order, accept, strict, gammas):
+    """verify_threshold's order audit and the pairwise oracle on one case."""
+    d = len(order)
+    candidates = _candidates(d, accept, strict, gammas)
     plan = _plan(np.zeros(d), np.full(d, 1.0 / d), np.full(d, 1.0 / d))
     report = verify_threshold(plan, list(order), candidates)
     expected = oracles.threshold_violations(order, accept, strict, gammas)

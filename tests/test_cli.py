@@ -521,6 +521,48 @@ def test_simulate_rejects_repeated_or_non_string_labels(labels, path, tmp_path, 
     assert captured.err.startswith(f"persuade: {path}:")
 
 
+@pytest.mark.parametrize("action", [7, 2])
+def test_simulate_rejects_an_action_the_queue_lacks(action, tmp_path, capsys):
+    # The queue has two actions, leave (0) and join (1); another one used to
+    # be simulated as leave.
+    scheme_path = tmp_path / "scheme.json"
+    queue_args = [
+        "queue", "--lambda", "0.5", "--beta", "0.0", "--tau", "20.0",
+        "--capacity", "4", "--out", str(scheme_path),
+    ]
+    assert cli.run(queue_args) == 0
+    capsys.readouterr()
+    scheme = json.loads(scheme_path.read_text())
+    scheme["signals"][0]["action"] = action
+    sim_args = [
+        "simulate", "--scheme", _write(tmp_path, "bad.json", scheme), "--lambda", "0.5",
+        "--capacity", "4", "--events", "20000", "--seed", "3",
+    ]
+    assert cli.run(sim_args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"persuade: signals[0].action: action {action} out of range for 2 actions\n"
+    )
+
+
+@pytest.mark.parametrize("capacity", [100, 400, 1600])
+def test_full_persuasion_queue_prints_no_leave_signal(capacity, capsys):
+    # Every arrival can be told to join.  The flow LP's first rungs put
+    # 1.9e-9 on a Leave column, the tail of joiners past their prefix, and
+    # the document used to print that Leave signal beside a value of
+    # 0.9999999981.
+    argv = ["queue", "--lambda", "0.44389059492858984", "--beta", "0.6225674878326488",
+            "--tau", "5.143517505325058", "--capacity", str(capacity)]
+    assert cli.run(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [s["action"] for s in doc["signals"]] == ["join"] * len(doc["signals"])
+    assert [s["action"] for s in doc["scheme"]["signals"]] == [1] * len(doc["signals"])
+    assert abs(1.0 - doc["value"]) <= 1e-12
+    assert doc["threshold"]["state"] is None and doc["threshold"]["holds"]
+    assert doc["sandwich"]["applicable"] is False
+
+
 def test_roundtrip_fixpoint(tmp_path):
     inst_doc = threshold_instance_dict()
     inst_doc["prior"] = [1 / 3, 1 / 3, 1 / 6, 1 / 6]
@@ -785,7 +827,7 @@ def test_queue_over_the_dual_tolerance_retries_and_exits_zero(
     assert cli.run(argv) == 0
     assert capsys.readouterr().err == ""
     solution = persuade.solve_queue(persuade.QueueInstance(lam, beta, tau, capacity))
-    inst.write_text(json.dumps(persuade.instance_to_json(solution.persuasion)))
+    inst.write_text(json.dumps(oracles.instance_to_json(solution.persuasion)))
     assert cli.run(["validate", "--instance", str(inst), "--scheme", str(out)]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
@@ -1117,13 +1159,13 @@ def _aligned(instance):
     # The receiver's expected utility is the sender's table: full disclosure
     # gives the sender its ideal action in every state.
     return instance_from_json(
-        {**persuade.instance_to_json(instance),
+        {**oracles.instance_to_json(instance),
          "receiver": {"kind": "expected", "u": instance.sender.table.tolist()}}
     )
 
 
 def _with_prior(instance, prior):
-    return instance_from_json({**persuade.instance_to_json(instance), "prior": list(prior)})
+    return instance_from_json({**oracles.instance_to_json(instance), "prior": list(prior)})
 
 
 def test_full_persuasion_agrees_with_hull_membership():
@@ -1276,7 +1318,7 @@ def test_simulate_refuses_a_state_whose_signal_law_is_not_a_law(tmp_path, capsys
     assert captured.err == "persuade: conditional law of state 1 sums to 0.0, not 1\n"
     # validate still reads the scheme, and reports the column as its Bayes residual.
     solution = persuade.solve_queue(QueueInstance(0.9, 0.0, 3.0, 4))
-    inst_path = _write(tmp_path, "inst.json", persuade.instance_to_json(solution.persuasion))
+    inst_path = _write(tmp_path, "inst.json", oracles.instance_to_json(solution.persuasion))
     code, out, _ = _validate_exit(tmp_path, capsys, inst_path, scheme)
     doc = json.loads(out)
     assert code == 2 and doc["ok"] is False and doc["bayes_residual"] == 1.0
@@ -1378,7 +1420,7 @@ def _fuzz_bases() -> tuple[tuple[dict, dict], ...]:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.run(_queue_args(4) + ["--out", str(out)]) == 0
         solution = persuade.solve_queue(persuade.QueueInstance(0.95, 2.5, 7.5, 4))
-        bases.append((persuade.instance_to_json(solution.persuasion), json.loads(out.read_text())))
+        bases.append((oracles.instance_to_json(solution.persuasion), json.loads(out.read_text())))
     return tuple(bases)
 
 

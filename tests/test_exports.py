@@ -41,6 +41,8 @@ REMOVED_FUNCTIONS = (
     "SANDWICH_UTILITY_TOLERANCE",
     "COALESCE_TOLERANCE",
     "LEAVE_MASS_FLOOR",
+    "THRESHOLD_TOLERANCE",
+    "instance_to_json",
 )
 REMOVED_MEMBERS = (
     ("Belief", "point"),
@@ -52,6 +54,12 @@ REMOVED_MEMBERS = (
     ("LpResult", "optimal"),
     ("ThresholdReport", "witness"),
     ("ThresholdReport", "violations"),
+    ("SandwichReport", "join_diffs"),
+    ("SandwichReport", "join_supports"),
+    ("SandwichReport", "join_vars"),
+    ("StateClassification", "reject"),
+    ("QueueSolution", "prior"),
+    ("BenefitReport", "value"),
 )
 
 

@@ -510,8 +510,8 @@ def _record(monkeypatch, name, home):
     calls = []
     original = getattr(home, name)
 
-    def wrapper(lp, *args):
-        res = original(lp, *args)
+    def wrapper(lp, *args, **kwargs):
+        res = original(lp, *args, **kwargs)
         calls.append((lp, res))
         return res
 
@@ -530,6 +530,18 @@ def _corrupt(monkeypatch, field, change):
     monkeypatch.setattr(persuade.geometry, "solve_lp", corrupted)
 
 
+def _corrupt_engine(monkeypatch, change):
+    """Make HiGHS hand solve_lp ``change(y, program)`` as the duals y, on every attempt."""
+    engine = persuade.geometry.linprog
+
+    def corrupted(c, a_eq, b_eq, options=None):
+        x, value, dual = engine(c, a_eq, b_eq, options)
+        # The engine minimizes -c . x, so its duals are -y.
+        return x, value, -change(-dual, LinearProgram(-c, a_eq, b_eq))
+
+    monkeypatch.setattr(persuade.geometry, "linprog", corrupted)
+
+
 def _bound(lp):
     return CERTIFICATE_TOLERANCE * (1.0 + np.max(np.abs(lp.c)))
 
@@ -543,8 +555,11 @@ def test_programs_at_or_below_the_column_limit_solve_once(monkeypatch, kind, see
     rows, actions = _candidates(instance, k)
     assert rows.shape[0] <= FULL_LP_COLUMNS
     lps = _record(monkeypatch, "solve_lp", persuade.geometry)
+    certified = _record(monkeypatch, "certify", persuade.geometry)
     plan = plan_from_candidates(instance, rows, actions)
     assert [lp.c.size for lp, _ in lps] == [rows.shape[0]]
+    # solve_lp certified the whole program, so its answer is not priced again.
+    assert len(certified) == 1
     value, _ = full_plan_lp(instance, rows, actions)
     assert plan.value == pytest.approx(value, abs=1e-9)
 
@@ -667,7 +682,11 @@ def test_corrupted_duals_fail_the_certificate(monkeypatch, limit, change):
     instance = _grid_instance(23, 4, "three-action")
     rows, actions = _candidates(instance, 8)
     monkeypatch.setattr(persuade.geometry, "FULL_LP_COLUMNS", limit)
-    _corrupt(monkeypatch, "dual", change)
+    if limit:
+        # The direct LP is certified once, inside solve_lp, on the engine's duals.
+        _corrupt_engine(monkeypatch, change)
+    else:
+        _corrupt(monkeypatch, "dual", change)
     with pytest.raises(LpSolverError, match="certificate"):
         plan_from_candidates(instance, rows, actions)
 
@@ -697,7 +716,7 @@ def test_certificate_fires_at_its_tolerance(monkeypatch, shift, fails):
     instance = _grid_instance(24, 4, "three-action")
     rows, actions = _candidates(instance, 8)
     assert 1e-10 < CERTIFICATE_TOLERANCE < 1e-8
-    _corrupt(monkeypatch, "dual", lambda y, lp: y - shift * (1.0 + np.max(np.abs(lp.c))))
+    _corrupt_engine(monkeypatch, lambda y, lp: y - shift * (1.0 + np.max(np.abs(lp.c))))
     if fails:
         with pytest.raises(LpSolverError, match="certificate"):
             plan_from_candidates(instance, rows, actions)
@@ -714,6 +733,6 @@ def test_certificate_prices_the_columns_already_in_the_program(monkeypatch):
     b = instance.prior.weights
     z = np.zeros(instance.n_states)
     z[0], z[1] = b[1], -b[0]
-    _corrupt(monkeypatch, "dual", lambda y, lp: y + 1e-3 * z)
+    _corrupt_engine(monkeypatch, lambda y, lp: y + 1e-3 * z)
     with pytest.raises(LpSolverError, match="certificate"):
         plan_from_candidates(instance, rows, actions)

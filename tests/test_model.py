@@ -20,11 +20,11 @@ from persuade import (
     StateSpace,
     best_response,
     instance_from_json,
-    instance_to_json,
     make_model,
     mixture_moments,
     model,
 )
+from oracles import instance_to_json
 from conftest import threshold_instance, threshold_instance_dict
 
 
