@@ -362,7 +362,7 @@ def _cmd_queue(args) -> int:
         },
         "sandwich": {
             "applicable": sandwich.applicable,
-            "passed": sandwich.passed,
+            "passed": sandwich.passed if sandwich.applicable else None,
             "utility_ok": sandwich.utility_ok,
             "support_ok": sandwich.support_ok,
             "ordering_ok": sandwich.ordering_ok,

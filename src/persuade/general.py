@@ -246,15 +246,16 @@ class BaselineValues:
 
 def baseline_values(instance: PersuasionInstance) -> BaselineValues:
     """Sender payoffs when the receiver best-responds to the prior (no
-    information) or to each pure state (full information)."""
-    prior = instance.prior.weights
+    information) or to each pure state (full information).  One batch scores
+    the pure states, and their payoffs add up from 0.0 in state order."""
+    prior, table = instance.prior.weights, instance.sender.table
     action = best_response(instance, prior)
-    full_info = 0.0
-    for w, point in enumerate(np.eye(instance.n_states)):
-        full_info += prior[w] * instance.sender.table[w, best_response(instance, point)]
+    # Each pure state takes best_response's pick: the tie paying the sender most, lowest first.
+    tied = _tied(instance.receiver.score_all(np.eye(prior.size)))
+    pure = np.argmax(np.where(tied, table, -np.inf), axis=1)
     return BaselineValues(
         no_info=instance.sender.value(prior, action),
-        full_info=float(full_info),
+        full_info=0.0 + float(np.cumsum(prior * table[np.arange(prior.size), pure])[-1]),
         no_info_action=action,
     )
 

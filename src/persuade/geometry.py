@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import itertools
 import os
 import sys
 from dataclasses import dataclass
@@ -36,13 +37,13 @@ LP_RESIDUAL = 1e-9
 # solve_lp sets LP weights at or below this to 0, so none becomes a plan atom:
 # a thousandth of LP_RESIDUAL, noise next to the residual the weights met.
 ATOM_FLOOR = 1e-12
-# Programs with at most this many columns start column generation from all
-# of them: the first solve is then the direct LP, pricing adds nothing, and
-# the plan is the one a direct solve gives.  The queue flow LP does not use
-# this loop: it grows its columns by queue length (queueing.solve_queue).
-FULL_LP_COLUMNS = 10_000
+# Programs with at most this many columns per constraint row are solved
+# directly, wider ones by column generation.  Swept on a 2-core host, the direct
+# LP won on 39 of 42 binary hulls (to 41 per row, d 160; up to 5x) and 8 of 10
+# grids of at most 60 per row, column generation on all 48 grids above (to 90x).
+FULL_LP_COLUMNS = 60
 # Columns added per pricing round, the best-priced first.  The solve-fixed
-# grid programs of 20k-46k columns then close in 2-6 rounds with 69-263.
+# grid programs of 9k-46k columns then close in 2-6 rounds with 68-261.
 PRICING_BATCH = 64
 # Bound on the largest reduced cost and on the primal-dual gap, scaled by
 # 1 + max|c|: the pricing threshold and the certificate.  It is the
@@ -173,14 +174,18 @@ class CscMatrix:
     ``A.rmatvec(y)`` (A^T y) add each sum's terms in entry order, as scipy's
     sparse products do, so they give its bits.  ``A.columns(cols)`` is the
     sub-matrix of those columns.  ``np.asarray`` and the numpy functions
-    built on it (``np.count_nonzero``, ...) see the dense matrix.
+    built on it (``np.count_nonzero``, ...) see the dense matrix.  Arrays are
+    checked unless ``cols`` (each entry's column) comes with them, canonical.
     """
 
-    def __init__(self, indptr, indices, data, shape):
+    def __init__(self, indptr, indices, data, shape, cols=None):
         self.indptr = np.asarray(indptr, dtype=np.intp)
         self.indices = np.asarray(indices, dtype=np.intp)
         self.data = np.asarray(data, dtype=float)
         self.shape = m, n = (int(shape[0]), int(shape[1]))
+        self._cols = cols
+        if cols is not None:
+            return
         counts = np.diff(self.indptr)
         if not (
             self.indptr.shape == (n + 1,)
@@ -203,9 +208,10 @@ class CscMatrix:
     def from_dense(cls, a: np.ndarray) -> CscMatrix:
         """The nonzeros of a dense matrix, column by column: scipy's ``csc_array(a)``."""
         cols = np.ascontiguousarray(np.asarray(a, dtype=float).T)
-        keep = cols != 0.0
-        indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))
-        return cls(indptr, np.nonzero(keep)[1], cols[keep], cols.shape[::-1])
+        at = np.flatnonzero(cols)
+        col, row = np.divmod(at, cols.shape[1])
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=cols.shape[0]))))
+        return cls(indptr, row, cols.ravel()[at], cols.shape[::-1], col)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self.indices, weights=self.data * x[self._cols], minlength=self.shape[0])
@@ -219,8 +225,9 @@ class CscMatrix:
         start = self.indptr[cols]
         counts = self.indptr[cols + 1] - start
         indptr = np.concatenate(([0], np.cumsum(counts)))
-        take = np.repeat(start - indptr[:-1], counts) + np.arange(indptr[-1])
-        return CscMatrix(indptr, self.indices[take], self.data[take], (self.shape[0], cols.size))
+        col = np.repeat(np.arange(cols.size), counts)
+        take = (start - indptr[:-1])[col] + np.arange(indptr[-1])
+        return CscMatrix(indptr, self.indices[take], self.data[take], (self.shape[0], cols.size), col)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         dense = np.zeros(self.shape)
@@ -346,25 +353,22 @@ def solve_by_columns(lp: LinearProgram, seed: np.ndarray | None) -> LpResult:
     reduced cost c - A^T y (one mat-vec), adds the PRICING_BATCH best of
     those outside the set that price above tolerance, and repeats until
     none does (Gilmore & Gomory 1961).  The seed must admit a feasible
-    point.  A program with at most FULL_LP_COLUMNS columns, or with no
-    seed (None), is the direct LP: ``solve_lp`` certifies its one solve.
+    point.  A program with at most FULL_LP_COLUMNS columns per row, or with
+    no seed (None), is the direct LP: ``solve_lp`` certifies its one solve.
 
     Either way the optimum must pass ``certify`` over all the columns.
     """
     n = lp.c.size
-    if seed is None or n <= FULL_LP_COLUMNS:
+    if seed is None or n <= FULL_LP_COLUMNS * lp.b_eq.size:
         return solve_lp(lp)
     active = np.unique(seed)
     bound = certificate_bound(lp)
-    rounds = 0
-    while True:
-        rounds += 1
+    for rounds in itertools.count(1):
         sub = lp if active.size == n else LinearProgram(lp.c[active], lp.a_eq.columns(active), lp.b_eq)
         res = solve_lp(sub)
         reduced = lp.c - lp.a_eq.rmatvec(res.dual)
-        outside = np.ones(n, dtype=bool)
-        outside[active] = False
-        entering = np.nonzero(outside & (reduced > bound))[0]
+        reduced[active] = -np.inf
+        entering = np.flatnonzero(reduced > bound)
         if entering.size == 0:
             break
         if entering.size > PRICING_BATCH:

@@ -121,42 +121,37 @@ def scheme_from_plan(
     atoms = [a for a in plan.atoms if a.weight > 0.0]
     if not atoms:
         raise ValueError("plan has no atoms to compile")
-    merged: list[list] = []  # [posterior, weight, action, label]
+    # posts[i] is signal i's posterior; an atom joins the first row within tolerance.
+    posts = np.empty((len(atoms), plan.t.shape[1]))
+    merged: list[list] = []  # [weight, action, label]
+    value = instance.sender.value
     for atom in atoms:
-        home = None
-        if coalesce:
-            for row in merged:
-                if np.max(np.abs(row[0] - atom.posterior)) <= POSTERIOR_TOLERANCE:
-                    home = row
-                    break
-        if home is None:
-            merged.append(
-                [np.asarray(atom.posterior, dtype=float), atom.weight, atom.action, atom.label]
-            )
+        gaps = np.abs(posts[: len(merged)] - atom.posterior).max(axis=1) if coalesce else []
+        hits = np.flatnonzero(np.less_equal(gaps, POSTERIOR_TOLERANCE))
+        if not hits.size:
+            posts[len(merged)] = atom.posterior
+            merged.append([atom.weight, atom.action, atom.label])
             continue
-        home[1] += atom.weight
-        if atom.action != home[2]:
-            gain_new = instance.sender.value(atom.posterior, atom.action)
-            gain_old = instance.sender.value(home[0], home[2])
-            if gain_new > gain_old:
-                home[2] = atom.action
-                home[3] = atom.label
+        home = merged[hits[0]]
+        home[0] += atom.weight
+        if atom.action != home[1] and (
+            value(atom.posterior, atom.action) > value(posts[hits[0]], home[1])
+        ):
+            home[1:] = atom.action, atom.label
 
     prior = np.asarray(plan.prior, dtype=float)
     labels = instance.states.labels
     signals = []
     taken: set[str] = set()
-    cond = np.zeros((len(merged), prior.size))
-    live = prior > 0.0
-    for i, (posterior, weight, action, label) in enumerate(merged):
-        name = label if label is not None else _default_label(posterior, labels, i)
+    for i, (weight, action, label) in enumerate(merged):
+        name = label if label is not None else _default_label(posts[i], labels, i)
         while name in taken:
             name = f"{name}+"
         taken.add(name)
-        signals.append(
-            Signal(label=name, posterior=posterior, action=action, marginal=float(weight))
-        )
-        cond[i, live] = weight * posterior[live] / prior[live]
+        signals.append(Signal(label=name, posterior=posts[i], action=action, marginal=float(weight)))
+    live = prior > 0.0
+    cond = np.zeros((len(merged), prior.size))
+    cond[:, live] = np.array([[w] for w, _, _ in merged]) * posts[: len(merged), live] / prior[live]
     cond[0, ~live] = 1.0
     return SignalingScheme(signals=tuple(signals), conditional=cond, prior=prior)
 

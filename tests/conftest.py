@@ -110,6 +110,39 @@ def random_mean_stdev_instance(rng: np.random.Generator) -> PersuasionInstance:
     )
 
 
+# Every receiver kind make_model builds; seeded_instance draws one of each.
+RECEIVER_KINDS = ("expected", "mean_stdev", "maximin", "cvar", "custom")
+
+
+def seeded_instance(kind: str, seed: int, d: int, n_actions: int) -> PersuasionInstance:
+    """A seeded instance of receiver ``kind``, with no structure imposed."""
+    rng = np.random.default_rng([seed, d, n_actions, RECEIVER_KINDS.index(kind)])
+    shape = (d, n_actions)
+    if kind == "expected":
+        params = {"u": rng.normal(size=shape)}
+    elif kind == "mean_stdev":
+        params = {"u": rng.normal(size=shape), "g_mean": rng.uniform(0.0, 1.0, shape),
+                  "g_var": rng.uniform(0.05, 1.0, shape), "beta": float(rng.uniform(0.2, 1.0))}
+    elif kind == "maximin":
+        params = {"tables": rng.uniform(-1.0, 1.0, (int(rng.integers(2, 5)), d, n_actions))}
+    elif kind == "cvar":
+        values = np.sort(rng.uniform(0.0, 2.0, (d, n_actions, 4)), axis=-1)
+        probs = rng.dirichlet(np.ones(4), size=shape)
+        params = {"loss_values": values.tolist(), "loss_probs": probs.tolist(),
+                  "tau": float(rng.uniform(0.2, 1.0))}
+    else:
+        gain, risk = rng.normal(size=shape), rng.uniform(0.0, 1.0, shape)
+        params = {"evaluator": lambda mu, a: float(mu @ gain[:, a] - (mu @ risk[:, a]) ** 2),
+                  "n_states": d, "n_actions": n_actions}
+    return PersuasionInstance(
+        states=StateSpace(tuple(f"s{w}" for w in range(d))),
+        actions=ActionSpace(tuple(f"a{a}" for a in range(n_actions))),
+        prior=Belief(rng.dirichlet(np.ones(d))),
+        sender=SenderUtility(rng.uniform(0.0, 1.0, shape)),
+        receiver=make_model(kind, **params),
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -19,6 +19,9 @@ receiver's best-response regions, which make the grid relaxation exact.
 ``simulate_queue_reference`` and ``sample_scheme_batch_reference`` are the
 simulator's event loop on numpy state and the sampler's per-state mask
 loop: the same draws as the package's, computed the plain way.
+``baseline_values_reference`` calls the package's ``best_response`` once per
+pure state, and ``coalesce_reference`` merges plan atoms pair by pair: the
+loops that ``baseline_values`` and ``scheme_from_plan`` batch.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ import scipy.linalg
 from scipy.optimize import linprog
 
 from persuade.binary import BISECTION_TOLERANCE
-from persuade.model import FormatError, instance_from_json
+from persuade.model import FormatError, best_response, instance_from_json
 from persuade.queueing import BURN_IN_FRACTION, MIN_HORIZON, SimulationResult
-from persuade.scheme import scheme_from_json, scheme_to_json, signal_cdf
+from persuade.scheme import POSTERIOR_TOLERANCE, scheme_from_json, scheme_to_json, signal_cdf
 from persuade.geometry import (
     ATOM_FLOOR,
     LP_RESIDUAL,
@@ -723,3 +726,42 @@ def sample_scheme_batch_reference(scheme, seed: int, n: int) -> tuple[np.ndarray
         if mask.any():
             signals[mask] = np.searchsorted(cum[w], u[mask], side="left")
     return states, np.minimum(signals, scheme.n_signals - 1)
+
+
+def baseline_values_reference(instance) -> tuple[float, float, int]:
+    """(no_info, full_info, no_info_action): one best response per pure state.
+
+    Full information adds each state's prior times the sender's payoff at
+    the receiver's sender-preferred best response there, state by state.
+    """
+    prior = instance.prior.weights
+    action = best_response(instance, prior)
+    full_info = 0.0
+    for w, point in enumerate(np.eye(instance.n_states)):
+        full_info += prior[w] * instance.sender.table[w, best_response(instance, point)]
+    return instance.sender.value(prior, action), float(full_info), action
+
+
+def coalesce_reference(plan, instance) -> list[list]:
+    """Plan atoms merged into ``[posterior, weight, action, label]`` signal rows.
+
+    Each atom of positive weight is compared with the rows so far, one at a
+    time, and joins the first whose posterior is within POSTERIOR_TOLERANCE
+    in every entry; the row keeps its first posterior, adds the weight, and
+    takes the atom's action and label when it pays the sender strictly more.
+    """
+    merged: list[list] = []
+    for atom in plan.atoms:
+        if atom.weight <= 0.0:
+            continue
+        for row in merged:
+            if np.max(np.abs(row[0] - atom.posterior)) <= POSTERIOR_TOLERANCE:
+                row[1] += atom.weight
+                if atom.action != row[2] and instance.sender.value(
+                    atom.posterior, atom.action
+                ) > instance.sender.value(row[0], row[2]):
+                    row[2], row[3] = atom.action, atom.label
+                break
+        else:
+            merged.append([np.asarray(atom.posterior, dtype=float), atom.weight, atom.action, atom.label])
+    return merged

@@ -195,6 +195,17 @@ def test_queue_json_is_deterministic(capsys):
     assert doc["throughput"] == pytest.approx(0.95 * doc["join_probability"])
 
 
+def test_full_persuasion_queue_prints_no_sandwich_verdict(capsys):
+    # Nobody is told to leave, so the sandwich audit does not apply, and its
+    # verdict is null: neither a pass nor a failure.
+    argv = ["queue", "--lambda", "0.6", "--beta", "0", "--tau", "5.5", "--capacity", "200"]
+    assert cli.run(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["value"] == 1.0 and all(s["action"] == "join" for s in doc["signals"])
+    assert doc["sandwich"]["applicable"] is False
+    assert doc["sandwich"]["passed"] is None
+
+
 def test_queue_csv_format(capsys):
     assert cli.run(_queue_args() + ["--format", "csv"]) == 0
     out = capsys.readouterr().out
@@ -676,7 +687,7 @@ GOLDEN_CASES = {
     # Full persuasion: every length gets a signal, and nearly every float is 0.0.
     "queue-persuasion-json": (
         None, ["queue", "--lambda", "0.6", "--beta", "0", "--tau", "5.5", "--capacity", "200"],
-        "d7be4b3d32c61b808d72498a6b1cd00fbd61b2a5fd512a22912a367cdba95298",
+        "67f75457fab59f8e698525c34309b47ee91efdf6166693faf709dec06e538623",
         "17a48bf3cbf80df76927ef6c2a31b6380ced831790c84803d427de5ee502ceaf",
     ),
     "mean-stdev-binary": (
@@ -737,7 +748,7 @@ def test_golden_plot_data_bytes(fmt, tmp_path, capsys):
 
 # Simulation bytes: a seed fixes every draw, so these hold across versions.
 GOLDEN_SIMULATE_SHA = "c5fcdd3f194a77361303944709c560d365e77233e7f6ec03f4940ecf52b8b34a"
-GOLDEN_QUEUE_SIMULATE_SHA = "41ab7f2eaeee8f970a1432f55cd0ed2943c38b8b4cdcf00e94a79fcf2d90c1cc"
+GOLDEN_QUEUE_SIMULATE_SHA = "25fef9b2cae1e4b3dd6b685f96c1d0c70f05c9dad778e8b406743667ca2b4d99"
 
 
 def test_golden_simulate_bytes(tmp_path, capsys):
@@ -942,11 +953,24 @@ def test_one_lp_per_solve_and_check_full(tmp_path, capsys, monkeypatch, verb, do
     # One HiGHS call too: a retry on a solve that passes would show here.
     engine = _count_calls(monkeypatch, "linprog", home=persuade.geometry)
     path = _write(tmp_path, "inst.json", doc)
-    assert cli.run(verb + ["--instance", path, "--grid-k", "6"]) == 0
+    # A d 6, k 4 grid is 126 candidates, 21 per row: a direct solve.
+    assert cli.run(verb + ["--instance", path, "--grid-k", "4"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["method"] == expected_method
     assert out["full_persuasion"] in (True, False)
     assert len(lps) == len(engine) == 1
+
+
+def test_one_program_per_grid_solve_above_the_column_limit(tmp_path, capsys, monkeypatch):
+    # At k 6 the same grid is 462 candidates, 77 per row: one program, solved
+    # by column generation, with one HiGHS call per round and no retry.
+    programs = _count_calls(monkeypatch, "solve_by_columns", home=persuade.geometry)
+    lps = _count_calls(monkeypatch, "solve_lp", home=persuade.geometry)
+    engine = _count_calls(monkeypatch, "linprog", home=persuade.geometry)
+    path = _write(tmp_path, "inst.json", _seeded_binary(_mean_stdev_receiver, 11, 6))
+    assert cli.run(["solve", "--method", "grid", "--instance", path, "--grid-k", "6"]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "grid"
+    assert len(programs) == 1 and len(lps) == len(engine) > 1
 
 
 def _tied(doc, row):

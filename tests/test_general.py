@@ -23,7 +23,14 @@ from persuade import (
     solve_general,
     solve_obedience,
 )
-from conftest import random_eum_instance, random_mean_stdev_instance, threshold_instance
+from conftest import (
+    RECEIVER_KINDS,
+    random_eum_instance,
+    random_mean_stdev_instance,
+    seeded_instance,
+    threshold_instance,
+)
+from persuade.model import TIE_TOLERANCE
 
 
 def test_default_grid_k_schedule():
@@ -131,6 +138,44 @@ def test_baseline_values_threshold_game():
     assert base.no_info == 0.0
     assert base.no_info_action == 0
     assert base.full_info == pytest.approx(0.75, abs=1e-12)
+
+
+def _hex(base):
+    # Bit for bit, the sign of a zero included.
+    return (float(base[0]).hex(), float(base[1]).hex(), int(base[2]))
+
+
+@pytest.mark.parametrize("kind", RECEIVER_KINDS)
+def test_baseline_values_match_the_per_state_loop(kind):
+    # One batch over the pure states gives the loop's picks and its sum's bits.
+    for seed, (d, n_actions) in enumerate([(2, 2), (3, 3), (5, 2), (8, 4), (12, 3)]):
+        inst = seeded_instance(kind, seed, d, n_actions)
+        base = baseline_values(inst)
+        assert _hex((base.no_info, base.full_info, base.no_info_action)) == _hex(
+            oracles.baseline_values_reference(inst)
+        )
+
+
+def test_baseline_values_break_pure_state_ties_like_best_response():
+    # State 0: actions 0 and 1 score within TIE_TOLERANCE, and the sender
+    # prefers 1.  State 1: actions 0 and 1 tie exactly at equal sender
+    # payoffs, so 0 wins; action 2 pays more but is not tied.  State 2:
+    # action 2 is the one best response.
+    u = np.array([[0.5, 0.5 - 0.5 * TIE_TOLERANCE, 0.0], [0.3, 0.3, -0.7], [0.0, 0.1, 0.9]])
+    v = np.array([[0.2, 0.7, 1.0], [0.4, 0.4, 0.9], [0.6, 0.3, 0.1]])
+    prior = np.array([0.2, 0.3, 0.5])
+    inst = PersuasionInstance(
+        states=StateSpace(("s0", "s1", "s2")),
+        actions=ActionSpace(("a0", "a1", "a2")),
+        prior=Belief(prior),
+        sender=SenderUtility(v),
+        receiver=make_model("expected", u=u),
+    )
+    base = baseline_values(inst)
+    assert _hex((base.no_info, base.full_info, base.no_info_action)) == _hex(
+        oracles.baseline_values_reference(inst)
+    )
+    assert base.full_info == 0.0 + 0.2 * 0.7 + 0.3 * 0.4 + 0.5 * 0.1
 
 
 def test_benefit_check_threshold_game():

@@ -548,12 +548,12 @@ def _bound(lp):
 
 @pytest.mark.parametrize(
     "kind, seed, d, k",
-    [("three-action", 7, 4, 6), ("nonconvex", 8, 3, 24), ("aligned", 9, 4, 6)],
+    [("three-action", 7, 4, 6), ("nonconvex", 8, 3, 12), ("aligned", 9, 4, 6)],
 )
 def test_programs_at_or_below_the_column_limit_solve_once(monkeypatch, kind, seed, d, k):
     instance = _grid_instance(seed, d, kind)
     rows, actions = _candidates(instance, k)
-    assert rows.shape[0] <= FULL_LP_COLUMNS
+    assert rows.shape[0] <= FULL_LP_COLUMNS * d
     lps = _record(monkeypatch, "solve_lp", persuade.geometry)
     certified = _record(monkeypatch, "certify", persuade.geometry)
     plan = plan_from_candidates(instance, rows, actions)
@@ -564,22 +564,57 @@ def test_programs_at_or_below_the_column_limit_solve_once(monkeypatch, kind, see
     assert plan.value == pytest.approx(value, abs=1e-9)
 
 
+@pytest.mark.parametrize("kind, seed, d, k", [("nonconvex", 8, 3, 24), ("nonconvex", 14, 4, 36)])
+def test_programs_above_the_column_limit_run_column_generation(monkeypatch, kind, seed, d, k):
+    # Wider than FULL_LP_COLUMNS per row, though under the 10,000 columns
+    # that once sent every program to a direct solve: column generation
+    # reaches the direct optimum, and its plan compiles to a valid scheme.
+    instance = _grid_instance(seed, d, kind)
+    rows, actions = _candidates(instance, k)
+    assert FULL_LP_COLUMNS * d < rows.shape[0] < 10_000
+    solves = _record(monkeypatch, "solve_by_columns", persuade.general)
+    plan = plan_from_candidates(instance, rows, actions)
+    (lp, res), = solves
+    assert res.rounds > 1 and res.columns < rows.shape[0]
+    assert res.reduced_cost <= _bound(lp) and res.gap <= _bound(lp)
+    assert plan.value == pytest.approx(full_plan_lp(instance, rows, actions)[0], abs=1e-9)
+    assert validate_scheme(scheme_from_plan(plan, instance), instance).ok
+
+
+def test_binary_hulls_stay_direct_solves(monkeypatch):
+    # A d 40 hull of 440 columns (11 per row), as wide as the widest binary
+    # program solve-fixed builds, is one solve over all of them; with no
+    # columns per row allowed, the same program would run column generation
+    # from its pure-state seed.
+    instance = _binary_hull_instance(41, 40)
+    lps = _record(monkeypatch, "solve_lp", persuade.geometry)
+    solve_binary(instance)
+    (lp, res), = lps
+    assert lp.c.size == 440 <= FULL_LP_COLUMNS * instance.n_states
+    assert (res.rounds, res.columns) == (1, 440)
+    lps.clear()
+    monkeypatch.setattr(persuade.geometry, "FULL_LP_COLUMNS", 0)
+    solve_binary(instance)
+    assert len(lps) > 1 and lps[0][0].c.size == instance.n_states
+
+
 def test_column_limit_is_inclusive(monkeypatch):
-    # Exactly FULL_LP_COLUMNS columns: one solve over all of them.  One
-    # more column, and the first solve is over the pure-state seed.
+    # Exactly FULL_LP_COLUMNS columns per row: one solve over all of them.
+    # One more column, and the first solve is over the pure-state seed.
     rng = np.random.default_rng(3)
     d = 3
-    rows = np.vstack([np.eye(d), rng.dirichlet(np.ones(d), size=FULL_LP_COLUMNS + 1 - d)])
+    limit = FULL_LP_COLUMNS * d
+    rows = np.vstack([np.eye(d), rng.dirichlet(np.ones(d), size=limit + 1 - d)])
     c = rng.uniform(0.0, 1.0, rows.shape[0])
     lps = _record(monkeypatch, "solve_lp", persuade.geometry)
     sizes = {}
-    for n in (FULL_LP_COLUMNS, FULL_LP_COLUMNS + 1):
+    for n in (limit, limit + 1):
         lps.clear()
         lp = LinearProgram(c=c[:n], a_eq=CscMatrix.from_dense(rows[:n].T), b_eq=np.full(d, 1.0 / d))
         solve_by_columns(lp, np.arange(d))
         sizes[n] = [sub.c.size for sub, _ in lps]
-    assert sizes[FULL_LP_COLUMNS] == [FULL_LP_COLUMNS]
-    assert sizes[FULL_LP_COLUMNS + 1][0] == d
+    assert sizes[limit] == [limit]
+    assert sizes[limit + 1][0] == d
 
 
 @pytest.mark.parametrize(
@@ -588,7 +623,7 @@ def test_column_limit_is_inclusive(monkeypatch):
 def test_grid_programs_above_the_limit_match_the_full_lp(monkeypatch, kind, seed, d, k):
     instance = _grid_instance(seed, d, kind)
     rows, actions = _candidates(instance, k)
-    assert rows.shape[0] > FULL_LP_COLUMNS
+    assert rows.shape[0] > FULL_LP_COLUMNS * d
     solves = _record(monkeypatch, "solve_by_columns", persuade.general)
     plan = plan_from_candidates(instance, rows, actions)
     (lp, res), = solves
@@ -638,7 +673,7 @@ def test_plan_programs_hand_highs_scipys_csc_arrays(monkeypatch, program):
     elif program == "grid":
         instance = _grid_instance(12, 5, "nonconvex")
         rows, actions = _candidates(instance, 30)
-        assert rows.shape[0] > FULL_LP_COLUMNS
+        assert rows.shape[0] > FULL_LP_COLUMNS * instance.n_states
         plan_from_candidates(instance, rows, actions)
     else:
         solve_obedience(_grid_instance(27, 4, "three-action"))

@@ -8,6 +8,7 @@ from persuade import (
     ActionSpace,
     Belief,
     FormatError,
+    GridSpec,
     OptimalPlan,
     PersuasionInstance,
     PlanAtom,
@@ -15,6 +16,7 @@ from persuade import (
     Signal,
     SignalingScheme,
     StateSpace,
+    grid_point_sets,
     make_model,
     sample_scheme_batch,
     scheme_from_json,
@@ -22,9 +24,11 @@ from persuade import (
     scheme_to_json,
     scheme_value,
     solve_binary,
+    solve_general,
     validate_scheme,
 )
-from conftest import threshold_instance
+from conftest import RECEIVER_KINDS, seeded_instance, threshold_instance
+from persuade.scheme import POSTERIOR_TOLERANCE
 
 
 def _three_signal_plan():
@@ -139,6 +143,51 @@ def test_coalesce_merges_identical_posteriors_sender_preferred():
     assert np.allclose(
         merged.conditional[0], split.conditional[0] + split.conditional[1]
     )
+
+
+def _near(posterior, gap):
+    # Move ``gap`` of mass from the largest entry to the next state's.
+    out = posterior.copy()
+    top = int(np.argmax(out))
+    out[top] -= gap
+    out[(top + 1) % out.size] += gap
+    return out
+
+
+@pytest.mark.parametrize("kind", RECEIVER_KINDS)
+@pytest.mark.parametrize("n_actions", [2, 3])
+def test_scheme_from_plan_matches_the_pairwise_merge(kind, n_actions):
+    # A grid plan's atoms, each followed by copies recommending the next
+    # action: one just inside POSTERIOR_TOLERANCE, which merges into the
+    # atom's signal (taking its action and label when that pays the sender
+    # more); one just outside, a signal of its own; and one halfway between
+    # those two, within tolerance of both signals, which joins the first.
+    # Every signal and law entry has the bits of the pairwise merge.
+    for seed in range(3):
+        inst = seeded_instance(kind, seed, 3, n_actions)
+        plan = solve_general(inst, grid_point_sets(inst, GridSpec(k=6, dim=3)))
+        atoms = []
+        for i, atom in enumerate(plan.atoms):
+            other = (atom.action + 1) % n_actions
+            atoms += [
+                atom,
+                PlanAtom(other, _near(atom.posterior, 0.999 * POSTERIOR_TOLERANCE), 0.01, f"in{i}"),
+                PlanAtom(other, _near(atom.posterior, 1.001 * POSTERIOR_TOLERANCE), 0.02, f"out{i}"),
+                PlanAtom(other, _near(atom.posterior, 0.5005 * POSTERIOR_TOLERANCE), 0.03, f"mid{i}"),
+            ]
+        signals = 2 * len(plan.atoms)
+        plan = OptimalPlan(t=plan.t, prior=plan.prior, value=plan.value, atoms=tuple(atoms))
+        scheme = scheme_from_plan(plan, inst)
+        rows = oracles.coalesce_reference(plan, inst)
+        assert scheme.n_signals == len(rows) == signals
+        assert all(sig.label.startswith("out") == (i % 2 == 1) for i, sig in enumerate(scheme.signals))
+        live = plan.prior > 0.0
+        for sig, cond, (posterior, weight, action, label) in zip(scheme.signals, scheme.conditional, rows):
+            assert sig.posterior.tobytes() == posterior.tobytes()
+            assert float(sig.marginal).hex() == float(weight).hex()
+            assert sig.action == action
+            assert label is None or sig.label == label
+            assert cond[live].tobytes() == (weight * posterior[live] / plan.prior[live]).tobytes()
 
 
 def test_scheme_from_plan_guards():
