@@ -53,7 +53,6 @@ from .model import (
     best_response,
     instance_from_json,
     make_model,
-    mixture_moments,
 )
 from .queueing import (
     QueueInstance,

@@ -246,13 +246,11 @@ class BaselineValues:
 
 def baseline_values(instance: PersuasionInstance) -> BaselineValues:
     """Sender payoffs when the receiver best-responds to the prior (no
-    information) or to each pure state (full information).  One batch scores
-    the pure states, and their payoffs add up from 0.0 in state order."""
+    information) or to each pure state (full information).  One block picks
+    at the pure states, and their payoffs add up from 0.0 in state order."""
     prior, table = instance.prior.weights, instance.sender.table
     action = best_response(instance, prior)
-    # Each pure state takes best_response's pick: the tie paying the sender most, lowest first.
-    tied = _tied(instance.receiver.score_all(np.eye(prior.size)))
-    pure = np.argmax(np.where(tied, table, -np.inf), axis=1)
+    pure = best_response(instance, np.eye(prior.size))
     return BaselineValues(
         no_info=instance.sender.value(prior, action),
         full_info=0.0 + float(np.cumsum(prior * table[np.arange(prior.size), pure])[-1]),

@@ -4,9 +4,9 @@
 constraints, variables bounded below by zero, and a basic (vertex)
 optimal solution with its equality duals and its weights floored at
 ATOM_FLOOR; anything else raises.  ``certify`` is the one acceptance test
-of an LP answer, and builds every ``LpResult``.  ``solve_by_columns`` runs
-column generation on the duals and certifies the optimum it returns on
-the whole program.
+of an LP answer.  ``solve_by_columns`` runs column generation on the
+duals; its last pricing pass extends the restricted optimum's certificate
+to the whole program.
 
 HiGHS is scipy's bundled extension module ``scipy.optimize._highspy._core``,
 loaded by itself on the first LP solved, so no process loads
@@ -270,8 +270,8 @@ class LpResult:
     ``x`` is nonnegative, and each entry is 0 or above ATOM_FLOOR (see
     ``solve_lp``).  ``dual`` is y with c - A^T y <= 0 at the optimum.
     ``rounds`` and ``columns`` are the solves it took and the final column
-    count; ``reduced_cost`` and ``gap`` are the certificate (see
-    ``certify``, which builds every ``LpResult``).
+    count; ``reduced_cost`` and ``gap`` are the certificate over every
+    column of the program (see ``certify``).
     """
 
     x: np.ndarray
@@ -301,7 +301,8 @@ def solve_lp(lp: LinearProgram) -> LpResult:
                            "dual_feasibility_tolerance": CERTIFICATE_TOLERANCE}):
         x, value, dual = linprog(-lp.c, lp.a_eq, lp.b_eq, options)
         try:
-            out = certify(lp, np.where(x < 0.0, 0.0, x), -value, -dual, rounds=1, columns=lp.c.size)
+            # 0.0 - value, so a zero optimum is 0.0, not -0.0.
+            out = certify(lp, np.where(x < 0.0, 0.0, x), 0.0 - value, -dual, rounds=1, columns=lp.c.size)
             break
         except LpSolverError:
             if options is not None:
@@ -347,7 +348,7 @@ def certify(
 
 
 def solve_by_columns(lp: LinearProgram, seed: np.ndarray | None) -> LpResult:
-    """Solve by column generation on the duals, and certify the optimum.
+    """Solve by column generation on the duals, certified on the whole program.
 
     The loop solves over the ``seed`` columns, prices every column by its
     reduced cost c - A^T y (one mat-vec), adds the PRICING_BATCH best of
@@ -356,7 +357,8 @@ def solve_by_columns(lp: LinearProgram, seed: np.ndarray | None) -> LpResult:
     point.  A program with at most FULL_LP_COLUMNS columns per row, or with
     no seed (None), is the direct LP: ``solve_lp`` certifies its one solve.
 
-    Either way the optimum must pass ``certify`` over all the columns.
+    ``solve_lp`` certified the last restricted solve and the last pricing
+    pass priced every column, so the result is what ``certify`` builds on ``lp``.
     """
     n = lp.c.size
     if seed is None or n <= FULL_LP_COLUMNS * lp.b_eq.size:
@@ -367,6 +369,7 @@ def solve_by_columns(lp: LinearProgram, seed: np.ndarray | None) -> LpResult:
         sub = lp if active.size == n else LinearProgram(lp.c[active], lp.a_eq.columns(active), lp.b_eq)
         res = solve_lp(sub)
         reduced = lp.c - lp.a_eq.rmatvec(res.dual)
+        worst = float(np.max(reduced))
         reduced[active] = -np.inf
         entering = np.flatnonzero(reduced > bound)
         if entering.size == 0:
@@ -377,4 +380,4 @@ def solve_by_columns(lp: LinearProgram, seed: np.ndarray | None) -> LpResult:
         active = np.union1d(active, entering)
     x = np.zeros(n)
     x[active] = res.x
-    return certify(lp, x, res.value, res.dual, rounds=rounds, columns=active.size)
+    return LpResult(x, res.value, res.dual, rounds, active.size, worst, res.gap)

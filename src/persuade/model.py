@@ -69,7 +69,6 @@ __all__ = [
     "OptimalPlan",
     "make_model",
     "best_response",
-    "mixture_moments",
     "instance_from_json",
 ]
 
@@ -86,41 +85,36 @@ class FormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class StateSpace:
-    """Ordered finite set of hidden states."""
+class _LabelSpace:
+    """Ordered finite set of distinct labels; ``_noun`` names them in errors."""
 
     labels: tuple[str, ...]
 
     def __post_init__(self):
         if len(self.labels) == 0:
-            raise ValueError("state space must be nonempty")
+            raise ValueError(f"{self._noun} space must be nonempty")
         if len(set(self.labels)) != len(self.labels):
-            raise ValueError("state labels must be distinct")
+            raise ValueError(f"{self._noun} labels must be distinct")
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class ActionSpace:
+class StateSpace(_LabelSpace):
+    """Ordered finite set of hidden states."""
+
+    _noun = "state"
+
+
+class ActionSpace(_LabelSpace):
     """Ordered finite set of receiver actions.
 
     For binary problems the convention throughout is that action 1 is the
     one the sender wants taken (accept/join) and action 0 is the fallback.
     """
 
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.labels) == 0:
-            raise ValueError("action space must be nonempty")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("action labels must be distinct")
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
+    _noun = "action"
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,24 +255,6 @@ def _dense_rows(n_states: int, states: np.ndarray, weights: np.ndarray) -> np.nd
     for k in range(states.shape[1]):
         out[rows, states[:, k]] += weights[:, k]
     return out
-
-
-def mixture_moments(
-    point_means: np.ndarray, point_vars: np.ndarray, mu: np.ndarray
-) -> tuple[np.ndarray | float, np.ndarray | float]:
-    """Moments of a mixture whose components live one per state.
-
-    Component w has the given mean and variance; mu mixes the components.
-    Returns (mean, variance) of the mixture, batched when mu is 2-d:
-
-        mean = sum_w mu[w] * m[w]
-        var  = sum_w mu[w] * (v[w] + m[w]^2) - mean^2
-    """
-    m = np.asarray(point_means, dtype=float)
-    v = np.asarray(point_vars, dtype=float)
-    mean = mu @ m
-    var = mu @ (v + m * m) - mean * mean
-    return mean, np.maximum(var, 0.0)
 
 
 def _expected_model(u: np.ndarray) -> UtilityModel:
@@ -491,16 +467,18 @@ def _tied(scores: np.ndarray) -> np.ndarray:
     return scores >= scores.max(axis=-1, keepdims=True) - TIE_TOLERANCE
 
 
-def best_response(instance: PersuasionInstance, mu: np.ndarray) -> int:
-    """The receiver's action at belief mu, ties broken in the sender's favor.
+def best_response(instance: PersuasionInstance, mu: np.ndarray) -> int | np.ndarray:
+    """The receiver's action at belief mu, or one per row of a block (an int array).
 
     Every action whose score is within TIE_TOLERANCE of the best is a tie;
     the pick is the tie with the largest sender payoff at mu, and the lowest
     index among equal payoffs, so repeated calls stay deterministic.
     """
-    ties = np.nonzero(_tied(instance.receiver.score_all(mu)))[0]
-    gains = [instance.sender.value(mu, a) for a in ties]
-    return int(ties[int(np.argmax(gains))])
+    tied = _tied(instance.receiver.score_all(mu))
+    # Each payoff adds its terms in state order, so equal sender columns pay equal bits.
+    gains = (np.asarray(mu, dtype=float)[..., None] * instance.sender.table).sum(axis=-2)
+    picks = np.argmax(np.where(tied, gains, -np.inf), axis=-1)
+    return picks if picks.ndim else int(picks)
 
 
 @dataclass(frozen=True, eq=False)

@@ -52,13 +52,9 @@ from .model import (
     SenderUtility,
     StateSpace,
     make_model,
-    mixture_moments,
 )
 from .scheme import POSTERIOR_TOLERANCE, SignalingScheme, scheme_from_plan, signal_cdf
 
-# Slack on the sandwich audit's order of Join wait means and variances: a score
-# tie (TIE_TOLERANCE), far above the round-off of a hull row's moments.
-MOMENT_ORDER_SLACK = 1e-9
 # gamma_closed_form reads a radicand this far below zero as zero (round-off at
 # a tangent); a pair further short is bisected, and compute_k01 checks both.
 CLOSED_FORM_SLACK = 1e-9
@@ -132,10 +128,11 @@ def posterior_wait_moments(posterior: np.ndarray) -> tuple[float, float]:
     exponentials (the service in progress restarts by memorylessness), so
     its mean and variance are both n + 1; a belief mixes those.
     """
-    d = np.asarray(posterior, dtype=float).size
-    lengths = np.arange(1, d + 1, dtype=float)
-    mean, var = mixture_moments(lengths, lengths, np.asarray(posterior, dtype=float))
-    return float(mean), float(var)
+    mu = np.asarray(posterior, dtype=float)
+    lengths = np.arange(1, mu.size + 1, dtype=float)
+    mean = mu @ lengths
+    var = mu @ (lengths + lengths * lengths) - mean * mean
+    return float(mean), float(np.maximum(var, 0.0))
 
 
 def gamma_closed_form(n, m, tau: float, beta: float):
@@ -497,8 +494,8 @@ def verify_sandwich(solution: QueueSolution) -> SandwichReport:
         chain = lows + highs[::-1]
         ordering_ok = all(a <= b for a, b in zip(chain, chain[1:]))
     moments_ok = all(
-        means[j + 1] >= means[j] - MOMENT_ORDER_SLACK
-        and variances[j + 1] <= variances[j] + MOMENT_ORDER_SLACK
+        means[j + 1] >= means[j] - TIE_TOLERANCE
+        and variances[j + 1] <= variances[j] + TIE_TOLERANCE
         for j in range(len(joins) - 1)
     )
     return SandwichReport(

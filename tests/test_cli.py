@@ -95,6 +95,18 @@ def test_solve_binary_instance(tmp_path, capsys):
     assert validate_scheme(compiled, inst).ok
 
 
+def test_a_zero_optimum_prints_positive_zero(tmp_path, capsys):
+    # The only accept state has prior 0, so nothing can be sold: the value
+    # and the margin print as 0.0, not -0.0.
+    doc = _expected_dict()
+    doc["prior"] = [0.0, 0.6, 0.4]
+    assert cli.run(["solve", "--instance", _write(tmp_path, "inst.json", doc)]) == 0
+    out = capsys.readouterr().out
+    assert '"value": 0.0' in out and '"margin": 0.0' in out
+    result = json.loads(out)
+    assert result["value"] == result["benefit"]["margin"] == 0.0
+
+
 def test_solve_out_writes_scheme(tmp_path, capsys):
     inst_path = _write(tmp_path, "inst.json", threshold_instance_dict())
     out = tmp_path / "scheme.json"

@@ -43,6 +43,8 @@ REMOVED_FUNCTIONS = (
     "LEAVE_MASS_FLOOR",
     "THRESHOLD_TOLERANCE",
     "instance_to_json",
+    "mixture_moments",
+    "MOMENT_ORDER_SLACK",
 )
 REMOVED_MEMBERS = (
     ("Belief", "point"),

@@ -3,6 +3,7 @@ decompositions, and boundary bisection."""
 
 import dataclasses
 import importlib.util
+import math
 import sys
 
 import numpy as np
@@ -37,7 +38,7 @@ from persuade import (
     solve_obedience,
     validate_scheme,
 )
-from persuade.geometry import CERTIFICATE_TOLERANCE, FULL_LP_COLUMNS, LP_RESIDUAL, CscMatrix
+from persuade.geometry import CERTIFICATE_TOLERANCE, FULL_LP_COLUMNS, LP_RESIDUAL, CscMatrix, LpResult, certify
 from persuade.model import PLAN_MASS_TOLERANCE
 
 
@@ -48,6 +49,16 @@ def test_solve_lp_small_known_optimum():
     res = solve_lp(lp)
     assert res.value == pytest.approx(2.0, abs=1e-12)
     assert np.allclose(res.x, [0.0, 1.0])
+
+
+def test_a_zero_optimum_is_positive_zero():
+    # HiGHS minimizes -c . x; its minimum 0 negates to 0.0, not -0.0.
+    lp = LinearProgram(
+        c=np.array([0.0, -1.0]), a_eq=CscMatrix.from_dense([[1.0, 1.0]]), b_eq=np.array([1.0])
+    )
+    res = solve_lp(lp)
+    assert res.value == 0.0 and math.copysign(1.0, res.value) == 1.0
+    assert res.x.tolist() == [1.0, 0.0]
 
 
 def test_solve_lp_reports_infeasible():
@@ -519,25 +530,17 @@ def _record(monkeypatch, name, home):
     return calls
 
 
-def _corrupt(monkeypatch, field, change):
-    """Make every solve_lp hand the loop ``change(value, program)`` as its ``field``."""
-    original = persuade.geometry.solve_lp
-
-    def corrupted(lp):
-        res = original(lp)
-        return dataclasses.replace(res, **{field: change(getattr(res, field), lp)})
-
-    monkeypatch.setattr(persuade.geometry, "solve_lp", corrupted)
-
-
-def _corrupt_engine(monkeypatch, change):
-    """Make HiGHS hand solve_lp ``change(y, program)`` as the duals y, on every attempt."""
+def _corrupt_engine(monkeypatch, change, field="dual"):
+    """Make HiGHS hand solve_lp ``change(v, program)`` as its duals y (or weights x), on every attempt."""
     engine = persuade.geometry.linprog
 
     def corrupted(c, a_eq, b_eq, options=None):
         x, value, dual = engine(c, a_eq, b_eq, options)
+        lp = LinearProgram(-c, a_eq, b_eq)
+        if field == "x":
+            return change(x, lp), value, dual
         # The engine minimizes -c . x, so its duals are -y.
-        return x, value, -change(-dual, LinearProgram(-c, a_eq, b_eq))
+        return x, value, -change(-dual, lp)
 
     monkeypatch.setattr(persuade.geometry, "linprog", corrupted)
 
@@ -717,18 +720,17 @@ def test_corrupted_duals_fail_the_certificate(monkeypatch, limit, change):
     instance = _grid_instance(23, 4, "three-action")
     rows, actions = _candidates(instance, 8)
     monkeypatch.setattr(persuade.geometry, "FULL_LP_COLUMNS", limit)
-    if limit:
-        # The direct LP is certified once, inside solve_lp, on the engine's duals.
-        _corrupt_engine(monkeypatch, change)
-    else:
-        _corrupt(monkeypatch, "dual", change)
+    # The direct LP and each restricted solve are certified once, inside
+    # solve_lp, on the engine's duals.
+    _corrupt_engine(monkeypatch, change)
     with pytest.raises(LpSolverError, match="certificate"):
         plan_from_candidates(instance, rows, actions)
 
 
 def test_restricted_weights_are_checked_on_the_whole_program(monkeypatch):
     # One support weight of each restricted solve moved by 1e-6: the plan
-    # LP's rows no longer add up, and the certificate says so first.
+    # LP's rows no longer add up, and solve_lp's certificate of the
+    # restricted solve, whose rows are the whole program's, says so first.
     instance = _grid_instance(23, 4, "three-action")
     rows, actions = _candidates(instance, 8)
     monkeypatch.setattr(persuade.geometry, "FULL_LP_COLUMNS", 0)
@@ -738,9 +740,38 @@ def test_restricted_weights_are_checked_on_the_whole_program(monkeypatch):
         x[np.argmax(x)] += 1e-6
         return x
 
-    _corrupt(monkeypatch, "x", moved)
+    _corrupt_engine(monkeypatch, moved, field="x")
     with pytest.raises(LpSolverError, match="equality residual"):
         plan_from_candidates(instance, rows, actions)
+
+
+@pytest.mark.parametrize(
+    "kind, seed, d, k", [("three-action", 11, 5, 30), ("nonconvex", 14, 4, 36), ("aligned", 13, 5, 30)]
+)
+def test_column_generation_prices_once_a_round_and_returns_what_certify_builds(
+    monkeypatch, kind, seed, d, k
+):
+    # Each round prices every column once; the last pass doubles as the
+    # whole program's certificate, so no further product over all columns
+    # follows it, and the result is certify's on the whole program.
+    instance = _grid_instance(seed, d, kind)
+    rows, actions = _candidates(instance, k)
+    widths = []
+    rmatvec = CscMatrix.rmatvec
+
+    def recording(a, y):
+        widths.append(a.shape[1])
+        return rmatvec(a, y)
+
+    monkeypatch.setattr(CscMatrix, "rmatvec", recording)
+    solves = _record(monkeypatch, "solve_by_columns", persuade.general)
+    plan_from_candidates(instance, rows, actions)
+    (lp, res), = solves
+    assert res.columns < lp.c.size and widths.count(lp.c.size) == res.rounds
+    ref = certify(lp, res.x, res.value, res.dual, rounds=res.rounds, columns=res.columns)
+    for field in dataclasses.fields(LpResult):
+        got, want = getattr(res, field.name), getattr(ref, field.name)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
 
 
 @pytest.mark.parametrize("shift, fails", [(1e-10, False), (1e-8, True)])

@@ -1,5 +1,6 @@
 """Beliefs, receiver models, best responses, and the instance schema."""
 
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -21,11 +22,10 @@ from persuade import (
     best_response,
     instance_from_json,
     make_model,
-    mixture_moments,
     model,
 )
 from oracles import instance_to_json
-from conftest import threshold_instance, threshold_instance_dict
+from conftest import RECEIVER_KINDS, seeded_instance, threshold_instance, threshold_instance_dict
 
 
 # --- beliefs ---------------------------------------------------------------
@@ -85,30 +85,24 @@ def test_belief_normalization_property(seed):
 
 
 def test_spaces_reject_duplicates_and_empty():
-    with pytest.raises(ValueError):
-        StateSpace(("a", "a"))
-    with pytest.raises(ValueError):
-        StateSpace(())
-    with pytest.raises(ValueError):
-        ActionSpace(("x", "x"))
+    # Each space names its own labels, keeps one field and equals only its own kind.
+    for space, noun in ((StateSpace, "state"), (ActionSpace, "action")):
+        with pytest.raises(ValueError, match=f"^{noun} space must be nonempty$"):
+            space(())
+        with pytest.raises(ValueError, match=f"^{noun} labels must be distinct$"):
+            space(("a", "b", "a"))
+        s = space(("a", "b"))
+        assert [f.name for f in dataclasses.fields(s)] == ["labels"]
+        assert (s.n, s, hash(s)) == (2, space(("a", "b")), hash(space(("a", "b"))))
+        assert s != space(("b", "a"))
+        assert repr(s) == f"{space.__name__}(labels=('a', 'b'))"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.labels = ("c",)
+    # One label set is two different spaces.
+    assert StateSpace(("a",)) != ActionSpace(("a",))
 
 
 # --- built-in receiver kinds ----------------------------------------------
-
-
-def test_mixture_moments_frozen():
-    mean, var = mixture_moments(
-        np.array([1.0, 5.0]), np.array([1.0, 5.0]), np.array([0.5, 0.5])
-    )
-    assert mean == pytest.approx(3.0, abs=1e-15)
-    assert var == pytest.approx(7.0, abs=1e-12)
-
-
-def test_mixture_moments_batched():
-    mus = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-    mean, var = mixture_moments(np.array([1.0, 5.0]), np.array([1.0, 5.0]), mus)
-    assert np.allclose(mean, [1.0, 5.0, 3.0])
-    assert np.allclose(var, [1.0, 5.0, 7.0])
 
 
 @given(st.integers(0, 10**6))
@@ -393,6 +387,48 @@ def test_best_response_breaks_ties_for_sender():
     # A score gap within TIE_TOLERANCE is a tie; a wider one decides.
     assert best_response(_tie_instance([[0.0, 3.0], [0.0, 3.0]], 1.0 - 1e-9), mu) == 1
     assert best_response(_tie_instance([[0.0, 3.0], [0.0, 3.0]], 1.0 - 1e-8), mu) == 0
+
+
+def _block_picks(instance, block):
+    """best_response on the block, checked row for row against one-belief calls."""
+    picks = best_response(instance, block)
+    assert picks.dtype.kind == "i" and picks.shape == (block.shape[0],)
+    assert picks.tolist() == [best_response(instance, mu) for mu in block]
+    return picks.tolist()
+
+
+@pytest.mark.parametrize("kind", RECEIVER_KINDS)
+def test_best_response_on_a_block_picks_row_for_row(kind):
+    # The pure states, the prior and interior beliefs, stacked.
+    for seed, (d, n_actions) in enumerate([(2, 2), (3, 3), (5, 2), (8, 4), (12, 5)]):
+        instance = seeded_instance(kind, seed, d, n_actions)
+        interior = np.random.default_rng(seed).dirichlet(np.ones(d), size=6)
+        _block_picks(instance, np.vstack([np.eye(d), instance.prior.weights, interior]))
+
+
+def test_best_response_on_a_block_breaks_ties_row_for_row():
+    # Action 0 scores mu[0], action 1 mu[0] * take: at take 1 - 1e-9 every
+    # row is within TIE_TOLERANCE; at 1 - 1e-8 only rows with mu[0] <= 0.1.
+    assert 1e-9 <= model.TIE_TOLERANCE < 1e-8 * 0.5
+    block = np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0], [0.05, 0.95]])
+    assert _block_picks(_tie_instance([[0.0, 3.0], [0.0, 3.0]]), block) == [1, 1, 1, 1]
+    assert _block_picks(_tie_instance([[0.0, 3.0], [0.0, 3.0]], 1.0 - 1e-9), block) == [1, 1, 1, 1]
+    assert _block_picks(_tie_instance([[0.0, 3.0], [0.0, 3.0]], 1.0 - 1e-8), block) == [0, 0, 1, 1]
+    assert _block_picks(_tie_instance([[3.0, 0.0], [3.0, 0.0]]), block) == [0, 0, 0, 0]
+    # Equal sender columns, every action tied: the lowest index, on a block
+    # of any width.
+    rng = np.random.default_rng(3)
+    for d, n_actions in ((2, 2), (5, 3), (9, 7), (17, 12)):
+        column = rng.uniform(0.0, 1.0, (d, 1))
+        instance = PersuasionInstance(
+            states=StateSpace(tuple(f"s{w}" for w in range(d))),
+            actions=ActionSpace(tuple(f"a{a}" for a in range(n_actions))),
+            prior=Belief(rng.dirichlet(np.ones(d))),
+            sender=SenderUtility(np.repeat(column, n_actions, axis=1)),
+            receiver=make_model("expected", u=np.zeros((d, n_actions))),
+        )
+        block = np.vstack([np.eye(d), instance.prior.weights, rng.dirichlet(np.ones(d), size=9)])
+        assert _block_picks(instance, block) == [0] * block.shape[0]
 
 
 def test_optimal_plan_consistency_checks():

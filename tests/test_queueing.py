@@ -92,6 +92,13 @@ def test_posterior_wait_moments_frozen():
     assert posterior_wait_moments(np.eye(5)[2]) == pytest.approx((3.0, 3.0))
 
 
+def test_posterior_wait_moments_mixes_two_lengths():
+    # Lengths 0 and 4 wait 1 and 5 on average, with variances 1 and 5.
+    mean, var = posterior_wait_moments(np.array([0.5, 0.0, 0.0, 0.0, 0.5]))
+    assert mean == pytest.approx(3.0, abs=1e-15)
+    assert var == pytest.approx(7.0, abs=1e-12)
+
+
 def test_gamma_closed_form_frozen_values():
     frozen = {
         (3, 0): 0.41379310344827586,
