@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +60,10 @@ CLOSED_FORM_SLACK = 1e-9
 # Simulation guardrails.
 MIN_HORIZON = 10_000
 BURN_IN_FRACTION = 0.10
+# Events simulated per block of draws.  It exists to bound memory: a run
+# holds one block's draws, path and tallies whatever its horizon, where
+# drawing all 10^6 events of a default run at once peaked at 62 MB.
+SIM_BLOCK = 1 << 16
 # The flow LP is first solved on the lengths up to max(PREFIX_MIN,
 # PREFIX_PER_JOINABLE * (l + 1)), l the longest joinable length, and the
 # prefix doubles until its certificate holds.  Rationing optima end within
@@ -78,6 +81,7 @@ MAX_QUEUE_BLENDS = 100_000
 __all__ = [
     "MIN_HORIZON",
     "BURN_IN_FRACTION",
+    "SIM_BLOCK",
     "PREFIX_MIN",
     "PREFIX_PER_JOINABLE",
     "MAX_QUEUE_BLENDS",
@@ -544,13 +548,23 @@ def simulate_queue(
     is a scheme ``signal_cdf`` refuses, whose signal law in some state is
     not a law.  A scheme of another state count, or one recommending an
     action other than leave (0) and join (1), is a ``FormatError``.
-    The seed is required; identical seeds give identical runs, draw for
-    draw: one exponential gap per event and one uniform per signal, in
-    event order.  The loop keeps its state in Python scalars and lists.
-    A state's CDF row becomes a list the first time the chain visits it;
-    ``bisect_left`` on it takes the midpoints ``np.searchsorted`` takes
-    for one key, so the same uniform picks the same signal.  Each row ends
-    at exactly 1.0, above every uniform, so the pick is always a signal.
+
+    The run is the embedded jump chain of the queue's birth-death process.
+    Each event k takes one uniform w and one unit exponential E, drawn a
+    block of SIM_BLOCK events at a time: ``rng.random`` for the block's
+    uniforms, then ``rng.standard_exponential`` for its exponentials.  So
+    the seed is required, and identical seeds give identical runs.  With
+    the signals ordered joins first, state n < capacity has cuts on the w
+    scale, its cumulative signal law times lam / (lam + 1) (times 1 at
+    n = 0, where no one departs).  Event k at length n is an arrival when
+    w < lam / (lam + 1) (always at 0), which gets signal count(cut[n] <= w);
+    it joins when w is under the last join signal's cut, and is turned away
+    at the blocked level; any other event is a departure.  The event ends
+    a stay of E / (lam + 1) at n > 0 and E / lam at 0.  The Python loop
+    only moves the length along the path; the tallies are taken from the
+    path in numpy, the signals on the same floats the loop compared, so
+    each join is a join signal.  Arrivals and signals count from event
+    ``burn_in_events`` on, and stays from the one after it.
     """
     if events < MIN_HORIZON:
         raise ValueError(f"horizon {events} below the minimum {MIN_HORIZON}")
@@ -562,77 +576,75 @@ def simulate_queue(
             raise FormatError(
                 f"signals[{i}].action", f"action {sig.action} out of range for 2 actions"
             )
-    cdf = signal_cdf(scheme)
-    rng = np.random.default_rng(seed)
-    # rng.exponential(scale) is scale * rng.standard_exponential(), bit for bit.
-    exponential = rng.standard_exponential
-    uniform = rng.random
-    arrival_gap = 1.0 / instance.arrival_rate
     n_signals = scheme.n_signals
-    rows = [None] * d
-    join_action = [s.action == 1 for s in scheme.signals]
+    order = sorted(range(n_signals), key=lambda i: scheme.signals[i].action != 1)
+    n_join = sum(s.action == 1 for s in scheme.signals)
+    lam = instance.arrival_rate
+    arrive_cut = lam / (lam + 1.0)
+    # Rows padded with 2.0, above every w, to a power-of-two width for the
+    # signal bisection below; row n's last real cut is 1.0 or arrive_cut.
+    width = 1 << (n_signals - 1).bit_length()
+    cut = np.full((d, width), 2.0)
+    cut[:, :n_signals] = signal_cdf(scheme, order)
+    cut[1:, :n_signals] *= arrive_cut
+    up_at = (cut[:, n_join - 1].tolist() if n_join else [-1.0] * d) + [-1.0]
+    down = np.full(d + 1, arrive_cut)
+    down[0] = 2.0
+    down_at = down.tolist()
 
+    rng = np.random.default_rng(seed)
     burn = int(BURN_IN_FRACTION * events)
     n = 0
-    t = 0.0
-    next_arrival = arrival_gap * exponential()
-    next_departure = math.inf
-    signal_counts = [0] * n_signals
-    arrival_seen = [0] * (d + 1)
-    occupancy_time = [0.0] * (d + 1)
-    stats_start = 0.0
-
-    for event in range(events):
-        counting = event >= burn
-        if event == burn:
-            # No event comes before t, so from here on each event's
-            # tallied span starts at t.
-            stats_start = t = min(next_arrival, next_departure)
-        if next_arrival <= next_departure:
-            now = next_arrival
-            if counting:
-                occupancy_time[n] += now - t
-                arrival_seen[n] += 1
-            t = now
-            next_arrival = t + arrival_gap * exponential()
-            if n >= d:
-                continue
-            row = rows[n]
-            if row is None:
-                row = rows[n] = cdf[n].tolist()
-            sig = bisect_left(row, uniform())
-            if counting:
-                signal_counts[sig] += 1
-            if join_action[sig]:
+    signal_counts = np.zeros(width, dtype=np.int64)
+    arrival_seen = np.zeros(d + 1, dtype=np.int64)
+    occupancy_time = np.zeros(d + 1)
+    for start in range(0, events, SIM_BLOCK):
+        size = min(SIM_BLOCK, events - start)
+        w = rng.random(size)
+        stay = rng.standard_exponential(size)
+        path = []
+        visit = path.append
+        for x in w.tolist():
+            visit(n)
+            if x < up_at[n]:
                 n += 1
-                if n == 1:
-                    next_departure = t + exponential()
-        else:
-            now = next_departure
-            if counting:
-                occupancy_time[n] += now - t
-            t = now
-            n -= 1
-            next_departure = t + exponential() if n > 0 else math.inf
+            elif x >= down_at[n]:
+                n -= 1
+        path = np.array(path, dtype=np.intp)
 
-    total_time = t - stats_start
-    occupancy_time = np.array(occupancy_time)
-    if occupancy_time.sum() > 0:
-        occupancy_time = occupancy_time / occupancy_time.sum()
-    arrival_seen = np.array(arrival_seen, dtype=np.int64)
+        # Arrivals and signals count from event burn on, stays from the next.
+        first, after = max(burn - start, 0), max(burn + 1 - start, 0)
+        seen, w = path[first:], w[first:]
+        arrived = w < down[seen]
+        arrival_seen += np.bincount(seen[arrived], minlength=d + 1)
+        admitted = arrived & (seen < d)
+        seen, w = seen[admitted], w[admitted]
+        # count(cut[n] <= w), one bit of the count a pass.
+        sig = np.zeros(seen.size, dtype=np.intp)
+        step = width >> 1
+        while step:
+            sig += step * (cut[seen, sig + step - 1] <= w)
+            step >>= 1
+        signal_counts += np.bincount(sig, minlength=width)
+        stayed = path[after:]
+        rate = lam + (stayed > 0)
+        occupancy_time += np.bincount(stayed, weights=stay[after:] / rate, minlength=d + 1)
+
+    total_time = float(occupancy_time.sum())
+    if total_time > 0:
+        occupancy_time = occupancy_time / total_time
     arrivals = int(arrival_seen.sum())
-    joins = sum(c for c, j in zip(signal_counts, join_action) if j)
+    joins = int(signal_counts[:n_join].sum())
+    by_signal = dict(zip(order, signal_counts.tolist()))
     return SimulationResult(
         events=events,
         burn_in_events=burn,
         arrivals=arrivals,
         blocked=int(arrival_seen[d]),
         joins=joins,
-        leaves=sum(signal_counts) - joins,
+        leaves=int(signal_counts[n_join:].sum()),
         join_rate=joins / arrivals if arrivals else 0.0,
-        signal_counts={
-            scheme.signals[i].label: signal_counts[i] for i in range(n_signals)
-        },
+        signal_counts={s.label: by_signal[i] for i, s in enumerate(scheme.signals)},
         arrival_seen=arrival_seen,
         occupancy_time=occupancy_time,
         total_time=total_time,

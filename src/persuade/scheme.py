@@ -248,20 +248,23 @@ def scheme_value(scheme: SignalingScheme, instance: PersuasionInstance) -> float
     return float(total)
 
 
-def signal_cdf(scheme: SignalingScheme) -> np.ndarray:
+def signal_cdf(scheme: SignalingScheme, order: list[int] | None = None) -> np.ndarray:
     """Per-state cumulative law of the signals, (states, signals), C order.
 
     Refuses (ValueError) a scheme whose signal law in some state is not a
     law, its column sum missing 1 by more than ROW_SUM_TOLERANCE, naming
     the first such state.  Row w is normalized to end at exactly 1.0, above
     every uniform draw u, so ``searchsorted(cdf[w], u, side="left")`` is
-    always a signal.
+    always a signal.  Given ``order``, a permutation of the signal indices,
+    the law is accumulated over the signals in that order; the refusal
+    reads the scheme's own order either way.
     """
     sums = scheme.conditional.sum(axis=0)
     bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE))
     if bad.size:
         raise ValueError(f"conditional law of state {bad[0]} sums to {float(sums[bad[0]])!r}, not 1")
-    cdf = np.cumsum(scheme.conditional, axis=0).T.copy()
+    law = scheme.conditional if order is None else scheme.conditional[order]
+    cdf = np.cumsum(law, axis=0).T.copy()
     return cdf / cdf[:, -1:]
 
 

@@ -17,8 +17,10 @@ receiver's best-response regions, which make the grid relaxation exact.
 ``instance_to_json`` writes an instance back to the JSON schema, and
 ``roundtrip`` is the parse/serialize fixpoint check on a JSON artifact.
 ``simulate_queue_reference`` and ``sample_scheme_batch_reference`` are the
-simulator's event loop on numpy state and the sampler's per-state mask
-loop: the same draws as the package's, computed the plain way.
+simulator's chain one event at a time and the sampler's per-state mask
+loop: the same draws as the package's, computed the plain way;
+``simulate_queue_reference_events`` is the event-race loop of earlier
+versions, a draw contract of its own that the simulator must match in law.
 ``baseline_values_reference`` calls the package's ``best_response`` once per
 pure state, and ``coalesce_reference`` merges plan atoms pair by pair: the
 loops that ``baseline_values`` and ``scheme_from_plan`` batch.
@@ -29,6 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +40,7 @@ from scipy.optimize import linprog
 
 from persuade.binary import BISECTION_TOLERANCE
 from persuade.model import FormatError, best_response, instance_from_json
-from persuade.queueing import BURN_IN_FRACTION, MIN_HORIZON, SimulationResult
+from persuade.queueing import BURN_IN_FRACTION, MIN_HORIZON, SIM_BLOCK, SimulationResult
 from persuade.scheme import POSTERIOR_TOLERANCE, scheme_from_json, scheme_to_json, signal_cdf
 from persuade.geometry import (
     ATOM_FLOOR,
@@ -629,12 +632,91 @@ def roundtrip(path: str):
 
 
 def simulate_queue_reference(instance, scheme, events: int, seed: int) -> SimulationResult:
-    """The event loop on numpy state, draw for draw the one ``simulate_queue`` makes.
+    """One event at a time on the blocked draws ``simulate_queue`` makes.
 
-    Each signal is a ``np.searchsorted`` on the state's CDF row, each gap an
-    ``rng.exponential`` call, and the tallies live in numpy arrays.  The
-    package's loop must return the same result, field for field and bit
-    for bit.
+    Per block of SIM_BLOCK events, ``rng.random`` gives the uniforms and
+    then ``rng.standard_exponential`` the exponentials.  At length n an
+    event is an arrival when its uniform w is under lam / (lam + 1) (or at
+    n = 0); below capacity it gets the signal ``bisect_right`` finds for w
+    on the state's join-first CDF row, scaled by that same fraction for
+    n > 0, and joins when that signal is a join.  Any other event is a
+    departure.  Tallies are kept inline, the stays summed per block as the
+    package's ``np.bincount`` sums them.  ``simulate_queue`` must return
+    the same result, field for field and bit for bit.
+    """
+    if events < MIN_HORIZON:
+        raise ValueError(f"horizon {events} below the minimum {MIN_HORIZON}")
+    d = instance.capacity
+    if scheme.prior.size != d:
+        raise ValueError("scheme state count does not match the capacity")
+    signal_cdf(scheme)  # refuses a state whose signal law is not a law
+    lam = instance.arrival_rate
+    arrive = lam / (lam + 1.0)
+    n_signals = scheme.n_signals
+    order = [i for i in range(n_signals) if scheme.signals[i].action == 1]
+    n_join = len(order)
+    order += [i for i in range(n_signals) if scheme.signals[i].action != 1]
+    cum = np.cumsum(scheme.conditional[order], axis=0).T
+    cum = cum / cum[:, -1:]
+    rows = [cum[0].tolist()] + [(cum[n] * arrive).tolist() for n in range(1, d)]
+
+    rng = np.random.default_rng(seed)
+    burn = int(BURN_IN_FRACTION * events)
+    n = 0
+    signal_counts = [0] * n_signals
+    arrival_seen = np.zeros(d + 1, dtype=np.int64)
+    occupancy_time = np.zeros(d + 1)
+    for start in range(0, events, SIM_BLOCK):
+        size = min(SIM_BLOCK, events - start)
+        uniforms = rng.random(size).tolist()
+        exponentials = rng.standard_exponential(size).tolist()
+        block_time = np.zeros(d + 1)
+        for event, w, e in zip(range(start, start + size), uniforms, exponentials):
+            if event > burn:
+                block_time[n] += e / (lam + 1.0 if n > 0 else lam)
+            if n > 0 and w >= arrive:
+                n -= 1
+                continue
+            if event >= burn:
+                arrival_seen[n] += 1
+            if n == d:
+                continue
+            sig = bisect_right(rows[n], w)
+            if event >= burn:
+                signal_counts[sig] += 1
+            if sig < n_join:
+                n += 1
+        occupancy_time += block_time
+
+    total_time = float(occupancy_time.sum())
+    if total_time > 0:
+        occupancy_time = occupancy_time / total_time
+    arrivals = int(arrival_seen.sum())
+    joins = sum(signal_counts[:n_join])
+    by_signal = dict(zip(order, signal_counts))
+    return SimulationResult(
+        events=events,
+        burn_in_events=burn,
+        arrivals=arrivals,
+        blocked=int(arrival_seen[d]),
+        joins=joins,
+        leaves=sum(signal_counts[n_join:]),
+        join_rate=joins / arrivals if arrivals else 0.0,
+        signal_counts={s.label: by_signal[i] for i, s in enumerate(scheme.signals)},
+        arrival_seen=arrival_seen,
+        occupancy_time=occupancy_time,
+        total_time=total_time,
+    )
+
+
+def simulate_queue_reference_events(instance, scheme, events: int, seed: int) -> SimulationResult:
+    """The event-race loop of earlier versions, on numpy state: the law to keep.
+
+    Each arrival and each departure has a clock, the earlier one fires,
+    each signal is a ``np.searchsorted`` on the state's CDF row, each gap an
+    ``rng.exponential`` call, and the tallies live in numpy arrays.  Its
+    draws are not ``simulate_queue``'s, but its process is: the two must
+    agree in law, not in bits.
     """
     if events < MIN_HORIZON:
         raise ValueError(f"horizon {events} below the minimum {MIN_HORIZON}")

@@ -4,6 +4,7 @@ import dataclasses
 import decimal
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from persuade.model import (
     SenderUtility,
     StateSpace,
 )
-from persuade.queueing import PREFIX_MIN, PREFIX_PER_JOINABLE
+from persuade.queueing import PREFIX_MIN, PREFIX_PER_JOINABLE, SIM_BLOCK
 from persuade.scheme import POSTERIOR_TOLERANCE, scheme_from_plan
 from conftest import reference_queue
 
@@ -335,7 +336,7 @@ def test_simulation_is_deterministic():
 
 
 # (λ, β, τ, capacity) of solved schemes the simulator and the sampler
-# must run draw for draw as the numpy reference loops do.
+# must run draw for draw as the reference loops do.
 IDENTITY_QUEUES = [
     (0.5, 0.0, 20.0, 4),
     (0.9, 2.5, 7.5, 5),
@@ -346,7 +347,9 @@ IDENTITY_QUEUES = [
     (1.2, 2.5, 7.5, 1600),
     None,  # the zero-row scheme
 ]
-IDENTITY_EVENTS = (10_000, 20_000, 33_333)
+# The last spans ten blocks of draws, and its first tallied event opens
+# the second block.
+IDENTITY_EVENTS = (10_000, 20_000, 33_333, 10 * SIM_BLOCK + 5)
 
 
 def _identity_case(params):
@@ -378,7 +381,7 @@ def test_simulation_matches_the_numpy_reference_loop(case):
             simulate_queue(instance, scheme, IDENTITY_EVENTS[0], 0)
         return
     for run in (2 * case, 2 * case + 1):
-        seed, events = run % 8, IDENTITY_EVENTS[run % 3]
+        seed, events = run % 8, IDENTITY_EVENTS[run % 4]
         got = simulate_queue(instance, scheme, events, seed)
         want = oracles.simulate_queue_reference(instance, scheme, events, seed)
         for field in dataclasses.fields(want):
@@ -388,6 +391,39 @@ def test_simulation_matches_the_numpy_reference_loop(case):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
             else:
                 assert a == b, field.name
+
+
+def _batch_means_agree(a: np.ndarray, b: np.ndarray, arrivals: int) -> bool:
+    """Whether two sets of batch statistics, one batch per row, agree in mean.
+
+    A batch's standard error is the spread of its set, floored at the
+    binomial one of ``arrivals`` draws at the pooled mean; the means must
+    meet within 5 standard errors of their difference.
+    """
+    pooled = (a.mean(axis=0) + b.mean(axis=0)) / 2.0
+    floor = np.sqrt(pooled * (1.0 - pooled) / arrivals)
+    se = np.sqrt(sum(np.maximum(x.std(axis=0, ddof=1), floor) ** 2 / len(x) for x in (a, b)))
+    return bool(np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 5.0 * se))
+
+
+@pytest.mark.parametrize("case", range(len(IDENTITY_QUEUES) - 1))
+def test_simulation_keeps_the_law_of_the_event_race_loop(case):
+    # The cases include the reference queue and M/M/1/4.  Each seed is one
+    # batch of each simulator; their join rates, seen-length laws and
+    # time-weighted occupancies must agree in mean, though no draw is shared.
+    instance, scheme = _identity_case(IDENTITY_QUEUES[case])
+    runs = [
+        [simulate(instance, scheme, 20_000, seed) for seed in range(6)]
+        for simulate in (simulate_queue, oracles.simulate_queue_reference_events)
+    ]
+    arrivals = min(sim.arrivals for sims in runs for sim in sims)
+    for stat in (
+        lambda sim: sim.join_rate,
+        lambda sim: sim.arrival_seen / sim.arrivals,
+        lambda sim: sim.occupancy_time,
+    ):
+        a, b = (np.array([stat(sim) for sim in sims]) for sims in runs)
+        assert _batch_means_agree(a, b, arrivals)
 
 
 @pytest.mark.parametrize("case", range(len(IDENTITY_QUEUES)))
@@ -403,6 +439,24 @@ def test_sampler_matches_the_per_state_mask_loop(case):
         want = oracles.sample_scheme_batch_reference(scheme, seed, 50_000)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _simulation_peak(solution, events: int) -> int:
+    tracemalloc.start()
+    try:
+        simulate_queue(solution.instance, solution.scheme, events, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulation_memory_does_not_grow_with_the_horizon(reference_solution):
+    # A run holds one block of SIM_BLOCK events, about 4.5 MiB here; all
+    # 10^6 events drawn at once peaked at 62 MB.
+    short = _simulation_peak(reference_solution, 100_000)
+    long = _simulation_peak(reference_solution, 1_000_000)
+    assert long <= 8 * 2**20
+    assert long <= 1.5 * short
 
 
 def test_simulation_guards():
