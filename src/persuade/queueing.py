@@ -52,7 +52,13 @@ from .model import (
     StateSpace,
     make_model,
 )
-from .scheme import POSTERIOR_TOLERANCE, SignalingScheme, scheme_from_plan, signal_cdf
+from .scheme import (
+    POSTERIOR_TOLERANCE,
+    SignalingScheme,
+    _GuideTable,
+    scheme_from_plan,
+    signal_cdf,
+)
 
 # gamma_closed_form reads a radicand this far below zero as zero (round-off at
 # a tangent); a pair further short is bisected, and compute_k01 checks both.
@@ -581,12 +587,10 @@ def simulate_queue(
     n_join = sum(s.action == 1 for s in scheme.signals)
     lam = instance.arrival_rate
     arrive_cut = lam / (lam + 1.0)
-    # Rows padded with 2.0, above every w, to a power-of-two width for the
-    # signal bisection below; row n's last real cut is 1.0 or arrive_cut.
-    width = 1 << (n_signals - 1).bit_length()
-    cut = np.full((d, width), 2.0)
-    cut[:, :n_signals] = signal_cdf(scheme, order)
-    cut[1:, :n_signals] *= arrive_cut
+    # Row n ends at 1.0 or arrive_cut, above every w that arrives there.
+    cut = signal_cdf(scheme, order)
+    cut[1:] *= arrive_cut
+    signal_of = _GuideTable(cut)
     up_at = (cut[:, n_join - 1].tolist() if n_join else [-1.0] * d) + [-1.0]
     down = np.full(d + 1, arrive_cut)
     down[0] = 2.0
@@ -595,7 +599,7 @@ def simulate_queue(
     rng = np.random.default_rng(seed)
     burn = int(BURN_IN_FRACTION * events)
     n = 0
-    signal_counts = np.zeros(width, dtype=np.int64)
+    signal_counts = np.zeros(n_signals, dtype=np.int64)
     arrival_seen = np.zeros(d + 1, dtype=np.int64)
     occupancy_time = np.zeros(d + 1)
     for start in range(0, events, SIM_BLOCK):
@@ -618,14 +622,8 @@ def simulate_queue(
         arrived = w < down[seen]
         arrival_seen += np.bincount(seen[arrived], minlength=d + 1)
         admitted = arrived & (seen < d)
-        seen, w = seen[admitted], w[admitted]
-        # count(cut[n] <= w), one bit of the count a pass.
-        sig = np.zeros(seen.size, dtype=np.intp)
-        step = width >> 1
-        while step:
-            sig += step * (cut[seen, sig + step - 1] <= w)
-            step >>= 1
-        signal_counts += np.bincount(sig, minlength=width)
+        sig = signal_of.count(seen[admitted], w[admitted], "right")
+        signal_counts += np.bincount(sig, minlength=n_signals)
         stayed = path[after:]
         rate = lam + (stayed > 0)
         occupancy_time += np.bincount(stayed, weights=stay[after:] / rate, minlength=d + 1)

@@ -254,10 +254,11 @@ def signal_cdf(scheme: SignalingScheme, order: list[int] | None = None) -> np.nd
     Refuses (ValueError) a scheme whose signal law in some state is not a
     law, its column sum missing 1 by more than ROW_SUM_TOLERANCE, naming
     the first such state.  Row w is normalized to end at exactly 1.0, above
-    every uniform draw u, so ``searchsorted(cdf[w], u, side="left")`` is
-    always a signal.  Given ``order``, a permutation of the signal indices,
-    the law is accumulated over the signals in that order; the refusal
-    reads the scheme's own order either way.
+    every uniform draw u, so count(cdf[w] < u), the signal that
+    ``_GuideTable.count`` returns on side "left", is always a signal.
+    Given ``order``, a permutation of the signal indices, the law is
+    accumulated over the signals in that order; the refusal reads the
+    scheme's own order either way.
     """
     sums = scheme.conditional.sum(axis=0)
     bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE))
@@ -268,28 +269,90 @@ def signal_cdf(scheme: SignalingScheme, order: list[int] | None = None) -> np.nd
     return cdf / cdf[:, -1:]
 
 
+class _GuideTable:
+    """Exact inverse-CDF lookup by guide table (Chen & Asau 1974; Devroye 1986, III.2).
+
+    ``rows`` is (R, L), each row nondecreasing.  ``count(row_of, u, side)``
+    gives draw i the integer ``np.searchsorted(rows[row_of[i]], u[i], side)``:
+    count(row < u) on side "left", count(row <= u) on side "right".  Each u
+    must lie in [0, 1) and its count below L, which holds when the row ends
+    above u.
+
+    A row has m buckets, m the smallest power of two at or above L, so
+    ``u * m`` and the edges b / m are exact.  Every draw in bucket b of row
+    r counts at least ``guide[r, b]``, the row's entries below b / m, and
+    starts there; only the draws whose entry still counts take another
+    step, to the next distinct value (``jump``), so a run of equal entries
+    costs one step.  Both tables hold int32 positions in the flattened
+    rows, R * (m + L) of them: under 1.5 times the bytes of ``rows``.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = np.ascontiguousarray(rows, dtype=float)
+        n_rows, width = self.rows.shape
+        self.width = width
+        self.m = m = 1 << (width - 1).bit_length()
+        flat = self.rows.ravel()
+        # Entry x of row r lies below the edge b / m exactly when floor(x * m)
+        # < b; the cast and the clip floor x * m.  Keyed r * m + floor(x * m),
+        # the entries keyed below r * m + b are the earlier rows' and row r's
+        # below the edge: bucket b's start.
+        key = (self.rows * m).astype(np.intp)
+        np.clip(key, 0, m - 1, out=key)
+        key += np.arange(0, n_rows * m, m)[:, None]
+        guide = np.zeros(n_rows * m, dtype=np.intp)
+        np.cumsum(np.bincount(key.ravel(), minlength=n_rows * m)[:-1], out=guide[1:])
+        guide = guide.reshape(n_rows, m)
+        np.minimum(guide, np.arange(width - 1, flat.size, width)[:, None], out=guide)
+        self.guide = guide.astype(np.int32).ravel()
+        # jump[k]: the start of the run after k's, or the end of k's row.
+        starts = np.empty(flat.size, dtype=bool)
+        starts[1:] = flat[1:] != flat[:-1]
+        starts[::width] = True
+        bounds = np.append(np.flatnonzero(starts), flat.size).astype(np.int32)
+        self.jump = np.repeat(bounds[1:], np.diff(bounds))
+
+    def count(self, row_of, u: np.ndarray, side: str) -> np.ndarray:
+        """The count per draw, int64; ``row_of`` is an index array or one row."""
+        k = (u * self.m).astype(np.int64)
+        k += row_of * self.m
+        k[...] = self.guide[k]
+        flat = self.rows.ravel()
+        counts = np.less if side == "left" else np.less_equal
+        todo = np.flatnonzero(counts(flat[k], u))
+        while todo.size:
+            k[todo] = step = self.jump[k[todo]]
+            todo = todo[counts(flat[step], u[todo])]
+        k -= row_of * self.width
+        return k
+
+
 def sample_scheme_batch(
     scheme: SignalingScheme, seed: int, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n iid (state, signal) pairs as two index arrays; refuses what signal_cdf does."""
+    """Draw n iid (state, signal) pairs as two int64 index arrays.
+
+    The draws are those of ``default_rng(seed)``'s ``choice(d, n,
+    p=prior / prior.sum())`` followed by ``random(n)``: the first n uniforms
+    u go through the prior's CDF as ``choice`` builds it, each to the state
+    count(cdf <= u), and the next n through the drawn state's row of
+    ``signal_cdf``, each to the signal count(row < u).  One ``_GuideTable``
+    does each lookup.  Refuses (ValueError) a negative n, a prior with a
+    negative or NaN entry or no positive finite sum, and what signal_cdf
+    refuses.
+    """
     if n < 0:
         raise ValueError("sample count must be nonnegative")
-    rng = np.random.default_rng(seed)
-    d = scheme.prior.size
-    states = rng.choice(d, size=n, p=scheme.prior / scheme.prior.sum())
+    total = scheme.prior.sum()
+    if not (np.all(scheme.prior >= 0.0) and 0.0 < total < math.inf):
+        raise ValueError("prior weights must be nonnegative with a positive finite sum")
+    cdf = (scheme.prior / total).cumsum()
+    cdf /= cdf[-1]
     cum = signal_cdf(scheme)
+    rng = np.random.default_rng(seed)
     u = rng.random(n)
-    # The draws of state w, in draw order: one sort, not one scan per state.
-    # Narrowed to the fewest bytes that hold d - 1, numpy sorts by radix.
-    order = np.argsort(states.astype(np.min_scalar_type(d - 1)), kind="stable")
-    ends = np.cumsum(np.bincount(states, minlength=d))
-    signals = np.empty(n, dtype=np.int64)
-    start = 0
-    for w, end in enumerate(ends.tolist()):
-        if end > start:
-            drawn = order[start:end]
-            signals[drawn] = np.searchsorted(cum[w], u[drawn], side="left")
-        start = end
+    states = _GuideTable(cdf[None, :]).count(0, u, "right")
+    signals = _GuideTable(cum).count(states, rng.random(out=u), "left")
     return states, signals
 
 

@@ -441,6 +441,41 @@ def test_sampler_matches_the_per_state_mask_loop(case):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+@pytest.fixture(scope="module")
+def full_persuasion_1600():
+    return solve_queue(QueueInstance(0.6, 0.0, 5.5, 1600)).scheme
+
+
+def _zero_mass_scheme():
+    """States 0 and 3 of six have no prior mass; signal "z" has none in any state."""
+    prior = np.array([0.0, 0.3, 0.2, 0.0, 0.1, 0.4])
+    conditional = np.zeros((4, 6))
+    conditional[[0, 1, 3]] = np.random.default_rng(9).dirichlet(np.ones(3), size=6).T
+    conditional[1:, [0, 3]] = 0.0
+    conditional[0, [0, 3]] = 1.0
+    signals = tuple(
+        Signal(label, prior, action, 0.25) for label, action in (("a", 1), ("b", 0), ("z", 1), ("c", 0))
+    )
+    return SignalingScheme(signals, conditional, prior)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 50_000])
+@pytest.mark.parametrize("case", ["full persuasion at 1600", "zero masses"])
+def test_sampler_matches_the_reference_on_ties_and_tails(case, n, full_persuasion_1600):
+    # The capacity-1600 scheme's prior has a geometric tail, packed into the
+    # last buckets of its guide table; the other scheme's CDFs have runs of
+    # equal entries, from its zero-prior states and its zero-mass signal.
+    scheme = full_persuasion_1600 if case == "full persuasion at 1600" else _zero_mass_scheme()
+    for seed in (3, 4):
+        got = sample_scheme_batch(scheme, seed, n)
+        want = oracles.sample_scheme_batch_reference(scheme, seed, n)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if case == "zero masses" and n:
+        states, signals = got
+        assert not np.isin(states, [0, 3]).any() and not (signals == 2).any()
+
+
 def _simulation_peak(solution, events: int) -> int:
     tracemalloc.start()
     try:

@@ -28,7 +28,7 @@ from persuade import (
     validate_scheme,
 )
 from conftest import RECEIVER_KINDS, seeded_instance, threshold_instance
-from persuade.scheme import POSTERIOR_TOLERANCE
+from persuade.scheme import POSTERIOR_TOLERANCE, _GuideTable
 
 
 def _three_signal_plan():
@@ -293,6 +293,52 @@ def test_sample_batch_guards():
         sample_scheme_batch(scheme, seed=1, n=-5)
     states, signals = sample_scheme_batch(scheme, seed=1, n=0)
     assert states.size == 0 and signals.size == 0
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 9, 40])
+def test_guide_table_counts_what_searchsorted_does(width):
+    # Rows with long runs of equal entries, zeros first, ending at 1.0; the
+    # draws sit on entries, on bucket edges, one ulp below each, and between.
+    rng = np.random.default_rng(width)
+    steps = rng.integers(0, 4, size=(6, width)) * (rng.random((6, width)) < 0.4)
+    steps[:, -1] += 1
+    rows = np.cumsum(steps, axis=1) / np.sum(steps, axis=1, keepdims=True)
+    edges = np.arange(64) / 64
+    points = np.concatenate([rows.ravel(), edges, rng.random(50)])
+    points = np.concatenate([points, np.nextafter(points, 0.0)])
+    u = rng.permutation(points[points < 1.0])
+    row_of = rng.integers(0, rows.shape[0], size=u.size)
+    table = _GuideTable(rows)
+    assert table.guide.size < 2 * rows.size and table.jump.size == rows.size
+    for side in ("left", "right"):
+        want = [np.searchsorted(rows[r], x, side=side) for r, x in zip(row_of, u)]
+        got = table.count(row_of, u, side)
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert _GuideTable(rows[:1]).count(0, u, side).tolist() == np.searchsorted(
+            rows[0], u, side=side
+        ).tolist()
+
+
+def test_guide_table_steps_over_a_run_of_equal_entries_at_once():
+    # Positions are flat.  Bucket b of a row starts at its entries below b / 8;
+    # a jump goes to the next run's start, or the row's end.
+    table = _GuideTable([[0.0, 0.0, 0.0, 0.5, 0.5, 1.0], [0.5, 0.5, 1.0, 1.0, 1.0, 1.0]])
+    assert table.jump.tolist() == [3, 3, 3, 5, 5, 6, 8, 8, 12, 12, 12, 12]
+    assert table.guide.tolist() == [0, 3, 3, 3, 3, 5, 5, 5, 6, 6, 6, 6, 6, 8, 8, 8]
+
+
+@pytest.mark.parametrize(
+    "prior", [[0.5, -0.25, 0.5, 0.25], [0.25, np.nan, 0.5, 0.25], [0.0, 0.0, 0.0, 0.0]]
+)
+@pytest.mark.parametrize("n", [0, 10])
+def test_sampler_refuses_a_prior_that_is_not_a_law(prior, n):
+    # SignalingScheme takes any prior; the sampler must refuse a negative
+    # entry, a NaN entry and a zero sum, even when it draws nothing.
+    scheme = scheme_from_plan(_three_signal_plan(), threshold_instance())
+    bad = SignalingScheme(signals=scheme.signals, conditional=scheme.conditional, prior=prior)
+    # Normalizing by a zero sum may warn on the way to the refusal.
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        sample_scheme_batch(bad, seed=1, n=n)
 
 
 def test_scheme_json_roundtrip():
