@@ -41,8 +41,8 @@ from .general import (
 from .geometry import InfeasibleProgramError, LpSolverError
 from .model import FormatError, instance_from_json
 from .queueing import (
-    MIN_HORIZON,
     QueueInstance,
+    _check_horizon,
     posterior_wait_moments,
     simulate_queue,
     solve_queue,
@@ -304,20 +304,18 @@ def _plot_data_csv(plot: dict) -> str:
     return buf.getvalue()
 
 
+# The flag that sets each field the library names in a FormatError.
+_FLAGS = {"arrival_rate": "--lambda", "beta": "--beta", "tau": "--tau", "capacity": "--capacity"}
+
+
 def _queue_instance(args) -> QueueInstance:
     """The queue instance of the flags; a value ``QueueInstance`` refuses is a bad flag (exit 1)."""
-    for flag, value, ok, rule in (
-        ("--lambda", args.lam, args.lam > 0.0, "positive"),
-        ("--beta", args.beta, args.beta >= 0.0, "nonnegative"),
-        ("--tau", args.tau, args.tau > 0.0, "positive"),
-    ):
-        if not (ok and math.isfinite(value)):
-            raise FormatError(flag, f"must be a finite {rule} number, not {value}")
-    if args.capacity < 2:
-        raise FormatError("--capacity", f"must be at least 2, not {args.capacity}")
-    return QueueInstance(
-        arrival_rate=args.lam, beta=args.beta, tau=args.tau, capacity=args.capacity
-    )
+    try:
+        return QueueInstance(
+            arrival_rate=args.lam, beta=args.beta, tau=args.tau, capacity=args.capacity
+        )
+    except FormatError as exc:
+        raise FormatError(_FLAGS[exc.path], exc.message) from None
 
 
 def _check_simulation(flag: str, events: int | None, seed: int | None) -> None:
@@ -325,15 +323,14 @@ def _check_simulation(flag: str, events: int | None, seed: int | None) -> None:
 
     ``events`` is the horizon that ``flag`` gives, or None when no
     simulation runs, and then a ``seed`` would be ignored.  A simulation
-    needs at least MIN_HORIZON events and a seed numpy takes: given, and
-    non-negative.
+    needs a horizon ``_check_horizon`` takes and a seed numpy takes: given,
+    and non-negative.
     """
     if events is None:
         if seed is not None:
             raise FormatError("--seed", "seeds a simulation, and no --simulate is given")
         return
-    if events < MIN_HORIZON:
-        raise FormatError(flag, f"horizon {events} below the minimum {MIN_HORIZON}")
+    _check_horizon(events, flag)
     if seed is None:
         raise FormatError("--seed", "simulation requires an explicit seed")
     if seed < 0:

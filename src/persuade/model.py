@@ -76,11 +76,11 @@ __all__ = [
 class FormatError(ValueError):
     """Raised when a JSON document violates the instance or scheme schema.
 
-    ``path`` locates the offending field, e.g. ``"prior[1]"``.
+    ``path`` locates the offending field, e.g. ``"prior[1]"``; ``message`` says what is wrong.
     """
 
     def __init__(self, path: str, message: str):
-        self.path = path
+        self.path, self.message = path, message
         super().__init__(f"{path}: {message}")
 
 

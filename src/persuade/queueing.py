@@ -110,7 +110,7 @@ class QueueInstance:
 
     ``capacity`` is the number of observable queue lengths {0, ...,
     capacity - 1}; an arrival finding the system at ``capacity`` is
-    turned away outright.
+    turned away outright.  A field out of range is a ``FormatError`` at its name.
     """
 
     arrival_rate: float
@@ -119,16 +119,15 @@ class QueueInstance:
     capacity: int
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.arrival_rate, self.beta, self.tau))):
-            raise ValueError("arrival rate, beta and tau must be finite")
-        if not self.arrival_rate > 0.0:
-            raise ValueError("arrival rate must be positive")
-        if self.beta < 0.0:
-            raise ValueError("beta must be nonnegative")
-        if not self.tau > 0.0:
-            raise ValueError("tau must be positive")
+        for field, value, ok, rule in (
+            ("arrival_rate", self.arrival_rate, self.arrival_rate > 0.0, "positive"),
+            ("beta", self.beta, self.beta >= 0.0, "nonnegative"),
+            ("tau", self.tau, self.tau > 0.0, "positive"),
+        ):
+            if not (ok and math.isfinite(value)):
+                raise FormatError(field, f"must be a finite {rule} number, not {value}")
         if self.capacity < 2:
-            raise ValueError("capacity must be at least 2")
+            raise FormatError("capacity", f"must be at least 2, not {self.capacity}")
 
 
 def posterior_wait_moments(posterior: np.ndarray) -> tuple[float, float]:
@@ -540,6 +539,12 @@ class SimulationResult:
     total_time: float
 
 
+def _check_horizon(events: int, path: str = "events") -> None:
+    """Refuse (``FormatError`` at ``path``) a horizon under MIN_HORIZON, too short to tell."""
+    if events < MIN_HORIZON:
+        raise FormatError(path, f"horizon {events} below the minimum {MIN_HORIZON}")
+
+
 def simulate_queue(
     instance: QueueInstance,
     scheme: SignalingScheme,
@@ -549,11 +554,10 @@ def simulate_queue(
     """Simulate arrivals obeying the scheme's recommendations.
 
     Runs exactly ``events`` arrival/departure events, discarding the
-    first BURN_IN_FRACTION of them before tallying.  Horizons under
-    MIN_HORIZON are refused: shorter runs say nothing at these rates.  So
-    is a scheme ``signal_cdf`` refuses, whose signal law in some state is
-    not a law.  A scheme of another state count, or one recommending an
-    action other than leave (0) and join (1), is a ``FormatError``.
+    first BURN_IN_FRACTION of them before tallying.  A horizon
+    ``_check_horizon`` refuses, a scheme of another state count, or one
+    recommending an action other than leave (0) and join (1), is a
+    ``FormatError``.
 
     The run is the embedded jump chain of the queue's birth-death process.
     Each event k takes one uniform w and one unit exponential E, drawn a
@@ -572,8 +576,7 @@ def simulate_queue(
     each join is a join signal.  Arrivals and signals count from event
     ``burn_in_events`` on, and stays from the one after it.
     """
-    if events < MIN_HORIZON:
-        raise ValueError(f"horizon {events} below the minimum {MIN_HORIZON}")
+    _check_horizon(events)
     d = instance.capacity
     if scheme.prior.size != d:
         raise FormatError("prior", "scheme state count does not match the capacity")

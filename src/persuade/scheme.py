@@ -27,7 +27,7 @@ from .model import (
     best_response,
 )
 
-# Column sums of the law may miss one, and parsed probabilities exceed it, by
+# Column sums of the law may miss one, and its entries and marginals exceed it, by
 # this much: the law is joint mass, which meets the prior to PLAN_MASS_TOLERANCE.
 ROW_SUM_TOLERANCE = 1e-9
 # Posteriors may miss their Bayes update by this, ten times ROW_SUM_TOLERANCE as
@@ -67,17 +67,59 @@ class Signal:
 
 @dataclass(frozen=True, eq=False)
 class SignalingScheme:
+    """Signals and their conditional law pi(s | w), which must be a law.
+
+    Construction raises ``FormatError`` at the field's path where the
+    ``prior`` is not a distribution (entries >= 0, sum within SUM_SLACK), a
+    ``signals[i].label`` repeats, a ``signals[i].posterior`` is not one
+    (entries >= WEIGHT_FLOOR), or a ``signals[i].marginal`` or a
+    ``conditional[i]`` entry lies outside [WEIGHT_FLOOR, 1 +
+    ROW_SUM_TOLERANCE] (low entries first).  NaN fails each rule.  Entries
+    in [WEIGHT_FLOOR, 0) are then clipped to 0, as ``Belief`` does, and at
+    ``conditional`` each state's signal law must sum to 1 within
+    ROW_SUM_TOLERANCE; the message names the first state whose law does not.
+    The arrays kept (law, prior, posteriors) are copies, read-only.
+    """
+
     signals: tuple[Signal, ...]
     conditional: np.ndarray
     prior: np.ndarray
 
     def __post_init__(self):
         cond = np.asarray(self.conditional, dtype=float)
-        prior = np.asarray(self.prior, dtype=float)
+        prior = np.array(self.prior, dtype=float)
         if cond.shape != (len(self.signals), prior.size):
             raise ValueError("conditional law shape must be signals by states")
-        if len(set(self.labels)) != len(self.signals):
-            raise ValueError("signal labels must be distinct")
+        if not np.all(prior >= 0.0):
+            raise FormatError("prior", "weights must be nonnegative")
+        if not abs(prior.sum() - 1.0) <= SUM_SLACK:
+            raise FormatError("prior", "weights must sum to 1")
+        signals, seen = [], set()
+        for i, sig in enumerate(self.signals):
+            if sig.label in seen:
+                raise FormatError(f"signals[{i}].label", f"labels must be distinct: {sig.label!r}")
+            seen.add(sig.label)
+            post = np.asarray(sig.posterior, dtype=float)
+            if not (post.shape == prior.shape and post.min() >= WEIGHT_FLOOR
+                    and abs(post.sum() - 1.0) <= SUM_SLACK):
+                raise FormatError(f"signals[{i}].posterior", "entries must form a distribution")
+            marginal = sig.marginal
+            if not WEIGHT_FLOOR <= marginal <= 1.0 + ROW_SUM_TOLERANCE:
+                raise FormatError(f"signals[{i}].marginal", f"probability {marginal} out of range")
+            signals.append(Signal(sig.label, np.maximum(post, 0.0), sig.action, max(marginal, 0.0)))
+        # A negative entry, not the one it offsets, is the fault.
+        for bad in (~(cond >= WEIGHT_FLOOR), ~(cond <= 1.0 + ROW_SUM_TOLERANCE)):
+            rows = np.flatnonzero(bad.any(axis=1))
+            if rows.size:
+                raise FormatError(f"conditional[{rows[0]}]", "entries must be probabilities")
+        cond = np.maximum(cond, 0.0)
+        sums = cond.sum(axis=0)
+        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE))
+        if bad.size:
+            raise FormatError("conditional", f"law of state {bad[0]} sums to {sums[bad[0]]}, not 1")
+        for held in (cond, prior, *(sig.posterior for sig in signals)):
+            held.flags.writeable = False
+        object.__setattr__(self, "signals", tuple(signals))
         object.__setattr__(self, "conditional", cond)
         object.__setattr__(self, "prior", prior)
 
@@ -251,19 +293,11 @@ def scheme_value(scheme: SignalingScheme, instance: PersuasionInstance) -> float
 def signal_cdf(scheme: SignalingScheme, order: list[int] | None = None) -> np.ndarray:
     """Per-state cumulative law of the signals, (states, signals), C order.
 
-    Refuses (ValueError) a scheme whose signal law in some state is not a
-    law, its column sum missing 1 by more than ROW_SUM_TOLERANCE, naming
-    the first such state.  Row w is normalized to end at exactly 1.0, above
-    every uniform draw u, so count(cdf[w] < u), the signal that
-    ``_GuideTable.count`` returns on side "left", is always a signal.
-    Given ``order``, a permutation of the signal indices, the law is
-    accumulated over the signals in that order; the refusal reads the
-    scheme's own order either way.
+    Row w is normalized to end at exactly 1.0, above every uniform draw u,
+    so count(cdf[w] < u), the signal that ``_GuideTable.count`` returns on
+    side "left", is always a signal.  Given ``order``, a permutation of the
+    signal indices, the law is accumulated over the signals in that order.
     """
-    sums = scheme.conditional.sum(axis=0)
-    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE))
-    if bad.size:
-        raise ValueError(f"conditional law of state {bad[0]} sums to {float(sums[bad[0]])!r}, not 1")
     law = scheme.conditional if order is None else scheme.conditional[order]
     cdf = np.cumsum(law, axis=0).T.copy()
     return cdf / cdf[:, -1:]
@@ -337,16 +371,11 @@ def sample_scheme_batch(
     u go through the prior's CDF as ``choice`` builds it, each to the state
     count(cdf <= u), and the next n through the drawn state's row of
     ``signal_cdf``, each to the signal count(row < u).  One ``_GuideTable``
-    does each lookup.  Refuses (ValueError) a negative n, a prior with a
-    negative or NaN entry or no positive finite sum, and what signal_cdf
-    refuses.
+    does each lookup.  Refuses (ValueError) a negative n.
     """
     if n < 0:
         raise ValueError("sample count must be nonnegative")
-    total = scheme.prior.sum()
-    if not (np.all(scheme.prior >= 0.0) and 0.0 < total < math.inf):
-        raise ValueError("prior weights must be nonnegative with a positive finite sum")
-    cdf = (scheme.prior / total).cumsum()
+    cdf = (scheme.prior / scheme.prior.sum()).cumsum()
     cdf /= cdf[-1]
     cum = signal_cdf(scheme)
     rng = np.random.default_rng(seed)
@@ -374,7 +403,7 @@ def scheme_to_json(scheme: SignalingScheme) -> dict:
 
 
 def scheme_from_json(data: dict) -> SignalingScheme:
-    """Parse the scheme schema, reporting errors by field path."""
+    """Parse the scheme schema's types and shapes, reporting errors by field path."""
     if not isinstance(data, dict):
         raise FormatError("$", "scheme document must be a JSON object")
     for key in ("signals", "conditional", "prior"):
@@ -387,14 +416,7 @@ def scheme_from_json(data: dict) -> SignalingScheme:
     if not isinstance(prior_raw, list) or not prior_raw:
         raise FormatError("prior", "expected a nonempty list of numbers")
     prior = np.array(_float_list(prior_raw, "prior"))
-    d = prior.size
-    if np.any(prior < 0):
-        raise FormatError("prior", "weights must be nonnegative")
-    if abs(prior.sum() - 1.0) > SUM_SLACK:
-        raise FormatError("prior", "weights must sum to 1")
-
     signals = []
-    seen: set[str] = set()
     for i, raw in enumerate(raw_signals):
         if not isinstance(raw, dict):
             raise FormatError(f"signals[{i}]", "expected an object")
@@ -404,36 +426,11 @@ def scheme_from_json(data: dict) -> SignalingScheme:
         label = raw["label"]
         if not isinstance(label, str):
             raise FormatError(f"signals[{i}].label", "expected a string")
-        if label in seen:
-            raise FormatError(f"signals[{i}].label", f"repeats the label {label!r}")
-        seen.add(label)
-        post = raw["posterior"]
-        if not isinstance(post, list) or len(post) != d:
-            raise FormatError(f"signals[{i}].posterior", f"expected {d} weights")
-        posterior = np.array(_float_list(post, f"signals[{i}].posterior"))
-        if np.any(posterior < WEIGHT_FLOOR) or abs(posterior.sum() - 1.0) > SUM_SLACK:
-            raise FormatError(
-                f"signals[{i}].posterior", "entries must form a distribution"
-            )
+        posterior = np.array(_float_list(raw["posterior"], f"signals[{i}].posterior"))
         action = raw["action"]
         if not isinstance(action, int) or isinstance(action, bool) or action < 0:
             raise FormatError(f"signals[{i}].action", "expected a nonnegative integer")
         marginal = _number(raw["marginal"], f"signals[{i}].marginal")
-        if marginal < WEIGHT_FLOOR or marginal > 1.0 + ROW_SUM_TOLERANCE:
-            raise FormatError(f"signals[{i}].marginal", f"probability {marginal!r} out of range")
-        signals.append(
-            Signal(
-                label=label,
-                posterior=np.clip(posterior, 0.0, None),
-                action=action,
-                marginal=max(marginal, 0.0),
-            )
-        )
-
-    cond = _matrix(data["conditional"], len(signals), d, "conditional")
-    bad = np.nonzero(np.any((cond < WEIGHT_FLOOR) | (cond > 1.0 + ROW_SUM_TOLERANCE), axis=1))[0]
-    if bad.size:
-        raise FormatError(f"conditional[{bad[0]}]", "entries must be probabilities")
-    return SignalingScheme(
-        signals=tuple(signals), conditional=np.clip(cond, 0.0, None), prior=prior
-    )
+        signals.append(Signal(label, posterior, action, marginal))
+    cond = _matrix(data["conditional"], len(signals), prior.size, "conditional")
+    return SignalingScheme(signals=tuple(signals), conditional=cond, prior=prior)

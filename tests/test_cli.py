@@ -1085,8 +1085,8 @@ def test_queue_rate_flags_must_be_finite(tmp_path, capsys, verb, flag, value):
 def test_queue_flags_out_of_range_exit_one_before_solving(
     tmp_path, capsys, monkeypatch, verb, flag, value, message
 ):
-    # QueueInstance refuses these with ValueError (exit 2, as for a failed
-    # run); as flags they are bad input, refused before anything runs.
+    # QueueInstance refuses these at the field's name; the CLI names the
+    # flag with the same message, before anything runs.
     solves = _count_calls(monkeypatch, "solve_queue", home=persuade.queueing)
     runs = _count_calls(monkeypatch, "simulate_queue", home=persuade.queueing)
     flags = {"--lambda": "0.95", "--beta": "2.5", "--tau": "7.5", "--capacity": "4", flag: value}
@@ -1337,28 +1337,74 @@ def test_validate_fails_a_scheme_made_for_another_prior(tmp_path, capsys):
     assert doc["posterior_residual"] == pytest.approx(11 / 21, abs=1e-9)
 
 
-def test_simulate_refuses_a_state_whose_signal_law_is_not_a_law(tmp_path, capsys):
-    # With state 1's column zeroed every arrival at length 1 drew the last
-    # signal: Join_2 fell from 2,209 to 0 and Join_4 rose from 2,529 to 4,738.
+def _queue_scheme_files(tmp_path, capsys, edit):
+    """A capacity-4 queue's --out scheme with ``edit`` applied, its instance, and its flags."""
     scheme_path = tmp_path / "scheme.json"
     queue = ["--lambda", "0.9", "--beta", "0", "--tau", "3", "--capacity", "4"]
     assert cli.run(["queue", *queue, "--out", str(scheme_path)]) == 0
     capsys.readouterr()
     scheme = json.loads(scheme_path.read_text())
-    for row in scheme["conditional"]:
-        row[1] = 0.0
-    bad_path = _write(tmp_path, "bad.json", scheme)
-    sim = ["simulate", "--scheme", bad_path, *queue, "--events", "20000", "--seed", "1"]
-    assert cli.run(sim) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "persuade: conditional law of state 1 sums to 0.0, not 1\n"
-    # validate still reads the scheme, and reports the column as its Bayes residual.
+    edit(scheme)
     solution = persuade.solve_queue(QueueInstance(0.9, 0.0, 3.0, 4))
     inst_path = _write(tmp_path, "inst.json", oracles.instance_to_json(solution.persuasion))
-    code, out, _ = _validate_exit(tmp_path, capsys, inst_path, scheme)
-    doc = json.loads(out)
-    assert code == 2 and doc["ok"] is False and doc["bayes_residual"] == 1.0
+    return _write(tmp_path, "bad.json", scheme), inst_path, queue
+
+
+def _zero_state_1(scheme):
+    for row in scheme["conditional"]:
+        row[1] = 0.0
+
+
+def test_simulate_refuses_a_state_whose_signal_law_is_not_a_law(tmp_path, capsys):
+    # With state 1's column zeroed every arrival at length 1 drew the last
+    # signal: Join_2 fell from 2,209 to 0 and Join_4 rose from 2,529 to 4,738.
+    # SignalingScheme refuses such a law when the file is read, so validate
+    # and simulate both exit 1 at the field.
+    bad_path, inst_path, queue = _queue_scheme_files(tmp_path, capsys, _zero_state_1)
+    sim = ["simulate", "--scheme", bad_path, *queue, "--events", "20000", "--seed", "1"]
+    for argv in (sim, ["validate", "--instance", inst_path, "--scheme", bad_path]):
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "persuade: conditional: law of state 1 sums to 0.0, not 1\n"
+
+
+def _set_at(*keys, value):
+    """An edit that sets the entry of a document at ``keys`` to ``value``."""
+    def edit(doc):
+        *path, last = keys
+        for key in path:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_at("prior", 1, value=-0.25), "prior: weights must be nonnegative"),
+        (_set_at("signals", 0, "marginal", value=1.5),
+         "signals[0].marginal: probability 1.5 out of range"),
+        (_set_at("signals", 2, "label", value="Join_1"),
+         "signals[2].label: labels must be distinct: 'Join_1'"),
+        (_set_at("signals", 1, "posterior", 1, value=0.9),
+         "signals[1].posterior: entries must form a distribution"),
+        (_set_at("conditional", 1, 0, value=-0.5), "conditional[1]: entries must be probabilities"),
+        (_zero_state_1, "conditional: law of state 1 sums to 0.0, not 1"),
+    ],
+    ids=["prior", "marginal", "label", "posterior", "entry", "column"],
+)
+@pytest.mark.parametrize("verb", ["validate", "simulate"])
+def test_a_scheme_file_that_is_not_a_law_exits_one_at_the_field(tmp_path, capsys, verb, edit, message):
+    # SignalingScheme holds each rule; both verbs that read a scheme file
+    # reach it, before anything is validated or simulated.
+    bad_path, inst_path, queue = _queue_scheme_files(tmp_path, capsys, edit)
+    argv = (["validate", "--instance", inst_path, "--scheme", bad_path] if verb == "validate"
+            else ["simulate", "--scheme", bad_path, *queue, "--events", "20000", "--seed", "1"])
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"persuade: {message}\n"
 
 
 @pytest.mark.parametrize("marginal", ["0.3", "high", float("inf")])

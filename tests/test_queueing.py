@@ -14,6 +14,7 @@ from scipy.optimize import linprog
 import oracles
 import persuade.queueing
 from persuade import (
+    FormatError,
     LpSolverError,
     OptimalPlan,
     QueueInstance,
@@ -66,14 +67,16 @@ def _probe(d, tau=TAU, beta=BETA):
 
 
 def test_queue_instance_guards():
-    with pytest.raises(ValueError, match="arrival rate"):
-        QueueInstance(0.0, 1.0, 5.0, 10)
-    with pytest.raises(ValueError, match="beta"):
-        QueueInstance(0.5, -0.1, 5.0, 10)
-    with pytest.raises(ValueError, match="tau"):
-        QueueInstance(0.5, 1.0, 0.0, 10)
-    with pytest.raises(ValueError, match="capacity"):
-        QueueInstance(0.5, 1.0, 5.0, 1)
+    # Each refusal names the field; the CLI maps it to its flag and keeps the message.
+    for args, field, message in (
+        ((0.0, 1.0, 5.0, 10), "arrival_rate", "must be a finite positive number, not 0.0"),
+        ((0.5, -0.1, 5.0, 10), "beta", "must be a finite nonnegative number, not -0.1"),
+        ((0.5, 1.0, -2.0, 10), "tau", "must be a finite positive number, not -2.0"),
+        ((0.5, 1.0, 5.0, 1), "capacity", "must be at least 2, not 1"),
+    ):
+        with pytest.raises(FormatError) as caught:
+            QueueInstance(*args)
+        assert (caught.value.path, caught.value.message) == (field, message)
     for bad in (math.nan, math.inf, -math.inf):
         for args in ((bad, 1.0, 5.0, 10), (0.5, bad, 5.0, 10), (0.5, 1.0, bad, 10)):
             with pytest.raises(ValueError, match="finite"):
@@ -356,7 +359,8 @@ def _identity_case(params):
     """(instance, scheme) of a solved queue, or of a scheme with an all-zero CDF row.
 
     In the latter, state 2 has no signal mass, so its signal law is not a
-    law: the sampler and the simulator both refuse it.
+    law: ``SignalingScheme`` refuses it, and the sampler and the simulator
+    never see it.
     """
     if params is not None:
         sol = solve_queue(QueueInstance(*params))
@@ -374,12 +378,12 @@ def _identity_case(params):
 
 @pytest.mark.parametrize("case", range(len(IDENTITY_QUEUES)))
 def test_simulation_matches_the_numpy_reference_loop(case):
-    instance, scheme = _identity_case(IDENTITY_QUEUES[case])
     if IDENTITY_QUEUES[case] is None:
-        # State 2's signal law is not a law, so there is no run to match.
-        with pytest.raises(ValueError, match="conditional law of state 2 sums to 0.0, not 1"):
-            simulate_queue(instance, scheme, IDENTITY_EVENTS[0], 0)
+        # State 2's signal law is not a law, so there is no scheme to run.
+        with pytest.raises(FormatError, match="^conditional: law of state 2 sums to 0.0, not 1$"):
+            _identity_case(None)
         return
+    instance, scheme = _identity_case(IDENTITY_QUEUES[case])
     for run in (2 * case, 2 * case + 1):
         seed, events = run % 8, IDENTITY_EVENTS[run % 4]
         got = simulate_queue(instance, scheme, events, seed)
@@ -428,12 +432,12 @@ def test_simulation_keeps_the_law_of_the_event_race_loop(case):
 
 @pytest.mark.parametrize("case", range(len(IDENTITY_QUEUES)))
 def test_sampler_matches_the_per_state_mask_loop(case):
-    _, scheme = _identity_case(IDENTITY_QUEUES[case])
     if IDENTITY_QUEUES[case] is None:
-        # State 2's signal law is not a law, so there is nothing to draw.
-        with pytest.raises(ValueError, match="conditional law of state 2 sums to 0.0, not 1"):
-            sample_scheme_batch(scheme, case, 50_000)
+        # State 2's signal law is not a law, so there is no scheme to draw from.
+        with pytest.raises(FormatError, match="^conditional: law of state 2 sums to 0.0, not 1$"):
+            _identity_case(None)
         return
+    _, scheme = _identity_case(IDENTITY_QUEUES[case])
     for seed in (case, case + 8):
         got = sample_scheme_batch(scheme, seed, 50_000)
         want = oracles.sample_scheme_batch_reference(scheme, seed, 50_000)
@@ -496,7 +500,7 @@ def test_simulation_memory_does_not_grow_with_the_horizon(reference_solution):
 
 def test_simulation_guards():
     sol = solve_queue(QueueInstance(0.5, 0.0, 20.0, 4))
-    with pytest.raises(ValueError, match="horizon"):
+    with pytest.raises(FormatError, match="^events: horizon 9999 below the minimum 10000$"):
         simulate_queue(sol.instance, sol.scheme, events=9_999, seed=1)
     other = QueueInstance(0.5, 0.0, 20.0, 5)
     with pytest.raises(ValueError, match="state count"):

@@ -1,5 +1,7 @@
 """Scheme compilation, validation, sampling, and the scheme schema."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -162,23 +164,28 @@ def test_scheme_from_plan_matches_the_pairwise_merge(kind, n_actions):
     # atom's signal (taking its action and label when that pays the sender
     # more); one just outside, a signal of its own; and one halfway between
     # those two, within tolerance of both signals, which joins the first.
-    # Every signal and law entry has the bits of the pairwise merge.
+    # Every signal and law entry has the bits of the pairwise merge.  The
+    # weights are scaled to a unit sum, and the prior is the one the merged
+    # signals reproduce, so that the compiled law is a law.
     for seed in range(3):
         inst = seeded_instance(kind, seed, 3, n_actions)
         plan = solve_general(inst, grid_point_sets(inst, GridSpec(k=6, dim=3)))
+        scale = 1.0 / (1.0 + 0.06 * len(plan.atoms))
         atoms = []
         for i, atom in enumerate(plan.atoms):
             other = (atom.action + 1) % n_actions
             atoms += [
-                atom,
-                PlanAtom(other, _near(atom.posterior, 0.999 * POSTERIOR_TOLERANCE), 0.01, f"in{i}"),
-                PlanAtom(other, _near(atom.posterior, 1.001 * POSTERIOR_TOLERANCE), 0.02, f"out{i}"),
-                PlanAtom(other, _near(atom.posterior, 0.5005 * POSTERIOR_TOLERANCE), 0.03, f"mid{i}"),
+                PlanAtom(atom.action, atom.posterior, scale * atom.weight, atom.label),
+                PlanAtom(other, _near(atom.posterior, 0.999 * POSTERIOR_TOLERANCE), 0.01 * scale, f"in{i}"),
+                PlanAtom(other, _near(atom.posterior, 1.001 * POSTERIOR_TOLERANCE), 0.02 * scale, f"out{i}"),
+                PlanAtom(other, _near(atom.posterior, 0.5005 * POSTERIOR_TOLERANCE), 0.03 * scale, f"mid{i}"),
             ]
         signals = 2 * len(plan.atoms)
         plan = OptimalPlan(t=plan.t, prior=plan.prior, value=plan.value, atoms=tuple(atoms))
-        scheme = scheme_from_plan(plan, inst)
         rows = oracles.coalesce_reference(plan, inst)
+        prior = sum(weight * posterior for posterior, weight, _, _ in rows)
+        plan = OptimalPlan(t=plan.t, prior=prior, value=plan.value, atoms=plan.atoms)
+        scheme = scheme_from_plan(plan, inst)
         assert scheme.n_signals == len(rows) == signals
         assert all(sig.label.startswith("out") == (i % 2 == 1) for i, sig in enumerate(scheme.signals))
         live = plan.prior > 0.0
@@ -230,11 +237,90 @@ def test_validate_scheme_flags_disobedient_recommendations():
     assert report.margins[0] == pytest.approx(-1.0 / 12.0, abs=1e-9)
 
 
+def test_scheme_refuses_a_law_with_negative_entries():
+    # Each column sums to 1, yet state 1 charges signal 1 -0.5 and signal 0
+    # 1.5: a CDF row that is not monotone, which the sampler and the
+    # simulator would draw from.
+    signals = (Signal("a", np.array([0.75, 0.25]), 1, 1.0), Signal("b", np.array([0.5, 0.5]), 0, 0.0))
+    with pytest.raises(FormatError, match=r"^conditional\[1\]: entries must be probabilities$"):
+        SignalingScheme(signals, np.array([[1.5, 0.5], [-0.5, 0.5]]), np.array([0.5, 0.5]))
+
+
+def _edit_signal(i, **change):
+    def edit(signals, cond, prior):
+        signals[i] = dataclasses.replace(signals[i], **change)
+    return edit
+
+
+def _set(field, index, value):
+    def edit(signals, cond, prior):
+        {"cond": cond, "prior": prior}[field][index] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set("prior", 1, -0.25), r"prior: weights must be nonnegative"),
+        (_set("prior", 1, np.nan), r"prior: weights must be nonnegative"),
+        (_set("prior", 1, 0.2), r"prior: weights must sum to 1"),
+        (_edit_signal(1, posterior=np.array([-1e-9, 0.75, 0.0, 0.25 + 1e-9])),
+         r"signals\[1\]\.posterior: entries must form a distribution"),
+        (_edit_signal(1, posterior=np.array([0.0, 0.75, 0.0, 0.2])),
+         r"signals\[1\]\.posterior: entries must form a distribution"),
+        (_edit_signal(1, posterior=np.array([0.75, 0.25])),
+         r"signals\[1\]\.posterior: entries must form a distribution"),
+        (_edit_signal(1, posterior=np.array([np.nan, 0.75, 0.0, 0.25])),
+         r"signals\[1\]\.posterior: entries must form a distribution"),
+        (_edit_signal(0, marginal=1.5), r"signals\[0\]\.marginal: probability 1\.5 out of range"),
+        (_edit_signal(0, marginal=-1e-9), r"signals\[0\]\.marginal: probability -1e-09 out of range"),
+        (_edit_signal(0, marginal=np.nan), r"signals\[0\]\.marginal: probability nan out of range"),
+        (_set("cond", (2, 0), -1e-9), r"conditional\[2\]: entries must be probabilities"),
+        (_set("cond", (2, 0), np.nan), r"conditional\[2\]: entries must be probabilities"),
+        (_set("cond", (1, 3), 1.5), r"conditional\[1\]: entries must be probabilities"),
+        (_set("cond", (0, 3), 0.0), r"conditional: law of state 3 sums to 0\.666.*, not 1"),
+        (_set("cond", (0, 3), 1.0 / 3.0 + 2e-9), r"conditional: law of state 3 sums to 1\.000000002.*, not 1"),
+    ],
+    ids=["prior-negative", "prior-nan", "prior-sum", "posterior-negative", "posterior-sum",
+         "posterior-shape", "posterior-nan", "marginal-high", "marginal-low", "marginal-nan",
+         "entry-low", "entry-nan", "entry-high", "column-low", "column-high"],
+)
+def test_scheme_refuses_what_is_not_a_law(edit, message):
+    # One rule a case, at the field path scheme_from_json reports.
+    scheme = scheme_from_plan(_three_signal_plan(), threshold_instance())
+    signals, cond, prior = list(scheme.signals), scheme.conditional.copy(), scheme.prior.copy()
+    SignalingScheme(tuple(signals), cond, prior)
+    edit(signals, cond, prior)
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        SignalingScheme(tuple(signals), cond, prior)
+
+
+def test_scheme_clips_entries_a_hair_below_zero_into_read_only_copies():
+    # As Belief does: entries in [WEIGHT_FLOOR, 0) become 0, and the law
+    # still sums to 1 within ROW_SUM_TOLERANCE.  What the scheme keeps
+    # cannot be written to, so the law it was built with stays a law.
+    scheme = scheme_from_plan(_three_signal_plan(), threshold_instance())
+    cond = scheme.conditional.copy()
+    cond[1, 0], cond[0, 0] = -5e-13, 1.0 + 5e-13
+    post = np.array([0.75, -5e-13, 0.0, 0.25 + 5e-13])
+    signals = (dataclasses.replace(scheme.signals[0], posterior=post),
+               dataclasses.replace(scheme.signals[1], marginal=-5e-13)) + scheme.signals[2:]
+    clipped = SignalingScheme(signals, cond, scheme.prior)
+    assert clipped.conditional[1, 0] == 0.0 and not np.signbit(clipped.conditional).any()
+    assert clipped.conditional[0, 0] == cond[0, 0]
+    assert clipped.signals[0].posterior.tolist() == [0.75, 0.0, 0.0, 0.25 + 5e-13]
+    assert clipped.signals[1].marginal == 0.0
+    assert post[1] == -5e-13 and cond[1, 0] == -5e-13  # the inputs are not written to
+    with pytest.raises(ValueError, match="read-only"):
+        clipped.conditional[:, 1] = [1.5, -0.5, 0.0]
+    assert not clipped.prior.flags.writeable and not clipped.signals[2].posterior.flags.writeable
+
+
 def test_scheme_refuses_repeated_labels():
     scheme = scheme_from_plan(_three_signal_plan(), threshold_instance())
     first = scheme.signals[0]
     twin = Signal(first.label, scheme.signals[1].posterior, first.action, first.marginal)
-    with pytest.raises(ValueError, match="distinct"):
+    with pytest.raises(FormatError, match=r"^signals\[1\]\.label: labels must be distinct: 'mix"):
         SignalingScheme(
             signals=(first, twin) + scheme.signals[2:],
             conditional=scheme.conditional,
@@ -243,15 +329,23 @@ def test_scheme_refuses_repeated_labels():
 
 
 def test_validate_scheme_catches_broken_bayes_rows():
+    # Halving a row leaves no law, which SignalingScheme refuses when it is
+    # built.  Moving state 3's mass from signal 0 to signal 1 keeps a law
+    # whose rows no longer give the signals' marginals and posteriors.
     inst = threshold_instance()
     scheme = scheme_from_plan(_three_signal_plan(), inst)
     cond = scheme.conditional.copy()
     cond[0] *= 0.5
-    broken = SignalingScheme(
-        signals=scheme.signals, conditional=cond, prior=scheme.prior
-    )
+    with pytest.raises(FormatError, match=r"^conditional: law of state 0 sums to 0\.5, not 1$"):
+        SignalingScheme(signals=scheme.signals, conditional=cond, prior=scheme.prior)
+    cond = scheme.conditional.copy()
+    cond[1, 3] += cond[0, 3]
+    cond[0, 3] = 0.0
+    broken = SignalingScheme(signals=scheme.signals, conditional=cond, prior=scheme.prior)
     report = validate_scheme(broken, inst)
-    assert report.bayes_residual > 1e-3
+    assert report.bayes_residual <= 1e-15
+    assert report.marginal_residual == pytest.approx(1.0 / 12.0, abs=1e-12)
+    assert report.posterior_residual > 1e-3
     assert not report.ok
 
 
@@ -332,12 +426,11 @@ def test_guide_table_steps_over_a_run_of_equal_entries_at_once():
 )
 @pytest.mark.parametrize("n", [0, 10])
 def test_sampler_refuses_a_prior_that_is_not_a_law(prior, n):
-    # SignalingScheme takes any prior; the sampler must refuse a negative
-    # entry, a NaN entry and a zero sum, even when it draws nothing.
+    # A negative entry, a NaN entry and a zero sum are refused when the
+    # scheme is built, so the sampler never sees them, whatever it draws.
     scheme = scheme_from_plan(_three_signal_plan(), threshold_instance())
-    bad = SignalingScheme(signals=scheme.signals, conditional=scheme.conditional, prior=prior)
-    # Normalizing by a zero sum may warn on the way to the refusal.
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+    with pytest.raises(FormatError, match=r"^prior: weights must"):
+        bad = SignalingScheme(signals=scheme.signals, conditional=scheme.conditional, prior=prior)
         sample_scheme_batch(bad, seed=1, n=n)
 
 
