@@ -58,14 +58,8 @@ class StateClassification:
     differentials: np.ndarray
 
 
-def _require_binary(instance: PersuasionInstance) -> None:
-    if instance.n_actions != 2:
-        raise ValueError("this solver handles exactly two actions")
-
-
 def classify_states(instance: PersuasionInstance) -> StateClassification:
-    """Split pure states by whether the receiver accepts or strictly rejects."""
-    _require_binary(instance)
+    """Split pure states by accept or strict reject; the differential refuses non-binary models."""
     d = instance.n_states
     diffs = instance.receiver.differential_slots(np.arange(d)[:, None], np.ones((d, 1)))
     accept = tuple(int(w) for w in np.nonzero(diffs >= -TIE_TOLERANCE)[0])
@@ -95,9 +89,10 @@ def compute_k01(
     are bisected along their edges, all together.  Every blend with gamma > 0
     is then checked to lie on the indifference surface within
     BOUNDARY_TOLERANCE, the first miss in pair order raising ValueError; at
-    gamma 0 a blend is its accept state, where the differential may jump.
+    gamma 0 a blend is its accept state, where the differential may jump.  A
+    non-binary model is refused (ValueError) by its differential once a pair
+    or ``classify_states`` calls it, so always when no classification is given.
     """
-    _require_binary(instance)
     if classification is None:
         classification = classify_states(instance)
     diff = instance.receiver.differential_slots

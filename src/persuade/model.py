@@ -386,7 +386,7 @@ def _custom_model(
     evaluator: Callable[[np.ndarray, int], float],
     n_states: int,
     n_actions: int,
-    convex_reject_region: bool,
+    convex_reject_region: bool = False,
 ) -> UtilityModel:
     def combine(mu, action):
         if mu.ndim == 1:
@@ -421,14 +421,8 @@ def make_model(kind: str, **params) -> UtilityModel:
         "mean_stdev": _mean_stdev_model,
         "maximin": _maximin_model,
         "cvar": _cvar_model,
+        "custom": _custom_model,
     }
-    if kind == "custom":
-        return _custom_model(
-            params["evaluator"],
-            params["n_states"],
-            params["n_actions"],
-            params.get("convex_reject_region", False),
-        )
     if kind not in builders:
         raise ValueError(f"unknown receiver kind {kind!r}")
     return builders[kind](**params)

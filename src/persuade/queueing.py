@@ -56,6 +56,7 @@ from .scheme import (
     POSTERIOR_TOLERANCE,
     SignalingScheme,
     _GuideTable,
+    _check_fit,
     scheme_from_plan,
     signal_cdf,
 )
@@ -77,11 +78,12 @@ SIM_BLOCK = 1 << 16
 # closes on its first prefix (lengths up to 16, 69 columns of 7,984).
 PREFIX_MIN = 8
 PREFIX_PER_JOINABLE = 4
-# Largest number of boundary blends (strict-reject x joinable lengths) a
-# queue solve takes on; each is a flow-LP column.  The prefix solve keeps
-# HiGHS small, so this bound is about memory and output: with it lifted, a
-# cold capacity-10^5 `queue` (4 or 7 joinable lengths) took 3.0-4.2 s,
-# peaked at 309-408 MB and wrote 31-47 MB of JSON on a 2-core host.
+# Largest number of lengths, and of boundary blends (strict-reject x joinable
+# lengths), a queue solve takes on; each is a flow-LP column.  The prefix
+# solve keeps HiGHS small, so this bound is about memory and output: lifted,
+# a cold capacity-10^5 `queue` (4 or 7 joinable lengths) took 3.0-4.2 s,
+# peaked at 309-408 MB and wrote 31-47 MB of JSON on a 2-core host; with no
+# joinable length (no blend), capacity 2 x 10^5 took 0.98 s at 186 MB.
 MAX_QUEUE_BLENDS = 100_000
 
 __all__ = [
@@ -364,13 +366,15 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
     is sparse: a candidate has at most two lengths of support, so its
     column has at most five nonzeros (see ``_flow_program``), and HiGHS
     gets the columns of a prefix of lengths in CSC form (see
-    ``_solve_flow``).  Instances with more than MAX_QUEUE_BLENDS boundary
-    blends are refused with a ValueError.  The weights are certified on
-    the whole chain and floored, so the belief prior is read off exactly
-    the weights that become atoms, and the scheme is compiled with joins
-    sorted by expected wait, then a single coalesced Leave signal.
+    ``_solve_flow``).  Instances with more than MAX_QUEUE_BLENDS lengths or
+    boundary blends are refused with a ValueError.  The weights are
+    certified on the whole chain and floored, so the belief prior is read
+    off exactly the weights that become atoms, and the scheme is compiled
+    with joins sorted by expected wait, then a single coalesced Leave signal.
     """
     d = instance.capacity
+    if d > MAX_QUEUE_BLENDS:
+        raise ValueError(f"capacity {d} is over the limit of {MAX_QUEUE_BLENDS} lengths")
     lam = instance.arrival_rate
     # Placeholder prior; the real one comes out of the LP below.
     probe = PersuasionInstance(
@@ -465,7 +469,7 @@ class SandwichReport:
     mix at most two lengths (entries above POSTERIOR_TOLERANCE), and nest:
     sorted by expected wait, their short legs ascend, their long legs
     descend, and the wait variance falls as the mean rises.  ``applicable``
-    is False when nobody leaves: Leave mass at most PLAN_MASS_TOLERANCE.
+    is False, and ``passed`` moot, when Leave mass is at most PLAN_MASS_TOLERANCE.
     """
 
     applicable: bool
@@ -478,10 +482,6 @@ class SandwichReport:
     @property
     def passed(self) -> bool:
         return self.utility_ok and self.support_ok and self.ordering_ok and self.moments_ok
-
-    @property
-    def ok(self) -> bool:
-        return (not self.applicable) or self.passed
 
 
 def verify_sandwich(solution: QueueSolution) -> SandwichReport:
@@ -555,9 +555,8 @@ def simulate_queue(
 
     Runs exactly ``events`` arrival/departure events, discarding the
     first BURN_IN_FRACTION of them before tallying.  A horizon
-    ``_check_horizon`` refuses, a scheme of another state count, or one
-    recommending an action other than leave (0) and join (1), is a
-    ``FormatError``.
+    ``_check_horizon`` refuses, or a scheme ``_check_fit`` refuses for
+    ``capacity`` states and actions leave (0) and join (1), is a ``FormatError``.
 
     The run is the embedded jump chain of the queue's birth-death process.
     Each event k takes one uniform w and one unit exponential E, drawn a
@@ -578,13 +577,7 @@ def simulate_queue(
     """
     _check_horizon(events)
     d = instance.capacity
-    if scheme.prior.size != d:
-        raise FormatError("prior", "scheme state count does not match the capacity")
-    for i, sig in enumerate(scheme.signals):
-        if sig.action not in (0, 1):
-            raise FormatError(
-                f"signals[{i}].action", f"action {sig.action} out of range for 2 actions"
-            )
+    _check_fit(scheme, d, 2)
     n_signals = scheme.n_signals
     order = sorted(range(n_signals), key=lambda i: scheme.signals[i].action != 1)
     n_join = sum(s.action == 1 for s in scheme.signals)

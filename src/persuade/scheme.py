@@ -202,14 +202,15 @@ def scheme_from_plan(
 class ValidationReport:
     """Numeric audit of a scheme against an instance.
 
-    ``bayes_residual``: worst column-sum error of the conditional law on
-    states the prior charges.  ``marginal_residual``: worst gap between a
-    signal's recorded marginal and the one implied by prior and law.
-    ``posterior_residual``: worst entry gap between recorded posteriors
-    and Bayes updates.  ``margins``: per-signal obedience margin of the
-    recommended action over the best alternative; entries below
-    OBEDIENCE_FLOOR land in ``flagged``.  ``ok``: the first two residuals
-    within ROW_SUM_TOLERANCE, the third within POSTERIOR_TOLERANCE, no flag.
+    ``bayes_residual``: worst column-sum error of the law on states the
+    prior charges (``SignalingScheme`` holds it within ROW_SUM_TOLERANCE).
+    ``marginal_residual``: worst gap between a signal's recorded marginal
+    and the one implied by prior and law.  ``posterior_residual``: worst
+    entry gap between recorded posteriors and Bayes updates.  ``margins``:
+    per-signal obedience margin of the recommended action over the best
+    alternative; entries below OBEDIENCE_FLOOR land in ``flagged``.
+    ``ok``: the marginal residual within ROW_SUM_TOLERANCE, the posterior
+    one within POSTERIOR_TOLERANCE, no flag.
     """
 
     bayes_residual: float
@@ -221,11 +222,22 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return (
-            self.bayes_residual <= ROW_SUM_TOLERANCE
-            and self.marginal_residual <= ROW_SUM_TOLERANCE
+            self.marginal_residual <= ROW_SUM_TOLERANCE
             and self.posterior_residual <= POSTERIOR_TOLERANCE
             and not self.flagged
         )
+
+
+def _check_fit(scheme: SignalingScheme, n_states: int, n_actions: int) -> None:
+    """Refuse (``FormatError``) a scheme over another state count (at ``prior``)
+    or recommending an action outside [0, n_actions) (at ``signals[i].action``)."""
+    if scheme.prior.size != n_states:
+        raise FormatError("prior", "scheme and instance disagree on the state count")
+    for i, sig in enumerate(scheme.signals):
+        if not 0 <= sig.action < n_actions:
+            raise FormatError(
+                f"signals[{i}].action", f"action {sig.action} out of range for {n_actions} actions"
+            )
 
 
 def validate_scheme(
@@ -234,17 +246,10 @@ def validate_scheme(
     """Audit normalization, Bayes consistency, and obedience of a scheme.
 
     Marginals and Bayes updates are implied by the instance's prior, the
-    one prior read.  Another state count (``prior``) or an action the
-    instance lacks (``signals[i].action``) is a schema error, ``FormatError``.
+    one prior read.  A scheme that does not fit the instance's state and
+    action counts is refused by ``_check_fit``, as ``simulate_queue`` does.
     """
-    if scheme.prior.size != instance.n_states:
-        raise FormatError("prior", "scheme and instance disagree on the state count")
-    for i, sig in enumerate(scheme.signals):
-        if not 0 <= sig.action < instance.n_actions:
-            raise FormatError(
-                f"signals[{i}].action",
-                f"action {sig.action} out of range for {instance.n_actions} actions",
-            )
+    _check_fit(scheme, instance.n_states, instance.n_actions)
     prior = instance.prior.weights
     cond = scheme.conditional
     live = prior > 0.0

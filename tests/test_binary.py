@@ -389,16 +389,26 @@ def test_solve_binary_requires_declaration_and_sender_preference():
     with pytest.raises(ValueError, match="prefer"):
         solve_binary(inst)
 
+    with pytest.raises(ValueError, match="two actions"):
+        solve_binary(_three_action_instance())
+
+
+def _three_action_instance():
     three = threshold_instance()
-    wide = PersuasionInstance(
+    return PersuasionInstance(
         states=three.states,
         actions=ActionSpace(("a", "b", "c")),
         prior=three.prior,
         sender=SenderUtility(np.zeros((4, 3))),
         receiver=make_model("expected", u=np.zeros((4, 3))),
     )
-    with pytest.raises(ValueError, match="two actions"):
-        solve_binary(wide)
+
+
+def test_classification_refuses_a_three_action_model():
+    # The two-action rule is the model's: its differential refuses the instance.
+    for build in (classify_states, compute_k01, hull_candidates):
+        with pytest.raises(ValueError, match="^differential utility needs exactly two actions$"):
+            build(_three_action_instance())
 
 
 def test_full_persuasion_binary_frontier():

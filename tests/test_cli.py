@@ -514,7 +514,7 @@ def test_simulate_verb(tmp_path, capsys):
     assert cli.run(bad) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "persuade: prior: scheme state count does not match the capacity\n"
+    assert captured.err == "persuade: prior: scheme and instance disagree on the state count\n"
 
 
 @pytest.mark.parametrize(
@@ -1462,7 +1462,8 @@ def test_a_receiver_the_model_refuses_exits_one_at_the_receiver(
 
 def test_validate_refuses_a_scheme_over_another_state_count(tmp_path, capsys):
     # A queue scheme over 400 lengths against a 3-state instance: a schema
-    # error at the prior (exit 1), not a failed validation.
+    # error at the prior (exit 1), not a failed validation.  simulate holds
+    # it against --capacity 100 by the same rule, with the same message.
     scheme_path = tmp_path / "q.json"
     queue = ["queue", "--lambda", "0.6", "--beta", "0", "--tau", "5.5", "--capacity", "400"]
     assert cli.run([*queue, "--out", str(scheme_path)]) == 0
@@ -1473,6 +1474,10 @@ def test_validate_refuses_a_scheme_over_another_state_count(tmp_path, capsys):
     )
     assert (code, out) == (1, "")
     assert err == "persuade: prior: scheme and instance disagree on the state count\n"
+    simulate = ["simulate", "--scheme", str(scheme_path), "--lambda", "0.95", "--capacity", "100",
+                "--events", "10000", "--seed", "1"]
+    assert cli.run(simulate) == 1
+    assert capsys.readouterr() == ("", err)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ REMOVED_FUNCTIONS = (
     "SparseConstraints",
     "_order_violations",
     "CLASSIFY_TOLERANCE",
+    "_require_binary",
     "PROBABILITY_SLACK",
     "LABEL_SUPPORT_FLOOR",
     "SUPPORT_FLOOR",
@@ -62,6 +63,7 @@ REMOVED_MEMBERS = (
     ("StateClassification", "reject"),
     ("QueueSolution", "prior"),
     ("BenefitReport", "value"),
+    ("SandwichReport", "ok"),
 )
 
 

@@ -248,6 +248,19 @@ def test_make_model_unknown_kind():
         make_model("prospect")
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("expected", {"u": np.zeros((2, 2))}),
+        ("custom", {"evaluator": lambda mu, a: 0.0, "n_states": 2, "n_actions": 2}),
+    ],
+)
+def test_make_model_refuses_an_unknown_keyword(kind, params):
+    # Every kind, custom included, binds its keywords to its builder's arguments.
+    with pytest.raises(TypeError, match="convex_region"):
+        make_model(kind, convex_region=True, **params)
+
+
 def test_custom_model_wraps_scalars_and_batches():
     model = make_model(
         "custom",

@@ -246,7 +246,7 @@ def test_solve_queue_reference_instance(reference_solution):
 
     assert sol.scheme.labels == ("Join_1", "Join_2", "Join_3", "Join_4", "Leave")
     sandwich = verify_sandwich(sol)
-    assert sandwich.applicable and sandwich.passed and sandwich.ok
+    assert sandwich.applicable and sandwich.passed
     assert oracles.join_supports(sol.scheme) == ((0, 4), (0, 3), (1, 3), (2, 3))
     want_means = (
         1.9666574788883062,
@@ -300,7 +300,6 @@ def test_solve_queue_full_join_reduces_to_blocking_queue():
     assert sol.threshold.holds and sol.threshold.threshold_state is None
     sandwich = verify_sandwich(sol)
     assert not sandwich.applicable
-    assert sandwich.ok
 
 
 def test_solve_queue_nobody_joins():
@@ -536,7 +535,6 @@ def test_verify_sandwich_flags_a_tampered_scheme(reference_solution):
     assert report.applicable
     assert not report.utility_ok
     assert not report.passed
-    assert not report.ok
 
 
 def test_sandwich_does_not_apply_to_noise_level_leave_mass():
@@ -545,7 +543,7 @@ def test_sandwich_does_not_apply_to_noise_level_leave_mass():
     sol = solve_queue(QueueInstance(0.4303267821128942, 0.31518274714343164, 4.54884511112753, 100))
     assert "Leave" not in sol.scheme.labels and sol.plan.value == 1.0
     report = verify_sandwich(sol)
-    assert not report.applicable and report.ok
+    assert not report.applicable
     # Leave mass up to the precision plan mass is checked to reads as none,
     # as full_persuasion reads a plan; twice that does not.
     for leave, applicable in ((0.93 * PLAN_MASS_TOLERANCE, False), (2 * PLAN_MASS_TOLERANCE, True)):
@@ -910,3 +908,25 @@ def test_capacity_hundred_thousand_is_refused_within_seconds():
     with pytest.raises(ValueError, match="399984 boundary blends .* over the limit of 100000"):
         solve_queue(QueueInstance(0.95, 2.5, 10.0, 100_000))
     assert time.perf_counter() - start < 10.0
+
+
+def test_capacity_over_the_bound_with_nobody_joinable_is_refused_at_once(capsys):
+    # tau < 1 + beta makes every length strict-reject, so there is no blend
+    # for MAX_QUEUE_BLENDS to count; every length is a flow-LP column, and
+    # the capacity is refused before the probe instance is built.
+    capacity = persuade.queueing.MAX_QUEUE_BLENDS + 1
+    message = f"capacity {capacity} is over the limit of {capacity - 1} lengths"
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_queue(QueueInstance(1.0, 0.0, 0.5, capacity))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 2**20
+    argv = ["queue", "--lambda", "1", "--beta", "0", "--tau", "0.5", "--capacity", str(capacity)]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr() == ("", f"persuade: {message}\n")
