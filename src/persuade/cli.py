@@ -129,43 +129,78 @@ class _RenderOnce(dict):
 
 
 def _dumps(doc) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)``, byte for byte.
+    """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)``, byte for byte,
+    where each ndarray in ``doc`` stands for its ``tolist()``.
 
-    ``indent`` sends the stdlib to its pure-Python encoder; here the C
-    encoder writes each scalar and each float list's entries one per line,
-    but for +0.0 (all 64 bits zero), which is the constant ``0.0``; dicts
-    and other lists recurse in sorted-key order.
+    ``indent`` sends the stdlib to its pure-Python encoder; here the text
+    is gathered in pieces and joined once.  Dicts and lists recurse in
+    sorted-key order, a matrix is the list of its rows, the C encoder
+    writes each scalar, and ``_float_block`` writes each float64 vector
+    and each list of floats.
     allow_nan=False: a non-finite number raises ``ValueError`` (exit 2)
     instead of writing bare NaN or Infinity, which is not JSON; the error
-    is re-raised by the stdlib call for its exact message.
+    is re-raised by the stdlib call, which takes each array as its list, for
+    its exact message.
     """
+    pieces = []
     try:
-        return _indented(doc, "\n")
+        _put(doc, "\n", pieces)
     except ValueError:
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=np.ndarray.tolist)
+    return "".join(pieces)
 
 
-def _indented(doc, newline: str) -> str:
+def _put(doc, newline: str, out: list) -> None:
+    """Append the text of ``doc``, indented one step past ``newline``, to ``out``."""
     inner = newline + "  "
     if type(doc) is _RenderOnce:
         if doc.text is None:
-            doc.text = _indented(dict(doc), "\n")
-        return doc.text.replace("\n", newline)
-    if isinstance(doc, list) and doc and set(map(type, doc)) == {float}:
-        values = np.array(doc)
-        live = np.flatnonzero(values.view(np.uint64)).tolist()
-        lines = ["0.0"] * len(doc)
-        for i, text in zip(live, _FLAT.encode(values[live].tolist())[1:-1].split(", ")):
-            lines[i] = text
-        return "[" + inner + ("," + inner).join(lines) + newline + "]"
-    if isinstance(doc, list) and doc:
-        return "[" + inner + ("," + inner).join(_indented(x, inner) for x in doc) + newline + "]"
-    if isinstance(doc, dict) and doc and all(type(k) is str for k in doc):
-        items = (f"{_FLAT.encode(k)}: {_indented(v, inner)}" for k, v in sorted(doc.items()))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if type(doc) in (str, int, float, bool, type(None)):
-        return _FLAT.encode(doc)
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False).replace("\n", newline)
+            doc.text = _dumps(dict(doc))
+        out.append(doc.text if newline == "\n" else doc.text.replace("\n", newline))
+    elif type(doc) is np.ndarray and doc.ndim == 1 and doc.dtype == np.float64 and doc.size:
+        _float_block(doc, newline, out)
+    elif type(doc) is np.ndarray:
+        _put(list(doc) if doc.ndim > 1 else doc.tolist(), newline, out)
+    elif isinstance(doc, list) and doc and set(map(type, doc)) == {float}:
+        _float_block(np.array(doc), newline, out)
+    elif isinstance(doc, list) and doc:
+        sep = "[" + inner
+        for x in doc:
+            out.append(sep)
+            _put(x, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(doc, dict) and doc and all(type(k) is str for k in doc):
+        sep = "{" + inner
+        for k, v in sorted(doc.items()):
+            out += (sep, _FLAT.encode(k), ": ")
+            _put(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif type(doc) in (str, int, float, bool, type(None)):
+        out.append(_FLAT.encode(doc))
+    else:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=np.ndarray.tolist)
+        out.append(text.replace("\n", newline))
+
+
+def _float_block(values: np.ndarray, newline: str, out: list) -> None:
+    """Append the indented text of a nonempty float64 vector to ``out``.
+
+    The text with every entry +0.0 (all 64 bits zero) is built by string
+    repetition; the other entries are written by one C-encoder call and
+    spliced in at their fixed offsets.
+    """
+    inner = newline + "  "
+    text = "[" + inner + ("0.0," + inner) * (values.size - 1) + "0.0" + newline + "]"
+    live = values.view(np.uint64) != 0
+    entries = _FLAT.encode(values[live].tolist())[1:-1].split(", ")
+    head, stride, end = 1 + len(inner), 4 + len(inner), 0
+    for i, entry in zip(live.nonzero()[0].tolist(), entries):
+        at = head + i * stride
+        out += (text[end:at], entry)
+        end = at + 3
+    out.append(text[end:])
 
 
 def _emit(doc: dict) -> None:
@@ -175,7 +210,7 @@ def _emit(doc: dict) -> None:
 def _write_json(path: str, doc: dict) -> None:
     text = _dumps(doc)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        print(text, file=fh)
 
 
 def _auto_method(instance) -> str:
@@ -231,16 +266,16 @@ def _cmd_solve(args) -> int:
             "strictly_beneficial": benefit.strictly_beneficial,
             "margin": benefit.margin,
             "certificate_action": instance.actions.labels[benefit.certificate_action],
-            "certificate_point": benefit.certificate_point.tolist(),
+            "certificate_point": benefit.certificate_point,
             "certificate_gain": benefit.certificate_gain,
         },
         "full_persuasion": full_persuasion(instance, plan),
         "plan": {
-            "t": plan.t.tolist(),
+            "t": plan.t,
             "atoms": [
                 {
                     "action": instance.actions.labels[a.action],
-                    "posterior": a.posterior.tolist(),
+                    "posterior": a.posterior,
                     "weight": a.weight,
                     "label": a.label,
                 }
@@ -252,7 +287,7 @@ def _cmd_solve(args) -> int:
             "posterior_residual": report.posterior_residual,
             "flagged": list(report.flagged),
         },
-        "scheme": _RenderOnce(scheme_to_json(compiled)),
+        "scheme": _RenderOnce(scheme_to_json(compiled, np.asarray)),
     }
     # The file first: a run that cannot write it prints no document.
     text = _dumps(doc)
@@ -273,7 +308,7 @@ def _signal_rows(solution) -> list[dict]:
                 "marginal": sig.marginal,
                 "wait_mean": mean,
                 "wait_stdev": float(np.sqrt(var)),
-                "posterior": sig.posterior.tolist(),
+                "posterior": sig.posterior,
             }
         )
     return rows
@@ -284,7 +319,7 @@ def _plot_data(solution, rows: list[dict]) -> dict:
     return {
         "states": list(solution.persuasion.states.labels),
         "signals": [row["label"] for row in rows],
-        "conditional": solution.scheme.conditional.tolist(),
+        "conditional": solution.scheme.conditional,
         "posteriors": [row["posterior"] for row in rows],
         "marginals": [row["marginal"] for row in rows],
         "wait_means": [row["wait_mean"] for row in rows],
@@ -298,7 +333,8 @@ def _plot_data_csv(plot: dict) -> str:
     writer.writerow(["table", "signal", "state", "value"])
     for table, key in (("conditional", "conditional"), ("posterior", "posteriors")):
         for label, values in zip(plot["signals"], plot[key]):
-            writer.writerows([table, label, w, repr(x)] for w, x in zip(plot["states"], values))
+            cells = zip(plot["states"], values.tolist())
+            writer.writerows([table, label, w, repr(x)] for w, x in cells)
     for label, mean in zip(plot["signals"], plot["wait_means"]):
         writer.writerow(["wait_mean", label, "", repr(mean)])
     return buf.getvalue()
@@ -366,8 +402,8 @@ def _cmd_queue(args) -> int:
             "moments_ok": sandwich.moments_ok,
         },
         "signals": _signal_rows(solution),
-        "occupancy": solution.occupancy.tolist(),
-        "scheme": _RenderOnce(scheme_to_json(solution.scheme)),
+        "occupancy": solution.occupancy,
+        "scheme": _RenderOnce(scheme_to_json(solution.scheme, np.asarray)),
     }
     if args.simulate is not None:
         sim = simulate_queue(instance, solution.scheme, args.simulate, args.seed)
@@ -378,7 +414,7 @@ def _cmd_queue(args) -> int:
             "joins": sim.joins,
             "join_rate": sim.join_rate,
             "signal_counts": sim.signal_counts,
-            "occupancy_time": sim.occupancy_time.tolist(),
+            "occupancy_time": sim.occupancy_time,
         }
     if args.format == "csv":
         buf = io.StringIO()
@@ -453,8 +489,8 @@ def _cmd_simulate(args) -> int:
             "leaves": sim.leaves,
             "join_rate": sim.join_rate,
             "signal_counts": sim.signal_counts,
-            "arrival_seen": sim.arrival_seen.tolist(),
-            "occupancy_time": sim.occupancy_time.tolist(),
+            "arrival_seen": sim.arrival_seen,
+            "occupancy_time": sim.occupancy_time,
             "total_time": sim.total_time,
         }
     )

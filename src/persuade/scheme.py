@@ -390,20 +390,25 @@ def sample_scheme_batch(
     return states, signals
 
 
-def scheme_to_json(scheme: SignalingScheme) -> dict:
-    """Serialize to the scheme schema (posteriors, law, prior as lists)."""
+def scheme_to_json(scheme: SignalingScheme, leaf=np.ndarray.tolist) -> dict:
+    """Serialize to the scheme schema, each array (posteriors, law, prior) through ``leaf``.
+
+    By default the arrays become lists, so the result is JSON-native; the
+    CLI passes ``np.asarray`` and its writer renders the arrays as those
+    lists would be.
+    """
     return {
         "signals": [
             {
                 "label": s.label,
-                "posterior": s.posterior.tolist(),
+                "posterior": leaf(s.posterior),
                 "action": int(s.action),
                 "marginal": float(s.marginal),
             }
             for s in scheme.signals
         ],
-        "conditional": scheme.conditional.tolist(),
-        "prior": scheme.prior.tolist(),
+        "conditional": leaf(scheme.conditional),
+        "prior": leaf(scheme.prior),
     }
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 import persuade
@@ -458,10 +459,21 @@ _JSON_DOCS = st.recursive(
 )
 
 
-def _assert_dumps_like_the_stdlib(doc, plain):
-    # ``doc`` renders as json.dumps renders ``plain``, or raises its error.
+def _listed(doc):
+    # The document json.dumps takes: arrays as their lists, rendered-once dicts as dicts.
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {k: _listed(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_listed(x) for x in doc]
+    return doc
+
+
+def _assert_dumps_like_the_stdlib(doc):
+    # ``doc`` renders as json.dumps renders it with lists for arrays, or raises its error.
     try:
-        expected = json.dumps(plain, sort_keys=True, indent=2, allow_nan=False)
+        expected = json.dumps(_listed(doc), sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         with pytest.raises(ValueError) as caught:
             cli._dumps(doc)
@@ -473,7 +485,7 @@ def _assert_dumps_like_the_stdlib(doc, plain):
 @settings(max_examples=300, deadline=None)
 @given(_JSON_DOCS)
 def test_json_writer_matches_the_stdlib_byte_for_byte(doc):
-    _assert_dumps_like_the_stdlib(doc, doc)
+    _assert_dumps_like_the_stdlib(doc)
 
 
 @settings(max_examples=200, deadline=None)
@@ -484,8 +496,44 @@ def test_json_writer_matches_the_stdlib_byte_for_byte(doc):
 def test_scheme_rendered_once_matches_the_stdlib(scheme, rest):
     # The document renders the scheme and keeps the text that --out writes.
     kept = cli._RenderOnce(scheme)
-    _assert_dumps_like_the_stdlib({**rest, "scheme": kept}, {**rest, "scheme": scheme})
-    _assert_dumps_like_the_stdlib(kept, scheme)
+    _assert_dumps_like_the_stdlib({**rest, "scheme": kept})
+    _assert_dumps_like_the_stdlib(kept)
+
+
+# Float64 vectors and matrices drawn from _SPARSE_FLOATS, and int arrays,
+# empty ones included: the CLI hands the writer arrays, not their lists.
+_ARRAY_SHAPES = st.one_of(
+    st.tuples(st.integers(0, 40)), st.tuples(st.integers(0, 4), st.integers(0, 12))
+)
+_ARRAYS = st.one_of(
+    hnp.arrays(np.float64, _ARRAY_SHAPES, elements=_SPARSE_FLOATS),
+    hnp.arrays(np.int64, _ARRAY_SHAPES),
+)
+_ARRAY_DOCS = st.recursive(
+    st.one_of(_JSON_LEAVES, _ARRAYS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(alphabet="abé☃_", max_size=3), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARRAY_DOCS, st.sampled_from(["conditional", "prior", "signals"]))
+def test_json_writer_renders_arrays_as_their_lists(doc, key):
+    _assert_dumps_like_the_stdlib(doc)
+    _assert_dumps_like_the_stdlib({"a": 1, key: cli._RenderOnce({key: doc})})
+
+
+@pytest.mark.parametrize(
+    "array",
+    [np.zeros(0), np.zeros((0, 3)), np.zeros((3, 0)), np.zeros(0, int), np.zeros((2, 0), int)],
+    ids=repr,
+)
+def test_json_writer_renders_empty_arrays_as_their_lists(array):
+    _assert_dumps_like_the_stdlib(array)
+    _assert_dumps_like_the_stdlib({"x": [array, {"y": array}], "z": np.array([0.0, -0.0, 1.5])})
 
 
 def test_simulate_verb(tmp_path, capsys):
@@ -701,6 +749,12 @@ GOLDEN_CASES = {
         None, ["queue", "--lambda", "0.6", "--beta", "0", "--tau", "5.5", "--capacity", "200"],
         "67f75457fab59f8e698525c34309b47ee91efdf6166693faf709dec06e538623",
         "17a48bf3cbf80df76927ef6c2a31b6380ced831790c84803d427de5ee502ceaf",
+    ),
+    # queue-scale's largest op: 70 signals over 1,600 lengths, 4.66 MB of stdout.
+    "queue-persuasion-1600": (
+        None, ["queue", "--lambda", "0.65", "--beta", "0", "--tau", "5.5", "--capacity", "1600"],
+        "be83c8431ddec28f0127562bbd6bc28890a5d790d21597dfcde67889bdbfa4ac",
+        "f526e761f7ed3e1e08b2b9b65db2c7f92a2a057d851a28cb42b7509bf23abd1f",
     ),
     "mean-stdev-binary": (
         _seeded_binary(_mean_stdev_receiver, 11, 16), ["solve"],

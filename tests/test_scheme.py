@@ -1,6 +1,7 @@
 """Scheme compilation, validation, sampling, and the scheme schema."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from persuade import (
     OptimalPlan,
     PersuasionInstance,
     PlanAtom,
+    QueueInstance,
     SenderUtility,
     Signal,
     SignalingScheme,
@@ -27,6 +29,7 @@ from persuade import (
     scheme_value,
     solve_binary,
     solve_general,
+    solve_queue,
     validate_scheme,
 )
 from conftest import RECEIVER_KINDS, seeded_instance, threshold_instance
@@ -447,6 +450,31 @@ def test_scheme_json_roundtrip():
         assert a.action == b.action
         assert a.marginal == pytest.approx(b.marginal, abs=0.0)
         assert np.allclose(a.posterior, b.posterior)
+
+
+def test_scheme_json_is_json_native():
+    # json.dumps and oracles take the document as it is; only the CLI's
+    # writer, through ``leaf``, takes the arrays themselves.
+    scheme = solve_queue(QueueInstance(arrival_rate=0.6, beta=0.0, tau=5.5, capacity=40)).scheme
+    doc = scheme_to_json(scheme)
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        assert type(node) in (dict, list, str, int, float), type(node)
+        stack.extend(node.values() if isinstance(node, dict) else node if isinstance(node, list) else ())
+    listed = {
+        "signals": [
+            {"label": s.label, "posterior": s.posterior.tolist(), "action": s.action,
+             "marginal": s.marginal}
+            for s in scheme.signals
+        ],
+        "conditional": scheme.conditional.tolist(),
+        "prior": scheme.prior.tolist(),
+    }
+    assert json.dumps(doc) == json.dumps(listed)
+    arrays = scheme_to_json(scheme, np.asarray)
+    assert arrays["conditional"] is scheme.conditional and arrays["prior"] is scheme.prior
+    assert all(a["posterior"] is s.posterior for a, s in zip(arrays["signals"], scheme.signals))
 
 
 def test_scheme_json_error_paths():
