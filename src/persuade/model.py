@@ -189,6 +189,14 @@ class UtilityModel:
     set it from structural checks; custom models self-declare and the
     binary solver spot-checks the claim rather than trusting it blindly.
     ``params`` are the builder's inputs, arrays copied; None for a custom model.
+
+    ``edge_root(f_reject, f_accept)``, set by a built-in kind whose
+    rejection region is convex, maps the feature rows of both ends of each
+    (strict-reject, accept) edge to the weight gamma on the reject end at
+    which the differential at gamma * f_reject + (1 - gamma) * f_accept
+    crosses zero: along an edge every built-in kind's features are affine
+    in gamma, so each root has a closed form.  NaN where a pair has none;
+    None for custom models, whose edges are bisected.
     """
 
     kind: str
@@ -198,6 +206,7 @@ class UtilityModel:
     features: np.ndarray | None = None
     convex_reject_region: bool = False
     params: dict | None = None
+    edge_root: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def _feature_map(self, mu) -> np.ndarray:
         # The belief (or each row of a batch) must have one entry per state.
@@ -261,6 +270,12 @@ def _expected_model(u: np.ndarray) -> UtilityModel:
     u = np.array(u, dtype=float)
     if u.ndim != 2:
         raise ValueError("expected-utility table must be states-by-actions")
+
+    def edge_root(f_r, f_a):
+        # The differential is affine along the edge.
+        d_r, d_a = f_r[:, 1] - f_r[:, 0], f_a[:, 1] - f_a[:, 0]
+        return d_a / (d_a - d_r)
+
     return UtilityModel(
         kind="expected",
         n_states=u.shape[0],
@@ -269,6 +284,7 @@ def _expected_model(u: np.ndarray) -> UtilityModel:
         combine=lambda f, action: f[..., action],
         convex_reject_region=u.shape[1] == 2,
         params={"u": u},
+        edge_root=edge_root if u.shape[1] == 2 else None,
     )
 
 
@@ -297,6 +313,30 @@ def _mean_stdev_model(
         beta == 0.0
         or (np.ptp(gm[:, 0]) == 0.0 and np.ptp(gv[:, 0]) == 0.0)
     )
+
+    def edge_root(f_r, f_a):
+        # Then D = B - beta sqrt(V) along the edge, with B = u1 - u0 + beta sd0
+        # affine and V = (1 - g) V_a + g V_r + g (1 - g) dm^2 the action-1
+        # variance.  The root is the smaller one of A g^2 + 2 P g + C = 0,
+        # which is B^2 = beta^2 V where B >= 0: C / (beta sqrt(H) - P), with
+        # P^2 - A C = beta^2 H expanded so that no digits cancel, as in
+        # gamma_closed_form.
+        sd0 = np.sqrt(np.maximum(f_a[:, 4] - f_a[:, 2] ** 2, 0.0))
+        v_r, v_a = (np.maximum(f[:, 5] - f[:, 3] ** 2, 0.0) for f in (f_r, f_a))
+        b_a = f_a[:, 1] - f_a[:, 0] + beta * sd0
+        b = f_r[:, 1] - f_r[:, 0] - (f_a[:, 1] - f_a[:, 0])
+        dm2 = (f_r[:, 3] - f_a[:, 3]) ** 2
+        kv = v_r - v_a + dm2
+        sd_a = beta * np.sqrt(v_a)
+        c = (b_a - sd_a) * (b_a + sd_a)
+        p = b_a * b - 0.5 * beta * beta * kv
+        h = (beta * beta * (0.25 * kv * kv + dm2 * v_a)
+             + b * b * v_a - b_a * b * kv - dm2 * b_a * b_a)
+        den = beta * np.sqrt(np.maximum(h, 0.0)) - p
+        gamma = np.divide(c, den, out=np.full(c.shape, np.nan), where=den > 0.0)
+        # C <= 0: the accept end is on the surface, and D is convex.
+        return np.where(c <= 0.0, 0.0, gamma)
+
     return UtilityModel(
         kind="mean_stdev",
         n_states=u.shape[0],
@@ -305,6 +345,7 @@ def _mean_stdev_model(
         combine=combine,
         convex_reject_region=convex,
         params={"u": u, "g_mean": gm, "g_var": gv, "beta": float(beta)},
+        edge_root=edge_root if convex else None,
     )
 
 
@@ -316,6 +357,16 @@ def _maximin_model(tables: np.ndarray) -> UtilityModel:
     # With identical action-1 columns, score(., 1) is affine while score(., 0) is
     # concave as a minimum of affine maps, so the differential is convex.
     convex = k == 2 and bool(np.all(ts[:, :, 1] == ts[0, :, 1]))
+
+    def edge_root(f_r, f_a):
+        # Then D = max_j (f[n_scenarios] - f[j]), each piece affine, and every
+        # piece is below 0 at the reject end: the largest root among the
+        # pieces that are >= 0 at the accept end.
+        p_r = f_r[:, n_scenarios, None] - f_r[:, :n_scenarios]
+        p_a = f_a[:, n_scenarios, None] - f_a[:, :n_scenarios]
+        roots = np.divide(p_a, p_a - p_r, out=np.zeros(p_a.shape), where=p_a >= 0.0)
+        return roots.max(axis=1)
+
     return UtilityModel(
         kind="maximin",
         n_states=d,
@@ -325,6 +376,7 @@ def _maximin_model(tables: np.ndarray) -> UtilityModel:
         combine=lambda f, a: np.min(f[..., a * n_scenarios : (a + 1) * n_scenarios], axis=-1),
         convex_reject_region=convex,
         params={"tables": ts},
+        edge_root=edge_root if convex else None,
     )
 
 
@@ -367,11 +419,23 @@ def _cvar_model(
         and list(loss_probs[w][0]) == list(loss_probs[0][0])
         for w in range(n_states)
     )
+    features = np.hstack([tail_mass, tail_sum])
+    c0 = float(combine(features[0], 0))
+
+    def edge_root(f_r, f_a):
+        # Then score 0 is a constant c0, and where the action-1 tail mass M is
+        # positive D = -(T + c0 M) / M for the tail loss-sum T: the root of
+        # the affine T + c0 M.  With no mass at the reject end, the
+        # differential jumps there and the edge is bisected.
+        g_r, g_a = (f[:, 3] + c0 * f[:, 1] for f in (f_r, f_a))
+        ok = (f_r[:, 1] > 0.0) & (g_r > g_a)
+        return np.divide(g_a, g_a - g_r, out=np.full(g_a.shape, np.nan), where=ok)
+
     return UtilityModel(
         kind="cvar",
         n_states=n_states,
         n_actions=n_actions,
-        features=np.hstack([tail_mass, tail_sum]),
+        features=features,
         combine=combine,
         convex_reject_region=convex,
         params={
@@ -379,6 +443,7 @@ def _cvar_model(
             "loss_probs": [[list(map(float, c)) for c in row] for row in loss_probs],
             "tau": float(tau),
         },
+        edge_root=edge_root if convex else None,
     )
 
 

@@ -28,7 +28,8 @@ from .model import (
 )
 
 # Column sums of the law may miss one, and its entries and marginals exceed it, by
-# this much: the law is joint mass, which meets the prior to PLAN_MASS_TOLERANCE.
+# this much: a marginal is joint mass, which meets the prior to PLAN_MASS_TOLERANCE,
+# and scheme_from_plan divides each column by its own sum, off one by round-off.
 ROW_SUM_TOLERANCE = 1e-9
 # Posteriors may miss their Bayes update by this, ten times ROW_SUM_TOLERANCE as
 # an update divides by a marginal.  Entries no larger are not support, and
@@ -150,10 +151,11 @@ def scheme_from_plan(
 ) -> SignalingScheme:
     """Compile plan atoms into signals, one per distinct posterior.
 
-    The conditional law follows from the atom weights:
-    pi(s | w) = weight_s * posterior_s[w] / prior[w].  States the prior
-    rules out get the whole unit column on the first signal, an arbitrary
-    but fixed convention.  With ``coalesce`` (the default), atoms whose
+    The conditional law follows from the atom weights: pi(s | w) is
+    weight_s * posterior_s[w] over its sum across signals, the joint mass
+    of w, which is prior[w] up to the LP residual.  States the prior rules
+    out get the whole unit column on the first signal, an arbitrary but
+    fixed convention.  With ``coalesce`` (the default), atoms whose
     posteriors agree within POSTERIOR_TOLERANCE merge first, keeping the
     first one's posterior, which their Bayes update (a mixture) stays within
     that tolerance of, and the sender-preferred recommendation among them.
@@ -191,9 +193,14 @@ def scheme_from_plan(
             name = f"{name}+"
         taken.add(name)
         signals.append(Signal(label=name, posterior=posts[i], action=action, marginal=float(weight)))
+    # Each live column is the signals' joint mass over its own sum.  That sum
+    # meets the prior only to the LP residual: over a prior of 1e-6, a gap of
+    # 1e-14 would leave the column 1e-8 off one, over ROW_SUM_TOLERANCE.
     live = prior > 0.0
+    joint = np.array([[w] for w, _, _ in merged]) * posts[: len(merged), live]
+    total = joint.sum(axis=0)
     cond = np.zeros((len(merged), prior.size))
-    cond[:, live] = np.array([[w] for w, _, _ in merged]) * posts[: len(merged), live] / prior[live]
+    cond[:, live] = np.divide(joint, total, out=np.zeros(joint.shape), where=total > 0.0)
     cond[0, ~live] = 1.0
     return SignalingScheme(signals=tuple(signals), conditional=cond, prior=prior)
 

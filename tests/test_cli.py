@@ -77,6 +77,29 @@ def test_help_exits_zero(capsys):
     assert "solve" in capsys.readouterr().out
 
 
+def test_one_parser_serves_every_run_like_a_fresh_one(tmp_path, capsys, monkeypatch):
+    # The process builds its parser once; a run after a solve, a usage error,
+    # a queue or --help prints and exits as a run on a parser of its own does.
+    path = _write(tmp_path, "inst.json", _expected_dict())
+    runs = [["solve", "--instance", path], ["solve", "--grid-k"], _queue_args(), ["--help"],
+            ["solve", "--instance", path]]
+    assert cli._build_parser() is cli._build_parser()
+
+    def outcomes():
+        out = []
+        for argv in runs:
+            rc = cli.run(argv)
+            captured = capsys.readouterr()
+            out.append((rc, captured.out, captured.err))
+        return out
+
+    shared = outcomes()
+    assert [rc for rc, _, _ in shared] == [0, 1, 0, 0, 0]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert cli._build_parser() is not cli._build_parser()
+    assert outcomes() == shared
+
+
 def test_solve_binary_instance(tmp_path, capsys):
     path = _write(tmp_path, "inst.json", threshold_instance_dict())
     assert cli.run(["solve", "--instance", path]) == 0
@@ -726,8 +749,8 @@ GOLDEN_QUEUE = ["queue", "--lambda", "0.95", "--beta", "2.5", "--tau", "7.5",
 GOLDEN_CASES = {
     "readme-solve": (
         _expected_dict(), ["solve"],
-        "85badbf9b037fca1a6029664057ad36f26ba65e9a6b620645d89f2168093e6af",
-        "278d1f2255954e0d5b7ce91c582e76c75c6cf04dc113f4cb145dd5333f426bd7",
+        "b2954afab057e9fa78ed9426b6975be03a01c433b1fe3b2db8a9e130dac1a2bd",
+        "34bce489b19a21a79369dabefc00bb664c558e83ba9df09c61c561ae5d9c19f9",
     ),
     "readme-check-full": (
         _expected_dict(), ["check-full"],
@@ -747,24 +770,24 @@ GOLDEN_CASES = {
     # Full persuasion: every length gets a signal, and nearly every float is 0.0.
     "queue-persuasion-json": (
         None, ["queue", "--lambda", "0.6", "--beta", "0", "--tau", "5.5", "--capacity", "200"],
-        "67f75457fab59f8e698525c34309b47ee91efdf6166693faf709dec06e538623",
-        "17a48bf3cbf80df76927ef6c2a31b6380ced831790c84803d427de5ee502ceaf",
+        "596658a9fbbe9fc4dd2243dda68b51bbc5f3d570807f4630872d63bc872baaab",
+        "df0e508d1373ec76a462b4e35139b9ea1c3b97f61b34951fcaf90538e8a7365b",
     ),
     # queue-scale's largest op: 70 signals over 1,600 lengths, 4.66 MB of stdout.
     "queue-persuasion-1600": (
         None, ["queue", "--lambda", "0.65", "--beta", "0", "--tau", "5.5", "--capacity", "1600"],
-        "be83c8431ddec28f0127562bbd6bc28890a5d790d21597dfcde67889bdbfa4ac",
-        "f526e761f7ed3e1e08b2b9b65db2c7f92a2a057d851a28cb42b7509bf23abd1f",
+        "52cefc4ed834837def5617bb3638e6d8f701f3b1ecc59acfe44db00fb6efdc58",
+        "b8cb7bbeac38fd1cbcc2ea6307935487f68a2f09817cb7ec53dc90718871f7de",
     ),
     "mean-stdev-binary": (
         _seeded_binary(_mean_stdev_receiver, 11, 16), ["solve"],
-        "5ca9cd021d4b476aecf388b04f8112bdb146fc8899e6f45628c843a4cee8d75e",
-        "dc05bb1031b68ac13a5ce06f7dae5592b4f2173a65c9a88e2991e465498bd9da",
+        "c08dd3db7dc942a393adb8d59059cc82d63fea91e3f75c25d2aa2288dba71f3b",
+        "bcb5f5693842d730827f155e24c86c8ae6f8167585e14b618e782c1b67b79905",
     ),
     "maximin-binary": (
         _seeded_binary(_maximin_receiver, 12, 14), ["solve"],
-        "c89c1e876c3e57841522e945d8d758fcee28dc6042620e9cfc3d45416654ddca",
-        "00b0cdeb0e799b90dffa2fafb4c56166613548901b382ef717e9d6c7878fe0f7",
+        "58a3088fe6041eaf5922e25c23a9f697d2ca49ad9827cf4befa9f6538d947ee3",
+        "78f7501930ad8fe014f99026d446542980962bbdad88e73992a9929957a0ebef",
     ),
     "grid": (
         _expected_dict(), ["solve", "--method", "grid", "--grid-k", "12"],
@@ -947,6 +970,35 @@ def test_golden_cvar_zero_tail_accept_state_solves(tmp_path, capsys):
     assert value == pytest.approx(
         oracles.concavify_oracle(instance, candidates.rows()), abs=1e-12
     )
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        # The plan's joint mass misses state 9's prior of 1.7e-3 by 8.1e-12, so
+        # a law divided by the prior sums 4.7e-9 off one (it exited 1).
+        "small_prior_mean_stdev.json",
+        # A blend on an edge of steep CVaR differential: bisection's last
+        # bracket left it 1.08e-7 off the surface (it exited 2).
+        "steep_cvar_boundary.json",
+    ],
+)
+def test_pinned_instance_solves_and_validates(name, tmp_path, capsys):
+    path, out = str(DATA / name), tmp_path / "scheme.json"
+    assert cli.run(["solve", "--instance", path, "--out", str(out)]) == 0
+    assert cli.run(["validate", "--instance", path, "--scheme", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    instance = instance_from_json(json.loads((DATA / name).read_text()))
+    candidates = hull_candidates(instance)
+    blends = candidates.gamma.ravel() > 0.0
+    slots = slice(len(candidates.classification.accept), candidates.n_accept)
+    boundary = instance.receiver.differential_slots(
+        candidates.states[slots][blends], candidates.weights[slots][blends]
+    )
+    assert np.abs(boundary).max() <= 1e-12
 
 
 def _count_calls(monkeypatch, name, home=persuade.binary):

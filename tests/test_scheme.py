@@ -68,6 +68,36 @@ def test_scheme_from_plan_threshold_conditional():
     assert scheme_value(scheme, inst) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_joint_mass_off_a_small_prior_compiles_to_a_law():
+    # State 0 has prior 1e-6, and the plan's joint mass misses it by 1e-14,
+    # well inside the LP residual: divided by the prior, the law's column
+    # would sum to 1 + 1e-8.  Each column is divided by its own joint mass.
+    prior = np.array([1e-6, 0.6, 0.4 - 1e-6])
+    inst = PersuasionInstance(
+        states=StateSpace(("low", "mid", "high")),
+        actions=ActionSpace(("pass", "take")),
+        prior=Belief(prior),
+        sender=SenderUtility(np.array([[0.0, 1.0]] * 3)),
+        receiver=make_model("expected", u=np.array([[0.0, 2.0], [0.0, -1.0], [0.0, -1.0]])),
+    )
+    blend = 3.0 * (prior[0] + 1e-14)
+    atoms = (
+        PlanAtom(action=1, posterior=np.array([1.0, 2.0, 0.0]) / 3.0, weight=blend),
+        PlanAtom(action=0, posterior=np.eye(3)[1], weight=prior[1] - 2.0 * blend / 3.0),
+        PlanAtom(action=0, posterior=np.eye(3)[2], weight=prior[2]),
+    )
+    t = np.zeros((2, 3))
+    for atom in atoms:
+        t[atom.action] += atom.weight * atom.posterior
+    assert abs(t.sum(axis=0)[0] - prior[0]) == pytest.approx(1e-14, rel=1e-3)
+    plan = OptimalPlan(t=t, prior=prior, value=float(t[1].sum()), atoms=atoms)
+    plan.check()
+    scheme = scheme_from_plan(plan, inst)
+    assert np.abs(scheme.conditional.sum(axis=0) - 1.0).max() <= 1e-15
+    report = validate_scheme(scheme, inst)
+    assert report.ok and not report.flagged
+
+
 def test_default_labels_by_support():
     inst = threshold_instance()
     post2 = np.array([0.75, 0.0, 0.0, 0.25])
