@@ -97,8 +97,8 @@ def compute_k01(
     is then checked to lie on the indifference surface within
     BOUNDARY_TOLERANCE, the first miss in pair order raising ValueError; at
     gamma 0 a blend is its accept state, where the differential may jump.  A
-    non-binary model is refused (ValueError) by its differential once a pair
-    or ``classify_states`` calls it, so always when no classification is given.
+    non-binary model is refused (ValueError) by its differential, which the
+    boundary check calls even with no blends, so with no pairs too.
     """
     if classification is None:
         classification = classify_states(instance)

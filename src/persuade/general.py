@@ -25,6 +25,7 @@ from .model import (
     OptimalPlan,
     PersuasionInstance,
     PlanAtom,
+    _tall_matmul,
     _tied,
     best_response,
 )
@@ -140,7 +141,7 @@ def plan_from_candidates(
     c = np.empty(rows.shape[0])
     for a in np.unique(actions):
         mask = actions == a
-        c[mask] = rows[mask] @ v[:, a]
+        c[mask] = _tall_matmul(rows[mask], v[:, a])
     lp = LinearProgram(c=c, a_eq=CscMatrix.from_dense(rows.T), b_eq=instance.prior.weights)
     res = solve_by_columns(lp, _pure_seed(rows, c))
     t = np.zeros((instance.n_actions, instance.n_states))
@@ -297,7 +298,7 @@ def benefit_check(
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.size == 0:
             continue
-        gains = pts @ (v[:, a] - v[:, a_star])
+        gains = _tall_matmul(pts, v[:, a] - v[:, a_star])
         i = int(np.argmax(gains))
         if gains[i] > best_gain:
             best_gain = float(gains[i])

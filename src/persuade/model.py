@@ -48,9 +48,21 @@ SUM_NOISE = 1e-13
 # LP residual its weights met; mass no larger is none (full_persuasion, the
 # threshold and sandwich audits).
 PLAN_MASS_TOLERANCE = 1e-9
-# Slot scoring builds features a block of beliefs at a time, at most this many
-# entries (8 MB of floats) a block, however many states and beliefs there are.
-SCORE_BLOCK_ENTRIES = 1 << 20
+# Tall products (``_tall_matmul``) and slot scoring run in row blocks of at most
+# this many multiply-adds (rows x inner x width) each.  Above a size cliff
+# OpenBLAS hands one product to its worker thread, which spins on after the
+# call, slowing the ops that follow, and touches a buffer of its own.  On a
+# 2-core Haswell host (OpenBLAS 0.3.31) gemm went threaded between 983,040 and
+# 1,020,000 multiply-adds (32,768 x 5 by 5 x 6 stayed on the calling thread,
+# 34,000 x 5 by 5 x 6 did not) and gemv between 450,000 and 500,000; the
+# cliffs depend on the host and the BLAS build, so the bound sits well below.
+ROW_BLOCK_MADDS = 1 << 18
+# Row blocks start at multiples of this many rows.  OpenBLAS takes rows four
+# at a time and its leftover rows by another path, so on that host a block
+# edge elsewhere moved a row's last bit (gemv from 8 inner entries up, gemm
+# from 16); at these edges every block equalled its rows of one unthreaded
+# product, bit for bit, at every size probed.
+ROW_BLOCK_ALIGN = 4
 
 __all__ = [
     "TIE_TOLERANCE",
@@ -214,7 +226,9 @@ class UtilityModel:
         if length != self.n_states:
             raise ValueError(f"belief has {length} entries, the model has {self.n_states} states")
         mu = np.asarray(mu, dtype=float)
-        return mu if self.features is None else mu @ self.features
+        if self.features is None:
+            return mu
+        return _tall_matmul(mu, self.features) if mu.ndim == 2 else mu @ self.features
 
     def score(self, mu: np.ndarray, action: int) -> np.ndarray | float:
         """The score at one belief vector (1-d) or a batch of them (2-d rows)."""
@@ -237,24 +251,54 @@ class UtilityModel:
 
         The features are ``sum_k weights[i, k] * features[states[i, k]]``, so
         the cost follows the slots, not the states (the identity's rows make
-        dense beliefs), SCORE_BLOCK_ENTRIES feature entries a block at most.
+        dense beliefs), in ``_row_blocks`` of slots x width multiply-adds a
+        row.  No beliefs make one empty block, so the model refuses a
+        non-binary differential however few beliefs it is given.
         """
         width = self.n_states if self.features is None else self.features.shape[1]
-        step = max(1, SCORE_BLOCK_ENTRIES // width)
         out = np.empty(states.shape[0])
-        for lo in range(0, states.shape[0], step):
-            s, w = states[lo : lo + step], weights[lo : lo + step]
+        for lo, hi in _row_blocks(states.shape[0], width * states.shape[1]):
+            s, w = states[lo:hi], weights[lo:hi]
             if self.features is None:
                 f = _dense_rows(self.n_states, s, w)
             else:
                 f = sum(w[:, k, None] * self.features[s[:, k]] for k in range(s.shape[1]))
-            out[lo : lo + step] = self._difference(f)
+            out[lo:hi] = self._difference(f)
         return out
 
     def _difference(self, f: np.ndarray) -> np.ndarray | float:
         if self.n_actions != 2:
             raise ValueError("differential utility needs exactly two actions")
         return self.combine(f, 1) - self.combine(f, 0)
+
+
+def _row_blocks(n_rows: int, per_row: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` slices of ``range(n_rows)``: the fewest blocks of at most
+    ROW_BLOCK_MADDS // per_row rows (a row at least), cut into equal parts of
+    whole ROW_BLOCK_ALIGN-row units, so sizes differ by at most one unit and
+    only the last block holds a partial unit.  One empty block for no rows."""
+    most = max(1, ROW_BLOCK_MADDS // max(1, per_row))
+    unit = min(ROW_BLOCK_ALIGN, most)
+    units = -(-n_rows // unit)
+    parts = max(1, -(-units // (most // unit)))
+    edges = [min(n_rows, i * units // parts * unit) for i in range(parts + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _tall_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a 2-d ``a`` and a 1-d or 2-d ``b``, in ``_row_blocks``.
+
+    Each block is written into one preallocated output, so no product is
+    large enough to go to OpenBLAS's threads (see ROW_BLOCK_MADDS).  Where
+    measured (d 2-400, widths 1-24) the blocks gave the bits of one product
+    on the calling thread; a product past the cliffs, threaded or on
+    OpenBLAS's large-matrix path, may differ from them in the last bit
+    (gemm at 16 or more inner entries, gemv at 8).
+    """
+    out = np.empty(a.shape[:1] + b.shape[1:], dtype=np.result_type(a, b))
+    for lo, hi in _row_blocks(a.shape[0], a.shape[1] * (b.shape[1] if b.ndim == 2 else 1)):
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
+    return out
 
 
 def _dense_rows(n_states: int, states: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -461,6 +461,12 @@ def test_classification_refuses_a_three_action_model():
     for build in (classify_states, compute_k01, hull_candidates):
         with pytest.raises(ValueError, match="^differential utility needs exactly two actions$"):
             build(_three_action_instance())
+    # A caller's classification with no (strict-reject, accept) pair leaves
+    # the boundary check no blends: the model still refuses the empty block.
+    pairless = StateClassification(accept=(0, 1, 2, 3), strict_reject=(), differentials=np.zeros(4))
+    for build in (compute_k01, hull_candidates):
+        with pytest.raises(ValueError, match="^differential utility needs exactly two actions$"):
+            build(_three_action_instance(), pairless)
 
 
 def test_full_persuasion_binary_frontier():

@@ -1001,6 +1001,16 @@ def test_pinned_instance_solves_and_validates(name, tmp_path, capsys):
     assert np.abs(boundary).max() <= 1e-12
 
 
+def test_tall_grid_instance_solves_and_validates(tmp_path, capsys):
+    # A non-convex d 5 mean_stdev receiver at k 30: 46,376 grid beliefs,
+    # scored in row blocks (CI also checks that no BLAS worker thread runs).
+    path, out = str(DATA / "nonconvex_mean_stdev_d5.json"), tmp_path / "scheme.json"
+    assert cli.run(["solve", "--instance", path, "--grid-k", "30", "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "grid"
+    assert cli.run(["validate", "--instance", path, "--scheme", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def _count_calls(monkeypatch, name, home=persuade.binary):
     # Wrap the function of module ``home`` at every binding the package holds.
     original = getattr(home, name)

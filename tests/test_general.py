@@ -30,6 +30,7 @@ from conftest import (
     seeded_instance,
     threshold_instance,
 )
+from persuade import general, model
 from persuade.model import TIE_TOLERANCE
 
 
@@ -191,6 +192,26 @@ def test_benefit_check_threshold_game():
     # The report carries both baselines of baseline_values.
     assert report.no_info == 0.0
     assert report.full_info == pytest.approx(0.75, abs=1e-12)
+
+
+def test_objective_and_gains_equal_their_unblocked_products(monkeypatch):
+    # 53,130 grid candidates of action 0 over 6 states: the objective's and
+    # the certificate's products each run in two row blocks.
+    inst = seeded_instance("mean_stdev", 0, 6, 2)
+    sets = [GridSpec(k=20, dim=6).points(), np.eye(6)]
+    calls = []
+    blocked = general._tall_matmul
+
+    def recorded(a, b):
+        calls.append((a, b, blocked(a, b)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(general, "_tall_matmul", recorded)
+    benefit_check(inst, solve_general(inst, sets), sets)
+    tall = [a for a, _, _ in calls if len(model._row_blocks(*a.shape)) > 1]
+    assert [a.shape for a in tall] == [(53_130, 6)] * 2
+    for a, b, out in calls:
+        assert np.array_equal(out, a @ b)
 
 
 def test_benefit_check_when_silence_is_optimal():

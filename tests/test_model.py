@@ -14,6 +14,7 @@ from persuade import (
     ActionSpace,
     Belief,
     FormatError,
+    GridSpec,
     OptimalPlan,
     PersuasionInstance,
     PlanAtom,
@@ -344,6 +345,65 @@ def test_custom_slot_scoring_never_builds_the_identity():
         tracemalloc.stop()
     assert peak < 50 * 2**20
     assert diffs.tolist() == [-0.5] + [-0.75] * 9
+
+
+@pytest.mark.parametrize("kind", ["expected", "mean_stdev", "maximin", "cvar", "custom"])
+def test_slot_scoring_takes_an_empty_block(kind):
+    # No beliefs are one empty block, which every combine scores.
+    model = _binary_model(kind, np.random.default_rng(0), 4)
+    empty = model.differential_slots(np.zeros((0, 2), dtype=np.intp), np.zeros((0, 2)))
+    assert empty.shape == (0,)
+
+
+# --- row blocks -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["expected", "mean_stdev", "maximin", "cvar"])
+@pytest.mark.parametrize("d, k", [(5, 30), (6, 16)])
+def test_tall_feature_map_equals_one_product(kind, d, k):
+    # The grid is taller than one block for every built-in kind's features.
+    pts = GridSpec(k=k, dim=d).points()
+    features = seeded_instance(kind, k, d, 3).receiver.features
+    blocks = model._row_blocks(pts.shape[0], d * features.shape[1])
+    assert len(blocks) > 1
+    assert np.array_equal(model._tall_matmul(pts, features), pts @ features)
+
+
+def test_tall_products_of_dirichlet_rows_equal_one_product():
+    # Below OpenBLAS's cliffs the full product stays on the calling thread,
+    # whose bits the blocks reproduce for 1-d and 2-d right-hand sides alike.
+    rng = np.random.default_rng(39)
+    for d in range(2, 13):
+        for width in range(1, 25):
+            n = int(rng.uniform(1.05, 1.7) * model.ROW_BLOCK_MADDS / (d * width))
+            a = rng.dirichlet(np.ones(d), size=n)
+            rhs = [rng.normal(size=(d, width))] + ([rng.normal(size=d)] if width == 1 else [])
+            for b in rhs:
+                assert len(model._row_blocks(n, d * width)) > 1
+                assert np.array_equal(model._tall_matmul(a, b), a @ b), (d, width, b.ndim)
+
+
+@pytest.mark.parametrize("per_row", [1, 5, 30, 1000, model.ROW_BLOCK_MADDS // 6, model.ROW_BLOCK_MADDS * 2])
+def test_row_blocks_are_equal_aligned_and_bounded(per_row):
+    most = max(1, model.ROW_BLOCK_MADDS // per_row)
+    unit = min(model.ROW_BLOCK_ALIGN, most)
+    one_block = most // unit * unit
+    assert model._row_blocks(0, per_row) == [(0, 0)]
+    for n in (1, 3, unit, one_block, one_block + 1, 2 * one_block + 5, 10 * one_block - 1):
+        blocks = model._row_blocks(n, per_row)
+        sizes = [hi - lo for lo, hi in blocks]
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert len(blocks) == -(-n // one_block)
+        assert max(sizes) <= most
+        # Whole units, one unit apart at most, and a partial unit only last.
+        assert all(lo % unit == 0 for lo, _ in blocks)
+        assert max(sizes[:-1], default=sizes[-1]) - min(sizes[:-1], default=sizes[-1]) <= unit
+        assert max(sizes) - sizes[-1] < 2 * unit
+    # One block and a row: two halves, not a full block and a short tail.
+    halves = [hi - lo for lo, hi in model._row_blocks(one_block + 1, per_row)]
+    assert len(halves) == 2
+    assert max(halves) - min(halves) <= unit
 
 
 # --- responses and helpers --------------------------------------------------
