@@ -80,41 +80,34 @@ def _blend_pairs(classification: StateClassification) -> np.ndarray:
 
 
 def compute_k01(
-    instance: PersuasionInstance,
-    classification: StateClassification | None = None,
-    gamma_fn=None,
+    instance: PersuasionInstance, classification: StateClassification | None = None
 ) -> np.ndarray:
     """Boundary blend weights for every (strict-reject, accept) state pair.
 
     Entry i * |accept| + j blends the i-th strict-reject state r into the
     j-th accept state a: the largest gamma keeping acceptance weakly optimal
     at gamma * e_r + (1 - gamma) * e_a, and 0 when a sits on the boundary.
-    ``gamma_fn(reject_states, accept_states)``, called once with every pair,
-    may return closed-form weights, NaN where a pair has none.  Without it,
-    a model declaring ``convex_reject_region`` gives its ``edge_root`` the
-    feature rows of both ends of each pair.  Pairs still NaN are bisected
-    along their edges, all together.  Every blend with gamma > 0
-    is then checked to lie on the indifference surface within
-    BOUNDARY_TOLERANCE, the first miss in pair order raising ValueError; at
-    gamma 0 a blend is its accept state, where the differential may jump.  A
-    non-binary model is refused (ValueError) by its differential, which the
-    boundary check calls even with no blends, so with no pairs too.
+    An accept state within TIE_TOLERANCE only blends at 0.  Every other
+    pair goes to the model's ``edge_root`` in one call; the pairs it leaves
+    NaN, and every pair of a model with no root, are bisected along their
+    edges, all together.  Every blend with gamma > 0 is then checked to lie
+    on the indifference surface within BOUNDARY_TOLERANCE, the first miss in
+    pair order raising ValueError; at gamma 0 a blend is its accept state,
+    where the differential may jump.  A non-binary model is refused
+    (ValueError) by its differential, which the boundary check calls even
+    with no blends, so with no pairs too.
     """
     if classification is None:
         classification = classify_states(instance)
     model = instance.receiver
     diff = model.differential_slots
     pairs = _blend_pairs(classification)
-    gamma = np.full(len(pairs), np.nan)
-    if gamma_fn is not None:
-        gamma[:] = gamma_fn(pairs[:, 0], pairs[:, 1])
     # Tolerance-only accept states sit a hair under zero; their blends
     # collapse onto the accept vertex.
-    gamma[np.isnan(gamma) & (classification.differentials[pairs[:, 1]] < 0.0)] = 0.0
+    gamma = np.where(classification.differentials[pairs[:, 1]] < 0.0, 0.0, np.nan)
     todo = np.nonzero(np.isnan(gamma))[0]
-    if gamma_fn is None and model.convex_reject_region and model.edge_root is not None:
-        ends = model.features[pairs[todo]]
-        gamma[todo] = model.edge_root(ends[:, 0], ends[:, 1])
+    if model.edge_root is not None:
+        gamma[todo] = model.edge_root(pairs[todo, 0], pairs[todo, 1])
         todo = todo[np.isnan(gamma[todo])]
     lo, hi, width = np.zeros(todo.size), np.ones(todo.size), 1.0
     while todo.size and width > BISECTION_TOLERANCE:
@@ -190,17 +183,12 @@ class HullCandidates:
 
 
 def hull_candidates(
-    instance: PersuasionInstance,
-    classification: StateClassification | None = None,
-    gamma_fn=None,
+    instance: PersuasionInstance, classification: StateClassification | None = None
 ) -> HullCandidates:
-    """List the hull candidates: classify the states, then compute the k01 blends.
-
-    ``classification`` is used when given; ``gamma_fn`` goes to ``compute_k01``.
-    """
+    """List the hull candidates: classify the states (unless given), then compute the k01 blends."""
     if classification is None:
         classification = classify_states(instance)
-    gamma = compute_k01(instance, classification, gamma_fn=gamma_fn)
+    gamma = compute_k01(instance, classification)
     accept = np.asarray(classification.accept, dtype=np.intp)
     strict = np.asarray(classification.strict_reject, dtype=np.intp)
     states = np.concatenate(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -126,12 +127,6 @@ def _load_json(path: str):
 _FLAT = json.JSONEncoder(allow_nan=False)
 
 
-class _RenderOnce(dict):
-    """A dict ``_dumps`` renders once, then re-indents: JSON text holds no raw newline."""
-
-    text: str | None = None
-
-
 def _dumps(doc) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)``, byte for byte,
     where each ndarray in ``doc`` stands for its ``tolist()``.
@@ -139,8 +134,7 @@ def _dumps(doc) -> str:
     ``indent`` sends the stdlib to its pure-Python encoder; here the text
     is gathered in pieces and joined once.  Dicts and lists recurse in
     sorted-key order, a matrix is the list of its rows, the C encoder
-    writes each scalar, and ``_float_block`` writes each float64 vector
-    and each list of floats.
+    writes each scalar, and ``_float_block`` writes each float64 vector.
     allow_nan=False: a non-finite number raises ``ValueError`` (exit 2)
     instead of writing bare NaN or Infinity, which is not JSON; the error
     is re-raised by the stdlib call, which takes each array as its list, for
@@ -157,16 +151,10 @@ def _dumps(doc) -> str:
 def _put(doc, newline: str, out: list) -> None:
     """Append the text of ``doc``, indented one step past ``newline``, to ``out``."""
     inner = newline + "  "
-    if type(doc) is _RenderOnce:
-        if doc.text is None:
-            doc.text = _dumps(dict(doc))
-        out.append(doc.text if newline == "\n" else doc.text.replace("\n", newline))
-    elif type(doc) is np.ndarray and doc.ndim == 1 and doc.dtype == np.float64 and doc.size:
+    if type(doc) is np.ndarray and doc.ndim == 1 and doc.dtype == np.float64 and doc.size:
         _float_block(doc, newline, out)
     elif type(doc) is np.ndarray:
         _put(list(doc) if doc.ndim > 1 else doc.tolist(), newline, out)
-    elif isinstance(doc, list) and doc and set(map(type, doc)) == {float}:
-        _float_block(np.array(doc), newline, out)
     elif isinstance(doc, list) and doc:
         sep = "[" + inner
         for x in doc:
@@ -209,6 +197,15 @@ def _float_block(values: np.ndarray, newline: str, out: list) -> None:
 
 def _emit(doc: dict) -> None:
     print(_dumps(doc))
+
+
+def _csv(header, rows) -> str:
+    """CSV text of a header and rows, one "\\n" a line; csv writes a float as its repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -291,7 +288,7 @@ def _cmd_solve(args) -> int:
             "posterior_residual": report.posterior_residual,
             "flagged": list(report.flagged),
         },
-        "scheme": _RenderOnce(scheme_to_json(compiled, np.asarray)),
+        "scheme": scheme_to_json(compiled, np.asarray),
     }
     # The file first: a run that cannot write it prints no document.
     text = _dumps(doc)
@@ -330,18 +327,13 @@ def _plot_data(solution, rows: list[dict]) -> dict:
     }
 
 
-def _plot_data_csv(plot: dict) -> str:
-    """The plot tables as long-form CSV: one (table, signal, state, value) per row."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["table", "signal", "state", "value"])
+def _plot_rows(plot: dict):
+    """The plot tables long-form: one (table, signal, state, value) row each."""
     for table, key in (("conditional", "conditional"), ("posterior", "posteriors")):
         for label, values in zip(plot["signals"], plot[key]):
-            cells = zip(plot["states"], values.tolist())
-            writer.writerows([table, label, w, repr(x)] for w, x in cells)
+            yield from ([table, label, w, x] for w, x in zip(plot["states"], values.tolist()))
     for label, mean in zip(plot["signals"], plot["wait_means"]):
-        writer.writerow(["wait_mean", label, "", repr(mean)])
-    return buf.getvalue()
+        yield ["wait_mean", label, "", mean]
 
 
 # The flag that sets each field the library names in a FormatError.
@@ -407,7 +399,7 @@ def _cmd_queue(args) -> int:
         },
         "signals": _signal_rows(solution),
         "occupancy": solution.occupancy,
-        "scheme": _RenderOnce(scheme_to_json(solution.scheme, np.asarray)),
+        "scheme": scheme_to_json(solution.scheme, np.asarray),
     }
     if args.simulate is not None:
         sim = simulate_queue(instance, solution.scheme, args.simulate, args.seed)
@@ -421,13 +413,8 @@ def _cmd_queue(args) -> int:
             "occupancy_time": sim.occupancy_time,
         }
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        columns = ("marginal", "wait_mean", "wait_stdev")
-        writer.writerow(["label", "action", *columns])
-        for row in doc["signals"]:
-            writer.writerow([row["label"], row["action"]] + [repr(row[c]) for c in columns])
-        text = buf.getvalue()
+        columns = ("label", "action", "marginal", "wait_mean", "wait_stdev")
+        text = _csv(columns, ([row[c] for c in columns] for row in doc["signals"]))
     else:
         text = _dumps(doc) + "\n"
     # The files first: a run that cannot write them prints no document.
@@ -437,7 +424,7 @@ def _cmd_queue(args) -> int:
         plot = _plot_data(solution, doc["signals"])
         if args.format == "csv":
             with open(args.emit_plot_data, "w", encoding="utf-8") as fh:
-                fh.write(_plot_data_csv(plot))
+                fh.write(_csv(("table", "signal", "state", "value"), _plot_rows(plot)))
         else:
             _write_json(args.emit_plot_data, plot)
     sys.stdout.write(text)
@@ -464,17 +451,9 @@ def _cmd_validate(args) -> int:
     instance = instance_from_json(_load_json(args.instance))
     compiled = scheme_from_json(_load_json(args.scheme))
     report = validate_scheme(compiled, instance)
-    _emit(
-        {
-            "ok": report.ok,
-            "bayes_residual": report.bayes_residual,
-            "marginal_residual": report.marginal_residual,
-            "posterior_residual": report.posterior_residual,
-            # A signal whose action has no alternative has margin inf.
-            "margins": [None if m == math.inf else float(m) for m in report.margins],
-            "flagged": list(report.flagged),
-        }
-    )
+    # A signal whose action has no alternative has margin inf.
+    margins = [None if m == math.inf else float(m) for m in report.margins]
+    _emit({**dataclasses.asdict(report), "ok": report.ok, "margins": margins})
     return 0 if report.ok else 2
 
 
@@ -482,22 +461,7 @@ def _cmd_simulate(args) -> int:
     _check_simulation("--events", args.events, args.seed)
     instance = _queue_instance(args)
     compiled = scheme_from_json(_load_json(args.scheme))
-    sim = simulate_queue(instance, compiled, args.events, args.seed)
-    _emit(
-        {
-            "events": sim.events,
-            "burn_in_events": sim.burn_in_events,
-            "arrivals": sim.arrivals,
-            "blocked": sim.blocked,
-            "joins": sim.joins,
-            "leaves": sim.leaves,
-            "join_rate": sim.join_rate,
-            "signal_counts": sim.signal_counts,
-            "arrival_seen": sim.arrival_seen,
-            "occupancy_time": sim.occupancy_time,
-            "total_time": sim.total_time,
-        }
-    )
+    _emit(dataclasses.asdict(simulate_queue(instance, compiled, args.events, args.seed)))
     return 0
 
 

@@ -202,13 +202,13 @@ class UtilityModel:
     binary solver spot-checks the claim rather than trusting it blindly.
     ``params`` are the builder's inputs, arrays copied; None for a custom model.
 
-    ``edge_root(f_reject, f_accept)``, set by a built-in kind whose
-    rejection region is convex, maps the feature rows of both ends of each
-    (strict-reject, accept) edge to the weight gamma on the reject end at
-    which the differential at gamma * f_reject + (1 - gamma) * f_accept
-    crosses zero: along an edge every built-in kind's features are affine
-    in gamma, so each root has a closed form.  NaN where a pair has none;
-    None for custom models, whose edges are bisected.
+    ``edge_root(reject_states, accept_states)``, set by a built-in kind
+    whose rejection region is convex, maps the two state arrays of a batch
+    of (strict-reject r, accept a) edges to the weight gamma on r at which
+    the differential at gamma * e_r + (1 - gamma) * e_a crosses zero: along
+    an edge every built-in kind's features are affine in gamma, so each
+    root has a closed form, taken from the ends' feature rows.  NaN where a
+    pair has none; None for custom models, whose edges are bisected.
     """
 
     kind: str
@@ -315,9 +315,9 @@ def _expected_model(u: np.ndarray) -> UtilityModel:
     if u.ndim != 2:
         raise ValueError("expected-utility table must be states-by-actions")
 
-    def edge_root(f_r, f_a):
+    def edge_root(r, a):
         # The differential is affine along the edge.
-        d_r, d_a = f_r[:, 1] - f_r[:, 0], f_a[:, 1] - f_a[:, 0]
+        d_r, d_a = u[r, 1] - u[r, 0], u[a, 1] - u[a, 0]
         return d_a / (d_a - d_r)
 
     return UtilityModel(
@@ -358,13 +358,16 @@ def _mean_stdev_model(
         or (np.ptp(gm[:, 0]) == 0.0 and np.ptp(gv[:, 0]) == 0.0)
     )
 
-    def edge_root(f_r, f_a):
+    features = np.hstack([u, gm, gv + gm * gm])
+
+    def edge_root(r, a):
         # Then D = B - beta sqrt(V) along the edge, with B = u1 - u0 + beta sd0
         # affine and V = (1 - g) V_a + g V_r + g (1 - g) dm^2 the action-1
         # variance.  The root is the smaller one of A g^2 + 2 P g + C = 0,
         # which is B^2 = beta^2 V where B >= 0: C / (beta sqrt(H) - P), with
         # P^2 - A C = beta^2 H expanded so that no digits cancel, as in
         # gamma_closed_form.
+        f_r, f_a = features[r], features[a]
         sd0 = np.sqrt(np.maximum(f_a[:, 4] - f_a[:, 2] ** 2, 0.0))
         v_r, v_a = (np.maximum(f[:, 5] - f[:, 3] ** 2, 0.0) for f in (f_r, f_a))
         b_a = f_a[:, 1] - f_a[:, 0] + beta * sd0
@@ -385,7 +388,7 @@ def _mean_stdev_model(
         kind="mean_stdev",
         n_states=u.shape[0],
         n_actions=k,
-        features=np.hstack([u, gm, gv + gm * gm]),
+        features=features,
         combine=combine,
         convex_reject_region=convex,
         params={"u": u, "g_mean": gm, "g_var": gv, "beta": float(beta)},
@@ -401,11 +404,14 @@ def _maximin_model(tables: np.ndarray) -> UtilityModel:
     # With identical action-1 columns, score(., 1) is affine while score(., 0) is
     # concave as a minimum of affine maps, so the differential is convex.
     convex = k == 2 and bool(np.all(ts[:, :, 1] == ts[0, :, 1]))
+    # Column a * n_scenarios + j is table j's action-a column.
+    features = ts.transpose(1, 2, 0).reshape(d, k * n_scenarios)
 
-    def edge_root(f_r, f_a):
+    def edge_root(r, a):
         # Then D = max_j (f[n_scenarios] - f[j]), each piece affine, and every
         # piece is below 0 at the reject end: the largest root among the
         # pieces that are >= 0 at the accept end.
+        f_r, f_a = features[r], features[a]
         p_r = f_r[:, n_scenarios, None] - f_r[:, :n_scenarios]
         p_a = f_a[:, n_scenarios, None] - f_a[:, :n_scenarios]
         roots = np.divide(p_a, p_a - p_r, out=np.zeros(p_a.shape), where=p_a >= 0.0)
@@ -415,8 +421,7 @@ def _maximin_model(tables: np.ndarray) -> UtilityModel:
         kind="maximin",
         n_states=d,
         n_actions=k,
-        # Column a * n_scenarios + j is table j's action-a column.
-        features=ts.transpose(1, 2, 0).reshape(d, k * n_scenarios),
+        features=features,
         combine=lambda f, a: np.min(f[..., a * n_scenarios : (a + 1) * n_scenarios], axis=-1),
         convex_reject_region=convex,
         params={"tables": ts},
@@ -466,13 +471,13 @@ def _cvar_model(
     features = np.hstack([tail_mass, tail_sum])
     c0 = float(combine(features[0], 0))
 
-    def edge_root(f_r, f_a):
+    def edge_root(r, a):
         # Then score 0 is a constant c0, and where the action-1 tail mass M is
         # positive D = -(T + c0 M) / M for the tail loss-sum T: the root of
         # the affine T + c0 M.  With no mass at the reject end, the
         # differential jumps there and the edge is bisected.
-        g_r, g_a = (f[:, 3] + c0 * f[:, 1] for f in (f_r, f_a))
-        ok = (f_r[:, 1] > 0.0) & (g_r > g_a)
+        g_r, g_a = (tail_sum[s, 1] + c0 * tail_mass[s, 1] for s in (r, a))
+        ok = (tail_mass[r, 1] > 0.0) & (g_r > g_a)
         return np.divide(g_a, g_a - g_r, out=np.full(g_a.shape, np.nan), where=ok)
 
     return UtilityModel(

@@ -81,9 +81,10 @@ PREFIX_PER_JOINABLE = 4
 # Largest number of lengths, and of boundary blends (strict-reject x joinable
 # lengths), a queue solve takes on; each is a flow-LP column.  The prefix
 # solve keeps HiGHS small, so this bound is about memory and output: lifted,
-# a cold capacity-10^5 `queue` (4 or 7 joinable lengths) took 3.0-4.2 s,
-# peaked at 309-408 MB and wrote 31-47 MB of JSON on a 2-core host; with no
-# joinable length (no blend), capacity 2 x 10^5 took 0.98 s at 186 MB.
+# a cold capacity-10^5 `queue` (lambda 0.95, tau 10, beta 2.5 or 1: 4 or 7
+# joinable lengths) took 0.8-1.6 s, peaked at 224-332 MB and wrote 31-55 MB of
+# JSON on a 2-core Xeon host; with no joinable length (no blend), capacity
+# 2 x 10^5 took 0.8-0.9 s at 165 MB there.
 MAX_QUEUE_BLENDS = 100_000
 
 __all__ = [
@@ -186,7 +187,10 @@ def gamma_closed_form(n, m, tau: float, beta: float):
 
 
 def queue_model(instance: QueueInstance):
-    """Receiver model over queue lengths: join scores tau - E - beta*sd."""
+    """Receiver model over queue lengths: join scores tau - E - beta*sd.
+
+    A ``mean_stdev`` model whose ``edge_root`` is ``gamma_closed_form``.
+    """
     d = instance.capacity
     lengths = np.arange(1, d + 1, dtype=float)
     u = np.zeros((d, 2))
@@ -195,8 +199,9 @@ def queue_model(instance: QueueInstance):
     g_var = np.zeros((d, 2))
     g_mean[:, 1] = lengths
     g_var[:, 1] = lengths
-    return make_model(
-        "mean_stdev", u=u, g_mean=g_mean, g_var=g_var, beta=instance.beta
+    model = make_model("mean_stdev", u=u, g_mean=g_mean, g_var=g_var, beta=instance.beta)
+    return dataclasses.replace(
+        model, edge_root=lambda n, m: gamma_closed_form(n, m, instance.tau, instance.beta)
     )
 
 
@@ -393,11 +398,7 @@ def solve_queue(instance: QueueInstance) -> QueueSolution:
             f"({n_strict} strict-reject x {n_accept} joinable lengths), "
             f"over the limit of {MAX_QUEUE_BLENDS}"
         )
-    candidates = hull_candidates(
-        probe,
-        classification,
-        gamma_fn=lambda n, m: gamma_closed_form(n, m, instance.tau, instance.beta),
-    )
+    candidates = hull_candidates(probe, classification)
     res = _solve_flow(d, lam, candidates)
     n1 = candidates.n_accept
     # V^T x over the join and then the leave candidates, one support slot

@@ -52,6 +52,13 @@ def _queue_style_model(d, tau, beta):
     return make_model("mean_stdev", u=u, g_mean=g, g_var=g, beta=beta)
 
 
+def _with_root(instance, root):
+    """The instance with ``root`` as its receiver's ``edge_root``."""
+    return dataclasses.replace(
+        instance, receiver=dataclasses.replace(instance.receiver, edge_root=root)
+    )
+
+
 def _expected_binary(du):
     du = np.asarray(du, dtype=float)
     return make_model("expected", u=np.column_stack([np.zeros(du.size), du]))
@@ -99,10 +106,10 @@ def test_compute_k01_threshold_game():
 
 def test_compute_k01_accepts_closed_form_and_checks_boundary():
     inst = threshold_instance()
-    gamma = compute_k01(inst, gamma_fn=lambda w0, w1: np.full(w0.shape, 1.0 / 3.0))
+    gamma = compute_k01(_with_root(inst, lambda w0, w1: np.full(w0.shape, 1.0 / 3.0)))
     assert all(g == pytest.approx(1.0 / 3.0, abs=1e-15) for g in gamma)
     with pytest.raises(ValueError, match="boundary"):
-        compute_k01(inst, gamma_fn=lambda w0, w1: np.full(w0.shape, 0.9))
+        compute_k01(_with_root(inst, lambda w0, w1: np.full(w0.shape, 0.9)))
 
 
 def test_compute_k01_degenerate_boundary_accept_state():
@@ -120,10 +127,11 @@ def test_compute_k01_empty_without_strict_rejects():
     assert compute_k01(inst).shape == (0,)
 
 
-def _per_pair_k01(instance, gamma_fn=None):
+def _per_pair_k01(instance, root=None):
     """compute_k01 one pair at a time on 1-d beliefs, bisecting with the oracle.
 
-    Returns the (reject, accept, gamma.hex()) triples, or the first
+    ``root(w0, w1)`` stands for the receiver's edge root, NaN where it has
+    none.  Returns the (reject, accept, gamma.hex()) triples, or the first
     boundary miss's message.  A blend at gamma 0 is its accept state and
     goes unchecked.
     """
@@ -133,11 +141,11 @@ def _per_pair_k01(instance, gamma_fn=None):
     out = []
     for w0 in cls.strict_reject:
         for w1 in cls.accept:
-            g = math.nan if gamma_fn is None else float(gamma_fn(w0, w1))
-            if math.isnan(g):
-                if float(diff(eye[w1])) < 0.0:
-                    g = 0.0
-                else:
+            if float(diff(eye[w1])) < 0.0:
+                g = 0.0
+            else:
+                g = math.nan if root is None else float(root(w0, w1))
+                if math.isnan(g):
                     g = oracles.segment_bisection(diff, eye[w0], eye[w1])
             g = min(max(g, 0.0), 1.0)
             boundary = float(diff(g * eye[w0] + (1.0 - g) * eye[w1]))
@@ -150,9 +158,9 @@ def _per_pair_k01(instance, gamma_fn=None):
     return out
 
 
-def _batched_k01(instance, gamma_fn=None):
+def _batched_k01(instance):
     try:
-        gamma = compute_k01(instance, gamma_fn=gamma_fn)
+        gamma = compute_k01(instance)
     except ValueError as exc:
         return str(exc)
     cls = classify_states(instance)
@@ -222,8 +230,8 @@ def test_batched_k01_matches_per_pair_bisection(case):
     if inst.receiver.kind == "custom":
         assert _batched_k01(inst) == _per_pair_k01(inst)
 
-    # A closed form for some pairs, NaN (no closed form) for the others; a
-    # caller's gamma_fn leaves its NaN pairs to the bisection, whatever the kind.
+    # A closed form for some pairs, NaN (no closed form) for the others: an
+    # edge root leaves its NaN pairs to the bisection, whatever the kind.
     eye = np.eye(inst.n_states)
     diff = inst.receiver.differential
 
@@ -231,12 +239,12 @@ def test_batched_k01_matches_per_pair_bisection(case):
         if open_pairs >> ((w0 * inst.n_states + w1) % 20) & 1:
             return math.nan
         if float(diff(eye[w1])) < 0.0:
-            return 0.25
+            return 0.25  # never asked: a tolerance-only accept state blends at 0
         return oracles.segment_bisection(diff, eye[w0], eye[w1])
 
     # compute_k01 passes every pair at once; the reference asks one at a time.
-    gamma_fn = np.vectorize(pair_gamma, otypes=[float])
-    assert _batched_k01(inst, gamma_fn) == _per_pair_k01(inst, gamma_fn)
+    root = np.vectorize(pair_gamma, otypes=[float])
+    assert _batched_k01(_with_root(inst, root)) == _per_pair_k01(inst, root)
 
 
 # The closed-form blends of the built-in kinds sit this close to the surface;
@@ -311,14 +319,14 @@ def test_compute_k01_model_calls_do_not_grow_with_pairs(monkeypatch):
     calls.clear()
     assert len(compute_k01(custom, cls)) > 100
     assert len(calls) <= 35
-    # With every pair given, no bisection step runs: the one call is the
-    # boundary check, here on no blends.
+    # With a root for every pair, no bisection step runs: the one call is
+    # the boundary check, here on no blends.
     calls.clear()
-    compute_k01(custom, cls, gamma_fn=lambda w0, w1: np.zeros(w0.shape))
+    compute_k01(_with_root(custom, lambda w0, w1: np.zeros(w0.shape)), cls)
     assert calls == [(0, 2)]
 
 
-def test_compute_k01_calls_gamma_fn_once_with_every_pair():
+def test_compute_k01_calls_edge_root_once_with_every_pair():
     d = 40
     inst = _binary_instance(
         np.full(d, 1.0 / d), _k01_receiver("mean_stdev", np.random.default_rng(3), d, False)
@@ -326,11 +334,11 @@ def test_compute_k01_calls_gamma_fn_once_with_every_pair():
     cls = classify_states(inst)
     calls = []
 
-    def gamma_fn(reject_states, accept_states):
+    def root(reject_states, accept_states):
         calls.append((reject_states.tolist(), accept_states.tolist()))
         return np.full(reject_states.shape, np.nan)
 
-    gamma = compute_k01(inst, cls, gamma_fn=gamma_fn)
+    gamma = compute_k01(_with_root(inst, root), cls)
     assert len(cls.strict_reject) > 1 and len(cls.accept) > 1
     assert calls == [
         (
@@ -340,10 +348,7 @@ def test_compute_k01_calls_gamma_fn_once_with_every_pair():
     ]
     # NaN everywhere leaves every pair to the bisection, as for a model
     # with no edge roots.
-    bisected = dataclasses.replace(
-        inst, receiver=dataclasses.replace(inst.receiver, edge_root=None)
-    )
-    assert np.array_equal(gamma, compute_k01(bisected, cls))
+    assert np.array_equal(gamma, compute_k01(_with_root(inst, None), cls))
     assert not np.array_equal(gamma, compute_k01(inst, cls))
 
 

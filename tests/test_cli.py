@@ -483,7 +483,7 @@ _JSON_DOCS = st.recursive(
 
 
 def _listed(doc):
-    # The document json.dumps takes: arrays as their lists, rendered-once dicts as dicts.
+    # The document json.dumps takes: arrays as their lists.
     if isinstance(doc, np.ndarray):
         return doc.tolist()
     if isinstance(doc, dict):
@@ -511,18 +511,6 @@ def test_json_writer_matches_the_stdlib_byte_for_byte(doc):
     _assert_dumps_like_the_stdlib(doc)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.dictionaries(st.sampled_from(["conditional", "prior", "signals"]), _JSON_DOCS, max_size=3),
-    st.dictionaries(st.sampled_from(["a", "signals", "z"]), _JSON_DOCS, max_size=3),
-)
-def test_scheme_rendered_once_matches_the_stdlib(scheme, rest):
-    # The document renders the scheme and keeps the text that --out writes.
-    kept = cli._RenderOnce(scheme)
-    _assert_dumps_like_the_stdlib({**rest, "scheme": kept})
-    _assert_dumps_like_the_stdlib(kept)
-
-
 # Float64 vectors and matrices drawn from _SPARSE_FLOATS, and int arrays,
 # empty ones included: the CLI hands the writer arrays, not their lists.
 _ARRAY_SHAPES = st.one_of(
@@ -546,7 +534,7 @@ _ARRAY_DOCS = st.recursive(
 @given(_ARRAY_DOCS, st.sampled_from(["conditional", "prior", "signals"]))
 def test_json_writer_renders_arrays_as_their_lists(doc, key):
     _assert_dumps_like_the_stdlib(doc)
-    _assert_dumps_like_the_stdlib({"a": 1, key: cli._RenderOnce({key: doc})})
+    _assert_dumps_like_the_stdlib({"a": 1, key: {key: doc}})
 
 
 @pytest.mark.parametrize(
@@ -833,6 +821,35 @@ def test_golden_plot_data_bytes(fmt, tmp_path, capsys):
     assert captured.err == ""
     assert _sha(captured.out) == GOLDEN_CASES[f"queue-{fmt}"][2]
     assert _sha(plot.read_bytes()) == plot_sha
+
+
+# validate on the README `solve --out` scheme, as written and with its pure
+# `b` signal recommending yes (margin -1, flagged): (tamper, exit code,
+# stdout sha256).
+GOLDEN_VALIDATE = {
+    "readme": (None, 0, "6266f733df8a1ca4edba16bf20c868b7ef906cfd9c0b959235e7a1ea4f6076f7"),
+    "tampered": (
+        lambda doc: doc["signals"][1].update(action=1), 2,
+        "aa2c35a82f4c83f8d2fa76f081a2d0f3359b6ba584bf6de84b8b3ab341b44f69",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_VALIDATE))
+def test_golden_validate_bytes(case, tmp_path, capsys):
+    tamper, code, stdout_sha = GOLDEN_VALIDATE[case]
+    inst = _write(tmp_path, "inst.json", _expected_dict())
+    scheme = tmp_path / "scheme.json"
+    assert cli.run(["solve", "--instance", inst, "--out", str(scheme)]) == 0
+    capsys.readouterr()
+    if tamper is not None:
+        doc = json.loads(scheme.read_text())
+        tamper(doc)
+        scheme.write_text(json.dumps(doc))
+    assert cli.run(["validate", "--instance", inst, "--scheme", str(scheme)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert _sha(captured.out) == stdout_sha
 
 
 # Simulation bytes: a seed fixes every draw, so these hold as long as the

@@ -32,7 +32,7 @@ from persuade import (
     verify_sandwich,
     verify_threshold,
 )
-from persuade.binary import classify_states
+from persuade.binary import classify_states, compute_k01
 from persuade.geometry import CscMatrix, certificate_bound
 from persuade.model import (
     PLAN_MASS_TOLERANCE,
@@ -178,6 +178,26 @@ def test_gamma_closed_form_arrays_match_scalar_calls():
                     continue
                 assert float(batch[i]).hex() == scalar.hex() == want.hex(), (ni, mi, tau, beta)
     assert 0 < undefined < 7 * 4 * n.size
+
+
+def test_queue_k01_is_the_closed_form_across_the_tie_band():
+    # tau from 0 to 9e-10 below the bound at which length m joins outright,
+    # so m is often an accept state within TIE_TOLERANCE only, whose blends
+    # compute_k01 sets to 0 before the queue model's edge root is called.
+    # Every weight, those included, is gamma_closed_form's bit for bit.
+    tied = 0
+    for m in range(8):
+        for beta in (0.0, 1.0, 2.5):
+            bound = m + 1 + beta * math.sqrt(m + 1)
+            for below in (0.0, 3e-10, 6e-10, 9e-10):
+                probe = _probe(40, bound - below, beta)
+                cls = classify_states(probe)
+                reject = np.repeat(cls.strict_reject, len(cls.accept))
+                accept = np.tile(cls.accept, len(cls.strict_reject))
+                want = gamma_closed_form(reject, accept, bound - below, beta)
+                assert compute_k01(probe, cls).tobytes() == want.tobytes()
+                tied += np.count_nonzero(cls.differentials[accept] < 0.0)
+    assert tied > 0
 
 
 def test_gamma_closed_form_long_spans_sit_on_the_boundary():
